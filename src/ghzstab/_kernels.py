@@ -1,67 +1,19 @@
-"""Hot numeric kernels, numba-jitted with a pure-numpy fallback lane.
-
-The numba lane is used whenever numba imports cleanly; set
-``GHZSTAB_NO_NUMBA=1`` to force the numpy lane. Both lanes stay importable
-so they can be compared directly (see ``benchmarks/bench_kernels.py``).
-"""
+"""Numeric kernels in plain numpy: signed angle sums over sign patterns,
+parity-split product sums, group character sums, and sequential-collapse
+measurement rounds."""
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-NUMBA_ENV_FLAG = "GHZSTAB_NO_NUMBA"
-
-try:
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get(NUMBA_ENV_FLAG, "") in ("", "0")
-
-
-# ---------------------------------------------------------------------------
-# even-parity block of a product operator
-# entry (r, c) = prod_l locals[l, bit_l(s0[r]), bit_l(s0[c])]
-
-def even_block_numpy(locals_: np.ndarray, s0: np.ndarray) -> np.ndarray:
-    n = locals_.shape[0]
-    out = np.ones((s0.size, s0.size), dtype=np.complex128)
-    for l in range(n):
-        b = ((s0 >> (n - 1 - l)) & 1).astype(np.intp)
-        out *= locals_[l][np.ix_(b, b)]
-    return out
-
-
-if HAVE_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def even_block_numba(locals_, s0):
-        m = s0.size
-        n = locals_.shape[0]
-        out = np.empty((m, m), np.complex128)
-        for r in prange(m):
-            j = s0[r]
-            for c in range(m):
-                i = s0[c]
-                acc = 1.0 + 0.0j
-                for l in range(n):
-                    jb = (j >> (n - 1 - l)) & 1
-                    ib = (i >> (n - 1 - l)) & 1
-                    acc *= locals_[l, jb, ib]
-                out[r, c] = acc
-        return out
 
 
 # ---------------------------------------------------------------------------
 # signed sums theta_1 + sum_{l>=2} (-1)^{bit_l(m)} theta_l over all
 # m in [0, 2^{n-1}); bit of party l sits at position n - l.
 
-def signed_sums_numpy(vals: np.ndarray) -> np.ndarray:
+def _signed_sums(vals: np.ndarray) -> np.ndarray:
     out = vals[:1].copy()
     for l in range(1, vals.size):
         nxt = np.empty(out.size * 2, dtype=vals.dtype)
@@ -71,45 +23,19 @@ def signed_sums_numpy(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-if HAVE_NUMBA:
+def signed_sums_f8(vals) -> np.ndarray:
+    return _signed_sums(np.asarray(vals, dtype=np.float64))
 
-    @njit(cache=True)
-    def signed_sums_numba_f8(vals):
-        # prefix doubling, new party at the low bit: O(2^{n-1}) adds total
-        n = vals.size
-        out = np.empty(1 << (n - 1), np.float64)
-        out[0] = vals[0]
-        size = 1
-        for l in range(1, n):
-            v = vals[l]
-            for m in range(size - 1, -1, -1):
-                base = out[m]
-                out[2 * m] = base + v
-                out[2 * m + 1] = base - v
-            size *= 2
-        return out
 
-    @njit(cache=True)
-    def signed_sums_numba_i8(vals):
-        n = vals.size
-        out = np.empty(1 << (n - 1), np.int64)
-        out[0] = vals[0]
-        size = 1
-        for l in range(1, n):
-            v = vals[l]
-            for m in range(size - 1, -1, -1):
-                base = out[m]
-                out[2 * m] = base + v
-                out[2 * m + 1] = base - v
-            size *= 2
-        return out
+def signed_sums_i8(vals) -> np.ndarray:
+    return _signed_sums(np.asarray(vals, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
 # direct enumeration of sum_j prod_l cos^{1-j_l} (-i sin)^{j_l}
 # split by the parity of j, over all j in Z_2^n
 
-def parity_product_sums_numpy(cos_t: np.ndarray, msin_t: np.ndarray):
+def parity_product_sums(cos_t: np.ndarray, msin_t: np.ndarray):
     n = cos_t.size
     terms = np.ones(1, dtype=np.complex128)
     for l in range(n):
@@ -123,49 +49,10 @@ def parity_product_sums_numpy(cos_t: np.ndarray, msin_t: np.ndarray):
     return even, odd
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def parity_product_sums_numba(cos_t, msin_t):
-        # enumerate all 2^n products by prefix doubling, then split the sum
-        # by the bit parity of the term index
-        n = cos_t.size
-        terms = np.empty(1 << n, np.complex128)
-        terms[0] = 1.0 + 0.0j
-        size = 1
-        for l in range(n):
-            c = cos_t[l]
-            ms = msin_t[l]
-            for m in range(size - 1, -1, -1):
-                base = terms[m]
-                terms[2 * m] = base * c
-                terms[2 * m + 1] = base * ms
-            size *= 2
-        even_re = 0.0
-        even_im = 0.0
-        odd_re = 0.0
-        odd_im = 0.0
-        for j in range(size):
-            x = j
-            x ^= x >> 16
-            x ^= x >> 8
-            x ^= x >> 4
-            x ^= x >> 2
-            x ^= x >> 1
-            t = terms[j]
-            if x & 1:
-                odd_re += t.real
-                odd_im += t.imag
-            else:
-                even_re += t.real
-                even_im += t.imag
-        return complex(even_re, even_im), complex(odd_re, odd_im)
-
-
 # ---------------------------------------------------------------------------
 # group character sums sum_m (-1)^{m . v}; only v mod 2 matters
 
-def character_sums_numpy(vbits: np.ndarray, n: int) -> np.ndarray:
+def character_sums(vbits: np.ndarray, n: int) -> np.ndarray:
     m = np.arange(1 << n, dtype=np.uint64)
     out = np.empty(vbits.size, dtype=np.int64)
     for k in range(vbits.size):
@@ -174,33 +61,13 @@ def character_sums_numpy(vbits: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-if HAVE_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def character_sums_numba(vbits, n):
-        out = np.empty(vbits.size, np.int64)
-        for k in prange(vbits.size):
-            acc = 0
-            vb = vbits[k]
-            for m in range(1 << n):
-                x = m & vb
-                x ^= x >> 16
-                x ^= x >> 8
-                x ^= x >> 4
-                x ^= x >> 2
-                x ^= x >> 1
-                acc += 1 - 2 * (x & 1)
-            out[k] = acc
-        return out
-
-
 # ---------------------------------------------------------------------------
 # sequential-collapse measurement rounds
 # basis_up/basis_down: (n, 2) complex eigenvectors per party
 # uniforms: (shots, n) in [0, 1); returns outcome bits (shots, n) int8
 # (0 means +1, 1 means -1)
 
-def collapse_rounds_numpy(amps, basis_up, basis_down, uniforms):
+def collapse_rounds(amps, basis_up, basis_down, uniforms):
     shots, n = uniforms.shape
     out = np.zeros((shots, n), dtype=np.int8)
     for s in range(shots):
@@ -232,87 +99,3 @@ def collapse_rounds_numpy(amps, basis_up, basis_down, uniforms):
                 psi3[:, 0] = b0 * c / norm
                 psi3[:, 1] = b1 * c / norm
     return out
-
-
-if HAVE_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def collapse_rounds_numba(amps, basis_up, basis_down, uniforms):
-        shots, n = uniforms.shape
-        dim = amps.size
-        out = np.zeros((shots, n), np.int8)
-        for s in prange(shots):
-            psi = amps.copy()
-            for l in range(n):
-                pos = n - 1 - l
-                step = 1 << pos
-                u0 = np.conj(basis_up[l, 0])
-                u1 = np.conj(basis_up[l, 1])
-                p_up = 0.0
-                for base in range(0, dim, 2 * step):
-                    for off in range(step):
-                        i0 = base + off
-                        c = u0 * psi[i0] + u1 * psi[i0 + step]
-                        p_up += c.real * c.real + c.imag * c.imag
-                if uniforms[s, l] < p_up:
-                    b0 = basis_up[l, 0]
-                    b1 = basis_up[l, 1]
-                else:
-                    b0 = basis_down[l, 0]
-                    b1 = basis_down[l, 1]
-                    out[s, l] = 1
-                b0c = np.conj(b0)
-                b1c = np.conj(b1)
-                norm = 0.0
-                for base in range(0, dim, 2 * step):
-                    for off in range(step):
-                        i0 = base + off
-                        c = b0c * psi[i0] + b1c * psi[i0 + step]
-                        psi[i0] = b0 * c
-                        psi[i0 + step] = b1 * c
-                        norm += c.real * c.real + c.imag * c.imag
-                scale = 1.0 / math.sqrt(norm)
-                for i in range(dim):
-                    psi[i] = psi[i] * scale
-        return out
-
-
-# ---------------------------------------------------------------------------
-# default dispatch
-
-if USE_NUMBA:
-    even_block = even_block_numba
-    signed_sums_f8 = signed_sums_numba_f8
-    signed_sums_i8 = signed_sums_numba_i8
-    parity_product_sums = parity_product_sums_numba
-    character_sums = character_sums_numba
-    collapse_rounds = collapse_rounds_numba
-else:
-    even_block = even_block_numpy
-
-    def signed_sums_f8(vals):
-        return signed_sums_numpy(np.asarray(vals, dtype=np.float64))
-
-    def signed_sums_i8(vals):
-        return signed_sums_numpy(np.asarray(vals, dtype=np.int64))
-
-    parity_product_sums = parity_product_sums_numpy
-    character_sums = character_sums_numpy
-    collapse_rounds = collapse_rounds_numpy
-
-
-def warm_up():
-    """Trigger JIT compilation of every kernel on tiny inputs."""
-    if not USE_NUMBA:
-        return
-    locals_ = np.zeros((2, 2, 2), dtype=np.complex128)
-    locals_[:] = np.eye(2)
-    even_block(locals_, np.array([0, 3], dtype=np.int64))
-    signed_sums_f8(np.array([0.5, 0.25]))
-    signed_sums_i8(np.array([1, 2], dtype=np.int64))
-    parity_product_sums(np.array([1.0 + 0j, 1.0 + 0j]), np.array([0j, 0j]))
-    character_sums(np.array([1], dtype=np.int64), 2)
-    amps = np.array([1.0 + 0j, 0j, 0j, 0j])
-    basis = np.array([[1.0 + 0j, 0j], [1.0 + 0j, 0j]])
-    down = np.array([[0j, 1.0 + 0j], [0j, 1.0 + 0j]])
-    collapse_rounds(amps, basis, down, np.full((1, 2), 0.5))

@@ -79,7 +79,3 @@ def parity_classes(n: int) -> ParityClasses:
 def parity_of(values: np.ndarray) -> np.ndarray:
     """Bit parity of each entry of an integer array."""
     return (np.bitwise_count(values.astype(np.uint64)) & 1).astype(np.int64)
-
-
-def even_parity_indices(n: int) -> np.ndarray:
-    return parity_classes(n).s0

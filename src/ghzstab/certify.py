@@ -124,7 +124,7 @@ def measure_round(state: StateVector, d: DirectionList, rng) -> tuple[np.ndarray
         )
     up, down = measurement_bases(d)
     uniforms = rng.random((1, d.n_parties))
-    bits = _kernels.collapse_rounds_numpy(state.amplitudes, up, down, uniforms)[0]
+    bits = _kernels.collapse_rounds(state.amplitudes, up, down, uniforms)[0]
     outcomes = 1 - 2 * bits.astype(np.int64)
     return outcomes, int(np.prod(outcomes))
 
@@ -193,7 +193,7 @@ def run_certification(
     iff both empirical product means reach the threshold.
 
     All randomness is pre-drawn from the seed, so reports are bit-identical
-    for identical inputs regardless of the kernel lane.
+    for identical inputs.
     """
     n = d.n_parties
     rng = np.random.default_rng(cfg.seed)
@@ -216,7 +216,7 @@ def run_certification(
                 comp = min(comp, len(state.states) - 1)
             amps = state.states[comp].amplitudes
             u, dn = (up_a, down_a) if is_a[s] else (up_b, down_b)
-            bits = _kernels.collapse_rounds_numpy(
+            bits = _kernels.collapse_rounds(
                 amps, u, dn, uniforms[s:s + 1, 2:]
             )
             products[s] = _products_from_bits(bits)[0]

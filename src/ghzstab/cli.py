@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -30,15 +31,41 @@ from .solve import (
     character_sum_check,
     purity_security_check,
     sector_dimensions,
+    sector_oracle_dimensions,
     solve_common_eigenspace,
     trig_parity_identity_residuals,
 )
 
 AMPLITUDE_CUTOFF = 1e-12
+MAX_RADIANS = 4 * math.pi
 
 
 class InputError(Exception):
     """Malformed or invalid JSON input."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(value, what: str) -> float:
+    """A JSON number (not a bool) that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise InputError(f"{what} must be finite, got {value!r}")
+    return out
+
+
+def _tol(value) -> float:
+    tol = _finite(value, "tol")
+    if tol <= 0:
+        raise InputError(f"tol must be positive, got {value!r}")
+    return tol
 
 
 def _parse_angle(obj, what: str) -> Angle:
@@ -46,15 +73,16 @@ def _parse_angle(obj, what: str) -> Angle:
         raise InputError(f"{what} must be an object, got {type(obj).__name__}")
     if "pi_num" in obj or "pi_den" in obj:
         num, den = obj.get("pi_num"), obj.get("pi_den", 1)
-        if not isinstance(num, int) or not isinstance(den, int):
+        if not _is_int(num) or not _is_int(den):
             raise InputError(f"{what}: pi_num and pi_den must be integers")
         if den <= 0:
             raise InputError(f"{what}: pi_den must be positive, got {den}")
         return Angle.exact(num, den)
     if "rad" in obj:
-        if not isinstance(obj["rad"], (int, float)):
-            raise InputError(f"{what}: rad must be a number")
-        return Angle.radians(float(obj["rad"]))
+        rad = _finite(obj["rad"], f"{what}.rad")
+        if abs(rad) > MAX_RADIANS:
+            raise InputError(f"{what}: |rad| must be at most 4*pi, got {rad!r}")
+        return Angle.radians(rad)
     raise InputError(f"{what} needs either pi_num/pi_den or rad")
 
 
@@ -63,7 +91,7 @@ def parse_angle_file(data) -> tuple[DirectionList, float, str | None]:
         raise InputError("top-level JSON must be an object")
     n = data.get("n")
     angles = data.get("angles")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InputError(f"n must be a positive integer, got {n!r}")
     if not isinstance(angles, list) or len(angles) != n:
         raise InputError(f"angles must be a list of length n={n}")
@@ -73,13 +101,11 @@ def parse_angle_file(data) -> tuple[DirectionList, float, str | None]:
             raise InputError(f"angles[{k}] must be an object")
         thetas.append(_parse_angle(rec.get("theta"), f"angles[{k}].theta"))
         phis.append(_parse_angle(rec.get("phi", {"rad": 0.0}), f"angles[{k}].phi"))
-    tol = data.get("tol", 1e-9)
-    if not isinstance(tol, (int, float)) or tol <= 0:
-        raise InputError(f"tol must be positive, got {tol!r}")
+    tol = _tol(data.get("tol", 1e-9))
     mode = data.get("mode")
     if mode not in (None, "exact", "approx"):
         raise InputError(f"mode must be exact or approx, got {mode!r}")
-    return DirectionList.of(thetas, phis), float(tol), mode
+    return DirectionList.of(thetas, phis), tol, mode
 
 
 def parse_state_file(data) -> StateVector:
@@ -87,7 +113,7 @@ def parse_state_file(data) -> StateVector:
         raise InputError("state file must be a JSON object")
     n = data.get("n")
     amps = data.get("amplitudes")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InputError(f"state n must be a positive integer, got {n!r}")
     if not isinstance(amps, list) or not amps:
         raise InputError("state amplitudes must be a non-empty list")
@@ -96,9 +122,12 @@ def parse_state_file(data) -> StateVector:
         if not isinstance(rec, dict) or "index" not in rec:
             raise InputError(f"amplitudes[{k}] must be an object with index")
         idx = rec["index"]
-        if not isinstance(idx, int) or not 0 <= idx < (1 << n):
+        if not _is_int(idx) or not 0 <= idx < (1 << n):
             raise InputError(f"amplitudes[{k}].index out of range")
-        vec[idx] = complex(rec.get("re", 0.0), rec.get("im", 0.0))
+        vec[idx] = complex(
+            _finite(rec.get("re", 0.0), f"amplitudes[{k}].re"),
+            _finite(rec.get("im", 0.0), f"amplitudes[{k}].im"),
+        )
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
         raise InputError("state vector has zero norm")
@@ -178,17 +207,21 @@ def _emit(obj, pretty: bool) -> None:
     sys.stdout.write("\n")
 
 
-def cmd_classify(args) -> dict:
+def _angle_args(args) -> tuple[DirectionList, float, str | None]:
+    """The angle file's directions, tol and mode; --tol and --mode win."""
     d, tol, mode = parse_angle_file(_load_json(args.input))
-    tol = args.tol if args.tol is not None else tol
-    mode = args.mode if args.mode is not None else mode
+    if args.tol is not None:
+        tol = _tol(args.tol)
+    return d, tol, getattr(args, "mode", None) or mode
+
+
+def cmd_classify(args) -> dict:
+    d, tol, mode = _angle_args(args)
     return classification_fields(classify(d, tol, mode))
 
 
 def cmd_solve(args) -> dict:
-    d, tol, mode = parse_angle_file(_load_json(args.input))
-    tol = args.tol if args.tol is not None else tol
-    mode = args.mode if args.mode is not None else mode
+    d, tol, mode = _angle_args(args)
     if mode == "exact" and not d.all_exact:
         raise InputError("exact mode requires all thetas rational multiples of pi")
     if mode == "approx" and d.all_exact:
@@ -274,8 +307,7 @@ def cmd_certify(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    d, tol, _ = parse_angle_file(_load_json(args.input))
-    tol = args.tol if args.tol is not None else tol
+    d, tol, _ = _angle_args(args)
     report = solve_common_eigenspace(d, tol)
     oracle = brute_force_eigenspace(
         product_observable(d), sigma_z_product(d.n_parties), tol
@@ -283,6 +315,13 @@ def cmd_verify(args) -> dict:
     if oracle.count != report.dimension:
         raise InternalConsistencyError(
             f"oracle dim {oracle.count} != solver dim {report.dimension}"
+        )
+    sector_dims = sector_dimensions(d, tol)
+    oracle_sector_dims = sector_oracle_dimensions(d, tol)
+    if sector_dims != oracle_sector_dims:
+        raise InternalConsistencyError(
+            f"sector dims {list(sector_dims)} != oracle sector dims "
+            f"{list(oracle_sector_dims)}"
         )
     odd_res, even_res = trig_parity_identity_residuals(d)
     purity = purity_security_check(
@@ -294,7 +333,7 @@ def cmd_verify(args) -> dict:
         "solver_dimension": report.dimension,
         "oracle_dimension": oracle.count,
         "subspace_distance": subspace_distance(report.basis, oracle),
-        "sector_dims": list(sector_dimensions(d, tol)),
+        "sector_dims": list(sector_dims),
         "identity_residuals": {"odd": odd_res, "even": even_res},
         "character_sum_deviation": character_sum_check(
             min(d.n_parties, 12), seed=args.seed

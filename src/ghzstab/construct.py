@@ -15,26 +15,17 @@ import numpy as np
 
 from .angles import Angle, DirectionList
 from .bitstrings import BitString, parity_classes
-from .classify import StabilizerCase, classify
 from .errors import (
     DomainError,
     InternalConsistencyError,
     PreconditionError,
 )
-from .linalg import (
-    Operator,
-    StateVector,
-    SubspaceBasis,
-    apply_locals,
-    subspace_distance,
-)
+from .linalg import Operator, StateVector, apply_locals
 from .observables import (
     ProductObservable,
+    brute_force_eigenspace,
     local_observable,
-    product_observable,
-    sigma_z_product,
 )
-from .solve import brute_force_eigenspace
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
 
@@ -216,33 +207,3 @@ def stabilizing_pair_for(spec: GHZSpec, tol: float = 1e-9) -> StabilizingPair:
             f"constructed pair misses its target: residual {residual:.3e}"
         )
     return StabilizingPair(a=a, b=b, target=target, directions=d, residual=residual)
-
-
-@dataclass(frozen=True)
-class DegenerateBasisReport:
-    candidates: tuple[StateVector, ...]
-    oracle_dimension: int
-    audit_distance: float
-
-
-def degenerate_ghz_candidates(
-    d: DirectionList, tol: float = 1e-9
-) -> DegenerateBasisReport:
-    """GHZ-class candidates spanning a degenerate common eigenspace, one per
-    vanishing pattern, with the audited distance between their span and the
-    brute-force eigenspace (reported, not asserted)."""
-    report = classify(d, tol)
-    if report.case is not StabilizerCase.DEGENERATE:
-        raise PreconditionError(
-            f"expected a degenerate direction list, classified {report.case.value}"
-        )
-    candidates = tuple(ghz_from_pattern(d, m) for m in report.patterns.members)
-    span = SubspaceBasis.from_vectors(candidates)
-    oracle = brute_force_eigenspace(
-        product_observable(d), sigma_z_product(d.n_parties), tol
-    )
-    return DegenerateBasisReport(
-        candidates=candidates,
-        oracle_dimension=oracle.count,
-        audit_distance=subspace_distance(span, oracle),
-    )

@@ -210,13 +210,14 @@ def subspace_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
 
 
 def apply_locals(mats: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """Apply the tensor product of n 2x2 matrices to a 2^n amplitude vector
-    without materializing the full operator."""
+    """Apply the tensor product of n 2x2 matrices to a 2^n amplitude vector,
+    or to each column of a (2^n, k) array, without materializing the full
+    operator."""
     n = mats.shape[0]
-    t = amps.reshape((2,) * n)
+    t = amps.reshape((2,) * n + amps.shape[1:])
     for l in range(n):
         t = np.moveaxis(np.tensordot(mats[l], t, axes=([1], [l])), 0, l)
-    return np.ascontiguousarray(t.reshape(-1))
+    return np.ascontiguousarray(t.reshape(amps.shape))
 
 
 def single_party_reduced(state: StateVector, party: int) -> np.ndarray:

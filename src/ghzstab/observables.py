@@ -1,5 +1,6 @@
-"""Local spin observables, their tensor products, and the commuting
-stabilizer generator set for the GHZ state."""
+"""Local spin observables, their tensor products, the commuting stabilizer
+generator set for the GHZ state, and the brute-force common-eigenspace
+oracle."""
 
 from __future__ import annotations
 
@@ -9,8 +10,17 @@ from functools import cached_property
 import numpy as np
 
 from .angles import Angle, DirectionList
-from .errors import DomainError, PreconditionError, SizeError
-from .linalg import MAX_DIM, Operator, StateVector, apply_locals, kron_all
+from .errors import DomainError, PreconditionError, ShapeError, SizeError
+from .linalg import (
+    DEFAULT_TOL,
+    MAX_DIM,
+    Operator,
+    StateVector,
+    SubspaceBasis,
+    apply_locals,
+    kron_all,
+    null_space,
+)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -82,7 +92,8 @@ class ProductObservable:
         return np.stack([op.entries for op in self.locals])
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        """Matrix-free application to an amplitude vector."""
+        """Matrix-free application to an amplitude vector, or to each column
+        of a (2^n, k) array."""
         return apply_locals(self.locals_array(), amps)
 
 
@@ -98,6 +109,20 @@ def sigma_z_product(n: int) -> ProductObservable:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     return ProductObservable([Operator.from_entries(SIGMA_Z)] * n)
+
+
+def brute_force_eigenspace(
+    a: ProductObservable | np.ndarray,
+    b: ProductObservable | np.ndarray,
+    tol: float = DEFAULT_TOL,
+) -> SubspaceBasis:
+    """Oracle: null space of the stacked matrix [(A - I); (B - I)]."""
+    am = a.full.entries if isinstance(a, ProductObservable) else np.asarray(a)
+    bm = b.full.entries if isinstance(b, ProductObservable) else np.asarray(b)
+    if am.shape != bm.shape:
+        raise ShapeError(f"operator shapes differ: {am.shape} vs {bm.shape}")
+    eye = np.eye(am.shape[0])
+    return null_space(np.vstack([am - eye, bm - eye]), tol)
 
 
 def canonical_stabilizer_generators(n: int) -> list[ProductObservable]:

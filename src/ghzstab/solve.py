@@ -1,10 +1,18 @@
 """Common +1 eigenspace of a product spin observable and the all-Z observable.
 
-The solver reduces the problem to the even-parity block of the product
-observable: a vector supported on even-parity indices is a common +1
-eigenvector exactly when its even-block coordinates are fixed by that block.
-A brute-force route (stacked null space of A - I and B - I) provides an
-independent oracle for every result.
+The solver is the paper's theorem. A sign pattern m with m_1 = 0 vanishes
+when sum_l (-1)^{m_l} theta_l is an even multiple of pi, and each vanishing
+pattern contributes the even-parity state whose amplitude at index j is the
+product of i (-1)^{m_l} e^{i phi_l} over the set bits of j, normalized. These
+states span the common +1 eigenspace. Two of them with patterns m != m'
+overlap by the sum over even-parity j of (-1)^{(m xor m') . j} / 2^{n-1},
+a character sum that vanishes because m xor m' is neither zero nor the
+all-ones string (its first bit is 0). So the basis is orthonormal by
+construction.
+
+The brute-force route (stacked null space of A - I and B - I, over the four
+sign sectors for sector dimensions) is kept as an independent oracle for
+tests and ``ghzstab verify``; the production routes never run it.
 """
 
 from __future__ import annotations
@@ -23,30 +31,14 @@ from .classify import (
     classify,
     sector_transform,
 )
-from .errors import (
-    DomainError,
-    InternalConsistencyError,
-    ShapeError,
-    SizeError,
-)
-from .linalg import DEFAULT_TOL, SubspaceBasis, null_space
-from .observables import ProductObservable, product_observable, sigma_z_product
+from .construct import ghz_from_pattern
+from .errors import DomainError, InternalConsistencyError, SizeError
+from .linalg import DEFAULT_TOL, SubspaceBasis
+from .observables import brute_force_eigenspace, product_observable, sigma_z_product
 
 MAX_SOLVER_PARTIES = 12
 RESIDUAL_LIMIT = 1e-8
-
-
-@dataclass(frozen=True)
-class EvenParityBlock:
-    """The even-parity submatrix of a product observable, indexed by the
-    ascending even-parity basis indices."""
-
-    n: int
-    entries: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
+SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 @dataclass(frozen=True)
@@ -55,121 +47,74 @@ class StabilizerReport:
     dimension: int
     basis: SubspaceBasis
     residual: float
-    sigma_cut: float | None
-    sigma_kept: float | None
 
 
-def even_parity_block(d: DirectionList) -> EvenParityBlock:
-    """Entries <j|A|i> for even-parity j, i, as products of local factors."""
-    n = d.n_parties
-    if n > MAX_SOLVER_PARTIES:
-        raise SizeError(f"n_parties {n} exceeds solver cap {MAX_SOLVER_PARTIES}")
-    obs = product_observable(d)
-    s0 = parity_classes(n).s0
-    return EvenParityBlock(n=n, entries=_kernels.even_block(obs.locals_array(), s0))
+def stabilization_limit(tol: float) -> float:
+    """Largest residual ||A v - v|| a state admitted at tolerance tol may have.
 
-
-def embed_even(n: int, coeffs: np.ndarray) -> np.ndarray:
-    """Place even-block coordinates at their even-parity indices in 2^n."""
-    s0 = parity_classes(n).s0
-    out = np.zeros(1 << n, dtype=np.complex128)
-    out[s0] = coeffs
-    return out
+    classify admits a pattern whose score |sin(S/2)| is at most tol, and the
+    state of that pattern misses stabilization by exactly 2 |sin(S/2)|.
+    RESIDUAL_LIMIT is the float slack on top, which is all that exact angles
+    need.
+    """
+    return 2.0 * tol + RESIDUAL_LIMIT
 
 
 def solve_common_eigenspace(
     d: DirectionList, tol: float = DEFAULT_TOL
 ) -> StabilizerReport:
-    """Basis of the common +1 eigenspace via the even-parity block.
+    """Orthonormal basis of the common +1 eigenspace: one GHZ-class state per
+    vanishing sign pattern.
 
-    The block is Hermitian with spectrum in [-1, 1], and a unit eigenvector
-    with eigenvalue lam has full-space stabilization defect exactly
-    sqrt(2(1 - lam)). That square root makes the spectrum quadratically
-    insensitive near a resonance, so a raw eigenvalue cut at tol would admit
-    vectors whose physical residual is as large as sqrt(2 tol). Instead,
-    eigenvectors with eigenvalue within tol of 1 are only candidates; each
-    embedded candidate is kept iff its measured residual against both full
-    observables stays within 2 tol, the scale on which the brute-force
-    oracle decides rank.
-
-    A kept vector with residual above RESIDUAL_LIMIT raises
-    InternalConsistencyError; the keep rule makes that unreachable short of
-    a bug.
+    Each state is checked matrix-free against the product observable (the
+    all-Z observable fixes every even-parity vector exactly); a residual
+    above stabilization_limit(tol) raises InternalConsistencyError.
     """
     n = d.n_parties
-    block = even_parity_block(d)
-    evals, evecs = np.linalg.eigh(block.entries)
-    defects = np.sqrt(np.maximum(2.0 * (1.0 - evals), 0.0))
-    candidates = np.nonzero(1.0 - evals <= max(tol, 1e-12))[0]
-
-    obs = product_observable(d)
-    b_diag = sigma_z_product(n)
-    cols = []
-    residual = 0.0
-    sigma_cut = None
-    rejected_defects = [
-        float(defects[k]) for k in range(block.size) if k not in set(candidates)
-    ]
-    for k in candidates:
-        amps = embed_even(n, evecs[:, k])
-        res_a = float(np.linalg.norm(obs.apply(amps) - amps))
-        res_b = float(np.linalg.norm(b_diag.apply(amps) - amps))
-        combined = math.hypot(res_a, res_b)
-        if combined <= 2.0 * tol:
-            cols.append(amps)
-            residual = max(residual, res_a, res_b)
-            sigma_cut = max(sigma_cut or 0.0, combined)
-        else:
-            rejected_defects.append(combined)
-    if residual > RESIDUAL_LIMIT:
+    if n > MAX_SOLVER_PARTIES:
+        raise SizeError(f"n_parties {n} exceeds solver cap {MAX_SOLVER_PARTIES}")
+    classification = classify(d, tol)
+    basis = SubspaceBasis.from_vectors(
+        [ghz_from_pattern(d, m) for m in classification.patterns.members],
+        dim=1 << n,
+    )
+    image = product_observable(d).apply(basis.matrix)
+    residual = float(np.linalg.norm(image - basis.matrix, axis=0).max(initial=0.0))
+    if residual > stabilization_limit(tol):
         raise InternalConsistencyError(
             f"solver basis fails stabilization check: residual {residual:.3e}"
         )
-    basis = SubspaceBasis.from_vectors(cols, dim=1 << n)
     return StabilizerReport(
-        classification=classify(d, tol),
-        dimension=len(cols),
+        classification=classification,
+        dimension=basis.count,
         basis=basis,
         residual=residual,
-        sigma_cut=sigma_cut,
-        sigma_kept=min(rejected_defects) if rejected_defects else None,
     )
-
-
-def brute_force_eigenspace(
-    a: ProductObservable | np.ndarray,
-    b: ProductObservable | np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> SubspaceBasis:
-    """Oracle: null space of the stacked matrix [(A - I); (B - I)]."""
-    am = a.full.entries if isinstance(a, ProductObservable) else np.asarray(a)
-    bm = b.full.entries if isinstance(b, ProductObservable) else np.asarray(b)
-    if am.shape != bm.shape:
-        raise ShapeError(f"operator shapes differ: {am.shape} vs {bm.shape}")
-    dim = am.shape[0]
-    eye = np.eye(dim)
-    return null_space(np.vstack([am - eye, bm - eye]), tol)
 
 
 def sector_dimensions(
     d: DirectionList, tol: float = DEFAULT_TOL
 ) -> tuple[int, int, int, int]:
-    """Common +1 eigenspace dimensions of (sA, sB) for the four sign sectors
-    (+,+), (+,-), (-,+), (-,-), computed both by the oracle on negated
-    operators and by the solver on transformed angles."""
+    """Common eigenspace dimensions of (sA, sB) for the four sign sectors
+    (+,+), (+,-), (-,+), (-,-): the vanishing-pattern count of each sector's
+    transformed angles."""
+    return tuple(
+        len(classify(sector_transform(d, sa, sb), tol).patterns)
+        for sa, sb in SECTORS
+    )
+
+
+def sector_oracle_dimensions(
+    d: DirectionList, tol: float = DEFAULT_TOL
+) -> tuple[int, int, int, int]:
+    """Oracle for sector_dimensions: the brute-force eigenspace dimension of
+    the negated full operators in each of the four sign sectors."""
     a_full = product_observable(d).full.entries
     b_full = sigma_z_product(d.n_parties).full.entries
-    dims = []
-    for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        oracle = brute_force_eigenspace(sa * a_full, sb * b_full, tol)
-        solver = solve_common_eigenspace(sector_transform(d, sa, sb), tol)
-        if oracle.count != solver.dimension:
-            raise InternalConsistencyError(
-                f"sector ({sa},{sb}): oracle dim {oracle.count} != "
-                f"solver dim {solver.dimension}"
-            )
-        dims.append(solver.dimension)
-    return tuple(dims)
+    return tuple(
+        brute_force_eigenspace(sa * a_full, sb * b_full, tol).count
+        for sa, sb in SECTORS
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +315,9 @@ def purity_security_check(
             target = basis[:, 0]
             fid = float(np.real(np.linalg.norm(target.conj() @ proj) ** 2))
             min_fidelity = fid if min_fidelity is None else min(min_fidelity, fid)
-    if worst_residual > RESIDUAL_LIMIT:
+    # a unit draw V alpha misses stabilization by at most ||(A - I) V||, and
+    # that is at most sqrt(dim) times the worst basis state's limit
+    if worst_residual > math.sqrt(dim_p) * stabilization_limit(tol):
         raise InternalConsistencyError(
             f"purification draw not stabilized: residual {worst_residual:.3e}"
         )

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from ghzstab import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile jitted kernels once so timed tests measure work, not JIT
-    _kernels.warm_up()
-
 
 @pytest.fixture
 def rng():

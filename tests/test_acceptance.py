@@ -28,6 +28,7 @@ from ghzstab import (
     purity_security_check,
     run_certification,
     sector_dimensions,
+    sector_oracle_dimensions,
     sigma_z_product,
     solve_common_eigenspace,
     stabilizer_dimension,
@@ -144,6 +145,7 @@ def test_criterion_3_classification_trichotomy():
             if inst.n == n and inst.case is StabilizerCase.NO_COMMON_EIGENSTATE
         ][:20]
         for inst in picked:
+            assert sector_oracle_dimensions(inst.directions) == (0, 0, 0, 0)
             assert sector_dimensions(inst.directions) == (0, 0, 0, 0)
             checked += 1
     report_line(

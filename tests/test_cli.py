@@ -119,18 +119,40 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _one_party(theta, **extra):
+    return {"n": 1, "angles": [{"theta": theta}], **extra}
+
+
 def test_schema_violations_exit_2(tmp_path, capsys):
+    two_huge = {"theta": {"rad": 1e300}}
     bad_inputs = [
         {"n": 2, "angles": [{"theta": {"rad": 0.0}, "phi": {"rad": 0.0}}]},
         {"n": "two", "angles": []},
         {"n": 1, "angles": [{"theta": {"pi_num": 1, "pi_den": 0}, "phi": {"rad": 0}}]},
         {"n": 1, "angles": [{"phi": {"rad": 0.0}}]},
         {"n": 1, "angles": [{"theta": {"pi_num": 1.5, "pi_den": 2}}]},
+        _one_party({"rad": math.nan}),
+        _one_party({"rad": math.inf}),
+        _one_party({"rad": 0.5}, tol=math.inf),
+        _one_party({"rad": 0.5}, tol=math.nan),
+        _one_party({"pi_num": True}),
+        _one_party({"pi_num": 1, "pi_den": True}),
+        {"n": True, "angles": [{"theta": {"pi_num": 1}}]},
+        {"n": 2, "angles": [two_huge, two_huge]},
+        _one_party({"rad": 4 * math.pi + 1e-6}),
+        {"n": 1, "angles": [{"theta": {"rad": 0.5}, "phi": {"rad": -13.0}}]},
     ]
-    for payload in bad_inputs:
-        code, _, err = run_cli(["classify"], tmp_path, capsys, payload)
-        assert code == 2, payload
-        assert err
+    for command in ("classify", "solve"):
+        for payload in bad_inputs:
+            code, out, err = run_cli([command], tmp_path, capsys, payload)
+            assert code == 2, (command, payload)
+            assert err and not out
+        for tol in ("inf", "nan", "0", "-1e-9"):
+            code, _, err = run_cli(
+                [command, f"--tol={tol}"], tmp_path, capsys, EPR_INPUT
+            )
+            assert code == 2, (command, tol)
+            assert err
 
 
 def test_missing_file_exits_2(capsys):
@@ -147,6 +169,40 @@ def test_internal_consistency_exits_3(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(["solve"], tmp_path, capsys, EPR_INPUT)
     assert code == 3
     assert "internal consistency" in err
+
+
+def test_verify_exits_3_when_sector_oracle_disagrees(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        "ghzstab.cli.sector_oracle_dimensions", lambda d, tol: (1, 1, 1, 0)
+    )
+    code, out, err = run_cli(
+        ["verify", "--trials", "2", "--env-dim", "4"], tmp_path, capsys, EPR_INPUT
+    )
+    assert code == 3
+    assert not out
+    assert "sector dims" in err
+
+
+def test_user_tol_admits_near_resonant_states(tmp_path, capsys):
+    # patterns scoring |sin(S/2)| = 5e-7 are members at tol 1e-6; their
+    # states miss stabilization by 1e-6, which the limit must allow
+    payload = {
+        "n": 2,
+        "angles": [{"theta": {"rad": math.pi}}, {"theta": {"rad": math.pi + 1e-6}}],
+        "tol": 1e-6,
+    }
+    code, out, _ = run_cli(["solve"], tmp_path, capsys, payload)
+    assert code == 0
+    doc = parse(out)
+    validate_solve_schema(doc)
+    assert doc["dimension"] == 2
+    assert doc["m_set"] == ["00", "01"]
+    code, out, _ = run_cli(
+        ["verify", "--trials", "3", "--env-dim", "4"], tmp_path, capsys, payload
+    )
+    assert code == 0
+    doc = parse(out)
+    assert doc["solver_dimension"] == doc["oracle_dimension"] == 2
 
 
 def test_construct_identity(tmp_path, capsys):
@@ -227,6 +283,17 @@ def test_certify_epr(tmp_path, capsys):
     assert doc["mean_a"] == 1.0 and doc["mean_b"] == 1.0
     assert doc["pass"] is True
     assert doc["count_a"] + doc["count_b"] == 2000
+
+
+def test_certify_rejects_bad_amplitudes(tmp_path, capsys):
+    ipath = tmp_path / "angles.json"
+    ipath.write_text(json.dumps(EPR_INPUT))
+    spath = tmp_path / "state.json"
+    for rec in ({"index": 0, "re": [1]}, {"index": True, "re": 1.0},
+                {"index": 0, "im": "nan"}):
+        spath.write_text(json.dumps({"n": 2, "amplitudes": [rec]}))
+        assert main(["certify", str(ipath), "--state", str(spath)]) == 2, rec
+        assert "error" in capsys.readouterr().err
 
 
 def test_certify_seed_determinism(tmp_path, capsys):

@@ -14,7 +14,6 @@ from ghzstab import (
     brute_force_eigenspace,
     canonical_angles,
     classify,
-    degenerate_ghz_candidates,
     fidelity,
     ghz_from_pattern,
     local_phase_basis,
@@ -218,47 +217,3 @@ def test_lu_covariance(rng):
         )
         mapped_basis = SubspaceBasis(dim=4, matrix=mapped)
         assert subspace_distance(rotated, mapped_basis) <= 1e-7
-
-
-def test_degenerate_candidates_all_z():
-    d = rationals((1, 1), (1, 1), (0, 1))
-    report = degenerate_ghz_candidates(d)
-    assert len(report.candidates) == 4
-    assert report.oracle_dimension == 4
-    assert report.audit_distance <= 1e-10
-    # candidates are mutually orthogonal even-parity GHZ-type states
-    mat = np.column_stack([c.amplitudes for c in report.candidates])
-    gram = mat.conj().T @ mat
-    assert np.allclose(gram, np.eye(4), atol=1e-12)
-
-
-def test_degenerate_candidates_two_pattern_case():
-    d = rationals((2, 3), (2, 3), (2, 3), (0, 1))
-    report = degenerate_ghz_candidates(d)
-    assert len(report.candidates) == 2
-    assert report.oracle_dimension == 2
-    assert report.audit_distance <= 1e-10
-
-
-def test_degenerate_candidates_all_pi_four_parties():
-    # theta = (pi, pi, pi, pi): every leading-zero pattern vanishes, and the
-    # candidate count matches the enumerated pattern set
-    d = rationals((1, 1), (1, 1), (1, 1), (1, 1))
-    patterns = classify(d).patterns
-    assert len(patterns.members) == 8
-    report = degenerate_ghz_candidates(d)
-    assert len(report.candidates) == len(patterns.members)
-    assert report.oracle_dimension == 8
-    assert report.audit_distance <= 1e-10
-
-
-def test_degenerate_candidates_pair_of_equal_observables():
-    d = rationals((0, 1), (0, 1))
-    report = degenerate_ghz_candidates(d)
-    assert len(report.candidates) == 2
-    assert report.oracle_dimension == 2
-
-
-def test_degenerate_requires_degenerate_input():
-    with pytest.raises(PreconditionError):
-        degenerate_ghz_candidates(rationals((1, 2), (1, 2)))

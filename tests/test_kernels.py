@@ -1,38 +1,9 @@
-"""Lane agreement: every jitted kernel must match its numpy twin."""
+"""Each numpy kernel against a direct loop or its closed form."""
 
 import numpy as np
 import pytest
 
 from ghzstab import _kernels as k
-from ghzstab.bitstrings import parity_classes
-
-needs_numba = pytest.mark.skipif(not k.HAVE_NUMBA, reason="numba unavailable")
-
-
-def _reference_even_block(locals_, s0):
-    n = locals_.shape[0]
-    full = locals_[0]
-    for l in range(1, n):
-        full = np.kron(full, locals_[l])
-    return full[np.ix_(s0, s0)]
-
-
-@pytest.mark.parametrize("n", [1, 2, 4, 6])
-def test_even_block_numpy_against_kron(rng, n):
-    locals_ = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    s0 = parity_classes(n).s0
-    got = k.even_block_numpy(locals_, s0)
-    assert np.allclose(got, _reference_even_block(locals_, s0), atol=1e-12)
-
-
-@needs_numba
-@pytest.mark.parametrize("n", [1, 2, 4, 6])
-def test_even_block_lanes_agree(rng, n):
-    locals_ = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    s0 = parity_classes(n).s0
-    a = k.even_block_numba(locals_, s0)
-    b = k.even_block_numpy(locals_, s0)
-    assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(b)))
 
 
 def _reference_signed_sums(vals):
@@ -49,23 +20,16 @@ def _reference_signed_sums(vals):
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 def test_signed_sums_numpy_reference(rng, n):
     vals = rng.normal(size=n)
-    assert np.allclose(k.signed_sums_numpy(vals), _reference_signed_sums(vals))
-
-
-@needs_numba
-def test_signed_sums_lanes_agree(rng):
-    for n in [1, 3, 8]:
-        f = rng.normal(size=n)
-        assert np.array_equal(k.signed_sums_numba_f8(f), k.signed_sums_numpy(f))
-        i = rng.integers(-100, 100, size=n).astype(np.int64)
-        assert np.array_equal(k.signed_sums_numba_i8(i), k.signed_sums_numpy(i))
+    assert np.allclose(k.signed_sums_f8(vals), _reference_signed_sums(vals))
+    ints = rng.integers(-100, 100, size=n).astype(np.int64)
+    assert np.array_equal(k.signed_sums_i8(ints), _reference_signed_sums(ints))
 
 
 def test_parity_product_sums_reference(rng):
     n = 5
     c = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(np.complex128)
     ms = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(np.complex128)
-    even, odd = k.parity_product_sums_numpy(c, ms)
+    even, odd = k.parity_product_sums(c, ms)
     ref_even = ref_odd = 0.0
     for j in range(1 << n):
         term = 1.0 + 0j
@@ -79,56 +43,9 @@ def test_parity_product_sums_reference(rng):
     assert abs(odd - ref_odd) <= 1e-12 * max(1.0, abs(ref_odd))
 
 
-@needs_numba
-def test_parity_product_sums_lanes_agree(rng):
-    for n in [1, 4, 9]:
-        c = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(np.complex128)
-        ms = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(np.complex128)
-        e1, o1 = k.parity_product_sums_numba(c, ms)
-        e2, o2 = k.parity_product_sums_numpy(c, ms)
-        scale = max(1.0, abs(e2), abs(o2))
-        assert abs(e1 - e2) <= 1e-12 * scale
-        assert abs(o1 - o2) <= 1e-12 * scale
-
-
 def test_character_sums_closed_form(rng):
     n = 6
     vbits = rng.integers(0, 1 << n, size=30).astype(np.int64)
-    sums = k.character_sums_numpy(vbits, n)
+    sums = k.character_sums(vbits, n)
     expected = np.where(vbits == 0, 1 << n, 0)
     assert np.array_equal(sums, expected)
-
-
-@needs_numba
-def test_character_sums_lanes_agree(rng):
-    n = 9
-    vbits = rng.integers(0, 1 << n, size=25).astype(np.int64)
-    assert np.array_equal(
-        k.character_sums_numba(vbits, n), k.character_sums_numpy(vbits, n)
-    )
-
-
-@needs_numba
-def test_collapse_rounds_lanes_agree(rng):
-    n = 3
-    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    amps /= np.linalg.norm(amps)
-    theta = rng.uniform(0, np.pi, size=n)
-    up = np.stack(
-        [np.array([np.cos(t / 2), np.sin(t / 2)], dtype=np.complex128) for t in theta]
-    )
-    down = np.stack(
-        [np.array([-np.sin(t / 2), np.cos(t / 2)], dtype=np.complex128) for t in theta]
-    )
-    uniforms = rng.random((200, n))
-    a = k.collapse_rounds_numba(amps, up, down, uniforms)
-    b = k.collapse_rounds_numpy(amps, up, down, uniforms)
-    assert np.array_equal(a, b)
-
-
-def test_dispatch_respects_env_flag():
-    # the active lane must be one of the two concrete implementations
-    if k.USE_NUMBA:
-        assert k.even_block is k.even_block_numba
-    else:
-        assert k.even_block is k.even_block_numpy

@@ -171,6 +171,8 @@ def test_apply_locals_matches_kron(rng):
             full = np.kron(full, mats[l])
         v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         assert np.allclose(apply_locals(mats, v), full @ v, atol=1e-12)
+        cols = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+        assert np.allclose(apply_locals(mats, cols), full @ cols, atol=1e-12)
 
 
 def test_single_party_reduced_ghz():

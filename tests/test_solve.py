@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzstab import (
     DirectionList,
@@ -9,12 +11,13 @@ from ghzstab import (
     brute_force_eigenspace,
     character_sum,
     character_sum_check,
-    even_parity_block,
+    classify,
     odd_parity_contraction_residual,
     product_observable,
     purification_model,
     purity_security_check,
     sector_dimensions,
+    sector_oracle_dimensions,
     sigma_z_product,
     solve_common_eigenspace,
     subspace_distance,
@@ -24,37 +27,16 @@ from ghzstab.bitstrings import parity_classes
 from ghzstab.errors import DomainError, SizeError
 from ghzstab.observables import SIGMA_X, SIGMA_Z, ProductObservable
 from ghzstab.linalg import Operator
-from ghzstab.sampling import stratified_sample, uniform_directions
+from ghzstab.sampling import stratified_sample
 
 
 def rationals(*pairs):
     return DirectionList.from_rationals(list(pairs))
 
 
-def test_even_block_epr():
-    block = even_parity_block(rationals((1, 2), (1, 2)))
-    assert np.allclose(block.entries, [[0, 1], [1, 0]], atol=1e-15)
-
-
-def test_even_block_all_z():
-    block = even_parity_block(rationals((0, 1), (0, 1)))
-    assert np.allclose(block.entries, np.eye(2), atol=1e-15)
-
-
-def test_even_block_is_submatrix_of_full(rng):
-    # the defining identity: the block equals the even-parity submatrix of
-    # the full product observable
-    for n in [1, 2, 3, 4]:
-        d = uniform_directions(n, rng)
-        block = even_parity_block(d)
-        full = product_observable(d).full.entries
-        s0 = parity_classes(n).s0
-        assert np.max(np.abs(block.entries - full[np.ix_(s0, s0)])) <= 1e-12
-
-
-def test_even_block_size_cap():
+def test_solver_size_cap():
     with pytest.raises(SizeError):
-        even_parity_block(rationals(*[(1, 2)] * 13))
+        solve_common_eigenspace(rationals(*[(1, 2)] * 13))
 
 
 def test_solve_epr():
@@ -82,10 +64,38 @@ def test_solve_degenerate_all_z():
     assert np.max(np.abs(report.basis.matrix[s1, :])) <= 1e-10
 
 
-def test_solver_records_singular_values():
-    report = solve_common_eigenspace(rationals((1, 2), (1, 2)))
-    assert report.sigma_kept is not None and report.sigma_kept > 1.0
-    assert report.sigma_cut is not None and report.sigma_cut <= 1e-12
+@pytest.mark.parametrize(
+    "pairs, dim",
+    [
+        pytest.param([(1, 1), (1, 1), (0, 1)], 4, id="all_z"),
+        pytest.param([(2, 3), (2, 3), (2, 3), (0, 1)], 2, id="two_patterns"),
+        pytest.param([(1, 1)] * 4, 8, id="all_pi_four_parties"),
+        pytest.param([(0, 1), (0, 1)], 2, id="pair_of_equal_observables"),
+    ],
+)
+def test_solver_spans_oracle_on_degenerate_inputs(pairs, dim):
+    d = rationals(*pairs)
+    report = solve_common_eigenspace(d)
+    oracle = brute_force_eigenspace(
+        product_observable(d), sigma_z_product(d.n_parties)
+    )
+    assert report.dimension == oracle.count == dim
+    assert subspace_distance(report.basis, oracle) <= 1e-10
+    gram = report.basis.matrix.conj().T @ report.basis.matrix
+    assert np.allclose(gram, np.eye(dim), atol=1e-12)
+
+
+def test_solver_limit_follows_tol():
+    # both patterns score |sin(S/2)| = 5e-7 <= tol, so both states are
+    # admitted with residual 1e-6, above the fixed floor of the limit
+    d = DirectionList.from_radians([math.pi, math.pi + 1e-6])
+    report = solve_common_eigenspace(d, tol=1e-6)
+    assert report.dimension == 2
+    assert abs(report.residual - 1e-6) <= 1e-12
+    oracle = brute_force_eigenspace(product_observable(d), sigma_z_product(2), 1e-6)
+    assert oracle.count == 2
+    purity = purity_security_check(d, env_dim=4, trials=5, tol=1e-6)
+    assert purity.projector_dim == 2
 
 
 def test_oracle_examples():
@@ -129,28 +139,56 @@ def test_solver_basis_even_support_and_residuals(rng):
 
 
 def test_sector_dimensions_single_qubit():
-    assert sector_dimensions(rationals((0, 1))) == (1, 0, 0, 1)
+    d = rationals((0, 1))
+    assert sector_dimensions(d) == sector_oracle_dimensions(d) == (1, 0, 0, 1)
 
 
 def test_sector_dimensions_bell():
     # the four Bell states, one per sector
-    assert sector_dimensions(rationals((1, 2), (1, 2))) == (1, 1, 1, 1)
+    d = rationals((1, 2), (1, 2))
+    assert sector_dimensions(d) == sector_oracle_dimensions(d) == (1, 1, 1, 1)
 
 
 def test_sector_dimensions_empty_everywhere():
-    assert sector_dimensions(rationals((1, 2), (1, 3))) == (0, 0, 0, 0)
+    d = rationals((1, 2), (1, 3))
+    assert sector_dimensions(d) == sector_oracle_dimensions(d) == (0, 0, 0, 0)
 
 
 def test_no_eigenstate_in_any_sector(rng):
     # classified case (i) means no common eigenstate of any eigenvalue pair
     found = 0
     for d in stratified_sample(3, 30, seed=13):
-        from ghzstab import classify
-
         if classify(d).case is StabilizerCase.NO_COMMON_EIGENSTATE:
             found += 1
+            assert sector_oracle_dimensions(d) == (0, 0, 0, 0)
             assert sector_dimensions(d) == (0, 0, 0, 0)
     assert found >= 5
+
+
+@st.composite
+def exact_lists(draw):
+    n = draw(st.integers(1, 6))
+    den = draw(st.integers(1, 12))
+    nums = draw(st.lists(st.integers(-2 * den, 2 * den), min_size=n, max_size=n))
+    phis = draw(st.lists(st.integers(0, 2 * den - 1), min_size=n, max_size=n))
+    return DirectionList.from_rationals(
+        [(p, den) for p in nums], [(p, den) for p in phis]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_lists())
+def test_solver_matches_oracles_on_exact_lists(d):
+    # the theorem as a property: dimension = vanishing-pattern count = oracle
+    # dimension, with the same span, in every sign sector
+    report = solve_common_eigenspace(d)
+    oracle = brute_force_eigenspace(
+        product_observable(d), sigma_z_product(d.n_parties)
+    )
+    assert report.dimension == len(report.classification.patterns)
+    assert report.dimension == oracle.count
+    assert subspace_distance(report.basis, oracle) <= 1e-8
+    assert sector_dimensions(d) == sector_oracle_dimensions(d)
 
 
 # ---------------------------------------------------------------------------
