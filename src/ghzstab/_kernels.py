@@ -1,10 +1,7 @@
 """Numeric kernels in plain numpy: signed angle sums over sign patterns,
-parity-split product sums, group character sums, and sequential-collapse
-measurement rounds."""
+parity-split product sums and group character sums."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -58,44 +55,4 @@ def character_sums(vbits: np.ndarray, n: int) -> np.ndarray:
     for k in range(vbits.size):
         par = np.bitwise_count(m & np.uint64(vbits[k])) & 1
         out[k] = (1 << n) - 2 * int(par.sum())
-    return out
-
-
-# ---------------------------------------------------------------------------
-# sequential-collapse measurement rounds
-# basis_up/basis_down: (n, 2) complex eigenvectors per party
-# uniforms: (shots, n) in [0, 1); returns outcome bits (shots, n) int8
-# (0 means +1, 1 means -1)
-
-def collapse_rounds(amps, basis_up, basis_down, uniforms):
-    shots, n = uniforms.shape
-    out = np.zeros((shots, n), dtype=np.int8)
-    for s in range(shots):
-        psi = amps.copy()
-        for l in range(n):
-            pos = n - 1 - l
-            step = 1 << pos
-            psi3 = psi.reshape(-1, 2, step) if step > 1 else psi.reshape(-1, 2)
-            if step > 1:
-                a0 = psi3[:, 0, :]
-                a1 = psi3[:, 1, :]
-            else:
-                a0 = psi3[:, 0]
-                a1 = psi3[:, 1]
-            cu = np.conj(basis_up[l, 0]) * a0 + np.conj(basis_up[l, 1]) * a1
-            p_up = float(np.sum(np.abs(cu) ** 2))
-            if uniforms[s, l] < p_up:
-                b0, b1 = basis_up[l, 0], basis_up[l, 1]
-                c = cu
-            else:
-                b0, b1 = basis_down[l, 0], basis_down[l, 1]
-                c = np.conj(b0) * a0 + np.conj(b1) * a1
-                out[s, l] = 1
-            norm = math.sqrt(float(np.sum(np.abs(c) ** 2)))
-            if step > 1:
-                psi3[:, 0, :] = b0 * c / norm
-                psi3[:, 1, :] = b1 * c / norm
-            else:
-                psi3[:, 0] = b0 * c / norm
-                psi3[:, 1] = b1 * c / norm
     return out

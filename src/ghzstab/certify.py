@@ -2,8 +2,15 @@
 
 Each round every party measures along one of two directions: the per-party
 spin directions of a DirectionList (setting A) or the z axis (setting B).
-A state that is the unique common +1 eigenstate of both product observables
-gives product outcome +1 in every round; any other input fails detectably.
+A round's product outcome is +1 with probability (1 + <psi|X|psi>) / 2 for
+the setting's product observable X, so a run needs one matrix-free
+expectation per component and setting and a few binomial draws. A state that
+is the unique common +1 eigenstate of both product observables gives product
+outcome +1 in every round; any other input fails detectably.
+
+measure_round samples one joint outcome from the Born probabilities, and
+sequential_outcome_probabilities recomputes those by party-by-party
+collapse, as an independent check of the Born rule.
 """
 
 from __future__ import annotations
@@ -13,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .angles import DirectionList
+from .angles import ZERO_ANGLE, DirectionList
 from .errors import DomainError, ShapeError
 from .linalg import StateVector, apply_locals
 from .observables import (
@@ -32,8 +38,8 @@ class CertificationConfig:
     pass_threshold: float = 0.999
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise DomainError(f"shots must be >= 1, got {self.shots}")
+        if not 1 <= self.shots <= np.iinfo(np.int64).max:
+            raise DomainError(f"shots must be in 1..2^63-1, got {self.shots}")
         if not 0.0 < self.a_fraction < 1.0:
             raise DomainError(f"a_fraction must be in (0,1), got {self.a_fraction}")
         if not 0.0 < self.pass_threshold <= 1.0:
@@ -61,7 +67,8 @@ class Ensemble:
     """A mixed-state input as weighted pure states.
 
     sampling="random" draws a component per shot by weight; "cycle" walks
-    the components round-robin (exact frequencies).
+    the components round-robin, so each gets shots // K rounds and the first
+    shots % K get one more.
     """
 
     states: tuple[StateVector, ...]
@@ -73,6 +80,8 @@ class Ensemble:
             raise DomainError("ensemble needs at least one state")
         if len(self.weights) != len(self.states):
             raise ShapeError("weights and states differ in length")
+        if min(self.weights) < 0:
+            raise DomainError("ensemble weights must be non-negative")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise DomainError("ensemble weights must sum to 1")
         if self.sampling not in ("random", "cycle"):
@@ -106,14 +115,9 @@ def measurement_bases(d: DirectionList) -> tuple[np.ndarray, np.ndarray]:
     return up, down
 
 
-def z_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
-    up = np.tile(np.array([1.0 + 0j, 0j]), (n, 1))
-    down = np.tile(np.array([0j, 1.0 + 0j]), (n, 1))
-    return up, down
-
-
 def measure_round(state: StateVector, d: DirectionList, rng) -> tuple[np.ndarray, int]:
-    """One round of sequential projective measurement, party by party.
+    """One round of joint measurement along d, drawn from the Born
+    probabilities of all 2^n joint outcomes.
 
     Returns the per-party outcomes as +-1 and their product. The product's
     sampling distribution has expectation <state|A|state>.
@@ -122,10 +126,10 @@ def measure_round(state: StateVector, d: DirectionList, rng) -> tuple[np.ndarray
         raise ShapeError(
             f"state has {state.n_qubits} qubits, directions {d.n_parties}"
         )
-    up, down = measurement_bases(d)
-    uniforms = rng.random((1, d.n_parties))
-    bits = _kernels.collapse_rounds(state.amplitudes, up, down, uniforms)[0]
-    outcomes = 1 - 2 * bits.astype(np.int64)
+    probs = joint_outcome_probabilities(state, d)
+    index = rng.choice(probs.size, p=probs / probs.sum())
+    bits = (index >> np.arange(d.n_parties - 1, -1, -1)) & 1
+    outcomes = 1 - 2 * bits
     return outcomes, int(np.prod(outcomes))
 
 
@@ -179,77 +183,56 @@ def sequential_outcome_probabilities(
     return probs
 
 
-def _products_from_bits(bits: np.ndarray) -> np.ndarray:
-    """Round products (+-1) from outcome bit rows."""
-    return 1 - 2 * (np.sum(bits, axis=1, dtype=np.int64) & 1)
-
-
 def run_certification(
     state: StateVector | Ensemble,
     d: DirectionList,
     cfg: CertificationConfig = CertificationConfig(),
 ) -> CertReport:
-    """Allocate rounds between the two settings, sample outcomes, and pass
-    iff both empirical product means reach the threshold.
+    """Allocate rounds to components and settings, draw each count of +1
+    products from the Born rule, and pass iff both empirical product means
+    reach the threshold.
 
-    All randomness is pre-drawn from the seed, so reports are bit-identical
-    for identical inputs.
+    A pure state is a one-component ensemble. Each (component, setting)
+    count of +1 products is binomial with p = (1 + <psi|X|psi>) / 2, which
+    is the law of the per-round process, so no state is ever collapsed.
+    All randomness comes from the seed, so reports are bit-identical for
+    identical inputs.
     """
     n = d.n_parties
-    rng = np.random.default_rng(cfg.seed)
-    uniforms = rng.random((cfg.shots, n + 2))
-    is_a = uniforms[:, 0] < cfg.a_fraction
-    up_a, down_a = measurement_bases(d)
-    up_b, down_b = z_bases(n)
-
-    if isinstance(state, Ensemble):
-        for s in state.states:
-            if s.n_qubits != n:
-                raise ShapeError("ensemble state size mismatch")
-        cum = np.cumsum(state.weights)
-        products = np.empty(cfg.shots, dtype=np.int64)
-        for s in range(cfg.shots):
-            if state.sampling == "cycle":
-                comp = s % len(state.states)
-            else:
-                comp = int(np.searchsorted(cum, uniforms[s, 1]))
-                comp = min(comp, len(state.states) - 1)
-            amps = state.states[comp].amplitudes
-            u, dn = (up_a, down_a) if is_a[s] else (up_b, down_b)
-            bits = _kernels.collapse_rounds(
-                amps, u, dn, uniforms[s:s + 1, 2:]
-            )
-            products[s] = _products_from_bits(bits)[0]
-    else:
+    if isinstance(state, StateVector):
         if state.n_qubits != n:
             raise ShapeError(
                 f"state has {state.n_qubits} qubits, directions {n}"
             )
-        products = np.empty(cfg.shots, dtype=np.int64)
-        for setting, (u, dn) in (("a", (up_a, down_a)), ("b", (up_b, down_b))):
-            mask = is_a if setting == "a" else ~is_a
-            if not np.any(mask):
-                continue
-            bits = _kernels.collapse_rounds(
-                state.amplitudes, u, dn,
-                np.ascontiguousarray(uniforms[mask, 2:]),
-            )
-            products[mask] = _products_from_bits(bits)
+        state = Ensemble(states=(state,), weights=(1.0,), sampling="cycle")
+    if any(s.n_qubits != n for s in state.states):
+        raise ShapeError("ensemble state size mismatch")
+    rng = np.random.default_rng(cfg.seed)
+    k = len(state.states)
+    if state.sampling == "cycle":
+        rounds = cfg.shots // k + (np.arange(k) < cfg.shots % k)
+    else:
+        weights = np.asarray(state.weights)
+        rounds = rng.multinomial(cfg.shots, weights / weights.sum())
+    rounds_a = rng.binomial(rounds, cfg.a_fraction)
+    z_axis = DirectionList.of([ZERO_ANGLE] * n)
 
-    def stats(mask):
-        count = int(np.sum(mask))
+    def stats(counts, setting):
+        e = np.array([expectation(s, setting) for s in state.states])
+        # rounding can put (1 + e) / 2 a few ulps above 1
+        p_plus = np.clip((1.0 + e) / 2.0, 0.0, 1.0)
+        plus = int(rng.binomial(counts, p_plus).sum())
+        count = int(counts.sum())
         if count == 0:
             return count, math.nan, math.nan
-        vals = products[mask].astype(np.float64)
-        mean = float(vals.mean())
-        if count > 1:
-            stderr = float(vals.std(ddof=1) / math.sqrt(count))
-        else:
-            stderr = math.nan
-        return count, mean, stderr
+        mean = (2 * plus - count) / count
+        if count == 1:
+            return count, mean, math.nan
+        # ddof=1 standard error of count +-1 outcomes with this mean
+        return count, mean, math.sqrt((1.0 - mean * mean) / (count - 1))
 
-    count_a, mean_a, stderr_a = stats(is_a)
-    count_b, mean_b, stderr_b = stats(~is_a)
+    count_a, mean_a, stderr_a = stats(rounds_a, d)
+    count_b, mean_b, stderr_b = stats(rounds - rounds_a, z_axis)
     passed = (
         count_a > 0
         and count_b > 0

@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from .angles import Angle, DirectionList
+from .bitstrings import MAX_PARTIES
 from .certify import CertificationConfig, run_certification
 from .classify import ClassificationReport, classify
 from .construct import GHZSpec, stabilizing_pair_for
@@ -113,8 +114,8 @@ def parse_state_file(data) -> StateVector:
         raise InputError("state file must be a JSON object")
     n = data.get("n")
     amps = data.get("amplitudes")
-    if not _is_int(n) or n < 1:
-        raise InputError(f"state n must be a positive integer, got {n!r}")
+    if not _is_int(n) or not 1 <= n <= MAX_PARTIES:
+        raise InputError(f"state n must be an integer in 1..{MAX_PARTIES}, got {n!r}")
     if not isinstance(amps, list) or not amps:
         raise InputError("state amplitudes must be a non-empty list")
     vec = np.zeros(1 << n, dtype=np.complex128)
@@ -242,6 +243,8 @@ def cmd_solve(args) -> dict:
 
 def cmd_construct(args) -> dict:
     n = args.n
+    if n > MAX_PARTIES:  # before building n local unitaries
+        raise InputError(f"n must be at most {MAX_PARTIES}, got {n}")
     if args.unitaries is not None:
         data = _load_json(args.unitaries)
         if not isinstance(data, dict) or "unitaries" not in data:
@@ -336,7 +339,7 @@ def cmd_verify(args) -> dict:
         "sector_dims": list(sector_dims),
         "identity_residuals": {"odd": odd_res, "even": even_res},
         "character_sum_deviation": character_sum_check(
-            min(d.n_parties, 12), seed=args.seed
+            d.n_parties, seed=args.seed
         ),
         "purity": {
             "projector_dim": purity.projector_dim,

@@ -19,8 +19,9 @@ from .errors import (
     DomainError,
     InternalConsistencyError,
     PreconditionError,
+    SizeError,
 )
-from .linalg import Operator, StateVector, apply_locals
+from .linalg import MAX_DIM, Operator, StateVector, apply_locals
 from .observables import (
     ProductObservable,
     brute_force_eigenspace,
@@ -175,6 +176,8 @@ def stabilizing_pair_for(spec: GHZSpec, tol: float = 1e-9) -> StabilizingPair:
     composed with that frame map. The result is oracle-verified.
     """
     n = spec.n
+    if (1 << n) > MAX_DIM:
+        raise SizeError(f"{n} parties exceed the dimension cap {MAX_DIM}")
     d = canonical_angles(n)
     m0 = BitString(n, 0)
     basis = local_phase_basis(d, m0)

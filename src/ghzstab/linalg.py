@@ -175,19 +175,15 @@ def kron_all(ops) -> Operator:
 def null_space(m: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the numerical null space of m.
 
-    Singular values at or below tol times the largest singular value count
-    as zero. Accepts rectangular arrays as well as Operator.
+    Singular values at or below tol count as zero. Accepts rectangular
+    arrays as well as Operator.
     """
     arr = m.entries if isinstance(m, Operator) else np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2:
         raise ShapeError(f"null_space needs a matrix, got shape {arr.shape}")
     cols = arr.shape[1]
     _, s, vh = np.linalg.svd(arr, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol * smax))
+    rank = int(np.sum(s > tol))
     basis = vh[rank:].conj().T
     return SubspaceBasis(dim=cols, matrix=np.ascontiguousarray(basis))
 

@@ -10,10 +10,9 @@ from functools import cached_property
 import numpy as np
 
 from .angles import Angle, DirectionList
-from .errors import DomainError, PreconditionError, ShapeError, SizeError
+from .errors import DomainError, PreconditionError, ShapeError
 from .linalg import (
     DEFAULT_TOL,
-    MAX_DIM,
     Operator,
     StateVector,
     SubspaceBasis,
@@ -60,8 +59,8 @@ def spin_down_eigenvector(theta: Angle, phi: Angle) -> StateVector:
 class ProductObservable:
     """Tensor product of 2x2 Hermitian involutions, one per party.
 
-    The full 2^n matrix is materialized lazily and cached; classification
-    paths never need it.
+    The full 2^n matrix is materialized lazily and cached, and only there
+    does the dense size cap apply; apply works matrix-free at any size.
     """
 
     def __init__(self, locals_: list[Operator]):
@@ -72,10 +71,6 @@ class ProductObservable:
                 raise DomainError("local factors must be 2x2")
             if not op.is_hermitian() or not op.is_involution():
                 raise DomainError("local factors must be Hermitian involutions")
-        if (1 << len(locals_)) > MAX_DIM:
-            raise SizeError(
-                f"{len(locals_)} parties exceed the dimension cap {MAX_DIM}"
-            )
         self.locals = tuple(locals_)
         self.n_parties = len(locals_)
 
@@ -116,13 +111,23 @@ def brute_force_eigenspace(
     b: ProductObservable | np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> SubspaceBasis:
-    """Oracle: null space of the stacked matrix [(A - I); (B - I)]."""
+    """Oracle: null space of the stacked matrix [(A - I); (B - I)].
+
+    For involutions A and B the space splits into blocks of dimension at
+    most 2. On a 2-dimensional block the +1 eigenvectors of A and B meet at
+    an angle beta, and the stacked matrix has singular values
+    2 sqrt(2) sin(beta / 2) and 2 sqrt(2) cos(beta / 2) there. For a product
+    spin observable and the all-Z one, 2 beta is the distance of a signed
+    angle sum S from 2 pi Z, so cutting at 2 sqrt(2) sin(asin(tol) / 2)
+    admits exactly the patterns with |sin(S / 2)| <= tol, classify's rule.
+    """
     am = a.full.entries if isinstance(a, ProductObservable) else np.asarray(a)
     bm = b.full.entries if isinstance(b, ProductObservable) else np.asarray(b)
     if am.shape != bm.shape:
         raise ShapeError(f"operator shapes differ: {am.shape} vs {bm.shape}")
     eye = np.eye(am.shape[0])
-    return null_space(np.vstack([am - eye, bm - eye]), tol)
+    cut = 2.0 * math.sqrt(2.0) * math.sin(math.asin(min(tol, 1.0)) / 2.0)
+    return null_space(np.vstack([am - eye, bm - eye]), cut)
 
 
 def canonical_stabilizer_generators(n: int) -> list[ProductObservable]:

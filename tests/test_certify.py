@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from ghzstab import (
+    BitString,
     CertificationConfig,
     DirectionList,
     Ensemble,
     StateVector,
     canonical_angles,
     expectation,
+    ghz_from_pattern,
     joint_outcome_probabilities,
     measure_round,
     run_certification,
@@ -86,6 +88,29 @@ def test_unique_state_passes_exactly():
     assert report.passed
 
 
+def test_stabilized_state_passes_exactly_at_twenty_parties():
+    # E_A reads 1 + 2e-16 here; 2^20 amplitudes are beyond the dense cap,
+    # which only .full enforces
+    d = canonical_angles(20)
+    state = ghz_from_pattern(d, BitString(20, 0))
+    report = run_certification(
+        state, d, CertificationConfig(shots=10**6, seed=5)
+    )
+    assert report.count_a + report.count_b == 10**6
+    assert report.mean_a == 1.0 and report.mean_b == 1.0
+    assert report.stderr_a == 0.0 and report.stderr_b == 0.0
+    assert report.passed
+
+
+def test_born_probability_is_clipped():
+    # a norm off by 1e-15 puts (1 + E) / 2 above 1, which binomial rejects
+    state = StateVector(2, EPR.amplitudes * (1 + 1e-15))
+    report = run_certification(
+        state, EPR_DIRECTIONS, CertificationConfig(shots=1000, seed=6)
+    )
+    assert report.mean_a == 1.0 and report.mean_b == 1.0
+
+
 def test_all_zero_state_fails_with_known_mean():
     # canonical triple: <000|A|000> = prod cos(2pi/3) = -1/8
     d = canonical_angles(3)
@@ -107,6 +132,27 @@ def test_ensemble_uniform_basis_traceless_mean():
     assert not report.passed
 
 
+def test_ensemble_cycle_counts_are_exact():
+    # |0>, |1>, |1> measured along z give products +1, -1, -1 in both
+    # settings; 3k + 2 shots cycle k + 1, k + 1 and k rounds through them
+    zero, one = StateVector.basis_state(1, 0), StateVector.basis_state(1, 1)
+    ens = Ensemble(states=(zero, one, one), weights=(0.5, 0.25, 0.25),
+                   sampling="cycle")
+    d = rationals((0, 1))
+    for k in (0, 1, 333):
+        report = run_certification(
+            ens, d, CertificationConfig(shots=3 * k + 2, seed=k)
+        )
+        total = sum(
+            round(mean * count)
+            for mean, count in ((report.mean_a, report.count_a),
+                                (report.mean_b, report.count_b))
+            if count
+        )
+        assert report.count_a + report.count_b == 3 * k + 2
+        assert total == (k + 1) - (k + 1) - k
+
+
 def test_ensemble_random_sampling():
     ens = Ensemble(
         states=(StateVector.basis_state(1, 0), StateVector.basis_state(1, 1)),
@@ -123,6 +169,8 @@ def test_ensemble_validation():
         Ensemble(states=(EPR,), weights=(0.5,))
     with pytest.raises(DomainError):
         Ensemble(states=(EPR,), weights=(1.0,), sampling="bogus")
+    with pytest.raises(DomainError):
+        Ensemble(states=(EPR, EPR), weights=(1.5, -0.5))
 
 
 def test_report_is_deterministic():
@@ -151,6 +199,8 @@ def test_local_marginals_unbiased_product_certain():
 def test_config_validation():
     with pytest.raises(DomainError):
         CertificationConfig(shots=0)
+    with pytest.raises(DomainError):
+        CertificationConfig(shots=2**63)
     with pytest.raises(DomainError):
         CertificationConfig(a_fraction=1.5)
     with pytest.raises(DomainError):

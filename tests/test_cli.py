@@ -205,6 +205,26 @@ def test_user_tol_admits_near_resonant_states(tmp_path, capsys):
     assert doc["solver_dimension"] == doc["oracle_dimension"] == 2
 
 
+def _radians_input(*thetas, **extra):
+    angles = [{"theta": {"rad": t}} for t in thetas]
+    return {"n": len(thetas), "angles": angles, **extra}
+
+
+def test_verify_oracle_counts_with_classify_rule(tmp_path, capsys):
+    # scores just above tol: the relative singular-value cut admitted them
+    # (oracle dim 2 != solver dim 0, and 2 != 1), the classify rule does not
+    for payload, dim in (
+        (_radians_input(math.pi, math.pi + 2.4e-9), 0),
+        (_radians_input(0.3, 1.1, 2.0, tol=0.5), 1),
+    ):
+        code, out, err = run_cli(
+            ["verify", "--trials", "3", "--env-dim", "4"], tmp_path, capsys, payload
+        )
+        assert code == 0, err
+        doc = parse(out)
+        assert doc["solver_dimension"] == doc["oracle_dimension"] == dim
+
+
 def test_construct_identity(tmp_path, capsys):
     code, out, _ = run_cli(["construct", "2"], tmp_path, capsys)
     assert code == 0
@@ -248,6 +268,14 @@ def test_construct_with_unitaries(tmp_path, capsys):
     assert code == 0
 
 
+def test_construct_rejects_parties_above_dense_cap(capsys):
+    # rejected before the 2^n target state is built
+    for n in ("15", "64", str(10**12)):
+        assert main(["construct", n]) == 2, n
+        captured = capsys.readouterr()
+        assert "error" in captured.err and not captured.out
+
+
 def test_construct_rejects_nonunitary(tmp_path, capsys):
     unitaries = {
         "n": 2,
@@ -289,11 +317,42 @@ def test_certify_rejects_bad_amplitudes(tmp_path, capsys):
     ipath = tmp_path / "angles.json"
     ipath.write_text(json.dumps(EPR_INPUT))
     spath = tmp_path / "state.json"
-    for rec in ({"index": 0, "re": [1]}, {"index": True, "re": 1.0},
-                {"index": 0, "im": "nan"}):
-        spath.write_text(json.dumps({"n": 2, "amplitudes": [rec]}))
-        assert main(["certify", str(ipath), "--state", str(spath)]) == 2, rec
+    for state in (
+        {"n": 2, "amplitudes": [{"index": 0, "re": [1]}]},
+        {"n": 2, "amplitudes": [{"index": True, "re": 1.0}]},
+        {"n": 2, "amplitudes": [{"index": 0, "im": "nan"}]},
+        # above the party cap: rejected before 2^n amplitudes are allocated
+        {"n": 64, "amplitudes": [{"index": 0, "re": 1.0}]},
+    ):
+        spath.write_text(json.dumps(state))
+        assert main(["certify", str(ipath), "--state", str(spath)]) == 2, state
         assert "error" in capsys.readouterr().err
+
+
+def test_certify_rejects_shots_outside_int64(tmp_path, capsys):
+    ipath = tmp_path / "angles.json"
+    ipath.write_text(json.dumps(EPR_INPUT))
+    spath = tmp_path / "state.json"
+    spath.write_text(json.dumps({"n": 2, "amplitudes": [{"index": 0, "re": 1.0}]}))
+    for shots in ("0", str(2**63), str(10**20)):
+        code = main(["certify", str(ipath), "--state", str(spath), "--shots", shots])
+        assert code == 2, shots
+        captured = capsys.readouterr()
+        assert "shots" in captured.err and not captured.out
+
+
+def test_certify_shot_count_is_not_allocated(tmp_path, capsys):
+    # counts are binomial draws, so 10^12 shots cost no more than 10^3
+    ipath = tmp_path / "angles.json"
+    ipath.write_text(json.dumps(EPR_INPUT))
+    spath = tmp_path / "state.json"
+    spath.write_text(json.dumps({"n": 2, "amplitudes": [{"index": 0, "re": 1.0}]}))
+    shots = 10**12
+    code = main(["certify", str(ipath), "--state", str(spath), "--shots", str(shots)])
+    doc = parse(capsys.readouterr().out)
+    assert code == 0
+    assert doc["count_a"] + doc["count_b"] == doc["shots"] == shots
+    assert doc["mean_b"] == 1.0 and abs(doc["mean_a"]) <= 1e-4
 
 
 def test_certify_seed_determinism(tmp_path, capsys):

@@ -83,8 +83,10 @@ def test_product_observable_involution():
 
 
 def test_product_observable_party_cap():
+    # the cap applies where dense storage happens, not to the observable
+    obs = ProductObservable([Operator.from_entries(SIGMA_Z)] * 15)
     with pytest.raises(SizeError):
-        ProductObservable([Operator.from_entries(SIGMA_Z)] * 15)
+        obs.full
 
 
 def test_sigma_z_product_parity_pattern():

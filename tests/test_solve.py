@@ -191,6 +191,32 @@ def test_solver_matches_oracles_on_exact_lists(d):
     assert sector_dimensions(d) == sector_oracle_dimensions(d)
 
 
+@st.composite
+def near_threshold_lists(draw):
+    # radian list with pattern m's signed sum eps away from 2 pi k, and tol
+    # a factor 0.5-0.999 or 1.001-2 from that pattern's score |sin(eps/2)|
+    n = draw(st.integers(2, 6))
+    rest = draw(st.lists(st.floats(-math.pi, math.pi), min_size=n - 1, max_size=n - 1))
+    m = draw(st.integers(0, (1 << (n - 1)) - 1))
+    eps = 10.0 ** draw(st.floats(-8.0, 0.0))
+    k = draw(st.integers(-1, 1))
+    signed = sum(-t if (m >> (n - 2 - l)) & 1 else t for l, t in enumerate(rest))
+    d = DirectionList.from_radians([2 * math.pi * k + eps - signed] + rest)
+    factor = draw(st.one_of(st.floats(0.5, 0.999), st.floats(1.001, 2.0)))
+    return d, min(math.sin(eps / 2) * factor, 0.9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(near_threshold_lists())
+def test_oracle_counts_with_classify_rule_near_threshold(case):
+    # the oracle's singular-value cut admits |sin(S/2)| <= tol, as classify
+    d, tol = case
+    oracle = brute_force_eigenspace(
+        product_observable(d), sigma_z_product(d.n_parties), tol
+    )
+    assert oracle.count == len(classify(d, tol).patterns)
+
+
 # ---------------------------------------------------------------------------
 # identities
 
