@@ -28,6 +28,11 @@ def signed_sums_i8(vals) -> np.ndarray:
     return _signed_sums(np.asarray(vals, dtype=np.int64))
 
 
+def signed_sums_int(vals) -> np.ndarray:
+    """Exact Python integers (object array), for sums beyond int64."""
+    return _signed_sums(np.asarray(vals, dtype=object))
+
+
 # ---------------------------------------------------------------------------
 # direct enumeration of sum_j prod_l cos^{1-j_l} (-i sin)^{j_l}
 # split by the parity of j, over all j in Z_2^n

@@ -74,11 +74,6 @@ PI = Angle.exact(1)
 ZERO_ANGLE = Angle.exact(0)
 
 
-def pi_minus(a: Angle) -> Angle:
-    """pi - a, exact whenever a is exact."""
-    return PI - a
-
-
 @dataclass(frozen=True)
 class DirectionList:
     """Per-party measurement directions (theta_l, phi_l), party 1 first."""

@@ -35,10 +35,6 @@ class BitString:
     def parity(self) -> int:
         return bin(self.bits).count("1") & 1
 
-    @property
-    def weight(self) -> int:
-        return bin(self.bits).count("1")
-
     def complement(self) -> "BitString":
         return BitString(self.n, self.bits ^ ((1 << self.n) - 1))
 
@@ -59,12 +55,6 @@ class ParityClasses:
     n: int
     s0: np.ndarray
     s1: np.ndarray
-
-    def even_strings(self) -> list[BitString]:
-        return [BitString(self.n, int(x)) for x in self.s0]
-
-    def odd_strings(self) -> list[BitString]:
-        return [BitString(self.n, int(x)) for x in self.s1]
 
 
 def parity_classes(n: int) -> ParityClasses:

@@ -20,8 +20,8 @@ from . import _kernels
 from .angles import PI, Angle, DirectionList
 from .bitstrings import MAX_PARTIES, BitString
 from .errors import DomainError, ShapeError, SizeError
+from .linalg import DEFAULT_TOL
 
-DEFAULT_TOL = 1e-9
 FRAGILE_FACTOR = 10.0
 _INT64_SAFE = 1 << 60
 
@@ -34,12 +34,11 @@ class StabilizerCase(Enum):
 
 @dataclass(frozen=True)
 class SignPatternSet:
-    """Vanishing sign patterns with m_1 = 0, their signed sums, and the
-    complementary strings (reported separately, never as members)."""
+    """Vanishing sign patterns with m_1 = 0, and whether a non-member came
+    near the threshold. A member's signed sum is signed_angle_sum(d, m); its
+    complement (m_1 = 1) vanishes too but is never listed."""
 
     members: tuple[BitString, ...]
-    sums: tuple[Angle, ...]
-    complements: tuple[BitString, ...]
     fragile: bool = False
 
     def __len__(self) -> int:
@@ -90,9 +89,11 @@ def sign_pattern_set(d: DirectionList, tol: float = DEFAULT_TOL) -> SignPatternS
     """Enumerate all m with m_1 = 0 whose signed angle sum is an even
     multiple of pi.
 
-    Exact thetas are decided by integer arithmetic over their common
-    denominator; otherwise membership is |sin(sum/2)| <= tol, with a fragile
-    flag when any non-member comes within a factor of 10 of the threshold.
+    The signed sums of all patterns are built at once by doubling. Exact
+    thetas are decided by integer arithmetic over their common denominator
+    (int64, or Python integers when the sums could overflow); otherwise
+    membership is |sin(sum/2)| <= tol, with a fragile flag when any
+    non-member comes within a factor of 10 of the threshold.
     """
     n = d.n_parties
     if n > MAX_PARTIES:
@@ -100,36 +101,20 @@ def sign_pattern_set(d: DirectionList, tol: float = DEFAULT_TOL) -> SignPatternS
     fragile = False
     if d.all_exact:
         nums, den = _scaled_thetas(d)
-        bound = sum(abs(v) for v in nums)
-        if bound < _INT64_SAFE:
-            sums = _kernels.signed_sums_i8(np.asarray(nums, dtype=np.int64))
-            hits = np.nonzero(sums % (2 * den) == 0)[0]
-        else:  # huge denominators: fall back to exact Python integers
-            hits = []
-            for m in range(1 << (n - 1)):
-                acc = nums[0]
-                for l in range(1, n):
-                    acc += -nums[l] if (m >> (n - 1 - l)) & 1 else nums[l]
-                if acc % (2 * den) == 0:
-                    hits.append(m)
-            hits = np.asarray(hits, dtype=np.int64)
-        members = [BitString(n, int(m)) for m in hits]
-        sums_out = [signed_angle_sum(d, b) for b in members]
+        if sum(abs(v) for v in nums) < _INT64_SAFE:
+            sums = _kernels.signed_sums_i8(nums)
+        else:
+            sums = _kernels.signed_sums_int(nums)
+        hits = np.nonzero(sums % (2 * den) == 0)[0]
     else:
-        theta = np.asarray(d.theta_radians(), dtype=np.float64)
-        sums = _kernels.signed_sums_f8(theta)
+        sums = _kernels.signed_sums_f8(d.theta_radians())
         score = np.abs(np.sin(sums / 2.0))
         hits = np.nonzero(score <= tol)[0]
         fragile = bool(
             np.any((score > tol) & (score <= FRAGILE_FACTOR * tol))
         )
-        members = [BitString(n, int(m)) for m in hits]
-        sums_out = [Angle.radians(float(sums[m])) for m in hits]
     return SignPatternSet(
-        members=tuple(members),
-        sums=tuple(sums_out),
-        complements=tuple(b.complement() for b in members),
-        fragile=fragile,
+        members=tuple(BitString(n, int(m)) for m in hits), fragile=fragile
     )
 
 

@@ -25,14 +25,12 @@ from .certify import CertificationConfig, run_certification
 from .classify import ClassificationReport, classify
 from .construct import GHZSpec, stabilizing_pair_for
 from .errors import GhzstabError, InternalConsistencyError
-from .linalg import StateVector, subspace_distance
-from .observables import product_observable, sigma_z_product
+from .linalg import DEFAULT_TOL, StateVector, subspace_distance
 from .solve import (
-    brute_force_eigenspace,
     character_sum_check,
     purity_security_check,
     sector_dimensions,
-    sector_oracle_dimensions,
+    sector_oracle_bases,
     solve_common_eigenspace,
     trig_parity_identity_residuals,
 )
@@ -78,6 +76,8 @@ def _parse_angle(obj, what: str) -> Angle:
             raise InputError(f"{what}: pi_num and pi_den must be integers")
         if den <= 0:
             raise InputError(f"{what}: pi_den must be positive, got {den}")
+        if abs(num) > 4 * den:
+            raise InputError(f"{what}: |pi_num| must be at most 4*pi_den")
         return Angle.exact(num, den)
     if "rad" in obj:
         rad = _finite(obj["rad"], f"{what}.rad")
@@ -102,7 +102,7 @@ def parse_angle_file(data) -> tuple[DirectionList, float, str | None]:
             raise InputError(f"angles[{k}] must be an object")
         thetas.append(_parse_angle(rec.get("theta"), f"angles[{k}].theta"))
         phis.append(_parse_angle(rec.get("phi", {"rad": 0.0}), f"angles[{k}].phi"))
-    tol = _tol(data.get("tol", 1e-9))
+    tol = _tol(data.get("tol", DEFAULT_TOL))
     mode = data.get("mode")
     if mode not in (None, "exact", "approx"):
         raise InputError(f"mode must be exact or approx, got {mode!r}")
@@ -312,15 +312,14 @@ def cmd_certify(args) -> dict:
 def cmd_verify(args) -> dict:
     d, tol, _ = _angle_args(args)
     report = solve_common_eigenspace(d, tol)
-    oracle = brute_force_eigenspace(
-        product_observable(d), sigma_z_product(d.n_parties), tol
-    )
+    bases = sector_oracle_bases(d, tol)
+    oracle = bases[0]
     if oracle.count != report.dimension:
         raise InternalConsistencyError(
             f"oracle dim {oracle.count} != solver dim {report.dimension}"
         )
     sector_dims = sector_dimensions(d, tol)
-    oracle_sector_dims = sector_oracle_dimensions(d, tol)
+    oracle_sector_dims = tuple(b.count for b in bases)
     if sector_dims != oracle_sector_dims:
         raise InternalConsistencyError(
             f"sector dims {list(sector_dims)} != oracle sector dims "

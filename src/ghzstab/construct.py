@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     SizeError,
 )
-from .linalg import MAX_DIM, Operator, StateVector, apply_locals
+from .linalg import DEFAULT_TOL, MAX_DIM, Operator, StateVector, apply_locals
 from .observables import (
     ProductObservable,
     brute_force_eigenspace,
@@ -64,9 +64,6 @@ class LocalPhaseBasis:
     def frame_unitary(self, party: int) -> np.ndarray:
         """diag(1, phase) for the given party (1-based)."""
         return np.diag([1.0, self.phases[party - 1]]).astype(np.complex128)
-
-    def ket_one(self, party: int) -> np.ndarray:
-        return np.array([0.0, self.phases[party - 1]], dtype=np.complex128)
 
 
 def local_phase_basis(d: DirectionList, m: BitString) -> LocalPhaseBasis:
@@ -166,7 +163,7 @@ class StabilizingPair:
     residual: float
 
 
-def stabilizing_pair_for(spec: GHZSpec, tol: float = 1e-9) -> StabilizingPair:
+def stabilizing_pair_for(spec: GHZSpec, tol: float = DEFAULT_TOL) -> StabilizingPair:
     """Two product observables whose only common +1 eigenstate is the given
     GHZ state.
 

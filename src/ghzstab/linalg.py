@@ -104,11 +104,6 @@ class Operator:
         delta = self.entries @ self.entries - np.eye(self.dim)
         return bool(np.max(np.abs(delta)) <= tol)
 
-    def apply(self, v: StateVector) -> StateVector:
-        if v.dim != self.dim:
-            raise ShapeError(f"dimension mismatch: {self.dim} vs {v.dim}")
-        return StateVector(v.n_qubits, self.entries @ v.amplitudes)
-
 
 @dataclass(frozen=True)
 class SubspaceBasis:

@@ -104,15 +104,30 @@ def sector_dimensions(
     )
 
 
-def sector_oracle_dimensions(
+def sector_oracle_bases(
     d: DirectionList, tol: float = DEFAULT_TOL
-) -> tuple[int, int, int, int]:
-    """Oracle for sector_dimensions: the brute-force eigenspace dimension of
-    the negated full operators in each of the four sign sectors."""
+) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis, SubspaceBasis]:
+    """Oracle for sector_dimensions: the brute-force common eigenspaces of
+    the negated full operators in the four sign sectors, (+,+) first.
+
+    classify decides exact thetas without tol, so for them the cut is
+    lowered to half the smallest score a non-vanishing pattern can have:
+    a signed sum k pi / den (den the common theta denominator, which the
+    sector transforms keep) off 2 pi Z scores at least sin(pi / (2 den)).
+    """
+    if d.all_exact:
+        den = math.lcm(*(t.denominator for t in d.thetas))
+        gap = math.sin(math.pi * (1 / (2 * den))) / 2.0  # int / int: no overflow
+        if gap < 1e-12:
+            raise DomainError(
+                f"common theta denominator {den if den < 10**30 else '> 1e30'} "
+                f"is too large for the float oracle (cut {gap:.1e} < 1e-12)"
+            )
+        tol = min(tol, gap)
     a_full = product_observable(d).full.entries
     b_full = sigma_z_product(d.n_parties).full.entries
     return tuple(
-        brute_force_eigenspace(sa * a_full, sb * b_full, tol).count
+        brute_force_eigenspace(sa * a_full, sb * b_full, tol)
         for sa, sb in SECTORS
     )
 
@@ -220,9 +235,7 @@ def odd_parity_contraction_residual(
     """Max norm of sum_i <j|A|i> |e_i> over odd-parity j; vanishes for any
     joint state stabilized by the product observable."""
     n = d.n_parties
-    obs = product_observable(d)
-    mat = model.joint.reshape(1 << n, model.env_dim)
-    image = np.stack([obs.apply(mat[:, e]) for e in range(model.env_dim)], axis=1)
+    image = product_observable(d).apply(model.joint.reshape(1 << n, model.env_dim))
     s1 = parity_classes(n).s1
     return float(np.max(np.linalg.norm(image[s1], axis=1))) if s1.size else 0.0
 
@@ -301,15 +314,9 @@ def purity_security_check(
         if norm < 1e-12:
             raise InternalConsistencyError("projected Gaussian draw collapsed to 0")
         proj /= norm
-        res = 0.0
-        for e in range(env_dim):
-            col = proj[:, e]
-            res = max(
-                res,
-                float(np.linalg.norm(obs.apply(col) - col)),
-                float(np.linalg.norm(b_diag.apply(col) - col)),
-            )
-        worst_residual = max(worst_residual, res)
+        for op in (obs, b_diag):
+            res = float(np.linalg.norm(op.apply(proj) - proj, axis=0).max())
+            worst_residual = max(worst_residual, res)
         entropies.append(entanglement_entropy(proj.reshape(-1), sys_dim, env_dim))
         if report.classification.case is StabilizerCase.UNIQUE_GHZ:
             target = basis[:, 0]

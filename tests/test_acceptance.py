@@ -28,7 +28,7 @@ from ghzstab import (
     purity_security_check,
     run_certification,
     sector_dimensions,
-    sector_oracle_dimensions,
+    sector_oracle_bases,
     sigma_z_product,
     solve_common_eigenspace,
     stabilizer_dimension,
@@ -145,7 +145,8 @@ def test_criterion_3_classification_trichotomy():
             if inst.n == n and inst.case is StabilizerCase.NO_COMMON_EIGENSTATE
         ][:20]
         for inst in picked:
-            assert sector_oracle_dimensions(inst.directions) == (0, 0, 0, 0)
+            oracle = sector_oracle_bases(inst.directions)
+            assert tuple(b.count for b in oracle) == (0, 0, 0, 0)
             assert sector_dimensions(inst.directions) == (0, 0, 0, 0)
             checked += 1
     report_line(

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from ghzstab import Angle, DirectionList, PI
-from ghzstab.angles import pi_minus
 from ghzstab.errors import DomainError, ShapeError
 
 
@@ -37,8 +36,8 @@ def test_arithmetic_preserves_exactness():
 
 
 def test_pi_minus():
-    assert pi_minus(Angle.exact(1, 3)).pi_multiple == Fraction(2, 3)
-    assert abs(pi_minus(Angle.radians(1.0)).to_radians() - (math.pi - 1.0)) <= 1e-15
+    assert (PI - Angle.exact(1, 3)).pi_multiple == Fraction(2, 3)
+    assert abs((PI - Angle.radians(1.0)).to_radians() - (math.pi - 1.0)) <= 1e-15
 
 
 def test_radians_accessors_raise():

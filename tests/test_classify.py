@@ -39,16 +39,18 @@ def test_signed_angle_sum_shape_error():
 
 
 def test_sign_pattern_set_epr():
-    patterns = sign_pattern_set(rationals((1, 2), (1, 2)))
+    d = rationals((1, 2), (1, 2))
+    patterns = sign_pattern_set(d)
     assert [str(m) for m in patterns.members] == ["01"]
-    assert patterns.sums[0].pi_multiple == 0
-    assert [str(c) for c in patterns.complements] == ["10"]
+    assert signed_angle_sum(d, patterns.members[0]).pi_multiple == 0
+    assert [str(m.complement()) for m in patterns.members] == ["10"]
 
 
 def test_sign_pattern_set_canonical_triple():
-    patterns = sign_pattern_set(rationals((2, 3), (2, 3), (2, 3)))
+    d = rationals((2, 3), (2, 3), (2, 3))
+    patterns = sign_pattern_set(d)
     assert [str(m) for m in patterns.members] == ["000"]
-    assert patterns.sums[0].pi_multiple == 2
+    assert signed_angle_sum(d, patterns.members[0]).pi_multiple == 2
 
 
 def test_sign_pattern_set_degenerate_triple():
@@ -57,7 +59,7 @@ def test_sign_pattern_set_degenerate_triple():
     d = rationals((1, 1), (1, 1), (0, 1))
     patterns = sign_pattern_set(d)
     assert [str(m) for m in patterns.members] == ["000", "001", "010", "011"]
-    sums = sorted(p.pi_multiple for p in patterns.sums)
+    sums = sorted(signed_angle_sum(d, m).pi_multiple for m in patterns.members)
     assert sums == [0, 0, 2, 2]
     oracle = brute_force_eigenspace(product_observable(d), sigma_z_product(3))
     assert oracle.count == 4
@@ -134,6 +136,39 @@ def test_condition_matches_membership(rng):
         for bits in range(1 << (n - 1)):
             held = pattern_condition(d, BitString(n, bits))
             assert held == (bits in members)
+
+
+def test_bigint_path_matches_pattern_condition(rng, monkeypatch):
+    # a common denominator >= 2^61 pushes the signed sums past int64, so the
+    # enumeration runs on Python integers. One planted pattern vanishes, or
+    # misses by pi / den; a decoupled party (theta 0 or pi) pairs it with a
+    # second pattern.
+    from ghzstab import _kernels
+
+    calls = []
+    bigint = _kernels.signed_sums_int
+    monkeypatch.setattr(
+        _kernels, "signed_sums_int", lambda v: calls.append(1) or bigint(v)
+    )
+    den = (1 << 61) + 1
+    for k in range(24):
+        n = int(rng.integers(3, 9))
+        nums = [den + int(rng.integers(1, 1 << 60)) for _ in range(n)]
+        if k % 2:
+            nums[int(rng.integers(0, n - 1))] = int(rng.integers(0, 2)) * den
+        signs = [1] + [int(s) for s in rng.choice([-1, 1], size=n - 1)]
+        partial = sum(s * v for s, v in zip(signs[:-1], nums))
+        near_miss = k % 3 == 2
+        nums[-1] = (-signs[-1] * partial) % (2 * den) + near_miss
+        d = DirectionList.from_rationals([(v, den) for v in nums])
+        members = {m.bits for m in sign_pattern_set(d).members}
+        admitted = {
+            bits for bits in range(1 << (n - 1))
+            if pattern_condition(d, BitString(n, bits))
+        }
+        assert members == admitted
+        assert bool(members) != near_miss
+    assert len(calls) == 24
 
 
 def test_pattern_set_party_cap():

@@ -141,6 +141,12 @@ def test_schema_violations_exit_2(tmp_path, capsys):
         {"n": 2, "angles": [two_huge, two_huge]},
         _one_party({"rad": 4 * math.pi + 1e-6}),
         {"n": 1, "angles": [{"theta": {"rad": 0.5}, "phi": {"rad": -13.0}}]},
+        # exact angles are bounded like radian ones: |pi_num| <= 4 * pi_den
+        _one_party({"pi_num": 10**20 + 1}),
+        _one_party({"pi_num": 2000000001, "pi_den": 3}),
+        _one_party({"pi_num": 10**400}),
+        _one_party({"pi_num": -9, "pi_den": 2}),
+        {"n": 1, "angles": [{"theta": {"pi_num": 1}, "phi": {"pi_num": 5}}]},
     ]
     for command in ("classify", "solve"):
         for payload in bad_inputs:
@@ -172,15 +178,93 @@ def test_internal_consistency_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_exits_3_when_sector_oracle_disagrees(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(
-        "ghzstab.cli.sector_oracle_dimensions", lambda d, tol: (1, 1, 1, 0)
-    )
+    import ghzstab.cli
+    from ghzstab.linalg import SubspaceBasis
+
+    oracle = ghzstab.cli.sector_oracle_bases
+
+    def last_sector_emptied(d, tol):
+        bases = oracle(d, tol)
+        return bases[:3] + (SubspaceBasis.empty(bases[3].dim),)
+
+    monkeypatch.setattr("ghzstab.cli.sector_oracle_bases", last_sector_emptied)
     code, out, err = run_cli(
         ["verify", "--trials", "2", "--env-dim", "4"], tmp_path, capsys, EPR_INPUT
     )
     assert code == 3
     assert not out
     assert "sector dims" in err
+
+
+def test_verify_runs_one_oracle_per_sector(tmp_path, capsys, monkeypatch):
+    # the (+,+) sector's oracle is also the solver's, so four runs in all;
+    # every module binding the oracle gets the counting wrapper
+    from ghzstab.observables import brute_force_eigenspace as oracle
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return oracle(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ghzstab") and getattr(
+            module, "brute_force_eigenspace", None
+        ) is oracle:
+            monkeypatch.setattr(module, "brute_force_eigenspace", counted)
+    code, _, err = run_cli(
+        ["verify", "--trials", "2", "--env-dim", "4"], tmp_path, capsys, EPR_INPUT
+    )
+    assert code == 0, err
+    assert len(calls) == 4
+
+
+def _exact_input(*thetas, **extra):
+    angles = [{"theta": dict(zip(("pi_num", "pi_den"), t))} for t in thetas]
+    return {"n": len(thetas), "angles": angles, **extra}
+
+
+def test_verify_oracle_counts_exact_lists_by_the_exact_rule(tmp_path, capsys):
+    # classify ignores tol on exact lists; the oracle used to cut with it
+    # and reported e.g. "oracle dim 3 != solver dim 1" on the EPR input
+    for payload, dim in (
+        (_exact_input((1, 2), (0,), tol=0.9), 0),
+        (dict(EPR_INPUT, tol=1), 1),
+        (_exact_input((1, 3), (0,), tol=0.6), 0),
+        (_exact_input((1, 10**10), (0,)), 0),
+    ):
+        code, out, err = run_cli(
+            ["verify", "--trials", "2", "--env-dim", "4"], tmp_path, capsys, payload
+        )
+        assert code == 0, (payload, err)
+        doc = parse(out)
+        assert doc["solver_dimension"] == doc["oracle_dimension"] == dim
+
+
+def test_verify_rejects_denominators_beyond_the_oracle(tmp_path, capsys):
+    # sums 1e-15 pi apart are closer than the float oracle can separate
+    payload = _exact_input((1, 10**15), (0,))
+    code, out, err = run_cli(["verify"], tmp_path, capsys, payload)
+    assert code == 2
+    assert not out and str(10**15) in err
+    code, _, err = run_cli(["classify"], tmp_path, capsys, payload)
+    assert code == 0, err
+
+
+def test_exact_angle_bound(tmp_path, capsys):
+    # out of bound these exited 3 (the float angle lost its value mod 2 pi)
+    # or with an OverflowError; at the bound they are accepted
+    for command, payload in (
+        ("solve", _exact_input((10**20 + 1,), (1,))),
+        ("verify", _exact_input((2000000001, 3), (2, 3), (2, 3))),
+        ("solve", _exact_input((10**400,))),
+    ):
+        code, out, err = run_cli([command], tmp_path, capsys, payload)
+        assert code == 2, (command, err)
+        assert "pi_num" in err and not out
+    code, out, _ = run_cli(["solve"], tmp_path, capsys, _exact_input((4,), (-8, 2)))
+    assert code == 0
+    assert parse(out)["dimension"] == 2  # both thetas are multiples of 2 pi
 
 
 def test_user_tol_admits_near_resonant_states(tmp_path, capsys):

@@ -17,7 +17,7 @@ from ghzstab import (
     purification_model,
     purity_security_check,
     sector_dimensions,
-    sector_oracle_dimensions,
+    sector_oracle_bases,
     sigma_z_product,
     solve_common_eigenspace,
     subspace_distance,
@@ -32,6 +32,10 @@ from ghzstab.sampling import stratified_sample
 
 def rationals(*pairs):
     return DirectionList.from_rationals(list(pairs))
+
+
+def oracle_dims(d):
+    return tuple(b.count for b in sector_oracle_bases(d))
 
 
 def test_solver_size_cap():
@@ -140,18 +144,18 @@ def test_solver_basis_even_support_and_residuals(rng):
 
 def test_sector_dimensions_single_qubit():
     d = rationals((0, 1))
-    assert sector_dimensions(d) == sector_oracle_dimensions(d) == (1, 0, 0, 1)
+    assert sector_dimensions(d) == oracle_dims(d) == (1, 0, 0, 1)
 
 
 def test_sector_dimensions_bell():
     # the four Bell states, one per sector
     d = rationals((1, 2), (1, 2))
-    assert sector_dimensions(d) == sector_oracle_dimensions(d) == (1, 1, 1, 1)
+    assert sector_dimensions(d) == oracle_dims(d) == (1, 1, 1, 1)
 
 
 def test_sector_dimensions_empty_everywhere():
     d = rationals((1, 2), (1, 3))
-    assert sector_dimensions(d) == sector_oracle_dimensions(d) == (0, 0, 0, 0)
+    assert sector_dimensions(d) == oracle_dims(d) == (0, 0, 0, 0)
 
 
 def test_no_eigenstate_in_any_sector(rng):
@@ -160,7 +164,7 @@ def test_no_eigenstate_in_any_sector(rng):
     for d in stratified_sample(3, 30, seed=13):
         if classify(d).case is StabilizerCase.NO_COMMON_EIGENSTATE:
             found += 1
-            assert sector_oracle_dimensions(d) == (0, 0, 0, 0)
+            assert oracle_dims(d) == (0, 0, 0, 0)
             assert sector_dimensions(d) == (0, 0, 0, 0)
     assert found >= 5
 
@@ -188,7 +192,7 @@ def test_solver_matches_oracles_on_exact_lists(d):
     assert report.dimension == len(report.classification.patterns)
     assert report.dimension == oracle.count
     assert subspace_distance(report.basis, oracle) <= 1e-8
-    assert sector_dimensions(d) == sector_oracle_dimensions(d)
+    assert sector_dimensions(d) == oracle_dims(d)
 
 
 @st.composite
