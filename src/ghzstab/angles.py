@@ -117,6 +117,20 @@ class DirectionList:
         """True when every theta is an exact rational multiple of pi."""
         return all(t.is_exact for t in self.thetas)
 
+    def in_mode(self, mode: str | None) -> "DirectionList":
+        """The list as analysed in mode "exact" (every theta must be exact),
+        "approx" (thetas become radians, decided with a tolerance) or None
+        (exact exactly when every theta is)."""
+        if mode not in (None, "exact", "approx"):
+            raise DomainError(f"mode must be exact or approx, got {mode!r}")
+        if mode == "exact" and not self.all_exact:
+            raise DomainError("exact mode requires all thetas rational multiples of pi")
+        if mode == "approx" and self.all_exact:
+            return DirectionList.of(
+                [Angle.radians(t.to_radians()) for t in self.thetas], self.phis
+            )
+        return self
+
     def theta_radians(self):
         return [t.to_radians() for t in self.thetas]
 

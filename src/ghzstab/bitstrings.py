@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SizeError
-
-MAX_PARTIES = 24
+from .linalg import MAX_PARTIES
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import _kernels
 from .angles import PI, Angle, DirectionList
-from .bitstrings import MAX_PARTIES, BitString
+from .bitstrings import BitString
 from .errors import DomainError, ShapeError, SizeError
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, MAX_PARTIES
 
 FRAGILE_FACTOR = 10.0
 _INT64_SAFE = 1 << 60
@@ -118,18 +118,9 @@ def sign_pattern_set(d: DirectionList, tol: float = DEFAULT_TOL) -> SignPatternS
     )
 
 
-def classify(
-    d: DirectionList, tol: float = DEFAULT_TOL, mode: str | None = None
-) -> ClassificationReport:
-    """Classify a direction list by the count of vanishing sign patterns."""
-    if mode not in (None, "exact", "approx"):
-        raise DomainError(f"mode must be exact or approx, got {mode!r}")
-    if mode == "exact" and not d.all_exact:
-        raise DomainError("exact mode requires all thetas rational multiples of pi")
-    if mode == "approx" and d.all_exact:
-        d = DirectionList.of(
-            [Angle.radians(t.to_radians()) for t in d.thetas], d.phis
-        )
+def classify(d: DirectionList, tol: float = DEFAULT_TOL) -> ClassificationReport:
+    """Classify a direction list by the count of vanishing sign patterns;
+    exact when every theta is exact (see DirectionList.in_mode)."""
     patterns = sign_pattern_set(d, tol)
     if len(patterns) == 0:
         case = StabilizerCase.NO_COMMON_EIGENSTATE

@@ -20,12 +20,17 @@ import sys
 import numpy as np
 
 from .angles import Angle, DirectionList
-from .bitstrings import MAX_PARTIES
 from .certify import CertificationConfig, run_certification
 from .classify import ClassificationReport, classify
 from .construct import GHZSpec, stabilizing_pair_for
 from .errors import GhzstabError, InternalConsistencyError
-from .linalg import DEFAULT_TOL, StateVector, subspace_distance
+from .linalg import (
+    DEFAULT_TOL,
+    MAX_PARTIES,
+    StateVector,
+    check_dense,
+    subspace_distance,
+)
 from .solve import (
     character_sum_check,
     purity_security_check,
@@ -143,7 +148,7 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise InputError(f"invalid JSON in {path}: {exc}")
 
 
@@ -208,27 +213,22 @@ def _emit(obj, pretty: bool) -> None:
     sys.stdout.write("\n")
 
 
-def _angle_args(args) -> tuple[DirectionList, float, str | None]:
-    """The angle file's directions, tol and mode; --tol and --mode win."""
+def _angle_args(args) -> tuple[DirectionList, float]:
+    """The angle file's directions in its mode, and its tol; --tol and
+    --mode win."""
     d, tol, mode = parse_angle_file(_load_json(args.input))
     if args.tol is not None:
         tol = _tol(args.tol)
-    return d, tol, getattr(args, "mode", None) or mode
+    return d.in_mode(getattr(args, "mode", None) or mode), tol
 
 
 def cmd_classify(args) -> dict:
-    d, tol, mode = _angle_args(args)
-    return classification_fields(classify(d, tol, mode))
+    d, tol = _angle_args(args)
+    return classification_fields(classify(d, tol))
 
 
 def cmd_solve(args) -> dict:
-    d, tol, mode = _angle_args(args)
-    if mode == "exact" and not d.all_exact:
-        raise InputError("exact mode requires all thetas rational multiples of pi")
-    if mode == "approx" and d.all_exact:
-        d = DirectionList.of(
-            [Angle.radians(t.to_radians()) for t in d.thetas], d.phis
-        )
+    d, tol = _angle_args(args)
     report = solve_common_eigenspace(d, tol)
     out = classification_fields(report.classification)
     out["dimension"] = report.dimension
@@ -243,8 +243,7 @@ def cmd_solve(args) -> dict:
 
 def cmd_construct(args) -> dict:
     n = args.n
-    if n > MAX_PARTIES:  # before building n local unitaries
-        raise InputError(f"n must be at most {MAX_PARTIES}, got {n}")
+    check_dense(n)  # before building n local unitaries
     if args.unitaries is not None:
         data = _load_json(args.unitaries)
         if not isinstance(data, dict) or "unitaries" not in data:
@@ -310,7 +309,7 @@ def cmd_certify(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    d, tol, _ = _angle_args(args)
+    d, tol = _angle_args(args)
     report = solve_common_eigenspace(d, tol)
     bases = sector_oracle_bases(d, tol)
     oracle = bases[0]

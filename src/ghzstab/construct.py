@@ -15,13 +15,8 @@ import numpy as np
 
 from .angles import Angle, DirectionList
 from .bitstrings import BitString, parity_classes
-from .errors import (
-    DomainError,
-    InternalConsistencyError,
-    PreconditionError,
-    SizeError,
-)
-from .linalg import DEFAULT_TOL, MAX_DIM, Operator, StateVector, apply_locals
+from .errors import DomainError, InternalConsistencyError, PreconditionError
+from .linalg import DEFAULT_TOL, Operator, StateVector, apply_locals, check_dense
 from .observables import (
     ProductObservable,
     brute_force_eigenspace,
@@ -44,39 +39,17 @@ def canonical_angles(n: int) -> DirectionList:
     return DirectionList.of(thetas)
 
 
-def bitstring_phase(j: BitString, phis) -> complex:
-    """Product of (i e^{i phi_l}) over the set bits of j; unit modulus."""
-    phase = 1.0 + 0.0j
-    for l in range(1, j.n + 1):
-        if j.bit(l):
-            p = phis[l - 1].to_radians()
-            phase *= 1j * complex(math.cos(p), math.sin(p))
-    return phase
-
-
-@dataclass(frozen=True)
-class LocalPhaseBasis:
-    """Per-party basis {|0>, phase_l |1>} with phase_l = i (-1)^{m_l} e^{i phi_l}."""
-
-    n: int
-    phases: tuple[complex, ...]
-
-    def frame_unitary(self, party: int) -> np.ndarray:
-        """diag(1, phase) for the given party (1-based)."""
-        return np.diag([1.0, self.phases[party - 1]]).astype(np.complex128)
-
-
-def local_phase_basis(d: DirectionList, m: BitString) -> LocalPhaseBasis:
-    phases = []
-    for l in range(1, d.n_parties + 1):
-        p = d.phis[l - 1].to_radians()
-        phases.append(1j * (-1) ** m.bit(l) * complex(math.cos(p), math.sin(p)))
-    return LocalPhaseBasis(n=d.n_parties, phases=tuple(phases))
+def pattern_phases(d: DirectionList, m: BitString) -> np.ndarray:
+    """(n,) array of phase_l = i (-1)^{m_l} e^{i phi_l}: party l's basis
+    {|0>, phase_l |1>} is the local frame of pattern m's state."""
+    signs = np.array([1 - 2 * m.bit(l) for l in range(1, m.n + 1)])
+    phis = np.array(d.phi_radians())
+    return 1j * signs * (np.cos(phis) + 1j * np.sin(phis))
 
 
 def ghz_from_pattern(d: DirectionList, m: BitString) -> StateVector:
     """The even-parity superposition whose amplitude at index j is the
-    product of i (-1)^{m_l} e^{i phi_l} over the set bits of j, normalized.
+    product of pattern_phases(d, m) over the set bits of j, normalized.
 
     For a vanishing pattern m this is the GHZ-class state stabilized by the
     direction list together with the all-Z observable.
@@ -86,13 +59,13 @@ def ghz_from_pattern(d: DirectionList, m: BitString) -> StateVector:
     if m.bit(1) != 0:
         raise PreconditionError("pattern must have m_1 = 0")
     n = d.n_parties
-    basis = local_phase_basis(d, m)
+    phases = pattern_phases(d, m)
     s0 = parity_classes(n).s0
     amps = np.zeros(1 << n, dtype=np.complex128)
     vals = np.ones(s0.size, dtype=np.complex128)
     for l in range(n):
         bit = (s0 >> (n - 1 - l)) & 1
-        vals = vals * np.where(bit == 1, basis.phases[l], 1.0)
+        vals = vals * np.where(bit == 1, phases[l], 1.0)
     amps[s0] = vals / math.sqrt(s0.size)
     return StateVector(n, amps)
 
@@ -173,21 +146,16 @@ def stabilizing_pair_for(spec: GHZSpec, tol: float = DEFAULT_TOL) -> Stabilizing
     composed with that frame map. The result is oracle-verified.
     """
     n = spec.n
-    if (1 << n) > MAX_DIM:
-        raise SizeError(f"{n} parties exceed the dimension cap {MAX_DIM}")
+    check_dense(n)
     d = canonical_angles(n)
-    m0 = BitString(n, 0)
-    basis = local_phase_basis(d, m0)
+    phases = pattern_phases(d, BitString(n, 0))
     target = spec.to_state()
-    v_mats = []
-    for l in range(1, n + 1):
-        frame = basis.frame_unitary(l) @ HADAMARD
-        v_mats.append(spec.local_unitaries[l - 1].entries @ frame.conj().T)
     a_locals = []
     b_locals = []
-    for l in range(1, n + 1):
-        v = v_mats[l - 1]
-        a_l = local_observable(d.thetas[l - 1], d.phis[l - 1]).entries
+    for l in range(n):
+        frame = np.diag([1.0, phases[l]]) @ HADAMARD
+        v = spec.local_unitaries[l].entries @ frame.conj().T
+        a_l = local_observable(d.thetas[l], d.phis[l]).entries
         a_locals.append(Operator.from_entries(v @ a_l @ v.conj().T))
         b_locals.append(
             Operator.from_entries(v @ np.diag([1.0, -1.0]) @ v.conj().T)

@@ -1,8 +1,9 @@
 """Dense complex linear algebra on 2^n-dimensional Hilbert space.
 
 State vectors, operators, tensor products, rank-revealing null spaces and
-subspace comparison. Everything is double precision; the ambient dimension
-is capped at MAX_DIM to keep dense storage honest.
+subspace comparison, in double precision. The size table lives here:
+MAX_PARTIES bounds 2^n-amplitude vectors and MAX_DENSE_PARTIES bounds
+2^n x 2^n matrices.
 """
 
 from __future__ import annotations
@@ -14,8 +15,17 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, SizeError
 
-MAX_DIM = 1 << 14
+MAX_PARTIES = 24
+MAX_DENSE_PARTIES = 12
 DEFAULT_TOL = 1e-9
+
+
+def check_dense(n_parties: int) -> None:
+    """Raise SizeError when 2^n x 2^n dense storage exceeds the cap."""
+    if n_parties > MAX_DENSE_PARTIES:
+        raise SizeError(
+            f"{n_parties} parties exceed the dense cap of {MAX_DENSE_PARTIES}"
+        )
 
 
 def _check_power_of_two(dim: int) -> int:
@@ -155,8 +165,7 @@ class SubspaceBasis:
 def kron(a: Operator, b: Operator) -> Operator:
     """Tensor product; the first factor owns the most significant index block."""
     out_dim = a.dim * b.dim
-    if out_dim > MAX_DIM:
-        raise SizeError(f"kron result dimension {out_dim} exceeds cap {MAX_DIM}")
+    check_dense(_check_power_of_two(out_dim))
     return Operator(dim=out_dim, entries=np.kron(a.entries, b.entries))
 
 
@@ -164,6 +173,7 @@ def kron_all(ops) -> Operator:
     ops = list(ops)
     if not ops:
         raise DomainError("kron_all needs at least one factor")
+    check_dense(sum(_check_power_of_two(op.dim) for op in ops))  # before any product
     return reduce(kron, ops)
 
 
@@ -176,8 +186,10 @@ def null_space(m: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> SubspaceBa
     arr = m.entries if isinstance(m, Operator) else np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2:
         raise ShapeError(f"null_space needs a matrix, got shape {arr.shape}")
-    cols = arr.shape[1]
-    _, s, vh = np.linalg.svd(arr, full_matrices=True)
+    rows, cols = arr.shape
+    # a tall or square input has all cols right singular vectors in the thin
+    # SVD, which skips building the unread rows x rows U
+    _, s, vh = np.linalg.svd(arr, full_matrices=rows < cols)
     rank = int(np.sum(s > tol))
     basis = vh[rank:].conj().T
     return SubspaceBasis(dim=cols, matrix=np.ascontiguousarray(basis))

@@ -33,10 +33,9 @@ from .classify import (
 )
 from .construct import ghz_from_pattern
 from .errors import DomainError, InternalConsistencyError, SizeError
-from .linalg import DEFAULT_TOL, SubspaceBasis
+from .linalg import DEFAULT_TOL, MAX_PARTIES, SubspaceBasis, check_dense
 from .observables import brute_force_eigenspace, product_observable, sigma_z_product
 
-MAX_SOLVER_PARTIES = 12
 RESIDUAL_LIMIT = 1e-8
 SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -71,8 +70,7 @@ def solve_common_eigenspace(
     above stabilization_limit(tol) raises InternalConsistencyError.
     """
     n = d.n_parties
-    if n > MAX_SOLVER_PARTIES:
-        raise SizeError(f"n_parties {n} exceeds solver cap {MAX_SOLVER_PARTIES}")
+    check_dense(n)  # the (2^n, dim) basis
     classification = classify(d, tol)
     basis = SubspaceBasis.from_vectors(
         [ghz_from_pattern(d, m) for m in classification.patterns.members],
@@ -154,24 +152,11 @@ def trig_parity_identity_residuals(d: DirectionList) -> tuple[float, float]:
     )
 
 
-def character_sum(v) -> int:
-    """sum over m in Z_2^n of (-1)^{m . v} for an integer vector v."""
-    v = np.asarray(v, dtype=np.int64)
-    n = v.size
-    bits = 0
-    for l in range(n):
-        if v[l] % 2:
-            bits |= 1 << (n - 1 - l)
-    return int(
-        _kernels.character_sums(np.array([bits], dtype=np.int64), n)[0]
-    )
-
-
 def character_sum_check(n: int, samples: int = 100, seed: int = 0) -> float:
     """Max deviation of character sums from their closed form (2^n when all
     components of v are even, else 0) over random v in {0, 1, 2}^n."""
-    if n > 16:
-        raise SizeError(f"n {n} exceeds cap 16")
+    if n > MAX_PARTIES:
+        raise SizeError(f"n {n} exceeds the party cap {MAX_PARTIES}")
     rng = np.random.default_rng(seed)
     vs = rng.integers(0, 3, size=(samples, n))
     bits = np.zeros(samples, dtype=np.int64)
@@ -186,56 +171,14 @@ def character_sum_check(n: int, samples: int = 100, seed: int = 0) -> float:
 # purifications and the leak-freedom check
 
 
-@dataclass(frozen=True)
-class PurificationModel:
-    """A joint system/environment state stabilized by both observables,
-    decomposed as sum_i |i> |e_i> over even-parity i."""
-
-    n: int
-    env_dim: int
-    joint: np.ndarray
-    env_vectors: dict[int, np.ndarray]
-    primed_vectors: dict[int, np.ndarray]
-
-    def reassembled(self) -> np.ndarray:
-        out = np.zeros((1 << self.n) * self.env_dim, dtype=np.complex128)
-        for idx, vec in self.env_vectors.items():
-            out[idx * self.env_dim:(idx + 1) * self.env_dim] = vec
-        return out
-
-
-def purification_model(
-    joint: np.ndarray, d: DirectionList, env_dim: int
-) -> PurificationModel:
-    """Decompose a joint state into environment vectors and their primed
-    (per-index phased) companions, phase (i e^{-i phi_l}) per set bit."""
-    n = d.n_parties
-    mat = joint.reshape(1 << n, env_dim)
-    phis = d.phi_radians()
-    env = {}
-    primed = {}
-    for idx in parity_classes(n).s0:
-        idx = int(idx)
-        vec = mat[idx].copy()
-        env[idx] = vec
-        phase = 1.0 + 0.0j
-        for l in range(n):
-            if (idx >> (n - 1 - l)) & 1:
-                phase *= 1j * complex(math.cos(phis[l]), -math.sin(phis[l]))
-        primed[idx] = phase * vec
-    return PurificationModel(
-        n=n, env_dim=env_dim, joint=joint.copy(), env_vectors=env,
-        primed_vectors=primed,
-    )
-
-
 def odd_parity_contraction_residual(
-    model: PurificationModel, d: DirectionList
+    joint: np.ndarray, d: DirectionList, env_dim: int
 ) -> float:
-    """Max norm of sum_i <j|A|i> |e_i> over odd-parity j; vanishes for any
-    joint state stabilized by the product observable."""
+    """For a joint system/environment state sum_i |i> |e_i>, the max norm of
+    sum_i <j|A|i> |e_i> over odd-parity j; vanishes for any joint state
+    stabilized by the product observable."""
     n = d.n_parties
-    image = product_observable(d).apply(model.joint.reshape(1 << n, model.env_dim))
+    image = product_observable(d).apply(joint.reshape(1 << n, env_dim))
     s1 = parity_classes(n).s1
     return float(np.max(np.linalg.norm(image[s1], axis=1))) if s1.size else 0.0
 

@@ -93,11 +93,11 @@ def test_classify_trichotomy():
 def test_classify_mode_flags():
     exact = rationals((1, 2), (1, 2))
     assert classify(exact).mode == "exact"
-    assert classify(exact, mode="approx").mode == "approx"
+    assert classify(exact.in_mode("approx")).mode == "approx"
     mixed = DirectionList.of([Angle.exact(1, 2), Angle.radians(1.0)])
     assert classify(mixed).mode == "approx"
     with pytest.raises(DomainError):
-        classify(mixed, mode="exact")
+        mixed.in_mode("exact")
 
 
 def test_exact_vs_approx_agreement(rng):

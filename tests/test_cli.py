@@ -27,7 +27,7 @@ MISMATCH_INPUT = {
 def run_cli(args, tmp_path, capsys, payload=None):
     if payload is not None:
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         args = args + [str(path)]
     code = main(args)
     out = capsys.readouterr()
@@ -147,6 +147,8 @@ def test_schema_violations_exit_2(tmp_path, capsys):
         _one_party({"pi_num": 10**400}),
         _one_party({"pi_num": -9, "pi_den": 2}),
         {"n": 1, "angles": [{"theta": {"pi_num": 1}, "phi": {"pi_num": 5}}]},
+        # beyond Python's int conversion limit json.load raises ValueError
+        '{"n": 1, "angles": [{"theta": {"pi_num": 1%s}}]}' % ("0" * 5000),
     ]
     for command in ("classify", "solve"):
         for payload in bad_inputs:
@@ -289,6 +291,34 @@ def test_user_tol_admits_near_resonant_states(tmp_path, capsys):
     assert doc["solver_dimension"] == doc["oracle_dimension"] == 2
 
 
+def test_verify_honours_the_file_mode(tmp_path, capsys):
+    # approx: pi/10^8 scores 1.6e-8 <= tol, so both patterns vanish for
+    # solve and verify alike (verify ignored the mode and found none)
+    approx = {
+        "n": 2,
+        "angles": [{"theta": {"pi_num": 1, "pi_den": 100000000}},
+                   {"theta": {"pi_num": 0}}],
+        "tol": 1e-6,
+        "mode": "approx",
+    }
+    code, out, err = run_cli(["solve"], tmp_path, capsys, approx)
+    assert code == 0, err
+    assert parse(out)["case"] == "Degenerate" and parse(out)["dimension"] == 2
+    code, out, err = run_cli(
+        ["verify", "--trials", "3", "--env-dim", "4"], tmp_path, capsys, approx
+    )
+    assert code == 0, err
+    doc = parse(out)
+    assert doc["case"] == "Degenerate"
+    assert doc["solver_dimension"] == doc["oracle_dimension"] == 2
+    # exact mode with radian thetas is rejected by every angle command
+    exact = _radians_input(0.3, 0.3, mode="exact")
+    for command in ("classify", "solve", "verify"):
+        code, out, err = run_cli([command], tmp_path, capsys, exact)
+        assert code == 2, command
+        assert "exact mode" in err and not out
+
+
 def _radians_input(*thetas, **extra):
     angles = [{"theta": {"rad": t}} for t in thetas]
     return {"n": len(thetas), "angles": angles, **extra}
@@ -354,7 +384,7 @@ def test_construct_with_unitaries(tmp_path, capsys):
 
 def test_construct_rejects_parties_above_dense_cap(capsys):
     # rejected before the 2^n target state is built
-    for n in ("15", "64", str(10**12)):
+    for n in ("13", "14", "15", "64", str(10**12)):
         assert main(["construct", n]) == 2, n
         captured = capsys.readouterr()
         assert "error" in captured.err and not captured.out

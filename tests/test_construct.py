@@ -10,13 +10,11 @@ from ghzstab import (
     GHZSpec,
     StabilizerCase,
     StateVector,
-    bitstring_phase,
     brute_force_eigenspace,
     canonical_angles,
     classify,
     fidelity,
     ghz_from_pattern,
-    local_phase_basis,
     product_observable,
     sigma_z_product,
     solve_common_eigenspace,
@@ -24,7 +22,7 @@ from ghzstab import (
     subspace_distance,
 )
 from ghzstab.bitstrings import parity_classes
-from ghzstab.construct import parity_rotation_image
+from ghzstab.construct import parity_rotation_image, pattern_phases
 from ghzstab.errors import DomainError, PreconditionError
 from ghzstab.linalg import SubspaceBasis, single_party_reduced
 
@@ -58,15 +56,16 @@ def test_canonical_five_pattern():
 
 
 def test_bitstring_phase_examples():
+    # amplitude of index j in the zero pattern's state, times sqrt(2): the
+    # product of i e^{i phi_l} over the set bits of j
+    def amps(phis):
+        d = DirectionList.of([Angle.exact(1, 2)] * 2, phis)
+        return ghz_from_pattern(d, BitString(2, 0)).amplitudes * math.sqrt(2)
+
     zero = Angle.exact(0)
-    assert bitstring_phase(BitString.from_string("00"), [zero, zero]) == 1
-    assert bitstring_phase(
-        BitString.from_string("11"), [zero, zero]
-    ) == pytest.approx(-1)
-    got = bitstring_phase(
-        BitString.from_string("11"), [Angle.exact(1, 2), zero]
-    )
-    assert got == pytest.approx(-1j)
+    assert amps([zero, zero])[0b00] == pytest.approx(1)
+    assert amps([zero, zero])[0b11] == pytest.approx(-1)
+    assert amps([Angle.exact(1, 2), zero])[0b11] == pytest.approx(-1j)
 
 
 def test_ghz_from_pattern_epr():
@@ -123,11 +122,10 @@ def test_parity_rotation_identity():
 
 def test_local_phase_basis_unitary():
     d = rationals((2, 3), (2, 3), (2, 3))
-    basis = local_phase_basis(d, BitString(3, 0))
-    for party in (1, 2, 3):
-        u = basis.frame_unitary(party)
+    for phase in pattern_phases(d, BitString(3, 0)):
+        u = np.diag([1.0, phase])
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
-        assert abs(abs(basis.phases[party - 1]) - 1.0) <= 1e-12
+        assert abs(abs(phase) - 1.0) <= 1e-12
 
 
 def test_ghz_spec_validation():

@@ -52,7 +52,7 @@ def test_kron_index_convention():
 def test_kron_size_cap(monkeypatch):
     import ghzstab.linalg as linalg
 
-    monkeypatch.setattr(linalg, "MAX_DIM", 8)
+    monkeypatch.setattr(linalg, "MAX_DENSE_PARTIES", 3)
     with pytest.raises(SizeError):
         kron(Operator.identity(4), Operator.identity(4))
     assert kron(Operator.identity(4), Operator.identity(2)).dim == 8
@@ -95,6 +95,12 @@ def test_null_space_residual_bound(rng):
         norm_a = np.linalg.norm(a, 2)
         for k in range(basis.count):
             assert np.linalg.norm(a @ basis.matrix[:, k]) <= 10 * tol * norm_a
+    # a wide matrix needs the full SVD: a thin one drops its null vectors
+    wide = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+    basis = null_space(wide, 1e-9)
+    assert basis.count == 3
+    assert basis.gram_defect() <= 1e-12
+    assert np.linalg.norm(wide @ basis.matrix) <= 1e-12
 
 
 def test_rank_nullity(rng):

@@ -9,12 +9,10 @@ from ghzstab import (
     DirectionList,
     StabilizerCase,
     brute_force_eigenspace,
-    character_sum,
     character_sum_check,
     classify,
     odd_parity_contraction_residual,
     product_observable,
-    purification_model,
     purity_security_check,
     sector_dimensions,
     sector_oracle_bases,
@@ -252,12 +250,6 @@ def test_identity_survives_half_pi():
     assert odd <= 1e-12 and even <= 1e-12
 
 
-def test_character_sum_values():
-    assert character_sum([0, 0, 0]) == 8
-    assert character_sum([1, 0, 0]) == 0
-    assert character_sum([2, 2, 0]) == 8
-
-
 @pytest.mark.parametrize("n", [1, 3, 6, 10])
 def test_character_sum_check_zero_deviation(n):
     assert character_sum_check(n, samples=100, seed=3) == 0.0
@@ -298,7 +290,7 @@ def test_purity_env_too_small():
         )
 
 
-def test_purification_model_roundtrip(rng):
+def test_odd_parity_residual_vanishes_for_stabilized(rng):
     d = rationals((1, 2), (1, 2))
     report = solve_common_eigenspace(d)
     env_dim = 3
@@ -307,16 +299,7 @@ def test_purification_model_roundtrip(rng):
         (rng.normal(size=env_dim) + 1j * rng.normal(size=env_dim)),
     )
     joint /= np.linalg.norm(joint)
-    model = purification_model(joint, d, env_dim)
-    assert np.allclose(model.reassembled(), joint, atol=1e-12)
-    # primed vectors differ from the plain ones by the stated per-index phase
-    for idx, vec in model.env_vectors.items():
-        phase = 1.0 + 0.0j
-        for l in range(2):
-            if (idx >> (1 - l)) & 1:
-                phase *= 1j
-        assert np.allclose(model.primed_vectors[idx], phase * vec, atol=1e-12)
-    assert odd_parity_contraction_residual(model, d) <= 1e-10
+    assert odd_parity_contraction_residual(joint, d, env_dim) <= 1e-10
 
 
 def test_odd_parity_residual_nonzero_for_unstabilized():
@@ -326,5 +309,4 @@ def test_odd_parity_residual_nonzero_for_unstabilized():
     env_dim = 2
     joint = np.zeros(8, dtype=complex)
     joint[0] = 1.0
-    model = purification_model(joint, d, env_dim)
-    assert odd_parity_contraction_residual(model, d) > 0.1
+    assert odd_parity_contraction_residual(joint, d, env_dim) > 0.1
