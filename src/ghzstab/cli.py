@@ -310,6 +310,12 @@ def cmd_certify(args) -> dict:
 
 def cmd_verify(args) -> dict:
     d, tol = _angle_args(args)
+    block = (1 << d.n_parties) * args.env_dim * args.trials
+    if block > 1 << MAX_PARTIES:
+        raise InputError(
+            f"purity block 2^{d.n_parties} * env_dim {args.env_dim} * trials "
+            f"{args.trials} = {block} amplitudes exceeds 2^{MAX_PARTIES}"
+        )
     report = solve_common_eigenspace(d, tol)
     bases = sector_oracle_bases(d, tol)
     oracle = bases[0]

@@ -151,9 +151,6 @@ class SubspaceBasis:
         n = _check_power_of_two(self.dim)
         return [StateVector(n, self.matrix[:, k].copy()) for k in range(self.count)]
 
-    def projector(self) -> np.ndarray:
-        return self.matrix @ self.matrix.conj().T
-
     def gram_defect(self) -> float:
         """Max deviation of the Gram matrix from the identity."""
         if self.count == 0:
@@ -203,13 +200,21 @@ def fidelity(u: StateVector, v: StateVector) -> float:
 
 
 def subspace_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
-    """Operator-norm distance between the orthogonal projectors of a and b."""
+    """Operator-norm distance between the orthogonal projectors of a and b.
+
+    For equal counts this is the sine of the largest principal angle,
+    ||Q_b - Q_a (Q_a^H Q_b)||_2, a 2^n x k problem; projectors of different
+    rank are at distance 1. The cosine form sqrt(1 - sigma_min^2) would lose
+    precision to sqrt(eps) near 0.
+    """
     if a.dim != b.dim:
         raise ShapeError(f"ambient dimension mismatch: {a.dim} vs {b.dim}")
-    if a.count == 0 and b.count == 0:
+    if a.count != b.count:
+        return 1.0
+    if a.count == 0:
         return 0.0
-    diff = a.projector() - b.projector()
-    return float(np.linalg.norm(diff, 2))
+    qa, qb = a.matrix, b.matrix
+    return float(np.linalg.norm(qb - qa @ (qa.conj().T @ qb), 2))
 
 
 def apply_locals(mats: np.ndarray, amps: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ oracle."""
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .linalg import (
     StateVector,
     SubspaceBasis,
     apply_locals,
+    check_dense,
     kron_all,
     null_space,
 )
@@ -107,27 +108,38 @@ def sigma_z_product(n: int) -> ProductObservable:
 
 
 def brute_force_eigenspace(
-    a: ProductObservable | np.ndarray,
-    b: ProductObservable | np.ndarray,
-    tol: float = DEFAULT_TOL,
+    a: ProductObservable, b: ProductObservable, tol: float = DEFAULT_TOL
 ) -> SubspaceBasis:
-    """Oracle: null space of the stacked matrix [(A - I); (B - I)].
+    """Oracle: the +1 eigenvectors of A inside the +1 eigenspace of B.
+
+    Each local factor of B is an involution, so its 2x2 eigenbasis (+1
+    eigenvector first) gives B = U D U^H with U the product of the local
+    frames and D diagonal with entries +-1. The +1 eigenspace of B is
+    therefore spanned by Q, U applied to the identity columns where D is +1
+    (the even-parity columns when every factor is traceless). The common
+    eigenspace is Q times the null space of (A - I) Q, taken matrix-free.
 
     For involutions A and B the space splits into blocks of dimension at
     most 2. On a 2-dimensional block the +1 eigenvectors of A and B meet at
-    an angle beta, and the stacked matrix has singular values
-    2 sqrt(2) sin(beta / 2) and 2 sqrt(2) cos(beta / 2) there. For a product
-    spin observable and the all-Z one, 2 beta is the distance of a signed
-    angle sum S from 2 pi Z, so cutting at 2 sqrt(2) sin(asin(tol) / 2)
-    admits exactly the patterns with |sin(S / 2)| <= tol, classify's rule.
+    an angle beta, and (A - I) maps the +1 eigenvector of B to a vector of
+    norm 2 sin(beta). For a product spin observable and the all-Z one,
+    2 beta is the distance of a signed angle sum S from 2 pi Z, so cutting
+    at 2 tol admits exactly the patterns with |sin(S / 2)| <= tol,
+    classify's rule. No sign pattern enters the computation.
     """
-    am = a.full.entries if isinstance(a, ProductObservable) else np.asarray(a)
-    bm = b.full.entries if isinstance(b, ProductObservable) else np.asarray(b)
-    if am.shape != bm.shape:
-        raise ShapeError(f"operator shapes differ: {am.shape} vs {bm.shape}")
-    eye = np.eye(am.shape[0])
-    cut = 2.0 * math.sqrt(2.0) * math.sin(math.asin(min(tol, 1.0)) / 2.0)
-    return null_space(np.vstack([am - eye, bm - eye]), cut)
+    n = b.n_parties
+    if a.n_parties != n:
+        raise ShapeError(f"party counts differ: {a.n_parties} vs {n}")
+    check_dense(n)  # Q is 2^n x 2^(n-1)
+    values, frames = np.linalg.eigh(b.locals_array())
+    values, frames = values[:, ::-1], frames[:, :, ::-1]  # +1 eigenvector first
+    signs = reduce(np.kron, np.sign(values))
+    cols = np.flatnonzero(signs > 0)
+    q = np.zeros((b.dim, cols.size), dtype=np.complex128)
+    q[cols, np.arange(cols.size)] = 1.0
+    q = apply_locals(frames, q)
+    null = null_space(a.apply(q) - q, 2.0 * min(tol, 1.0))
+    return SubspaceBasis(dim=b.dim, matrix=q @ null.matrix)
 
 
 def canonical_stabilizer_generators(n: int) -> list[ProductObservable]:

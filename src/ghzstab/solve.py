@@ -10,9 +10,10 @@ a character sum that vanishes because m xor m' is neither zero nor the
 all-ones string (its first bit is 0). So the basis is orthonormal by
 construction.
 
-The brute-force route (stacked null space of A - I and B - I, over the four
-sign sectors for sector dimensions) is kept as an independent oracle for
-tests and ``ghzstab verify``; the production routes never run it.
+The brute-force route (the null space of A - I inside the +1 eigenspace of
+B, over the four sign sectors for sector dimensions) is kept as an
+independent oracle for tests and ``ghzstab verify``; the production routes
+never run it.
 """
 
 from __future__ import annotations
@@ -33,8 +34,13 @@ from .classify import (
 )
 from .construct import ghz_from_pattern
 from .errors import DomainError, InternalConsistencyError, SizeError
-from .linalg import DEFAULT_TOL, MAX_PARTIES, SubspaceBasis, check_dense
-from .observables import brute_force_eigenspace, product_observable, sigma_z_product
+from .linalg import DEFAULT_TOL, MAX_PARTIES, Operator, SubspaceBasis, check_dense
+from .observables import (
+    ProductObservable,
+    brute_force_eigenspace,
+    product_observable,
+    sigma_z_product,
+)
 
 RESIDUAL_LIMIT = 1e-8
 SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -106,7 +112,8 @@ def sector_oracle_bases(
     d: DirectionList, tol: float = DEFAULT_TOL
 ) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis, SubspaceBasis]:
     """Oracle for sector_dimensions: the brute-force common eigenspaces of
-    the negated full operators in the four sign sectors, (+,+) first.
+    (sA, sB) in the four sign sectors, (+,+) first; a sign flips an
+    observable's first local factor.
 
     classify decides exact thetas without tol, so for them the cut is
     lowered to half the smallest score a non-vanishing pattern can have:
@@ -122,12 +129,19 @@ def sector_oracle_bases(
                 f"is too large for the float oracle (cut {gap:.1e} < 1e-12)"
             )
         tol = min(tol, gap)
-    a_full = product_observable(d).full.entries
-    b_full = sigma_z_product(d.n_parties).full.entries
+    a = product_observable(d)
+    b = sigma_z_product(d.n_parties)
+    signed_a = {1: a, -1: _negated(a)}
+    signed_b = {1: b, -1: _negated(b)}
     return tuple(
-        brute_force_eigenspace(sa * a_full, sb * b_full, tol)
-        for sa, sb in SECTORS
+        brute_force_eigenspace(signed_a[sa], signed_b[sb], tol) for sa, sb in SECTORS
     )
+
+
+def _negated(obs: ProductObservable) -> ProductObservable:
+    """-obs, by negating its first local factor."""
+    first = Operator.from_entries(-obs.locals[0].entries)
+    return ProductObservable([first, *obs.locals[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +210,6 @@ class PurityReport:
     reduced_state_fidelity: float | None
 
 
-def entanglement_entropy(joint: np.ndarray, sys_dim: int, env_dim: int) -> float:
-    """Von Neumann entropy (bits) across the system:environment cut."""
-    svals = np.linalg.svd(joint.reshape(sys_dim, env_dim), compute_uv=False)
-    probs = svals**2
-    probs = probs[probs > 1e-15]
-    return float(-np.sum(probs * np.log2(probs)))
-
-
 def purity_security_check(
     d: DirectionList,
     env_dim: int = 8,
@@ -218,6 +224,9 @@ def purity_security_check(
     With a one-dimensional projector every purification is a product state
     (zero entropy) whose reduced system state is the unique stabilized
     state; degenerate projectors admit entangled purifications.
+
+    The draws are checked together, as a (2^n, trials * env_dim) block cut
+    into chunks of at most 2^MAX_PARTIES amplitudes.
     """
     report = solve_common_eigenspace(d, tol)
     dim_p = report.dimension
@@ -241,30 +250,47 @@ def purity_security_check(
         )
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if sys_dim * env_dim > 1 << MAX_PARTIES:
+        raise SizeError(
+            f"one purification draw of 2^{n} * env_dim {env_dim} amplitudes "
+            f"exceeds 2^{MAX_PARTIES}"
+        )
+    unique = report.classification.case is StabilizerCase.UNIQUE_GHZ
     basis = report.basis.matrix
     obs = product_observable(d)
     b_diag = sigma_z_product(n)
     rng = np.random.default_rng(seed)
+    step = (1 << MAX_PARTIES) // (sys_dim * env_dim)
     entropies = []
+    fidelities = []
     worst_residual = 0.0
-    min_fidelity = None
-    for _ in range(trials):
-        g = rng.normal(size=(sys_dim, env_dim)) + 1j * rng.normal(
-            size=(sys_dim, env_dim)
-        )
-        proj = basis @ (basis.conj().T @ g)
-        norm = np.linalg.norm(proj)
-        if norm < 1e-12:
+    for start in range(0, trials, step):
+        k = min(step, trials - start)
+        g = np.stack(
+            [
+                rng.normal(size=(sys_dim, env_dim))
+                + 1j * rng.normal(size=(sys_dim, env_dim))
+                for _ in range(k)
+            ],
+            axis=1,
+        ).reshape(sys_dim, k * env_dim)
+        proj = (basis @ (basis.conj().T @ g)).reshape(sys_dim, k, env_dim)
+        norms = np.linalg.norm(proj, axis=(0, 2))
+        if norms.min() < 1e-12:
             raise InternalConsistencyError("projected Gaussian draw collapsed to 0")
-        proj /= norm
+        proj /= norms[:, None]
+        cols = proj.reshape(sys_dim, k * env_dim)
         for op in (obs, b_diag):
-            res = float(np.linalg.norm(op.apply(proj) - proj, axis=0).max())
+            res = float(np.linalg.norm(op.apply(cols) - cols, axis=0).max())
             worst_residual = max(worst_residual, res)
-        entropies.append(entanglement_entropy(proj.reshape(-1), sys_dim, env_dim))
-        if report.classification.case is StabilizerCase.UNIQUE_GHZ:
-            target = basis[:, 0]
-            fid = float(np.real(np.linalg.norm(target.conj() @ proj) ** 2))
-            min_fidelity = fid if min_fidelity is None else min(min_fidelity, fid)
+        # entropy in bits across the system:environment cut, one per draw
+        probs = np.linalg.svd(proj.transpose(1, 0, 2), compute_uv=False) ** 2
+        probs = np.where(probs > 1e-15, probs, 1.0)
+        entropies.extend((-np.sum(probs * np.log2(probs), axis=1)).tolist())
+        if unique:
+            overlaps = np.tensordot(basis[:, 0].conj(), proj, axes=1)
+            fidelities.extend(np.sum(np.abs(overlaps) ** 2, axis=1).tolist())
+    min_fidelity = min(fidelities) if unique else None
     # a unit draw V alpha misses stabilization by at most ||(A - I) V||, and
     # that is at most sqrt(dim) times the worst basis state's limit
     if worst_residual > math.sqrt(dim_p) * stabilization_limit(tol):
@@ -272,13 +298,13 @@ def purity_security_check(
             f"purification draw not stabilized: residual {worst_residual:.3e}"
         )
     max_entropy = max(entropies)
-    if report.classification.case is StabilizerCase.UNIQUE_GHZ:
+    if unique:
         if max_entropy > 1e-8:
             raise InternalConsistencyError(
                 f"rank-1 projector produced entangled purification: "
                 f"entropy {max_entropy:.3e}"
             )
-        if min_fidelity is not None and min_fidelity < 1.0 - 1e-9:
+        if min_fidelity < 1.0 - 1e-9:
             raise InternalConsistencyError(
                 f"reduced state strays from the unique stabilized state: "
                 f"fidelity {min_fidelity}"

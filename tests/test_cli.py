@@ -221,6 +221,43 @@ def test_verify_runs_one_oracle_per_sector(tmp_path, capsys, monkeypatch):
     assert len(calls) == 4
 
 
+def test_verify_bounds_the_purity_block(tmp_path, capsys):
+    # 2^n * env_dim * trials amplitudes are drawn; past 2^24 verify exits 2
+    # and names the product, before any draw is allocated
+    for flags, block in (
+        (["--env-dim", "1000000000"], 4 * 10**9 * 20),
+        (["--trials", "1000000000"], 4 * 8 * 10**9),
+        (["--env-dim", "2048", "--trials", "2049"], 4 * 2048 * 2049),
+    ):
+        code, out, err = run_cli(["verify", *flags], tmp_path, capsys, EPR_INPUT)
+        assert code == 2, err
+        assert not out
+        assert f"= {block} amplitudes" in err
+
+
+def test_verify_builds_no_dense_operator(tmp_path, capsys, monkeypatch):
+    # the oracle works matrix-free: no 2^n x 2^n operator is built anywhere
+    # in verify, at every module binding kron_all
+    from ghzstab.cli import angle_schema
+    from ghzstab.construct import canonical_angles
+    from ghzstab.linalg import kron_all
+    from ghzstab.solve import sector_oracle_bases
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kron_all called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ghzstab") and getattr(module, "kron_all", None) is kron_all:
+            monkeypatch.setattr(module, "kron_all", refuse)
+    d = canonical_angles(8)
+    assert [b.count for b in sector_oracle_bases(d)] == [1, 0, 0, 1]
+    code, out, err = run_cli(
+        ["verify", "--trials", "3"], tmp_path, capsys, angle_schema(d)
+    )
+    assert code == 0, err
+    assert parse(out)["oracle_dimension"] == 1
+
+
 def _exact_input(*thetas, **extra):
     angles = [{"theta": dict(zip(("pi_num", "pi_den"), t))} for t in thetas]
     return {"n": len(thetas), "angles": angles, **extra}

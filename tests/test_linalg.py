@@ -169,6 +169,31 @@ def test_subspace_distance_empty():
         subspace_distance(a, SubspaceBasis.empty(2))
 
 
+def _random_basis(rng, dim, count):
+    g = rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
+    return SubspaceBasis(dim=dim, matrix=np.linalg.qr(g)[0])
+
+
+def test_subspace_distance_matches_projector_norm(rng):
+    # reference: the operator norm of the projector difference, the old route
+    for dim, count in [(2, 1), (8, 3), (16, 8), (32, 5)]:
+        for scale in (1.0, 1e-3, 1e-9):
+            a = _random_basis(rng, dim, count)
+            # b is a tilted by about scale, so small distances are covered
+            tilt = a.matrix + scale * (
+                rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
+            )
+            b = SubspaceBasis(dim=dim, matrix=np.linalg.qr(tilt)[0])
+            pa = a.matrix @ a.matrix.conj().T
+            pb = b.matrix @ b.matrix.conj().T
+            expected = np.linalg.norm(pa - pb, 2)
+            assert abs(subspace_distance(a, b) - expected) <= 1e-12
+    for dim, ca, cb in [(4, 0, 1), (8, 3, 2), (16, 1, 8)]:
+        a, b = _random_basis(rng, dim, ca), _random_basis(rng, dim, cb)
+        assert subspace_distance(a, b) == 1.0
+        assert subspace_distance(b, a) == 1.0
+
+
 def test_apply_locals_matches_kron(rng):
     for n in [1, 2, 3, 4]:
         mats = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))

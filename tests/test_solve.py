@@ -24,7 +24,9 @@ from ghzstab import (
 from ghzstab.bitstrings import parity_classes
 from ghzstab.errors import DomainError, SizeError
 from ghzstab.observables import SIGMA_X, SIGMA_Z, ProductObservable
-from ghzstab.linalg import Operator
+from ghzstab.construct import GHZSpec, stabilizing_pair_for
+from ghzstab.linalg import Operator, null_space
+from ghzstab.solve import SECTORS
 from ghzstab.sampling import stratified_sample
 
 
@@ -116,6 +118,55 @@ def test_oracle_examples():
 
     x = ProductObservable([Operator.from_entries(SIGMA_X)])
     assert brute_force_eigenspace(x, z).count == 0
+
+
+def stacked_reference(a_full, b_full, tol=1e-9):
+    # the oracle's former formulation, kept here as a reference: the null
+    # space of [(A - I); (B - I)], whose near-null singular value on a
+    # 2-dimensional block is 2 sqrt(2) |sin(S / 4)|
+    eye = np.eye(a_full.shape[0])
+    cut = 2.0 * math.sqrt(2.0) * math.sin(math.asin(min(tol, 1.0)) / 2.0)
+    return null_space(np.vstack([a_full - eye, b_full - eye]), cut)
+
+
+def assert_same_space(oracle, reference):
+    assert oracle.count == reference.count
+    assert subspace_distance(oracle, reference) <= 1e-10
+
+
+def test_oracle_matches_stacked_null_space():
+    for n in range(2, 6):
+        for d in stratified_sample(n, 20, seed=11):
+            a, b = product_observable(d), sigma_z_product(n)
+            assert_same_space(
+                brute_force_eigenspace(a, b),
+                stacked_reference(a.full.entries, b.full.entries),
+            )
+            # radians, so every sector cuts at the default tol
+            bases = sector_oracle_bases(d.in_mode("approx"))
+            for (sa, sb), basis in zip(SECTORS, bases):
+                assert_same_space(
+                    basis,
+                    stacked_reference(sa * a.full.entries, sb * b.full.entries),
+                )
+
+
+def test_oracle_matches_stacked_null_space_on_rotated_pairs(rng):
+    # B is conjugated by random local unitaries, so it is not diagonal
+    for n in range(2, 6):
+        for _ in range(4):
+            pair = stabilizing_pair_for(GHZSpec.random(n, rng))
+            oracle = brute_force_eigenspace(pair.a, pair.b)
+            assert_same_space(
+                oracle, stacked_reference(pair.a.full.entries, pair.b.full.entries)
+            )
+            assert abs(np.vdot(pair.target.amplitudes, oracle.matrix[:, 0])) >= 1 - 1e-10
+            first = Operator.from_entries(-pair.b.locals[0].entries)
+            minus_b = ProductObservable([first, *pair.b.locals[1:]])
+            flipped = brute_force_eigenspace(pair.a, minus_b)
+            assert_same_space(
+                flipped, stacked_reference(pair.a.full.entries, -pair.b.full.entries)
+            )
 
 
 def test_solver_matches_oracle_on_stratified_sample():
@@ -283,11 +334,57 @@ def test_purity_empty_case():
     assert report.projector_dim == 0
 
 
+@pytest.mark.parametrize("chunk_parties", [None, 6])
+@pytest.mark.parametrize(
+    "d",
+    [
+        rationals((1, 2), (1, 2)),
+        rationals((1, 1), (1, 1), (0, 1)),
+        DirectionList.from_radians([0.4, 1.3, 2.2, 0.4 + 1.3 + 2.2 - 2 * math.pi]),
+    ],
+    ids=["unique", "degenerate", "unique_radians"],
+)
+def test_purity_batch_matches_per_draw_loop(d, chunk_parties, monkeypatch):
+    # reference: one draw at a time, with its own SVD and overlap; a lowered
+    # MAX_PARTIES splits the batch into chunks of 4, 2 or 1 draws
+    if chunk_parties is not None:
+        monkeypatch.setattr("ghzstab.solve.MAX_PARTIES", chunk_parties)
+    env_dim, trials, seed = 4, 7, 3
+    sys_dim = 1 << d.n_parties
+    report = purity_security_check(d, env_dim=env_dim, trials=trials, seed=seed)
+    basis = solve_common_eigenspace(d).basis.matrix
+    rng = np.random.default_rng(seed)
+    entropies, fidelities = [], []
+    for _ in range(trials):
+        g = rng.normal(size=(sys_dim, env_dim)) + 1j * rng.normal(
+            size=(sys_dim, env_dim)
+        )
+        proj = basis @ (basis.conj().T @ g)
+        proj /= np.linalg.norm(proj)
+        probs = np.linalg.svd(proj, compute_uv=False) ** 2
+        probs = probs[probs > 1e-15]
+        entropies.append(float(-np.sum(probs * np.log2(probs))))
+        fidelities.append(float(np.linalg.norm(basis[:, 0].conj() @ proj) ** 2))
+    assert len(report.entropies) == trials
+    assert np.max(np.abs(np.array(report.entropies) - entropies)) <= 1e-12
+    if report.case is StabilizerCase.UNIQUE_GHZ:
+        assert abs(report.reduced_state_fidelity - min(fidelities)) <= 1e-12
+    else:
+        assert report.reduced_state_fidelity is None
+        assert report.max_entropy > 0.1
+
+
 def test_purity_env_too_small():
     with pytest.raises(DomainError):
         purity_security_check(
             rationals((1, 1), (1, 1), (0, 1)), env_dim=2, trials=5
         )
+
+
+def test_purity_draw_size_cap():
+    # one draw of 2^2 * 2^23 amplitudes is refused before it is allocated
+    with pytest.raises(SizeError):
+        purity_security_check(rationals((1, 2), (1, 2)), env_dim=1 << 23, trials=1)
 
 
 def test_odd_parity_residual_vanishes_for_stabilized(rng):
