@@ -33,11 +33,9 @@ from .construct import (
     stabilizing_pair_for,
 )
 from .linalg import (
-    Operator,
     StateVector,
     SubspaceBasis,
     fidelity,
-    kron,
     null_space,
     subspace_distance,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "DirectionList",
     "Ensemble",
     "GHZSpec",
-    "Operator",
     "PI",
     "StabilizerCase",
     "StateVector",
@@ -86,7 +83,6 @@ __all__ = [
     "fidelity",
     "ghz_from_pattern",
     "joint_outcome_probabilities",
-    "kron",
     "local_observable",
     "measure_round",
     "null_space",

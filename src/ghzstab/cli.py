@@ -193,8 +193,7 @@ def observable_angles(obs) -> DirectionList:
     """Recover (theta, phi) per party from the Bloch vector of each local
     factor."""
     thetas, phis = [], []
-    for op in obs.locals:
-        m = op.entries
+    for m in obs.mats:
         vz = float(m[0, 0].real)
         vx = float(m[1, 0].real)
         vy = float(m[1, 0].imag)
@@ -332,8 +331,8 @@ def cmd_verify(args) -> dict:
         )
     odd_res, even_res = trig_parity_identity_residuals(d)
     purity = purity_security_check(
-        d, env_dim=max(args.env_dim, report.dimension), trials=args.trials,
-        seed=args.seed, tol=tol,
+        report, d, env_dim=max(args.env_dim, report.dimension),
+        trials=args.trials, seed=args.seed,
     )
     return {
         "case": report.classification.case.value,

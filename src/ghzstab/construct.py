@@ -16,7 +16,7 @@ import numpy as np
 from .angles import Angle, DirectionList
 from .bitstrings import BitString, parity_classes
 from .errors import DomainError, InternalConsistencyError, PreconditionError
-from .linalg import DEFAULT_TOL, Operator, StateVector, apply_locals, check_dense
+from .linalg import DEFAULT_TOL, StateVector, apply_locals, check_dense
 from .observables import (
     ProductObservable,
     brute_force_eigenspace,
@@ -81,34 +81,35 @@ def parity_rotation_image(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GHZSpec:
-    """A GHZ-class state given as local unitaries applied to the canonical
-    (|0..0> + |1..1>)/sqrt(2)."""
+    """A GHZ-class state given as local unitaries, one (n, 2, 2) array,
+    applied to the canonical (|0..0> + |1..1>)/sqrt(2)."""
 
     n: int
-    local_unitaries: tuple[Operator, ...]
+    local_unitaries: np.ndarray
 
     def __post_init__(self):
+        u = self.local_unitaries
         if self.n < 2:
             raise DomainError(f"need at least 2 parties, got {self.n}")
-        if len(self.local_unitaries) != self.n:
-            raise DomainError(
-                f"expected {self.n} local unitaries, got {len(self.local_unitaries)}"
-            )
-        for u in self.local_unitaries:
-            if u.dim != 2:
-                raise DomainError("local unitaries must be 2x2")
-            defect = np.max(np.abs(u.entries @ u.entries.conj().T - np.eye(2)))
-            if defect > 1e-12:
-                raise DomainError(f"matrix is not unitary (defect {defect:.3e})")
+        if len(u) != self.n:
+            raise DomainError(f"expected {self.n} local unitaries, got {len(u)}")
+        if u.shape[1:] != (2, 2):
+            raise DomainError("local unitaries must be 2x2")
+        defect = np.max(np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(2)))
+        if defect > 1e-12:
+            raise DomainError(f"matrix is not unitary (defect {defect:.3e})")
 
     @classmethod
     def identity(cls, n: int) -> "GHZSpec":
-        return cls(n=n, local_unitaries=tuple(Operator.identity(2) for _ in range(n)))
+        eye = np.eye(2, dtype=np.complex128)
+        return cls(n=n, local_unitaries=np.tile(eye, (max(n, 0), 1, 1)))
 
     @classmethod
     def from_matrices(cls, mats) -> "GHZSpec":
-        ops = tuple(Operator.from_entries(m) for m in mats)
-        return cls(n=len(ops), local_unitaries=ops)
+        mats = [np.asarray(m, dtype=np.complex128) for m in mats]
+        if any(m.shape != (2, 2) for m in mats):
+            raise DomainError("local unitaries must be 2x2")
+        return cls(n=len(mats), local_unitaries=np.array(mats).reshape(-1, 2, 2))
 
     @classmethod
     def random(cls, n: int, rng) -> "GHZSpec":
@@ -123,8 +124,7 @@ class GHZSpec:
 
     def to_state(self) -> StateVector:
         ghz = StateVector.ghz(self.n)
-        mats = np.stack([u.entries for u in self.local_unitaries])
-        return StateVector(self.n, apply_locals(mats, ghz.amplitudes))
+        return StateVector(self.n, apply_locals(self.local_unitaries, ghz.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ class StabilizingPair:
     residual: float
 
 
-def stabilizing_pair_for(spec: GHZSpec, tol: float = DEFAULT_TOL) -> StabilizingPair:
+def stabilizing_pair_for(spec: GHZSpec) -> StabilizingPair:
     """Two product observables whose only common +1 eigenstate is the given
     GHZ state.
 
@@ -150,22 +150,18 @@ def stabilizing_pair_for(spec: GHZSpec, tol: float = DEFAULT_TOL) -> Stabilizing
     d = canonical_angles(n)
     phases = pattern_phases(d, BitString(n, 0))
     target = spec.to_state()
-    a_locals = []
-    b_locals = []
-    for l in range(n):
-        frame = np.diag([1.0, phases[l]]) @ HADAMARD
-        v = spec.local_unitaries[l].entries @ frame.conj().T
-        a_l = local_observable(d.thetas[l], d.phis[l]).entries
-        a_locals.append(Operator.from_entries(v @ a_l @ v.conj().T))
-        b_locals.append(
-            Operator.from_entries(v @ np.diag([1.0, -1.0]) @ v.conj().T)
-        )
-    a = ProductObservable(a_locals)
-    b = ProductObservable(b_locals)
+    # party l's frame is diag(1, phase_l) @ HADAMARD
+    frames = np.stack([np.broadcast_to(HADAMARD[0], (n, 2)),
+                       phases[:, None] * HADAMARD[1]], axis=1)
+    v = spec.local_unitaries @ frames.conj().transpose(0, 2, 1)
+    v_h = v.conj().transpose(0, 2, 1)
+    a_locals = np.array([local_observable(t, p) for t, p in zip(d.thetas, d.phis)])
+    a = ProductObservable(v @ a_locals @ v_h)
+    b = ProductObservable(v @ np.diag([1.0, -1.0]) @ v_h)
     res_a = float(np.linalg.norm(a.apply(target.amplitudes) - target.amplitudes))
     res_b = float(np.linalg.norm(b.apply(target.amplitudes) - target.amplitudes))
     residual = max(res_a, res_b)
-    oracle = brute_force_eigenspace(a, b, tol)
+    oracle = brute_force_eigenspace(a, b, DEFAULT_TOL)
     if oracle.count != 1:
         raise InternalConsistencyError(
             f"constructed pair has eigenspace dimension {oracle.count}, expected 1"

@@ -1,8 +1,8 @@
 """Dense complex linear algebra on 2^n-dimensional Hilbert space.
 
-State vectors, operators, tensor products, rank-revealing null spaces and
-subspace comparison, in double precision. The size table lives here:
-MAX_PARTIES bounds 2^n-amplitude vectors and MAX_DENSE_PARTIES bounds
+State vectors, tensor products of square factors, rank-revealing null
+spaces and subspace comparison, in double precision. The size table lives
+here: MAX_PARTIES bounds 2^n-amplitude vectors and MAX_DENSE_PARTIES bounds
 2^n x 2^n matrices.
 """
 
@@ -83,39 +83,6 @@ class StateVector:
 
 
 @dataclass(frozen=True)
-class Operator:
-    """A dense square operator on a power-of-two dimensional space."""
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.entries.shape != (self.dim, self.dim):
-            raise ShapeError(
-                f"entries must be {self.dim}x{self.dim}, got {self.entries.shape}"
-            )
-        _check_power_of_two(self.dim)
-
-    @classmethod
-    def from_entries(cls, entries) -> "Operator":
-        entries = np.asarray(entries, dtype=np.complex128)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ShapeError(f"operator entries must be square, got {entries.shape}")
-        return cls(dim=entries.shape[0], entries=entries)
-
-    @classmethod
-    def identity(cls, dim: int) -> "Operator":
-        return cls.from_entries(np.eye(dim, dtype=np.complex128))
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
-
-    def is_involution(self, tol: float = 1e-10) -> bool:
-        delta = self.entries @ self.entries - np.eye(self.dim)
-        return bool(np.max(np.abs(delta)) <= tol)
-
-
-@dataclass(frozen=True)
 class SubspaceBasis:
     """Orthonormal basis of a subspace, stored as columns of `matrix`."""
 
@@ -159,28 +126,23 @@ class SubspaceBasis:
         return float(np.max(np.abs(g - np.eye(self.count))))
 
 
-def kron(a: Operator, b: Operator) -> Operator:
-    """Tensor product; the first factor owns the most significant index block."""
-    out_dim = a.dim * b.dim
-    check_dense(_check_power_of_two(out_dim))
-    return Operator(dim=out_dim, entries=np.kron(a.entries, b.entries))
-
-
-def kron_all(ops) -> Operator:
-    ops = list(ops)
-    if not ops:
+def kron_all(mats) -> np.ndarray:
+    """Tensor product of square factors; the first factor owns the most
+    significant index block."""
+    mats = [np.asarray(m, dtype=np.complex128) for m in mats]
+    if not mats:
         raise DomainError("kron_all needs at least one factor")
-    check_dense(sum(_check_power_of_two(op.dim) for op in ops))  # before any product
-    return reduce(kron, ops)
+    check_dense(sum(_check_power_of_two(m.shape[0]) for m in mats))  # before any product
+    return reduce(np.kron, mats)
 
 
-def null_space(m: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the numerical null space of m.
+def null_space(m: np.ndarray, tol: float = DEFAULT_TOL) -> SubspaceBasis:
+    """Orthonormal basis of the numerical null space of a matrix, square or
+    rectangular.
 
-    Singular values at or below tol count as zero. Accepts rectangular
-    arrays as well as Operator.
+    Singular values at or below tol count as zero.
     """
-    arr = m.entries if isinstance(m, Operator) else np.asarray(m, dtype=np.complex128)
+    arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2:
         raise ShapeError(f"null_space needs a matrix, got shape {arr.shape}")
     rows, cols = arr.shape
@@ -200,7 +162,7 @@ def fidelity(u: StateVector, v: StateVector) -> float:
 
 
 def subspace_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
-    """Operator-norm distance between the orthogonal projectors of a and b.
+    """Spectral-norm distance between the orthogonal projectors of a and b.
 
     For equal counts this is the sine of the largest principal angle,
     ||Q_b - Q_a (Q_a^H Q_b)||_2, a 2^n x k problem; projectors of different

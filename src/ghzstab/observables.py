@@ -13,7 +13,6 @@ from .angles import Angle, DirectionList
 from .errors import DomainError, PreconditionError, ShapeError
 from .linalg import (
     DEFAULT_TOL,
-    Operator,
     StateVector,
     SubspaceBasis,
     apply_locals,
@@ -28,7 +27,7 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
 
 
-def local_observable(theta: Angle, phi: Angle) -> Operator:
+def local_observable(theta: Angle, phi: Angle) -> np.ndarray:
     """Spin observable along (sin t cos p, sin t sin p, cos t).
 
     The matrix is [[cos t, e^{-ip} sin t], [e^{ip} sin t, -cos t]]: Hermitian,
@@ -38,7 +37,7 @@ def local_observable(theta: Angle, phi: Angle) -> Operator:
     p = phi.to_radians()
     c, s = math.cos(t), math.sin(t)
     e = complex(math.cos(p), math.sin(p))
-    return Operator.from_entries([[c, s * e.conjugate()], [s * e, -c]])
+    return np.array([[c, s * e.conjugate()], [s * e, -c]], dtype=np.complex128)
 
 
 def spin_up_eigenvector(theta: Angle, phi: Angle) -> StateVector:
@@ -58,39 +57,38 @@ def spin_down_eigenvector(theta: Angle, phi: Angle) -> StateVector:
 
 
 class ProductObservable:
-    """Tensor product of 2x2 Hermitian involutions, one per party.
+    """Tensor product of 2x2 Hermitian involutions, one per party, held as
+    the (n, 2, 2) array `mats` (party 1 first).
 
     The full 2^n matrix is materialized lazily and cached, and only there
     does the dense size cap apply; apply works matrix-free at any size.
     """
 
-    def __init__(self, locals_: list[Operator]):
-        if not locals_:
+    def __init__(self, mats):
+        mats = np.array(mats, dtype=np.complex128)
+        if mats.shape[:1] == (0,):
             raise DomainError("a product observable needs at least one factor")
-        for op in locals_:
-            if op.dim != 2:
-                raise DomainError("local factors must be 2x2")
-            if not op.is_hermitian() or not op.is_involution():
-                raise DomainError("local factors must be Hermitian involutions")
-        self.locals = tuple(locals_)
-        self.n_parties = len(locals_)
+        if mats.shape[1:] != (2, 2):
+            raise DomainError("local factors must be 2x2")
+        hermitian = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1))) <= 1e-12
+        involution = np.max(np.abs(mats @ mats - IDENTITY_2)) <= 1e-10
+        if not (hermitian and involution):
+            raise DomainError("local factors must be Hermitian involutions")
+        self.mats = mats
+        self.n_parties = len(mats)
 
     @property
     def dim(self) -> int:
         return 1 << self.n_parties
 
     @cached_property
-    def full(self) -> Operator:
-        return kron_all(self.locals)
-
-    def locals_array(self) -> np.ndarray:
-        """(n, 2, 2) array of the local factors."""
-        return np.stack([op.entries for op in self.locals])
+    def full(self) -> np.ndarray:
+        return kron_all(self.mats)
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """Matrix-free application to an amplitude vector, or to each column
         of a (2^n, k) array."""
-        return apply_locals(self.locals_array(), amps)
+        return apply_locals(self.mats, amps)
 
 
 def product_observable(d: DirectionList) -> ProductObservable:
@@ -104,7 +102,7 @@ def sigma_z_product(n: int) -> ProductObservable:
     """sigma_Z on every party: diagonal, entry (-1)^{parity of index}."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return ProductObservable([Operator.from_entries(SIGMA_Z)] * n)
+    return ProductObservable([SIGMA_Z] * n)
 
 
 def brute_force_eigenspace(
@@ -131,7 +129,7 @@ def brute_force_eigenspace(
     if a.n_parties != n:
         raise ShapeError(f"party counts differ: {a.n_parties} vs {n}")
     check_dense(n)  # Q is 2^n x 2^(n-1)
-    values, frames = np.linalg.eigh(b.locals_array())
+    values, frames = np.linalg.eigh(b.mats)
     values, frames = values[:, ::-1], frames[:, :, ::-1]  # +1 eigenvector first
     signs = reduce(np.kron, np.sign(values))
     cols = np.flatnonzero(signs > 0)
@@ -150,15 +148,11 @@ def canonical_stabilizer_generators(n: int) -> list[ProductObservable]:
     """
     if n < 2:
         raise DomainError(f"need at least 2 parties, got {n}")
-    x = Operator.from_entries(SIGMA_X)
-    z = Operator.from_entries(SIGMA_Z)
-    eye = Operator.from_entries(IDENTITY_2)
-    gens = [ProductObservable([x] * n)]
+    gens = [ProductObservable([SIGMA_X] * n)]
     for k in range(2, n + 1):
-        locs = [eye] * n
-        locs[0] = z
-        locs[k - 1] = z
-        gens.append(ProductObservable(locs))
+        mats = np.array([IDENTITY_2] * n)
+        mats[[0, k - 1]] = SIGMA_Z
+        gens.append(ProductObservable(mats))
     return gens
 
 
@@ -172,7 +166,7 @@ def stabilizer_dimension(
             raise DomainError("n required when the generator list is empty")
         return 1 << n
     dim = generators[0].dim
-    mats = [g.full.entries for g in generators]
+    mats = [g.full for g in generators]
     for i, a in enumerate(mats):
         if a.shape[0] != dim:
             raise PreconditionError("generators act on different party counts")

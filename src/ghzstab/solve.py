@@ -34,7 +34,7 @@ from .classify import (
 )
 from .construct import ghz_from_pattern
 from .errors import DomainError, InternalConsistencyError, SizeError
-from .linalg import DEFAULT_TOL, MAX_PARTIES, Operator, SubspaceBasis, check_dense
+from .linalg import DEFAULT_TOL, MAX_PARTIES, SubspaceBasis, check_dense
 from .observables import (
     ProductObservable,
     brute_force_eigenspace,
@@ -44,6 +44,7 @@ from .observables import (
 
 RESIDUAL_LIMIT = 1e-8
 SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+CHARACTER_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -101,11 +102,15 @@ def sector_dimensions(
 ) -> tuple[int, int, int, int]:
     """Common eigenspace dimensions of (sA, sB) for the four sign sectors
     (+,+), (+,-), (-,+), (-,-): the vanishing-pattern count of each sector's
-    transformed angles."""
-    return tuple(
-        len(classify(sector_transform(d, sa, sb), tol).patterns)
-        for sa, sb in SECTORS
-    )
+    transformed angles.
+
+    sector_transform moves only theta_1 (and phi_1, which classify does not
+    read): (-,-) keeps theta_1, and (+,-) and (-,+) both map it to
+    pi - theta_1. So two counts give all four sectors.
+    """
+    same = len(classify(d, tol).patterns)
+    flipped = len(classify(sector_transform(d, 1, -1), tol).patterns)
+    return (same, flipped, flipped, same)
 
 
 def sector_oracle_bases(
@@ -140,8 +145,9 @@ def sector_oracle_bases(
 
 def _negated(obs: ProductObservable) -> ProductObservable:
     """-obs, by negating its first local factor."""
-    first = Operator.from_entries(-obs.locals[0].entries)
-    return ProductObservable([first, *obs.locals[1:]])
+    mats = obs.mats.copy()
+    mats[0] *= -1
+    return ProductObservable(mats)
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +172,15 @@ def trig_parity_identity_residuals(d: DirectionList) -> tuple[float, float]:
     )
 
 
-def character_sum_check(n: int, samples: int = 100, seed: int = 0) -> float:
+def character_sum_check(n: int, seed: int = 0) -> float:
     """Max deviation of character sums from their closed form (2^n when all
-    components of v are even, else 0) over random v in {0, 1, 2}^n."""
+    components of v are even, else 0) over CHARACTER_SAMPLES random v in
+    {0, 1, 2}^n."""
     if n > MAX_PARTIES:
         raise SizeError(f"n {n} exceeds the party cap {MAX_PARTIES}")
     rng = np.random.default_rng(seed)
-    vs = rng.integers(0, 3, size=(samples, n))
-    bits = np.zeros(samples, dtype=np.int64)
+    vs = rng.integers(0, 3, size=(CHARACTER_SAMPLES, n))
+    bits = np.zeros(CHARACTER_SAMPLES, dtype=np.int64)
     for l in range(n):
         bits |= (vs[:, l] % 2).astype(np.int64) << (n - 1 - l)
     sums = _kernels.character_sums(bits, n)
@@ -211,15 +218,16 @@ class PurityReport:
 
 
 def purity_security_check(
+    report: StabilizerReport,
     d: DirectionList,
     env_dim: int = 8,
     trials: int = 50,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> PurityReport:
     """Sample random joint states in range(P x I_env) for the common +1
-    eigenspace projector P, verify they stay stabilized, and report the
-    entanglement entropy across the system:environment cut.
+    eigenspace projector P of d, given as the solver's report for d, verify
+    they stay stabilized, and report the entanglement entropy across the
+    system:environment cut.
 
     With a one-dimensional projector every purification is a product state
     (zero entropy) whose reduced system state is the unique stabilized
@@ -228,7 +236,6 @@ def purity_security_check(
     The draws are checked together, as a (2^n, trials * env_dim) block cut
     into chunks of at most 2^MAX_PARTIES amplitudes.
     """
-    report = solve_common_eigenspace(d, tol)
     dim_p = report.dimension
     n = d.n_parties
     sys_dim = 1 << n
@@ -293,6 +300,7 @@ def purity_security_check(
     min_fidelity = min(fidelities) if unique else None
     # a unit draw V alpha misses stabilization by at most ||(A - I) V||, and
     # that is at most sqrt(dim) times the worst basis state's limit
+    tol = report.classification.tol
     if worst_residual > math.sqrt(dim_p) * stabilization_limit(tol):
         raise InternalConsistencyError(
             f"purification draw not stabilized: residual {worst_residual:.3e}"

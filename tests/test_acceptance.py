@@ -192,7 +192,7 @@ def test_criterion_5_identity_suite():
             worst = max(worst, odd, even)
             assert odd <= 1e-10 and even <= 1e-10
     for n in range(1, 13):
-        assert character_sum_check(n, samples=100, seed=n) == 0.0
+        assert character_sum_check(n, seed=n) == 0.0
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report_line(
@@ -210,14 +210,16 @@ def test_criterion_6_stabilizer_dimension_formula():
 
 
 def test_criterion_7_security_property():
+    unique_d = DirectionList.from_rationals([(1, 2), (1, 2)])
     unique = purity_security_check(
-        DirectionList.from_rationals([(1, 2), (1, 2)]),
+        solve_common_eigenspace(unique_d), unique_d,
         env_dim=8, trials=50, seed=SAMPLE_SEED,
     )
     assert unique.case is StabilizerCase.UNIQUE_GHZ
     assert unique.max_entropy <= 1e-8
+    degenerate_d = DirectionList.from_rationals([(1, 1), (1, 1), (0, 1)])
     degenerate = purity_security_check(
-        DirectionList.from_rationals([(1, 1), (1, 1), (0, 1)]),
+        solve_common_eigenspace(degenerate_d), degenerate_d,
         env_dim=8, trials=50, seed=SAMPLE_SEED,
     )
     assert degenerate.projector_dim == 4

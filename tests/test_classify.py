@@ -198,15 +198,15 @@ def test_sector_transform_single_qubit_negation():
     d = rationals((0, 1))
     t = sector_transform(d, -1, 1)
     assert t.thetas[0].pi_multiple == 1  # -sigma_Z points along theta = pi
-    full = product_observable(t).full.entries
+    full = product_observable(t).full
     assert np.allclose(full, -np.diag([1.0, -1.0]), atol=1e-15)
 
 
 def test_sector_transform_negates_full_observable():
     d = rationals((1, 2), (1, 2))
     t = sector_transform(d, -1, 1)
-    orig = product_observable(d).full.entries
-    flipped = product_observable(t).full.entries
+    orig = product_observable(d).full
+    flipped = product_observable(t).full
     assert np.max(np.abs(flipped + orig)) <= 1e-12
 
 
@@ -215,8 +215,8 @@ def test_sector_transform_involution(rng):
         for _ in range(5):
             d = uniform_directions(3, rng)
             twice = sector_transform(sector_transform(d, sa, sb), sa, sb)
-            a = product_observable(d).full.entries
-            b = product_observable(twice).full.entries
+            a = product_observable(d).full
+            b = product_observable(twice).full
             assert np.max(np.abs(a - b)) <= 1e-12
 
 

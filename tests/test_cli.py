@@ -221,6 +221,29 @@ def test_verify_runs_one_oracle_per_sector(tmp_path, capsys, monkeypatch):
     assert len(calls) == 4
 
 
+def test_verify_solves_once(tmp_path, capsys, monkeypatch):
+    # the purity audit reuses the solver's report; every module binding the
+    # solver gets the counting wrapper
+    from ghzstab.solve import solve_common_eigenspace as solver
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solver(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ghzstab") and getattr(
+            module, "solve_common_eigenspace", None
+        ) is solver:
+            monkeypatch.setattr(module, "solve_common_eigenspace", counted)
+    code, _, err = run_cli(
+        ["verify", "--trials", "2", "--env-dim", "4"], tmp_path, capsys, EPR_INPUT
+    )
+    assert code == 0, err
+    assert len(calls) == 1
+
+
 def test_verify_bounds_the_purity_block(tmp_path, capsys):
     # 2^n * env_dim * trials amplitudes are drawn; past 2^24 verify exits 2
     # and names the product, before any draw is allocated
@@ -401,7 +424,7 @@ def test_construct_pair_angles_reproduce_observables(tmp_path, capsys):
     for key, obs in (("a", pair.a), ("b", pair.b)):
         d, _, _ = parse_angle_file(doc["pair"][key])
         rebuilt = product_observable(d)
-        assert np.max(np.abs(rebuilt.full.entries - obs.full.entries)) <= 1e-9
+        assert np.max(np.abs(rebuilt.full - obs.full)) <= 1e-9
 
 
 def test_construct_with_unitaries(tmp_path, capsys):
@@ -428,16 +451,18 @@ def test_construct_rejects_parties_above_dense_cap(capsys):
 
 
 def test_construct_rejects_nonunitary(tmp_path, capsys):
-    unitaries = {
-        "n": 2,
-        "unitaries": [
-            [[[2, 0], [0, 0]], [[0, 0], [2, 0]]],
-            [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
-        ],
-    }
-    upath = tmp_path / "unitaries.json"
-    upath.write_text(json.dumps(unitaries))
-    assert main(["construct", "2", "--unitaries", str(upath)]) == 2
+    eye2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    for first in (
+        [[[2, 0], [0, 0]], [[0, 0], [2, 0]]],  # 2x2, not unitary
+        [[[1 if r == c else 0, 0] for c in range(3)] for r in range(3)],  # 3x3
+        [[[1, 0], [0, 0]]],  # 1x2
+        [[[1 if r == c else 0, 0] for c in range(4)] for r in range(4)],  # 4x4
+    ):
+        upath = tmp_path / "unitaries.json"
+        upath.write_text(json.dumps({"n": 2, "unitaries": [first, eye2]}))
+        assert main(["construct", "2", "--unitaries", str(upath)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
 
 
 def test_certify_epr(tmp_path, capsys):

@@ -172,7 +172,7 @@ def test_stabilizing_pair_random_specs(n, rng):
         spec = GHZSpec.random(n, rng)
         pair = stabilizing_pair_for(spec)
         assert pair.residual <= 1e-9
-        a_full = pair.a.full.entries
+        a_full = pair.a.full
         t = pair.target.amplitudes
         assert np.linalg.norm(a_full @ t - t) <= 1e-9
 
@@ -190,7 +190,7 @@ def test_canonical_any_phi_still_unique(rng):
 def test_lu_covariance(rng):
     # conjugating both observables by local unitaries maps the eigenspace
     # by the same unitaries
-    from ghzstab.linalg import Operator, apply_locals
+    from ghzstab.linalg import apply_locals
     from ghzstab.observables import ProductObservable
 
     d = rationals((1, 2), (1, 2))
@@ -198,19 +198,17 @@ def test_lu_covariance(rng):
     base_b = sigma_z_product(2)
     for _ in range(5):
         spec = GHZSpec.random(2, rng)
-        v = [u.entries for u in spec.local_unitaries]
+        v = spec.local_unitaries
         conj_a = ProductObservable(
-            [Operator.from_entries(v[l] @ base_a.locals[l].entries @ v[l].conj().T)
-             for l in range(2)]
+            [v[l] @ base_a.mats[l] @ v[l].conj().T for l in range(2)]
         )
         conj_b = ProductObservable(
-            [Operator.from_entries(v[l] @ base_b.locals[l].entries @ v[l].conj().T)
-             for l in range(2)]
+            [v[l] @ base_b.mats[l] @ v[l].conj().T for l in range(2)]
         )
         original = brute_force_eigenspace(base_a, base_b)
         rotated = brute_force_eigenspace(conj_a, conj_b)
         mapped = np.column_stack(
-            [apply_locals(np.stack(v), original.matrix[:, k])
+            [apply_locals(v, original.matrix[:, k])
              for k in range(original.count)]
         )
         mapped_basis = SubspaceBasis(dim=4, matrix=mapped)

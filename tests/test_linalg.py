@@ -4,49 +4,42 @@ import numpy as np
 import pytest
 
 from ghzstab import (
-    Operator,
     StateVector,
     SubspaceBasis,
     fidelity,
-    kron,
     null_space,
     subspace_distance,
 )
-from ghzstab.errors import ShapeError, SizeError
-from ghzstab.linalg import apply_locals, single_party_reduced
+from ghzstab.errors import DomainError, ShapeError, SizeError
+from ghzstab.linalg import apply_locals, kron_all, single_party_reduced
 from ghzstab.observables import SIGMA_X, SIGMA_Z
 
 
-def _op(arr):
-    return Operator.from_entries(arr)
-
-
-def _random_operator(rng, dim):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return _op(m)
+def _random_matrix(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
 def test_kron_pauli_z():
-    out = kron(_op(SIGMA_Z), _op(SIGMA_Z))
-    assert np.array_equal(out.entries, np.diag([1, -1, -1, 1]))
+    out = kron_all([SIGMA_Z, SIGMA_Z])
+    assert np.array_equal(out, np.diag([1, -1, -1, 1]))
 
 
 def test_kron_identity():
-    out = kron(Operator.identity(2), Operator.identity(2))
-    assert np.array_equal(out.entries, np.eye(4))
+    out = kron_all([np.eye(2), np.eye(2)])
+    assert np.array_equal(out, np.eye(4))
 
 
 def test_kron_pauli_x():
-    out = kron(_op(SIGMA_X), _op(SIGMA_X))
-    assert np.array_equal(out.entries, np.fliplr(np.eye(4)))
+    out = kron_all([SIGMA_X, SIGMA_X])
+    assert np.array_equal(out, np.fliplr(np.eye(4)))
 
 
 def test_kron_index_convention():
     # first factor owns the most significant index block
-    a = _op(np.diag([1.0, 2.0]))
-    b = _op(np.diag([3.0, 5.0]))
-    out = kron(a, b)
-    assert np.allclose(np.diag(out.entries), [3, 5, 6, 10])
+    out = kron_all([np.diag([1.0, 2.0]), np.diag([3.0, 5.0])])
+    assert np.allclose(np.diag(out), [3, 5, 6, 10])
+    out = kron_all(np.stack([np.diag([1.0, 2.0]), np.eye(2), np.diag([1.0, 3.0])]))
+    assert np.allclose(np.diag(out), [1, 3, 1, 3, 2, 6, 2, 6])
 
 
 def test_kron_size_cap(monkeypatch):
@@ -54,33 +47,37 @@ def test_kron_size_cap(monkeypatch):
 
     monkeypatch.setattr(linalg, "MAX_DENSE_PARTIES", 3)
     with pytest.raises(SizeError):
-        kron(Operator.identity(4), Operator.identity(4))
-    assert kron(Operator.identity(4), Operator.identity(2)).dim == 8
+        kron_all([np.eye(4), np.eye(4)])
+    with pytest.raises(SizeError):
+        kron_all([np.eye(2)] * 4)
+    assert kron_all([np.eye(4), np.eye(2)]).shape == (8, 8)
+    with pytest.raises(DomainError):
+        kron_all([])
 
 
 def test_kron_mixed_product_rule(rng):
     for dim in [2, 4]:
-        a, b = _random_operator(rng, dim), _random_operator(rng, dim)
-        c, d = _random_operator(rng, dim), _random_operator(rng, dim)
-        left = kron(a, b).entries @ kron(c, d).entries
-        right = kron(_op(a.entries @ c.entries), _op(b.entries @ d.entries)).entries
+        a, b = _random_matrix(rng, dim), _random_matrix(rng, dim)
+        c, d = _random_matrix(rng, dim), _random_matrix(rng, dim)
+        left = kron_all([a, b]) @ kron_all([c, d])
+        right = kron_all([a @ c, b @ d])
         assert np.max(np.abs(left - right)) <= 1e-12 * np.max(np.abs(left))
 
 
 def test_null_space_zero_matrix():
-    basis = null_space(_op(np.zeros((4, 4))), 1e-10)
+    basis = null_space(np.zeros((4, 4)), 1e-10)
     assert basis.count == 4
     assert basis.gram_defect() <= 1e-12
 
 
 def test_null_space_sigma_z_minus_identity():
-    basis = null_space(_op(SIGMA_Z - np.eye(2)), 1e-10)
+    basis = null_space(SIGMA_Z - np.eye(2), 1e-10)
     assert basis.count == 1
     assert abs(abs(basis.matrix[0, 0]) - 1.0) <= 1e-12
 
 
 def test_null_space_full_rank():
-    assert null_space(Operator.identity(4), 1e-10).count == 0
+    assert null_space(np.eye(4), 1e-10).count == 0
 
 
 def test_null_space_residual_bound(rng):

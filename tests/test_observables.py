@@ -17,7 +17,6 @@ from ghzstab import (
 )
 from ghzstab.errors import DomainError, PreconditionError, SizeError
 from ghzstab.observables import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, ProductObservable
-from ghzstab.linalg import Operator
 
 
 HALF_PI = Angle.exact(1, 2)
@@ -25,10 +24,10 @@ ZERO = Angle.exact(0)
 
 
 def test_local_observable_pauli_axes():
-    assert np.allclose(local_observable(HALF_PI, ZERO).entries, SIGMA_X, atol=1e-15)
-    assert np.allclose(local_observable(ZERO, Angle.radians(1.3)).entries, SIGMA_Z,
+    assert np.allclose(local_observable(HALF_PI, ZERO), SIGMA_X, atol=1e-15)
+    assert np.allclose(local_observable(ZERO, Angle.radians(1.3)), SIGMA_Z,
                        atol=1e-15)
-    assert np.allclose(local_observable(HALF_PI, HALF_PI).entries, SIGMA_Y,
+    assert np.allclose(local_observable(HALF_PI, HALF_PI), SIGMA_Y,
                        atol=1e-15)
 
 
@@ -37,9 +36,10 @@ def test_local_observable_properties(rng):
         theta = Angle.radians(rng.uniform(0, 2 * math.pi))
         phi = Angle.radians(rng.uniform(0, 2 * math.pi))
         op = local_observable(theta, phi)
-        assert op.is_hermitian(1e-12)
-        assert op.is_involution(1e-12)
-        assert abs(np.trace(op.entries)) <= 1e-12
+        assert op.shape == (2, 2)
+        assert np.max(np.abs(op - op.conj().T)) <= 1e-12
+        assert np.max(np.abs(op @ op - np.eye(2))) <= 1e-12
+        assert abs(np.trace(op)) <= 1e-12
 
 
 def test_spin_eigenvectors(rng):
@@ -49,8 +49,8 @@ def test_spin_eigenvectors(rng):
         op = local_observable(theta, phi)
         up = spin_up_eigenvector(theta, phi)
         down = spin_down_eigenvector(theta, phi)
-        assert np.linalg.norm(op.entries @ up.amplitudes - up.amplitudes) <= 1e-12
-        assert np.linalg.norm(op.entries @ down.amplitudes + down.amplitudes) <= 1e-12
+        assert np.linalg.norm(op @ up.amplitudes - up.amplitudes) <= 1e-12
+        assert np.linalg.norm(op @ down.amplitudes + down.amplitudes) <= 1e-12
         assert abs(np.vdot(up.amplitudes, down.amplitudes)) <= 1e-12
 
 
@@ -67,42 +67,42 @@ def test_spin_up_special_points():
 def test_product_observable_xx():
     d = DirectionList.of([HALF_PI, HALF_PI])
     obs = product_observable(d)
-    assert np.allclose(obs.full.entries, np.kron(SIGMA_X, SIGMA_X), atol=1e-15)
+    assert np.allclose(obs.full, np.kron(SIGMA_X, SIGMA_X), atol=1e-15)
 
 
 def test_product_observable_single_party():
     obs = product_observable(DirectionList.of([ZERO]))
-    assert np.allclose(obs.full.entries, SIGMA_Z, atol=1e-15)
+    assert np.allclose(obs.full, SIGMA_Z, atol=1e-15)
 
 
 def test_product_observable_involution():
     d = DirectionList.from_rationals([(2, 3)] * 3)
-    full = product_observable(d).full.entries
+    full = product_observable(d).full
     assert np.max(np.abs(full @ full - np.eye(8))) <= 1e-12
     assert np.max(np.abs(full - full.conj().T)) <= 1e-12
 
 
 def test_product_observable_party_cap():
     # the cap applies where dense storage happens, not to the observable
-    obs = ProductObservable([Operator.from_entries(SIGMA_Z)] * 15)
+    obs = ProductObservable([SIGMA_Z] * 15)
     with pytest.raises(SizeError):
         obs.full
 
 
 def test_sigma_z_product_parity_pattern():
-    assert np.allclose(sigma_z_product(1).full.entries, SIGMA_Z)
+    assert np.allclose(sigma_z_product(1).full, SIGMA_Z)
     assert np.allclose(
-        np.diag(sigma_z_product(2).full.entries), [1, -1, -1, 1]
+        np.diag(sigma_z_product(2).full), [1, -1, -1, 1]
     )
     assert np.allclose(
-        np.diag(sigma_z_product(3).full.entries), [1, -1, -1, 1, -1, 1, 1, -1]
+        np.diag(sigma_z_product(3).full), [1, -1, -1, 1, -1, 1, 1, -1]
     )
 
 
 def test_canonical_generators_n2():
     gens = canonical_stabilizer_generators(2)
-    assert np.array_equal(gens[0].full.entries.real, np.fliplr(np.eye(4)))
-    assert np.array_equal(gens[1].full.entries.real, np.diag([1, -1, -1, 1]))
+    assert np.array_equal(gens[0].full.real, np.fliplr(np.eye(4)))
+    assert np.array_equal(gens[1].full.real, np.diag([1, -1, -1, 1]))
     assert stabilizer_dimension(gens) == 1
 
 
@@ -115,13 +115,13 @@ def test_canonical_generators_n3_strings():
         np.kron(np.kron(z, eye), z),
     ]
     for g, e in zip(gens, expected):
-        assert np.array_equal(g.full.entries, e)
+        assert np.array_equal(g.full, e)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_canonical_generators_commute_exactly(n):
     gens = canonical_stabilizer_generators(n)
-    mats = [g.full.entries for g in gens]
+    mats = [g.full for g in gens]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             assert np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i])
@@ -142,8 +142,8 @@ def test_stabilizer_dimension_formula():
 
 
 def test_stabilizer_dimension_noncommuting_rejected():
-    x = ProductObservable([Operator.from_entries(SIGMA_X)])
-    z = ProductObservable([Operator.from_entries(SIGMA_Z)])
+    x = ProductObservable([SIGMA_X])
+    z = ProductObservable([SIGMA_Z])
     with pytest.raises(PreconditionError):
         stabilizer_dimension([x, z])
 
@@ -151,3 +151,25 @@ def test_stabilizer_dimension_noncommuting_rejected():
 def test_generators_require_two_parties():
     with pytest.raises(DomainError):
         canonical_stabilizer_generators(1)
+
+
+def test_product_observable_rejects_bad_factors():
+    # shape, Hermiticity (1e-12) and involution (1e-10) are checked together
+    # on the (n, 2, 2) array
+    cases = [
+        ([], "at least one factor"),
+        (np.zeros((2, 3, 3)), "must be 2x2"),
+        (SIGMA_Z, "must be 2x2"),
+        ([SIGMA_Z, np.array([[0, 1], [0, 0]])], "Hermitian involutions"),
+        ([SIGMA_Z, SIGMA_X + 1e-11j * SIGMA_Y], "Hermitian involutions"),
+        ([SIGMA_X, 2 * SIGMA_Z], "Hermitian involutions"),
+        ([SIGMA_X, (1 + 1e-9) * SIGMA_Z], "Hermitian involutions"),
+    ]
+    for mats, message in cases:
+        with pytest.raises(DomainError, match=message):
+            ProductObservable(mats)
+    # inside both tolerances the factor is accepted, and the input is copied
+    mats = np.stack([SIGMA_X, (1 + 1e-12) * SIGMA_Z])
+    obs = ProductObservable(mats)
+    mats[0] = SIGMA_Z
+    assert np.array_equal(obs.mats[0], SIGMA_X)

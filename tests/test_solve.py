@@ -25,7 +25,7 @@ from ghzstab.bitstrings import parity_classes
 from ghzstab.errors import DomainError, SizeError
 from ghzstab.observables import SIGMA_X, SIGMA_Z, ProductObservable
 from ghzstab.construct import GHZSpec, stabilizing_pair_for
-from ghzstab.linalg import Operator, null_space
+from ghzstab.linalg import null_space
 from ghzstab.solve import SECTORS
 from ghzstab.sampling import stratified_sample
 
@@ -98,17 +98,19 @@ def test_solver_limit_follows_tol():
     assert abs(report.residual - 1e-6) <= 1e-12
     oracle = brute_force_eigenspace(product_observable(d), sigma_z_product(2), 1e-6)
     assert oracle.count == 2
-    purity = purity_security_check(d, env_dim=4, trials=5, tol=1e-6)
+    purity = purity_security_check(
+        solve_common_eigenspace(d, 1e-6), d, env_dim=4, trials=5
+    )
     assert purity.projector_dim == 2
 
 
 def test_oracle_examples():
-    z = ProductObservable([Operator.from_entries(SIGMA_Z)])
+    z = ProductObservable([SIGMA_Z])
     basis = brute_force_eigenspace(z, z)
     assert basis.count == 1
     assert abs(abs(basis.matrix[0, 0]) - 1) <= 1e-12
 
-    xx = ProductObservable([Operator.from_entries(SIGMA_X)] * 2)
+    xx = ProductObservable([SIGMA_X] * 2)
     zz = sigma_z_product(2)
     basis = brute_force_eigenspace(xx, zz)
     assert basis.count == 1
@@ -116,7 +118,7 @@ def test_oracle_examples():
     epr[0] = epr[3] = 1 / math.sqrt(2)
     assert abs(np.vdot(epr, basis.matrix[:, 0])) >= 1 - 1e-10
 
-    x = ProductObservable([Operator.from_entries(SIGMA_X)])
+    x = ProductObservable([SIGMA_X])
     assert brute_force_eigenspace(x, z).count == 0
 
 
@@ -140,14 +142,14 @@ def test_oracle_matches_stacked_null_space():
             a, b = product_observable(d), sigma_z_product(n)
             assert_same_space(
                 brute_force_eigenspace(a, b),
-                stacked_reference(a.full.entries, b.full.entries),
+                stacked_reference(a.full, b.full),
             )
             # radians, so every sector cuts at the default tol
             bases = sector_oracle_bases(d.in_mode("approx"))
             for (sa, sb), basis in zip(SECTORS, bases):
                 assert_same_space(
                     basis,
-                    stacked_reference(sa * a.full.entries, sb * b.full.entries),
+                    stacked_reference(sa * a.full, sb * b.full),
                 )
 
 
@@ -158,14 +160,15 @@ def test_oracle_matches_stacked_null_space_on_rotated_pairs(rng):
             pair = stabilizing_pair_for(GHZSpec.random(n, rng))
             oracle = brute_force_eigenspace(pair.a, pair.b)
             assert_same_space(
-                oracle, stacked_reference(pair.a.full.entries, pair.b.full.entries)
+                oracle, stacked_reference(pair.a.full, pair.b.full)
             )
             assert abs(np.vdot(pair.target.amplitudes, oracle.matrix[:, 0])) >= 1 - 1e-10
-            first = Operator.from_entries(-pair.b.locals[0].entries)
-            minus_b = ProductObservable([first, *pair.b.locals[1:]])
+            minus_b = ProductObservable(
+                np.concatenate([-pair.b.mats[:1], pair.b.mats[1:]])
+            )
             flipped = brute_force_eigenspace(pair.a, minus_b)
             assert_same_space(
-                flipped, stacked_reference(pair.a.full.entries, -pair.b.full.entries)
+                flipped, stacked_reference(pair.a.full, -pair.b.full)
             )
 
 
@@ -244,6 +247,16 @@ def test_solver_matches_oracles_on_exact_lists(d):
     assert sector_dimensions(d) == oracle_dims(d)
 
 
+@settings(max_examples=60, deadline=None)
+@given(exact_lists())
+def test_sector_dimensions_match_oracles_on_radian_lists(d):
+    # sector symmetry for radian thetas, away from the cut: as radians each
+    # signed sum is k pi / den (den <= 12) up to rounding, so every score
+    # |sin(S/2)| is about 1e-16 or at least sin(pi / 24)
+    r = d.in_mode("approx")
+    assert sector_dimensions(r) == oracle_dims(r)
+
+
 @st.composite
 def near_threshold_lists(draw):
     # radian list with pattern m's signed sum eps away from 2 pi k, and tol
@@ -303,7 +316,7 @@ def test_identity_survives_half_pi():
 
 @pytest.mark.parametrize("n", [1, 3, 6, 10])
 def test_character_sum_check_zero_deviation(n):
-    assert character_sum_check(n, samples=100, seed=3) == 0.0
+    assert character_sum_check(n, seed=3) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +324,9 @@ def test_character_sum_check_zero_deviation(n):
 
 
 def test_purity_unique_case():
+    d = rationals((1, 2), (1, 2))
     report = purity_security_check(
-        rationals((1, 2), (1, 2)), env_dim=4, trials=20, seed=5
+        solve_common_eigenspace(d), d, env_dim=4, trials=20, seed=5
     )
     assert report.case is StabilizerCase.UNIQUE_GHZ
     assert report.max_entropy <= 1e-8
@@ -320,8 +334,9 @@ def test_purity_unique_case():
 
 
 def test_purity_degenerate_case():
+    d = rationals((1, 1), (1, 1), (0, 1))
     report = purity_security_check(
-        rationals((1, 1), (1, 1), (0, 1)), env_dim=4, trials=20, seed=5
+        solve_common_eigenspace(d), d, env_dim=4, trials=20, seed=5
     )
     assert report.projector_dim == 4
     assert report.max_entropy > 0.1
@@ -329,7 +344,8 @@ def test_purity_degenerate_case():
 
 
 def test_purity_empty_case():
-    report = purity_security_check(rationals((1, 2), (1, 3)), env_dim=4, trials=5)
+    d = rationals((1, 2), (1, 3))
+    report = purity_security_check(solve_common_eigenspace(d), d, env_dim=4, trials=5)
     assert report.empty
     assert report.projector_dim == 0
 
@@ -351,8 +367,9 @@ def test_purity_batch_matches_per_draw_loop(d, chunk_parties, monkeypatch):
         monkeypatch.setattr("ghzstab.solve.MAX_PARTIES", chunk_parties)
     env_dim, trials, seed = 4, 7, 3
     sys_dim = 1 << d.n_parties
-    report = purity_security_check(d, env_dim=env_dim, trials=trials, seed=seed)
-    basis = solve_common_eigenspace(d).basis.matrix
+    solved = solve_common_eigenspace(d)
+    report = purity_security_check(solved, d, env_dim=env_dim, trials=trials, seed=seed)
+    basis = solved.basis.matrix
     rng = np.random.default_rng(seed)
     entropies, fidelities = [], []
     for _ in range(trials):
@@ -376,15 +393,15 @@ def test_purity_batch_matches_per_draw_loop(d, chunk_parties, monkeypatch):
 
 def test_purity_env_too_small():
     with pytest.raises(DomainError):
-        purity_security_check(
-            rationals((1, 1), (1, 1), (0, 1)), env_dim=2, trials=5
-        )
+        d = rationals((1, 1), (1, 1), (0, 1))
+        purity_security_check(solve_common_eigenspace(d), d, env_dim=2, trials=5)
 
 
 def test_purity_draw_size_cap():
     # one draw of 2^2 * 2^23 amplitudes is refused before it is allocated
     with pytest.raises(SizeError):
-        purity_security_check(rationals((1, 2), (1, 2)), env_dim=1 << 23, trials=1)
+        d = rationals((1, 2), (1, 2))
+        purity_security_check(solve_common_eigenspace(d), d, env_dim=1 << 23, trials=1)
 
 
 def test_odd_parity_residual_vanishes_for_stabilized(rng):
