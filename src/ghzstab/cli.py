@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from .angles import Angle, DirectionList
+from .bitstrings import bit_labels
 from .certify import CertificationConfig, run_certification
 from .classify import ClassificationReport, classify
 from .construct import GHZSpec, stabilizing_pair_for
@@ -153,23 +154,20 @@ def _load_json(path: str):
 
 
 def sparse_amplitudes(amps: np.ndarray, n: int) -> list[dict]:
-    out = []
-    for idx in np.nonzero(np.abs(amps) > AMPLITUDE_CUTOFF)[0]:
-        out.append(
-            {
-                "index": int(idx),
-                "label": format(int(idx), f"0{n}b"),
-                "re": float(amps[idx].real),
-                "im": float(amps[idx].imag),
-            }
+    idx = np.nonzero(np.abs(amps) > AMPLITUDE_CUTOFF)[0]
+    vals = amps[idx]
+    return [
+        {"index": i, "label": label, "re": re, "im": im}
+        for i, label, re, im in zip(
+            idx.tolist(), bit_labels(idx, n), vals.real.tolist(), vals.imag.tolist()
         )
-    return out
+    ]
 
 
 def classification_fields(report: ClassificationReport) -> dict:
     return {
         "case": report.case.value,
-        "m_set": [str(m) for m in report.patterns.members],
+        "m_set": bit_labels(report.patterns.bits, report.patterns.n),
         "mode": report.mode,
         "tol": report.tol,
         "warnings": list(report.warnings),
@@ -205,11 +203,9 @@ def observable_angles(obs) -> DirectionList:
 
 
 def _emit(obj, pretty: bool) -> None:
-    if pretty:
-        json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    else:
-        json.dump(obj, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    # json.dumps without indent runs the C encoder in one shot
+    text = json.dumps(obj, indent=2 if pretty else None, sort_keys=True)
+    sys.stdout.write(text + "\n")
 
 
 def _angle_args(args) -> tuple[DirectionList, float]:
@@ -245,8 +241,12 @@ def cmd_construct(args) -> dict:
     check_dense(n)  # before building n local unitaries
     if args.unitaries is not None:
         data = _load_json(args.unitaries)
-        if not isinstance(data, dict) or "unitaries" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("unitaries"), list):
             raise InputError("unitaries file must be {n, unitaries: [...]}")
+        if "n" in data and data["n"] != n:
+            raise InputError(f"unitaries file n {data['n']!r} != n {n}")
+        if len(data["unitaries"]) != n:
+            raise InputError(f"unitaries count {len(data['unitaries'])} != n {n}")
         mats = []
         for k, rows in enumerate(data["unitaries"]):
             try:
@@ -264,8 +264,6 @@ def cmd_construct(args) -> dict:
             spec = GHZSpec.from_matrices(mats)
         except GhzstabError as exc:
             raise InputError(str(exc))
-        if spec.n != n:
-            raise InputError(f"unitaries count {spec.n} != n {n}")
     else:
         spec = GHZSpec.identity(n)
     pair = stabilizing_pair_for(spec)

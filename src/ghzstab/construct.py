@@ -39,35 +39,45 @@ def canonical_angles(n: int) -> DirectionList:
     return DirectionList.of(thetas)
 
 
-def pattern_phases(d: DirectionList, m: BitString) -> np.ndarray:
-    """(n,) array of phase_l = i (-1)^{m_l} e^{i phi_l}: party l's basis
-    {|0>, phase_l |1>} is the local frame of pattern m's state."""
-    signs = np.array([1 - 2 * m.bit(l) for l in range(1, m.n + 1)])
-    phis = np.array(d.phi_radians())
+def pattern_phases(d: DirectionList, bits) -> np.ndarray:
+    """phase_l = i (-1)^{m_l} e^{i phi_l} for the pattern index m (party l
+    at bit n - l), or for each of an array of them, as an (n,) + shape(bits)
+    array: party l's basis {|0>, phase_l |1>} is the local frame of pattern
+    m's state."""
+    n = d.n_parties
+    shifts = np.arange(n - 1, -1, -1).reshape((n,) + (1,) * np.ndim(bits))
+    signs = 1 - 2 * ((np.asarray(bits) >> shifts) & 1)
+    phis = np.array(d.phi_radians()).reshape(shifts.shape)
     return 1j * signs * (np.cos(phis) + 1j * np.sin(phis))
 
 
-def ghz_from_pattern(d: DirectionList, m: BitString) -> StateVector:
-    """The even-parity superposition whose amplitude at index j is the
-    product of pattern_phases(d, m) over the set bits of j, normalized.
+def ghz_states(d: DirectionList, bits: np.ndarray) -> np.ndarray:
+    """(2^n, k) array whose column c is the even-parity superposition with
+    amplitude at index j the product of pattern_phases(d, bits[c]) over the
+    set bits of j, normalized.
 
-    For a vanishing pattern m this is the GHZ-class state stabilized by the
+    For a vanishing pattern this is the GHZ-class state stabilized by the
     direction list together with the all-Z observable.
     """
+    n = d.n_parties
+    phases = pattern_phases(d, bits)
+    s0 = parity_classes(n).s0
+    amps = np.zeros((1 << n, bits.size), dtype=np.complex128)
+    vals = np.ones((s0.size, bits.size), dtype=np.complex128)
+    for l in range(n):
+        bit = ((s0 >> (n - 1 - l)) & 1)[:, None]
+        vals = vals * np.where(bit == 1, phases[l], 1.0)
+    amps[s0] = vals / math.sqrt(s0.size)
+    return amps
+
+
+def ghz_from_pattern(d: DirectionList, m: BitString) -> StateVector:
+    """The state of ghz_states for the one pattern m, which needs m_1 = 0."""
     if m.n != d.n_parties:
         raise PreconditionError(f"pattern length {m.n} != n_parties {d.n_parties}")
     if m.bit(1) != 0:
         raise PreconditionError("pattern must have m_1 = 0")
-    n = d.n_parties
-    phases = pattern_phases(d, m)
-    s0 = parity_classes(n).s0
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    vals = np.ones(s0.size, dtype=np.complex128)
-    for l in range(n):
-        bit = (s0 >> (n - 1 - l)) & 1
-        vals = vals * np.where(bit == 1, phases[l], 1.0)
-    amps[s0] = vals / math.sqrt(s0.size)
-    return StateVector(n, amps)
+    return StateVector(m.n, ghz_states(d, np.array([m.bits]))[:, 0])
 
 
 def parity_rotation_image(n: int) -> np.ndarray:
@@ -148,7 +158,7 @@ def stabilizing_pair_for(spec: GHZSpec) -> StabilizingPair:
     n = spec.n
     check_dense(n)
     d = canonical_angles(n)
-    phases = pattern_phases(d, BitString(n, 0))
+    phases = pattern_phases(d, 0)
     target = spec.to_state()
     # party l's frame is diag(1, phase_l) @ HADAMARD
     frames = np.stack([np.broadcast_to(HADAMARD[0], (n, 2)),

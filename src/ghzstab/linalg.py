@@ -99,16 +99,6 @@ class SubspaceBasis:
     def empty(cls, dim: int) -> "SubspaceBasis":
         return cls(dim=dim, matrix=np.zeros((dim, 0), dtype=np.complex128))
 
-    @classmethod
-    def from_vectors(cls, vectors, dim: int | None = None) -> "SubspaceBasis":
-        cols = [np.asarray(v.amplitudes if isinstance(v, StateVector) else v,
-                           dtype=np.complex128) for v in vectors]
-        if not cols:
-            if dim is None:
-                raise ShapeError("dim required for an empty vector list")
-            return cls.empty(dim)
-        return cls(dim=cols[0].size, matrix=np.column_stack(cols))
-
     @property
     def count(self) -> int:
         return self.matrix.shape[1]
@@ -146,8 +136,11 @@ def null_space(m: np.ndarray, tol: float = DEFAULT_TOL) -> SubspaceBasis:
     if arr.ndim != 2:
         raise ShapeError(f"null_space needs a matrix, got shape {arr.shape}")
     rows, cols = arr.shape
-    # a tall or square input has all cols right singular vectors in the thin
-    # SVD, which skips building the unread rows x rows U
+    if rows > cols:
+        # R of a QR has the singular values and right singular vectors of a
+        # tall input, and its SVD builds no U as large as the input
+        arr = np.linalg.qr(arr, mode="r")
+    # a square input has all cols right singular vectors in the thin SVD
     _, s, vh = np.linalg.svd(arr, full_matrices=rows < cols)
     rank = int(np.sum(s > tol))
     basis = vh[rank:].conj().T

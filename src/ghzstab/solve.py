@@ -32,7 +32,7 @@ from .classify import (
     classify,
     sector_transform,
 )
-from .construct import ghz_from_pattern
+from .construct import ghz_states
 from .errors import DomainError, InternalConsistencyError, SizeError
 from .linalg import DEFAULT_TOL, MAX_PARTIES, SubspaceBasis, check_dense
 from .observables import (
@@ -79,10 +79,7 @@ def solve_common_eigenspace(
     n = d.n_parties
     check_dense(n)  # the (2^n, dim) basis
     classification = classify(d, tol)
-    basis = SubspaceBasis.from_vectors(
-        [ghz_from_pattern(d, m) for m in classification.patterns.members],
-        dim=1 << n,
-    )
+    basis = SubspaceBasis(1 << n, ghz_states(d, classification.patterns.bits))
     image = product_observable(d).apply(basis.matrix)
     residual = float(np.linalg.norm(image - basis.matrix, axis=0).max(initial=0.0))
     if residual > stabilization_limit(tol):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ghzstab import BitString, parity_classes
+from ghzstab.bitstrings import bit_labels
 from ghzstab.errors import DomainError, SizeError
 
 
@@ -23,6 +24,15 @@ def test_from_string_roundtrip():
         assert str(BitString.from_string(text)) == text
     with pytest.raises(DomainError):
         BitString.from_string("01x")
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 24])
+def test_bit_labels_match_format(rng, n):
+    values = np.sort(rng.integers(0, 1 << n, size=50))
+    values[0], values[-1] = 0, (1 << n) - 1
+    assert bit_labels(values, n) == [format(int(v), f"0{n}b") for v in values]
+    assert bit_labels(values[:1], n) == [str(BitString(n, 0))]
+    assert bit_labels(np.zeros(0, dtype=np.int64), n) == []
 
 
 def test_parity_classes_small():

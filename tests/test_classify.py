@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzstab import (
     Angle,
@@ -140,9 +142,9 @@ def test_condition_matches_membership(rng):
 
 def test_bigint_path_matches_pattern_condition(rng, monkeypatch):
     # a common denominator >= 2^61 pushes the signed sums past int64, so the
-    # enumeration runs on Python integers. One planted pattern vanishes, or
-    # misses by pi / den; a decoupled party (theta 0 or pi) pairs it with a
-    # second pattern.
+    # half-sums run on Python integers, one kernel call per half. One planted
+    # pattern vanishes, or misses by pi / den; a decoupled party (theta 0 or
+    # pi) pairs it with a second pattern.
     from ghzstab import _kernels
 
     calls = []
@@ -168,7 +170,128 @@ def test_bigint_path_matches_pattern_condition(rng, monkeypatch):
         }
         assert members == admitted
         assert bool(members) != near_miss
-    assert len(calls) == 24
+    assert len(calls) == 48
+
+
+def _enumerated(d, tol):
+    """The whole-list reference: every signed sum by doubling, decided by
+    the classify rule; returns (members, fragile)."""
+    from ghzstab import _kernels
+
+    if d.all_exact:
+        fracs = [t.pi_multiple for t in d.thetas]
+        den = math.lcm(*(f.denominator for f in fracs))
+        nums = [int(f * den) for f in fracs]
+        if sum(abs(v) for v in nums) < 1 << 60:
+            sums = _kernels.signed_sums_i8(nums)
+        else:
+            sums = _kernels.signed_sums_int(nums)
+        return np.nonzero(sums % (2 * den) == 0)[0], False
+    score = np.abs(np.sin(_kernels.signed_sums_f8(d.theta_radians()) / 2.0))
+    fragile = bool(np.any((score > tol) & (score <= 10.0 * tol)))
+    return np.nonzero(score <= tol)[0], fragile
+
+
+SIGN = st.sampled_from([-1, 1])
+
+
+@st.composite
+def exact_int64_lists(draw):
+    n = draw(st.integers(1, 16))
+    q = draw(st.integers(1, 40))
+    nums = draw(st.lists(st.integers(-4 * q, 4 * q), min_size=n, max_size=n))
+    return DirectionList.from_rationals([(v, q) for v in nums])
+
+
+@st.composite
+def bigint_lists(draw):
+    # den >= 2^61; a planted pattern vanishes or misses by pi / den, and
+    # decoupled parties (multiples of den) multiply the members
+    n = draw(st.integers(1, 16))
+    den = (1 << 61) + draw(st.integers(0, 1 << 40))
+    nums = [
+        draw(st.one_of(st.integers(0, 4 * den), st.sampled_from([0, den, 2 * den])))
+        for _ in range(n)
+    ]
+    signs = [1] + draw(st.lists(SIGN, min_size=n - 1, max_size=n - 1))
+    partial = sum(s * v for s, v in zip(signs[:-1], nums))
+    if n > 1:
+        nums[-1] = (-signs[-1] * partial) % (2 * den) + draw(st.sampled_from([0, 1]))
+    return DirectionList.from_rationals([(v, den) for v in nums])
+
+
+FLOAT_TOLS = (1e-9, 1e-6, 1e-3, 0.2, 1.5)
+
+
+@st.composite
+def float_lists(draw):
+    # random radians with one planted pattern whose score is about 0.5, 1,
+    # 5 or 10 times tol, or rational multiples of pi with many members
+    n = draw(st.integers(1, 16))
+    tol = draw(st.sampled_from(FLOAT_TOLS))
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 31))
+        ks = draw(st.lists(st.integers(-4 * q, 4 * q), min_size=n, max_size=n))
+        return DirectionList.from_radians([k * math.pi / q for k in ks]), tol
+    angle = st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False)
+    thetas = draw(st.lists(angle, min_size=n, max_size=n))
+    if n > 1:
+        signs = [1] + draw(st.lists(SIGN, min_size=n - 1, max_size=n - 1))
+        offset = draw(st.sampled_from([0.5, 1.0, 5.0, 10.0])) * draw(SIGN)
+        delta = math.copysign(2 * math.asin(min(abs(offset) * tol, 1.0)), offset)
+        turns = 2 * math.pi * draw(st.integers(-2, 2))
+        partial = sum(s * t for s, t in zip(signs[:-1], thetas))
+        thetas[-1] = signs[-1] * (turns + delta - partial)
+    return DirectionList.from_radians(thetas), tol
+
+
+def _assert_matches_enumeration(d, tol):
+    patterns = sign_pattern_set(d, tol)
+    members, fragile = _enumerated(d, tol)
+    assert patterns.bits.dtype == np.int64
+    assert patterns.bits.tolist() == members.tolist()  # same members, same order
+    assert patterns.fragile == fragile
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_int64_lists())
+def test_half_sums_match_enumeration_on_exact_lists(d):
+    _assert_matches_enumeration(d, 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bigint_lists())
+def test_half_sums_match_enumeration_on_bigint_lists(d):
+    _assert_matches_enumeration(d, 1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_lists())
+def test_half_sums_match_enumeration_on_float_lists(case):
+    _assert_matches_enumeration(*case)
+
+
+def test_half_sums_pass_at_most_half_the_parties_to_a_kernel(rng, monkeypatch):
+    from ghzstab import _kernels
+
+    lengths = []
+    for name in ("signed_sums_f8", "signed_sums_i8", "signed_sums_int"):
+        kernel = getattr(_kernels, name)
+        monkeypatch.setattr(
+            _kernels, name,
+            lambda v, kernel=kernel: lengths.append(len(v)) or kernel(v),
+        )
+    for n in range(1, 21):
+        lists = (
+            DirectionList.from_rationals([(int(v), 7) for v in rng.integers(0, 28, n)]),
+            DirectionList.from_rationals([(1 << 62, (1 << 61) + 1)] * n),
+            DirectionList.from_radians(rng.uniform(0, 2 * math.pi, n)),
+            DirectionList.from_radians(rng.uniform(0, 2 * math.pi, n)),
+        )
+        for d, tol in zip(lists, (1e-9, 1e-9, 1e-9, 1e-3)):
+            lengths.clear()
+            sign_pattern_set(d, tol)
+            assert lengths and max(lengths) <= (n + 1) // 2 + 1, (n, lengths)
 
 
 def test_pattern_set_party_cap():

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 
-from ghzstab.cli import main
+from ghzstab.cli import main, sparse_amplitudes
 
 EPR_INPUT = {
     "n": 2,
@@ -440,6 +440,49 @@ def test_construct_with_unitaries(tmp_path, capsys):
     upath.write_text(json.dumps(unitaries))
     code = main(["construct", "2", "--unitaries", str(upath)])
     assert code == 0
+
+
+def test_construct_checks_the_unitaries_count_first(tmp_path, capsys):
+    eye2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    for n, data, message in (
+        ("2", {"n": 2, "unitaries": [eye2]}, "unitaries count 1 != n 2"),
+        ("2", {"unitaries": [eye2]}, "unitaries count 1 != n 2"),
+        ("3", {"n": 5, "unitaries": [eye2] * 3}, "unitaries file n 5 != n 3"),
+        ("2", {"n": 5, "unitaries": [eye2] * 3}, "unitaries file n 5 != n 2"),
+    ):
+        upath = tmp_path / "unitaries.json"
+        upath.write_text(json.dumps(data))
+        assert main(["construct", n, "--unitaries", str(upath)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and not captured.out
+
+
+def test_sparse_amplitudes_match_per_entry_records(rng):
+    def per_entry(amps, n):
+        return [
+            {
+                "index": int(idx),
+                "label": format(int(idx), f"0{n}b"),
+                "re": float(amps[idx].real),
+                "im": float(amps[idx].imag),
+            }
+            for idx in np.nonzero(np.abs(amps) > 1e-12)[0]
+        ]
+
+    one_hot = np.zeros(8, dtype=np.complex128)
+    one_hot[5] = -1j
+    dense = rng.normal(size=64) + 1j * rng.normal(size=64)
+    dense[::3] = 0.0
+    dense[1] = -0.0 + 0.5j
+    for amps, n in (
+        (np.array([1.0, 0.0], dtype=np.complex128), 1),
+        (np.array([0.0, -0.0 - 1j], dtype=np.complex128), 1),
+        (one_hot, 3),
+        (dense, 6),
+    ):
+        records = sparse_amplitudes(amps, n)
+        assert records == per_entry(amps, n)
+        assert json.dumps(records) == json.dumps(per_entry(amps, n))  # signed zeros
 
 
 def test_construct_rejects_parties_above_dense_cap(capsys):

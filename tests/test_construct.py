@@ -22,7 +22,7 @@ from ghzstab import (
     subspace_distance,
 )
 from ghzstab.bitstrings import parity_classes
-from ghzstab.construct import parity_rotation_image, pattern_phases
+from ghzstab.construct import ghz_states, parity_rotation_image, pattern_phases
 from ghzstab.errors import DomainError, PreconditionError
 from ghzstab.linalg import SubspaceBasis, single_party_reduced
 
@@ -102,6 +102,32 @@ def test_ghz_from_pattern_maximally_mixed_marginals(rng):
             assert np.allclose(rho, np.eye(2) / 2, atol=1e-10)
 
 
+def test_ghz_states_match_the_per_pattern_product_bit_for_bit(rng):
+    # reference: one pattern at a time, the product of its phases over the
+    # set bits of each even-parity index; tobytes also compares signed zeros
+    for n in (1, 2, 5, 8):
+        d = DirectionList.of(
+            [Angle.radians(rng.uniform(0, 2 * math.pi)) for _ in range(n)],
+            [Angle.exact(int(k), 2) for k in rng.integers(0, 4, size=n)],
+        )
+        bits = np.arange(1 << (n - 1), dtype=np.int64)
+        states = ghz_states(d, bits)
+        s0 = parity_classes(n).s0
+        for m in bits.tolist():
+            phis = np.array(d.phi_radians())
+            signs = np.array([1 - 2 * ((m >> (n - l)) & 1) for l in range(1, n + 1)])
+            phases = 1j * signs * (np.cos(phis) + 1j * np.sin(phis))
+            vals = np.ones(s0.size, dtype=np.complex128)
+            for l in range(n):
+                bit = (s0 >> (n - 1 - l)) & 1
+                vals = vals * np.where(bit == 1, phases[l], 1.0)
+            expected = np.zeros(1 << n, dtype=np.complex128)
+            expected[s0] = vals / math.sqrt(s0.size)
+            assert states[:, m].tobytes() == expected.tobytes()
+            single = ghz_from_pattern(d, BitString(n, m)).amplitudes
+            assert single.tobytes() == expected.tobytes()
+
+
 def test_solver_state_matches_pattern_state():
     for n in range(2, 10):
         d = canonical_angles(n)
@@ -122,7 +148,7 @@ def test_parity_rotation_identity():
 
 def test_local_phase_basis_unitary():
     d = rationals((2, 3), (2, 3), (2, 3))
-    for phase in pattern_phases(d, BitString(3, 0)):
+    for phase in pattern_phases(d, 0):
         u = np.diag([1.0, phase])
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
         assert abs(abs(phase) - 1.0) <= 1e-12

@@ -100,6 +100,26 @@ def test_null_space_residual_bound(rng):
     assert np.linalg.norm(wide @ basis.matrix) <= 1e-12
 
 
+def test_tall_null_space_matches_thin_svd(rng):
+    # a tall input goes through the SVD of its QR factor R; the thin SVD of
+    # the input itself is the reference
+    def thin_svd(a, tol):
+        _, s, vh = np.linalg.svd(a, full_matrices=False)
+        return s, SubspaceBasis(a.shape[1], vh[int(np.sum(s > tol)):].conj().T)
+
+    for rows, cols, rank in ((64, 32, 32), (64, 32, 20), (40, 12, 1), (9, 8, 0)):
+        left = rng.normal(size=(rows, rank)) + 1j * rng.normal(size=(rows, rank))
+        right = rng.normal(size=(rank, cols)) + 1j * rng.normal(size=(rank, cols))
+        a = left @ right
+        s_ref, ref = thin_svd(a, 1e-9)
+        r = np.linalg.qr(a, mode="r")
+        s_qr = np.linalg.svd(r, compute_uv=False)
+        assert np.allclose(s_qr, s_ref, rtol=0, atol=1e-12 * s_ref.max(initial=1.0))
+        basis = null_space(a, 1e-9)
+        assert basis.count == ref.count == cols - rank
+        assert subspace_distance(basis, ref) <= 1e-12
+
+
 def test_rank_nullity(rng):
     # well-separated singular values: rank + nullity = dim
     for _ in range(10):
@@ -141,9 +161,13 @@ def test_fidelity_shape_error():
         fidelity(StateVector.basis_state(1, 0), StateVector.basis_state(2, 0))
 
 
+def _span(*vectors):
+    return SubspaceBasis(2, np.column_stack(vectors).astype(np.complex128))
+
+
 def test_subspace_distance_identical_and_orthogonal():
-    e0 = SubspaceBasis.from_vectors([StateVector.basis_state(1, 0)])
-    e1 = SubspaceBasis.from_vectors([StateVector.basis_state(1, 1)])
+    e0 = _span([1, 0])
+    e1 = _span([0, 1])
     assert subspace_distance(e0, e0) == 0.0
     assert subspace_distance(e0, e1) == pytest.approx(1.0)
 
@@ -151,10 +175,8 @@ def test_subspace_distance_identical_and_orthogonal():
 def test_subspace_distance_oblique():
     # projector difference between span{|0>} and span{(|0>+|1>)/sqrt 2}
     # has eigenvalues +-1/sqrt(2): trace 0, det -1/2
-    e0 = SubspaceBasis.from_vectors([StateVector.basis_state(1, 0)])
-    plus = SubspaceBasis.from_vectors(
-        [StateVector.from_amplitudes([1, 1]).normalize()]
-    )
+    e0 = _span([1, 0])
+    plus = _span(StateVector.from_amplitudes([1, 1]).normalize().amplitudes)
     assert subspace_distance(e0, plus) == pytest.approx(1 / math.sqrt(2))
 
 
