@@ -8,7 +8,7 @@ cross-checked against an independent brute-force oracle.
 """
 
 from .angles import PI, Angle, DirectionList
-from .bitstrings import BitString, parity_classes
+from .bitstrings import parity_classes
 from .certify import (
     CertificationConfig,
     Ensemble,
@@ -34,7 +34,6 @@ from .construct import (
 )
 from .linalg import (
     StateVector,
-    SubspaceBasis,
     fidelity,
     null_space,
     subspace_distance,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 # types, error classes, helpers) is imported from its own module.
 __all__ = [
     "Angle",
-    "BitString",
     "CertificationConfig",
     "DirectionList",
     "Ensemble",
@@ -73,7 +71,6 @@ __all__ = [
     "PI",
     "StabilizerCase",
     "StateVector",
-    "SubspaceBasis",
     "brute_force_eigenspace",
     "canonical_angles",
     "canonical_stabilizer_generators",

@@ -87,16 +87,6 @@ class Ensemble:
         if self.sampling not in ("random", "cycle"):
             raise DomainError(f"unknown sampling {self.sampling!r}")
 
-    @classmethod
-    def uniform_basis(cls, n: int, sampling: str = "cycle") -> "Ensemble":
-        """Every computational basis state with equal weight."""
-        dim = 1 << n
-        return cls(
-            states=tuple(StateVector.basis_state(n, i) for i in range(dim)),
-            weights=tuple(1.0 / dim for _ in range(dim)),
-            sampling=sampling,
-        )
-
 
 def measurement_bases(d: DirectionList) -> tuple[np.ndarray, np.ndarray]:
     """(n, 2) arrays of per-party +1 and -1 eigenvectors for setting A."""

@@ -1,6 +1,7 @@
 """Classification of direction lists by their set of vanishing sign patterns.
 
-A sign pattern is a bit string m assigning a sign (-1)^{m_l} to each theta_l.
+A sign pattern is an n-bit index m assigning a sign (-1)^{m_l} to each
+theta_l, where m_l is bit n - l of m (party 1 the most significant bit).
 The pattern "vanishes" when the signed angle sum is an even multiple of pi,
 equivalently sin(sum / 2) = 0. The number of vanishing patterns with m_1 = 0
 decides the trichotomy: none (the two product observables share no
@@ -18,8 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .angles import PI, Angle, DirectionList
-from .bitstrings import BitString
-from .errors import DomainError, ShapeError, SizeError
+from .errors import DomainError, SizeError
 from .linalg import DEFAULT_TOL, MAX_PARTIES
 
 FRAGILE_FACTOR = 10.0
@@ -46,10 +46,6 @@ class SignPatternSet:
     def __len__(self) -> int:
         return self.bits.size
 
-    @property
-    def members(self) -> tuple[BitString, ...]:
-        return tuple(BitString(self.n, m) for m in self.bits.tolist())
-
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -60,20 +56,20 @@ class ClassificationReport:
     warnings: tuple[str, ...] = ()
 
 
-def signed_angle_sum(d: DirectionList, m: BitString) -> Angle:
-    """sum_l (-1)^{m_l} theta_l; exact whenever every theta is exact."""
-    if m.n != d.n_parties:
-        raise ShapeError(f"bit string length {m.n} != n_parties {d.n_parties}")
+def signed_angle_sum(d: DirectionList, m: int) -> Angle:
+    """sum_l (-1)^{m_l} theta_l for the pattern index m, party l at bit
+    n - l; exact whenever every theta is exact."""
+    n = d.n_parties
+    if not 0 <= m < 1 << n:
+        raise DomainError(f"pattern {m} out of range for n_parties={n}")
     total = None
-    for l in range(1, d.n_parties + 1):
-        term = d.thetas[l - 1]
-        if m.bit(l):
-            term = -term
+    for l, theta in enumerate(d.thetas):
+        term = -theta if (m >> (n - 1 - l)) & 1 else theta
         total = term if total is None else total + term
     return total
 
 
-def pattern_condition(d: DirectionList, m: BitString, tol: float = DEFAULT_TOL) -> bool:
+def pattern_condition(d: DirectionList, m: int, tol: float = DEFAULT_TOL) -> bool:
     """Whether sin(signed sum / 2) vanishes for pattern m (no m_1 filter)."""
     s = signed_angle_sum(d, m)
     if s.is_exact:

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 malformed input, 3 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -125,12 +126,16 @@ def parse_state_file(data) -> StateVector:
     if not isinstance(amps, list) or not amps:
         raise InputError("state amplitudes must be a non-empty list")
     vec = np.zeros(1 << n, dtype=np.complex128)
+    seen = set()
     for k, rec in enumerate(amps):
         if not isinstance(rec, dict) or "index" not in rec:
             raise InputError(f"amplitudes[{k}] must be an object with index")
         idx = rec["index"]
         if not _is_int(idx) or not 0 <= idx < (1 << n):
             raise InputError(f"amplitudes[{k}].index out of range")
+        if idx in seen:
+            raise InputError(f"amplitudes[{k}] repeats index {idx}")
+        seen.add(idx)
         vec[idx] = complex(
             _finite(rec.get("re", 0.0), f"amplitudes[{k}].re"),
             _finite(rec.get("im", 0.0), f"amplitudes[{k}].im"),
@@ -228,7 +233,7 @@ def cmd_solve(args) -> dict:
     out = classification_fields(report.classification)
     out["dimension"] = report.dimension
     out["states"] = [
-        sparse_amplitudes(report.basis.matrix[:, k], d.n_parties)
+        sparse_amplitudes(report.basis[:, k], d.n_parties)
         for k in range(report.dimension)
     ]
     out["residuals"] = report.residual
@@ -307,6 +312,9 @@ def cmd_certify(args) -> dict:
 
 def cmd_verify(args) -> dict:
     d, tol = _angle_args(args)
+    for flag, value in (("--trials", args.trials), ("--env-dim", args.env_dim)):
+        if value < 1:
+            raise InputError(f"{flag} must be >= 1, got {value}")
     block = (1 << d.n_parties) * args.env_dim * args.trials
     if block > 1 << MAX_PARTIES:
         raise InputError(
@@ -316,12 +324,12 @@ def cmd_verify(args) -> dict:
     report = solve_common_eigenspace(d, tol)
     bases = sector_oracle_bases(d, tol)
     oracle = bases[0]
-    if oracle.count != report.dimension:
+    if oracle.shape[1] != report.dimension:
         raise InternalConsistencyError(
-            f"oracle dim {oracle.count} != solver dim {report.dimension}"
+            f"oracle dim {oracle.shape[1]} != solver dim {report.dimension}"
         )
     sector_dims = sector_dimensions(d, tol)
-    oracle_sector_dims = tuple(b.count for b in bases)
+    oracle_sector_dims = tuple(b.shape[1] for b in bases)
     if sector_dims != oracle_sector_dims:
         raise InternalConsistencyError(
             f"sector dims {list(sector_dims)} != oracle sector dims "
@@ -335,7 +343,7 @@ def cmd_verify(args) -> dict:
     return {
         "case": report.classification.case.value,
         "solver_dimension": report.dimension,
-        "oracle_dimension": oracle.count,
+        "oracle_dimension": oracle.shape[1],
         "subspace_distance": subspace_distance(report.basis, oracle),
         "sector_dims": list(sector_dims),
         "identity_residuals": {"odd": odd_res, "even": even_res},
@@ -351,6 +359,7 @@ def cmd_verify(args) -> dict:
     }
 
 
+@functools.cache  # each parse fills a fresh namespace, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ghzstab",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import Angle, DirectionList
-from .bitstrings import BitString, parity_classes
+from .bitstrings import parity_classes
 from .errors import DomainError, InternalConsistencyError, PreconditionError
 from .linalg import DEFAULT_TOL, StateVector, apply_locals, check_dense
 from .observables import (
@@ -71,13 +71,15 @@ def ghz_states(d: DirectionList, bits: np.ndarray) -> np.ndarray:
     return amps
 
 
-def ghz_from_pattern(d: DirectionList, m: BitString) -> StateVector:
-    """The state of ghz_states for the one pattern m, which needs m_1 = 0."""
-    if m.n != d.n_parties:
-        raise PreconditionError(f"pattern length {m.n} != n_parties {d.n_parties}")
-    if m.bit(1) != 0:
+def ghz_from_pattern(d: DirectionList, m: int) -> StateVector:
+    """The state of ghz_states for the one pattern index m, which needs
+    m_1 = 0."""
+    n = d.n_parties
+    if not 0 <= m < 1 << n:
+        raise DomainError(f"pattern {m} out of range for n_parties={n}")
+    if m >> (n - 1):
         raise PreconditionError("pattern must have m_1 = 0")
-    return StateVector(m.n, ghz_states(d, np.array([m.bits]))[:, 0])
+    return StateVector(n, ghz_states(d, np.array([m]))[:, 0])
 
 
 def parity_rotation_image(n: int) -> np.ndarray:
@@ -172,9 +174,9 @@ def stabilizing_pair_for(spec: GHZSpec) -> StabilizingPair:
     res_b = float(np.linalg.norm(b.apply(target.amplitudes) - target.amplitudes))
     residual = max(res_a, res_b)
     oracle = brute_force_eigenspace(a, b, DEFAULT_TOL)
-    if oracle.count != 1:
+    if oracle.shape[1] != 1:
         raise InternalConsistencyError(
-            f"constructed pair has eigenspace dimension {oracle.count}, expected 1"
+            f"constructed pair has eigenspace dimension {oracle.shape[1]}, expected 1"
         )
     if residual > 1e-9:
         raise InternalConsistencyError(

@@ -8,7 +8,7 @@ here: MAX_PARTIES bounds 2^n-amplitude vectors and MAX_DENSE_PARTIES bounds
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -82,40 +82,6 @@ class StateVector:
         return StateVector(self.n_qubits, self.amplitudes / n)
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal basis of a subspace, stored as columns of `matrix`."""
-
-    dim: int
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.dim:
-            raise ShapeError(
-                f"basis matrix must be {self.dim} x k, got {self.matrix.shape}"
-            )
-
-    @classmethod
-    def empty(cls, dim: int) -> "SubspaceBasis":
-        return cls(dim=dim, matrix=np.zeros((dim, 0), dtype=np.complex128))
-
-    @property
-    def count(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def vectors(self) -> list[StateVector]:
-        n = _check_power_of_two(self.dim)
-        return [StateVector(n, self.matrix[:, k].copy()) for k in range(self.count)]
-
-    def gram_defect(self) -> float:
-        """Max deviation of the Gram matrix from the identity."""
-        if self.count == 0:
-            return 0.0
-        g = self.matrix.conj().T @ self.matrix
-        return float(np.max(np.abs(g - np.eye(self.count))))
-
-
 def kron_all(mats) -> np.ndarray:
     """Tensor product of square factors; the first factor owns the most
     significant index block."""
@@ -126,9 +92,9 @@ def kron_all(mats) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def null_space(m: np.ndarray, tol: float = DEFAULT_TOL) -> SubspaceBasis:
+def null_space(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the numerical null space of a matrix, square or
-    rectangular.
+    rectangular, as the columns of a complex (cols, k) array.
 
     Singular values at or below tol count as zero.
     """
@@ -143,8 +109,7 @@ def null_space(m: np.ndarray, tol: float = DEFAULT_TOL) -> SubspaceBasis:
     # a square input has all cols right singular vectors in the thin SVD
     _, s, vh = np.linalg.svd(arr, full_matrices=rows < cols)
     rank = int(np.sum(s > tol))
-    basis = vh[rank:].conj().T
-    return SubspaceBasis(dim=cols, matrix=np.ascontiguousarray(basis))
+    return np.ascontiguousarray(vh[rank:].conj().T)
 
 
 def fidelity(u: StateVector, v: StateVector) -> float:
@@ -154,22 +119,22 @@ def fidelity(u: StateVector, v: StateVector) -> float:
     return float(abs(np.vdot(u.amplitudes, v.amplitudes)))
 
 
-def subspace_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
-    """Spectral-norm distance between the orthogonal projectors of a and b.
+def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Spectral-norm distance between the orthogonal projectors onto the
+    column spans of two orthonormal (dim, k) bases.
 
     For equal counts this is the sine of the largest principal angle,
-    ||Q_b - Q_a (Q_a^H Q_b)||_2, a 2^n x k problem; projectors of different
-    rank are at distance 1. The cosine form sqrt(1 - sigma_min^2) would lose
+    ||b - a (a^H b)||_2, a 2^n x k problem; projectors of different rank are
+    at distance 1. The cosine form sqrt(1 - sigma_min^2) would lose
     precision to sqrt(eps) near 0.
     """
-    if a.dim != b.dim:
-        raise ShapeError(f"ambient dimension mismatch: {a.dim} vs {b.dim}")
-    if a.count != b.count:
+    if a.shape[0] != b.shape[0]:
+        raise ShapeError(f"ambient dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    if a.shape[1] != b.shape[1]:
         return 1.0
-    if a.count == 0:
+    if a.shape[1] == 0:
         return 0.0
-    qa, qb = a.matrix, b.matrix
-    return float(np.linalg.norm(qb - qa @ (qa.conj().T @ qb), 2))
+    return float(np.linalg.norm(b - a @ (a.conj().T @ b), 2))
 
 
 def apply_locals(mats: np.ndarray, amps: np.ndarray) -> np.ndarray:

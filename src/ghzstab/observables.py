@@ -14,7 +14,6 @@ from .errors import DomainError, PreconditionError, ShapeError
 from .linalg import (
     DEFAULT_TOL,
     StateVector,
-    SubspaceBasis,
     apply_locals,
     check_dense,
     kron_all,
@@ -107,8 +106,9 @@ def sigma_z_product(n: int) -> ProductObservable:
 
 def brute_force_eigenspace(
     a: ProductObservable, b: ProductObservable, tol: float = DEFAULT_TOL
-) -> SubspaceBasis:
-    """Oracle: the +1 eigenvectors of A inside the +1 eigenspace of B.
+) -> np.ndarray:
+    """Oracle: the +1 eigenvectors of A inside the +1 eigenspace of B, as an
+    orthonormal (2^n, k) array.
 
     Each local factor of B is an involution, so its 2x2 eigenbasis (+1
     eigenvector first) gives B = U D U^H with U the product of the local
@@ -136,8 +136,7 @@ def brute_force_eigenspace(
     q = np.zeros((b.dim, cols.size), dtype=np.complex128)
     q[cols, np.arange(cols.size)] = 1.0
     q = apply_locals(frames, q)
-    null = null_space(a.apply(q) - q, 2.0 * min(tol, 1.0))
-    return SubspaceBasis(dim=b.dim, matrix=q @ null.matrix)
+    return q @ null_space(a.apply(q) - q, 2.0 * min(tol, 1.0))
 
 
 def canonical_stabilizer_generators(n: int) -> list[ProductObservable]:

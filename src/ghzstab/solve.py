@@ -34,7 +34,7 @@ from .classify import (
 )
 from .construct import ghz_states
 from .errors import DomainError, InternalConsistencyError, SizeError
-from .linalg import DEFAULT_TOL, MAX_PARTIES, SubspaceBasis, check_dense
+from .linalg import DEFAULT_TOL, MAX_PARTIES, check_dense
 from .observables import (
     ProductObservable,
     brute_force_eigenspace,
@@ -51,7 +51,7 @@ CHARACTER_SAMPLES = 100
 class StabilizerReport:
     classification: ClassificationReport
     dimension: int
-    basis: SubspaceBasis
+    basis: np.ndarray  # (2^n, dimension), orthonormal columns
     residual: float
 
 
@@ -79,16 +79,16 @@ def solve_common_eigenspace(
     n = d.n_parties
     check_dense(n)  # the (2^n, dim) basis
     classification = classify(d, tol)
-    basis = SubspaceBasis(1 << n, ghz_states(d, classification.patterns.bits))
-    image = product_observable(d).apply(basis.matrix)
-    residual = float(np.linalg.norm(image - basis.matrix, axis=0).max(initial=0.0))
+    basis = ghz_states(d, classification.patterns.bits)
+    image = product_observable(d).apply(basis)
+    residual = float(np.linalg.norm(image - basis, axis=0).max(initial=0.0))
     if residual > stabilization_limit(tol):
         raise InternalConsistencyError(
             f"solver basis fails stabilization check: residual {residual:.3e}"
         )
     return StabilizerReport(
         classification=classification,
-        dimension=basis.count,
+        dimension=basis.shape[1],
         basis=basis,
         residual=residual,
     )
@@ -112,10 +112,10 @@ def sector_dimensions(
 
 def sector_oracle_bases(
     d: DirectionList, tol: float = DEFAULT_TOL
-) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis, SubspaceBasis]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Oracle for sector_dimensions: the brute-force common eigenspaces of
-    (sA, sB) in the four sign sectors, (+,+) first; a sign flips an
-    observable's first local factor.
+    (sA, sB) in the four sign sectors, (+,+) first, each a (2^n, k) array;
+    a sign flips an observable's first local factor.
 
     classify decides exact thetas without tol, so for them the cut is
     lowered to half the smallest score a non-vanishing pattern can have:
@@ -260,7 +260,7 @@ def purity_security_check(
             f"exceeds 2^{MAX_PARTIES}"
         )
     unique = report.classification.case is StabilizerCase.UNIQUE_GHZ
-    basis = report.basis.matrix
+    basis = report.basis
     obs = product_observable(d)
     b_diag = sigma_z_product(n)
     rng = np.random.default_rng(seed)

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .angles import Angle, DirectionList
-from .errors import DomainError
+from ghzstab.angles import Angle, DirectionList
+from ghzstab.errors import DomainError
 
 
 def uniform_directions(n: int, rng) -> DirectionList:

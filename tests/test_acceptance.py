@@ -36,7 +36,8 @@ from ghzstab import (
     subspace_distance,
     trig_parity_identity_residuals,
 )
-from ghzstab.sampling import stratified_sample
+from ghzstab.bitstrings import bit_labels
+from sampling import stratified_sample
 
 SAMPLE_SEED = 20260808
 SAMPLE_COUNT = 200
@@ -48,7 +49,7 @@ class SolvedInstance:
     n: int
     directions: DirectionList
     case: StabilizerCase
-    members: tuple
+    members: np.ndarray
     solver_dim: int
     oracle_dim: int
     distance: float
@@ -72,11 +73,11 @@ def solved_sample():
                         n=n,
                         directions=d,
                         case=report.classification.case,
-                        members=report.classification.patterns.members,
+                        members=report.classification.patterns.bits,
                         solver_dim=report.dimension,
-                        oracle_dim=oracle.count,
+                        oracle_dim=oracle.shape[1],
                         distance=subspace_distance(report.basis, oracle),
-                        basis_matrix=report.basis.matrix,
+                        basis_matrix=report.basis,
                     )
                 )
         _cache["sample"] = instances
@@ -95,7 +96,7 @@ def test_criterion_1_epr_reproduction():
     solved = solve_common_eigenspace(d)
     assert solved.dimension == 1
     epr = StateVector.ghz(2)
-    fid = fidelity(solved.basis.vectors[0], epr)
+    fid = fidelity(StateVector(2, solved.basis[:, 0]), epr)
     assert fid >= 1 - 1e-10
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -128,7 +129,7 @@ def test_criterion_3_classification_trichotomy():
             assert inst.solver_dim == 0
         elif inst.case is StabilizerCase.UNIQUE_GHZ:
             assert inst.solver_dim == 1
-            state = ghz_from_pattern(inst.directions, inst.members[0])
+            state = ghz_from_pattern(inst.directions, int(inst.members[0]))
             solver_state = StateVector(inst.n, inst.basis_matrix[:, 0])
             assert fidelity(solver_state, state) >= 1 - 1e-9
         else:
@@ -146,7 +147,7 @@ def test_criterion_3_classification_trichotomy():
         ][:20]
         for inst in picked:
             oracle = sector_oracle_bases(inst.directions)
-            assert tuple(b.count for b in oracle) == (0, 0, 0, 0)
+            assert tuple(b.shape[1] for b in oracle) == (0, 0, 0, 0)
             assert sector_dimensions(inst.directions) == (0, 0, 0, 0)
             checked += 1
     report_line(
@@ -233,7 +234,7 @@ def test_criterion_7_security_property():
 
 def test_criterion_8_certification_statistics():
     d = DirectionList.from_rationals([(1, 2), (1, 2)])
-    state = solve_common_eigenspace(d).basis.vectors[0]
+    state = StateVector(2, solve_common_eigenspace(d).basis[:, 0])
     cfg = CertificationConfig(shots=10_000, seed=SAMPLE_SEED)
     good = run_certification(state, d, cfg)
     assert good.mean_a == 1.0 and good.mean_b == 1.0
@@ -267,7 +268,7 @@ def test_criterion_9_conjecture_audit():
             agree += 1
         else:
             discrepancies.append(
-                (inst.n, [str(m) for m in inst.members], inst.oracle_dim)
+                (inst.n, bit_labels(inst.members, inst.n), inst.oracle_dim)
             )
     for n, members, dim in discrepancies[:20]:
         print(

@@ -1,29 +1,26 @@
 import numpy as np
 import pytest
 
-from ghzstab import BitString, parity_classes
-from ghzstab.bitstrings import bit_labels
-from ghzstab.errors import DomainError, SizeError
+from ghzstab import DirectionList, parity_classes, signed_angle_sum
+from ghzstab.bitstrings import bit_labels, parity_of
+from ghzstab.errors import SizeError
 
 
 def test_party_one_is_most_significant():
-    b = BitString(3, 0b100)
-    assert b.bit(1) == 1 and b.bit(2) == 0 and b.bit(3) == 0
-    assert str(b) == "100"
+    assert bit_labels(np.array([0b100]), 3) == ["100"]
+    # pattern index 0b100 negates theta_1 alone, 0b001 theta_3 alone
+    d = DirectionList.from_rationals([(1, 2), (1, 3), (1, 6)])
+    assert signed_angle_sum(d, 0b100).pi_multiple == 0
+    assert signed_angle_sum(d, 0b001).pi_multiple * 3 == 2
 
 
 def test_complement_and_parity():
-    b = BitString(4, 0b0110)
-    assert b.parity == 0
-    assert b.complement().bits == 0b1001
-    assert b.complement().complement() == b
-
-
-def test_from_string_roundtrip():
-    for text in ["0", "1", "0101", "111000"]:
-        assert str(BitString.from_string(text)) == text
-    with pytest.raises(DomainError):
-        BitString.from_string("01x")
+    assert parity_of(np.array([0b0110, 0b0111])).tolist() == [0, 1]
+    # complementing all n bits flips the parity exactly when n is odd
+    for n in (3, 4):
+        values = np.arange(1 << n)
+        flipped = parity_of(values ^ ((1 << n) - 1))
+        assert np.array_equal(flipped, parity_of(values) ^ (n & 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 24])
@@ -31,7 +28,7 @@ def test_bit_labels_match_format(rng, n):
     values = np.sort(rng.integers(0, 1 << n, size=50))
     values[0], values[-1] = 0, (1 << n) - 1
     assert bit_labels(values, n) == [format(int(v), f"0{n}b") for v in values]
-    assert bit_labels(values[:1], n) == [str(BitString(n, 0))]
+    assert bit_labels(values[:1], n) == ["0" * n]
     assert bit_labels(np.zeros(0, dtype=np.int64), n) == []
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ghzstab import (
-    BitString,
     CertificationConfig,
     DirectionList,
     Ensemble,
@@ -19,7 +18,7 @@ from ghzstab import (
     solve_common_eigenspace,
 )
 from ghzstab.errors import DomainError
-from ghzstab.sampling import uniform_directions
+from sampling import uniform_directions
 
 
 def rationals(*pairs):
@@ -92,7 +91,7 @@ def test_stabilized_state_passes_exactly_at_twenty_parties():
     # E_A reads 1 + 2e-16 here; 2^20 amplitudes are beyond the dense cap,
     # which only .full enforces
     d = canonical_angles(20)
-    state = ghz_from_pattern(d, BitString(20, 0))
+    state = ghz_from_pattern(d, 0)
     report = run_certification(
         state, d, CertificationConfig(shots=10**6, seed=5)
     )
@@ -126,7 +125,11 @@ def test_all_zero_state_fails_with_known_mean():
 def test_ensemble_uniform_basis_traceless_mean():
     # equal-frequency computational basis states: mean_a tracks tr(A)/2^n = 0
     d = EPR_DIRECTIONS
-    ens = Ensemble.uniform_basis(2, sampling="cycle")
+    ens = Ensemble(
+        states=tuple(StateVector.basis_state(2, i) for i in range(4)),
+        weights=(0.25,) * 4,
+        sampling="cycle",
+    )
     report = run_certification(ens, d, CertificationConfig(shots=8000, seed=3))
     assert abs(report.mean_a) <= 5 * report.stderr_a
     assert not report.passed
@@ -184,7 +187,7 @@ def test_local_marginals_unbiased_product_certain():
     # unique stabilized state: each party's outcome is a fair coin, yet the
     # product is +1 in every round for both settings
     d = EPR_DIRECTIONS
-    state = solve_common_eigenspace(d).basis.vectors[0]
+    state = StateVector(2, solve_common_eigenspace(d).basis[:, 0])
     rng = np.random.default_rng(9)
     singles = []
     for _ in range(3000):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ghzstab import (
     Angle,
-    BitString,
     DirectionList,
     StabilizerCase,
     brute_force_eigenspace,
@@ -19,8 +18,9 @@ from ghzstab import (
     sign_pattern_set,
     signed_angle_sum,
 )
-from ghzstab.errors import DomainError, ShapeError
-from ghzstab.sampling import uniform_directions
+from ghzstab.bitstrings import bit_labels
+from ghzstab.errors import DomainError
+from sampling import uniform_directions
 
 
 def rationals(*pairs):
@@ -29,30 +29,36 @@ def rationals(*pairs):
 
 def test_signed_angle_sum_examples():
     d = rationals((1, 2), (1, 2))
-    assert signed_angle_sum(d, BitString.from_string("01")).pi_multiple == 0
-    assert signed_angle_sum(d, BitString.from_string("00")).pi_multiple == 1
+    assert signed_angle_sum(d, 0b01).pi_multiple == 0
+    assert signed_angle_sum(d, 0b00).pi_multiple == 1
     d3 = rationals((2, 3), (2, 3), (2, 3))
-    assert signed_angle_sum(d3, BitString.from_string("000")).pi_multiple == 2
+    assert signed_angle_sum(d3, 0b000).pi_multiple == 2
 
 
-def test_signed_angle_sum_shape_error():
-    with pytest.raises(ShapeError):
-        signed_angle_sum(rationals((1, 2)), BitString.from_string("01"))
+def test_signed_angle_sum_range_error():
+    # a pattern index has one bit per party: 0 <= m < 2^n
+    d = rationals((1, 2))
+    for m in (-1, 2):
+        with pytest.raises(DomainError):
+            signed_angle_sum(d, m)
+        with pytest.raises(DomainError):
+            pattern_condition(d, m)
+    assert pattern_condition(d, 1) is False
 
 
 def test_sign_pattern_set_epr():
     d = rationals((1, 2), (1, 2))
     patterns = sign_pattern_set(d)
-    assert [str(m) for m in patterns.members] == ["01"]
-    assert signed_angle_sum(d, patterns.members[0]).pi_multiple == 0
-    assert [str(m.complement()) for m in patterns.members] == ["10"]
+    assert bit_labels(patterns.bits, 2) == ["01"]
+    assert signed_angle_sum(d, int(patterns.bits[0])).pi_multiple == 0
+    assert bit_labels(patterns.bits ^ 0b11, 2) == ["10"]
 
 
 def test_sign_pattern_set_canonical_triple():
     d = rationals((2, 3), (2, 3), (2, 3))
     patterns = sign_pattern_set(d)
-    assert [str(m) for m in patterns.members] == ["000"]
-    assert signed_angle_sum(d, patterns.members[0]).pi_multiple == 2
+    assert bit_labels(patterns.bits, 3) == ["000"]
+    assert signed_angle_sum(d, int(patterns.bits[0])).pi_multiple == 2
 
 
 def test_sign_pattern_set_degenerate_triple():
@@ -60,30 +66,30 @@ def test_sign_pattern_set_degenerate_triple():
     # matching the brute-force eigenspace dimension of 4
     d = rationals((1, 1), (1, 1), (0, 1))
     patterns = sign_pattern_set(d)
-    assert [str(m) for m in patterns.members] == ["000", "001", "010", "011"]
-    sums = sorted(signed_angle_sum(d, m).pi_multiple for m in patterns.members)
+    assert bit_labels(patterns.bits, 3) == ["000", "001", "010", "011"]
+    sums = sorted(signed_angle_sum(d, m).pi_multiple for m in patterns.bits.tolist())
     assert sums == [0, 0, 2, 2]
     oracle = brute_force_eigenspace(product_observable(d), sigma_z_product(3))
-    assert oracle.count == 4
+    assert oracle.shape == (8, 4)
 
 
 def test_members_have_leading_zero(rng):
     for _ in range(20):
         n = int(rng.integers(1, 7))
         d = uniform_directions(n, rng)
-        for m in sign_pattern_set(d).members:
-            assert m.bit(1) == 0
+        for m in sign_pattern_set(d).bits.tolist():
+            assert m >> (n - 1) == 0
 
 
 def test_classify_trichotomy():
     # oracle dimensions computed first: 0, 1, 4
     no = rationals((1, 2), (1, 3))
-    assert brute_force_eigenspace(product_observable(no), sigma_z_product(2)).count == 0
+    assert brute_force_eigenspace(product_observable(no), sigma_z_product(2)).shape[1] == 0
     assert classify(no).case is StabilizerCase.NO_COMMON_EIGENSTATE
 
     unique = rationals((1, 2), (1, 2))
     assert (
-        brute_force_eigenspace(product_observable(unique), sigma_z_product(2)).count
+        brute_force_eigenspace(product_observable(unique), sigma_z_product(2)).shape[1]
         == 1
     )
     assert classify(unique).case is StabilizerCase.UNIQUE_GHZ
@@ -110,11 +116,11 @@ def test_exact_vs_approx_agreement(rng):
         d = DirectionList.from_rationals(
             [(int(p), int(q)) for p, q in zip(nums, dens)]
         )
-        exact_members = [str(m) for m in sign_pattern_set(d).members]
+        exact_members = sign_pattern_set(d).bits.tolist()
         d_float = DirectionList.of(
             [Angle.radians(t.to_radians()) for t in d.thetas], d.phis
         )
-        approx_members = [str(m) for m in sign_pattern_set(d_float, tol=1e-9).members]
+        approx_members = sign_pattern_set(d_float, tol=1e-9).bits.tolist()
         assert exact_members == approx_members
 
 
@@ -124,9 +130,9 @@ def test_complement_symmetry_unrestricted(rng):
     for _ in range(30):
         n = int(rng.integers(1, 6))
         d = uniform_directions(n, rng)
-        for bits in range(1 << n):
-            m = BitString(n, bits)
-            assert pattern_condition(d, m) == pattern_condition(d, m.complement())
+        for m in range(1 << n):
+            complement = m ^ ((1 << n) - 1)
+            assert pattern_condition(d, m) == pattern_condition(d, complement)
 
 
 def test_condition_matches_membership(rng):
@@ -134,9 +140,9 @@ def test_condition_matches_membership(rng):
         n = int(rng.integers(2, 6))
         nums = rng.integers(0, 8, size=n)
         d = DirectionList.from_rationals([(int(p), 4) for p in nums])
-        members = {m.bits for m in sign_pattern_set(d).members}
+        members = set(sign_pattern_set(d).bits.tolist())
         for bits in range(1 << (n - 1)):
-            held = pattern_condition(d, BitString(n, bits))
+            held = pattern_condition(d, bits)
             assert held == (bits in members)
 
 
@@ -163,10 +169,9 @@ def test_bigint_path_matches_pattern_condition(rng, monkeypatch):
         near_miss = k % 3 == 2
         nums[-1] = (-signs[-1] * partial) % (2 * den) + near_miss
         d = DirectionList.from_rationals([(v, den) for v in nums])
-        members = {m.bits for m in sign_pattern_set(d).members}
+        members = set(sign_pattern_set(d).bits.tolist())
         admitted = {
-            bits for bits in range(1 << (n - 1))
-            if pattern_condition(d, BitString(n, bits))
+            bits for bits in range(1 << (n - 1)) if pattern_condition(d, bits)
         }
         assert members == admitted
         assert bool(members) != near_miss

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -181,13 +183,12 @@ def test_internal_consistency_exits_3(tmp_path, capsys, monkeypatch):
 
 def test_verify_exits_3_when_sector_oracle_disagrees(tmp_path, capsys, monkeypatch):
     import ghzstab.cli
-    from ghzstab.linalg import SubspaceBasis
 
     oracle = ghzstab.cli.sector_oracle_bases
 
     def last_sector_emptied(d, tol):
         bases = oracle(d, tol)
-        return bases[:3] + (SubspaceBasis.empty(bases[3].dim),)
+        return bases[:3] + (bases[3][:, :0],)
 
     monkeypatch.setattr("ghzstab.cli.sector_oracle_bases", last_sector_emptied)
     code, out, err = run_cli(
@@ -258,6 +259,24 @@ def test_verify_bounds_the_purity_block(tmp_path, capsys):
         assert f"= {block} amplitudes" in err
 
 
+def test_verify_rejects_trials_and_env_dim_below_one(tmp_path, capsys):
+    # on a list with no common eigenstate the purity audit draws nothing, so
+    # these exited 0 there; max(env_dim, dimension) hid a bad --env-dim on both
+    no_eigenstate = _radians_input(0.3, 1.1)
+    for payload in (EPR_INPUT, no_eigenstate):
+        for flag in ("--trials", "--env-dim"):
+            for value in ("-3", "0"):
+                code, out, err = run_cli(
+                    ["verify", flag, value], tmp_path, capsys, payload
+                )
+                assert code == 2, (payload, flag, value)
+                assert not out and f"{flag} must be >= 1, got {value}" in err
+        code, out, err = run_cli(
+            ["verify", "--trials", "1", "--env-dim", "1"], tmp_path, capsys, payload
+        )
+        assert code == 0, err
+
+
 def test_verify_builds_no_dense_operator(tmp_path, capsys, monkeypatch):
     # the oracle works matrix-free: no 2^n x 2^n operator is built anywhere
     # in verify, at every module binding kron_all
@@ -273,7 +292,7 @@ def test_verify_builds_no_dense_operator(tmp_path, capsys, monkeypatch):
         if name.startswith("ghzstab") and getattr(module, "kron_all", None) is kron_all:
             monkeypatch.setattr(module, "kron_all", refuse)
     d = canonical_angles(8)
-    assert [b.count for b in sector_oracle_bases(d)] == [1, 0, 0, 1]
+    assert [b.shape[1] for b in sector_oracle_bases(d)] == [1, 0, 0, 1]
     code, out, err = run_cli(
         ["verify", "--trials", "3"], tmp_path, capsys, angle_schema(d)
     )
@@ -548,6 +567,19 @@ def test_certify_rejects_bad_amplitudes(tmp_path, capsys):
         assert "error" in capsys.readouterr().err
 
 
+def test_certify_rejects_a_repeated_index(tmp_path, capsys):
+    # a later record overwrote an earlier one: this certified |11> and exited 0
+    ipath = tmp_path / "angles.json"
+    ipath.write_text(json.dumps(EPR_INPUT))
+    spath = tmp_path / "state.json"
+    spath.write_text(json.dumps({"n": 2, "amplitudes": [
+        {"index": 0, "re": 0.707}, {"index": 3, "re": 0.707}, {"index": 0, "re": 0.0},
+    ]}))
+    assert main(["certify", str(ipath), "--state", str(spath)]) == 2
+    captured = capsys.readouterr()
+    assert "repeats index 0" in captured.err and not captured.out
+
+
 def test_certify_rejects_shots_outside_int64(tmp_path, capsys):
     ipath = tmp_path / "angles.json"
     ipath.write_text(json.dumps(EPR_INPUT))
@@ -609,12 +641,37 @@ def test_pretty_flag(tmp_path, capsys):
     assert "\n  " in out
 
 
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    import argparse
+
+    assert run_cli(["classify"], tmp_path, capsys, EPR_INPUT)[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, out, _ = run_cli(["classify"], tmp_path, capsys, EPR_INPUT)
+    assert code == 0 and parse(out)["m_set"] == ["01"]
+    assert not built
+
+
 def test_entry_point_subprocess(tmp_path):
+    # the child imports the package under test, which pytest may have found
+    # through its own pythonpath setting rather than PYTHONPATH
+    import ghzstab
+
+    src = str(pathlib.Path(ghzstab.__file__).resolve().parents[1])
     path = tmp_path / "angles.json"
     path.write_text(json.dumps(EPR_INPUT))
     proc = subprocess.run(
         [sys.executable, "-m", "ghzstab", "classify", str(path)],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        )},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["case"] == "UniqueGHZ"

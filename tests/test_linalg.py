@@ -5,7 +5,6 @@ import pytest
 
 from ghzstab import (
     StateVector,
-    SubspaceBasis,
     fidelity,
     null_space,
     subspace_distance,
@@ -66,18 +65,18 @@ def test_kron_mixed_product_rule(rng):
 
 def test_null_space_zero_matrix():
     basis = null_space(np.zeros((4, 4)), 1e-10)
-    assert basis.count == 4
-    assert basis.gram_defect() <= 1e-12
+    assert basis.shape == (4, 4) and basis.dtype == np.complex128
+    assert np.allclose(basis.conj().T @ basis, np.eye(4), rtol=0, atol=1e-12)
 
 
 def test_null_space_sigma_z_minus_identity():
     basis = null_space(SIGMA_Z - np.eye(2), 1e-10)
-    assert basis.count == 1
-    assert abs(abs(basis.matrix[0, 0]) - 1.0) <= 1e-12
+    assert basis.shape == (2, 1)
+    assert abs(abs(basis[0, 0]) - 1.0) <= 1e-12
 
 
 def test_null_space_full_rank():
-    assert null_space(np.eye(4), 1e-10).count == 0
+    assert null_space(np.eye(4), 1e-10).shape == (4, 0)
 
 
 def test_null_space_residual_bound(rng):
@@ -88,16 +87,16 @@ def test_null_space_residual_bound(rng):
         a = rng.normal(size=(dim, r)) @ rng.normal(size=(r, dim))
         tol = 1e-9
         basis = null_space(a.astype(np.complex128), tol)
-        assert basis.count == dim - r
+        assert basis.shape == (dim, dim - r)
         norm_a = np.linalg.norm(a, 2)
-        for k in range(basis.count):
-            assert np.linalg.norm(a @ basis.matrix[:, k]) <= 10 * tol * norm_a
+        for k in range(basis.shape[1]):
+            assert np.linalg.norm(a @ basis[:, k]) <= 10 * tol * norm_a
     # a wide matrix needs the full SVD: a thin one drops its null vectors
     wide = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
     basis = null_space(wide, 1e-9)
-    assert basis.count == 3
-    assert basis.gram_defect() <= 1e-12
-    assert np.linalg.norm(wide @ basis.matrix) <= 1e-12
+    assert basis.shape == (5, 3)
+    assert np.allclose(basis.conj().T @ basis, np.eye(3), rtol=0, atol=1e-12)
+    assert np.linalg.norm(wide @ basis) <= 1e-12
 
 
 def test_tall_null_space_matches_thin_svd(rng):
@@ -105,7 +104,7 @@ def test_tall_null_space_matches_thin_svd(rng):
     # the input itself is the reference
     def thin_svd(a, tol):
         _, s, vh = np.linalg.svd(a, full_matrices=False)
-        return s, SubspaceBasis(a.shape[1], vh[int(np.sum(s > tol)):].conj().T)
+        return s, vh[int(np.sum(s > tol)):].conj().T
 
     for rows, cols, rank in ((64, 32, 32), (64, 32, 20), (40, 12, 1), (9, 8, 0)):
         left = rng.normal(size=(rows, rank)) + 1j * rng.normal(size=(rows, rank))
@@ -116,7 +115,7 @@ def test_tall_null_space_matches_thin_svd(rng):
         s_qr = np.linalg.svd(r, compute_uv=False)
         assert np.allclose(s_qr, s_ref, rtol=0, atol=1e-12 * s_ref.max(initial=1.0))
         basis = null_space(a, 1e-9)
-        assert basis.count == ref.count == cols - rank
+        assert basis.shape == ref.shape == (cols, cols - rank)
         assert subspace_distance(basis, ref) <= 1e-12
 
 
@@ -131,7 +130,7 @@ def test_rank_nullity(rng):
         svals[:r] = rng.uniform(0.5, 2.0, size=r)
         a = (u * svals) @ v.T
         basis = null_space(a.astype(np.complex128))
-        assert basis.count + r == dim
+        assert basis.shape[1] + r == dim
 
 
 def test_fidelity_basics():
@@ -162,7 +161,7 @@ def test_fidelity_shape_error():
 
 
 def _span(*vectors):
-    return SubspaceBasis(2, np.column_stack(vectors).astype(np.complex128))
+    return np.column_stack(vectors).astype(np.complex128)
 
 
 def test_subspace_distance_identical_and_orthogonal():
@@ -181,16 +180,18 @@ def test_subspace_distance_oblique():
 
 
 def test_subspace_distance_empty():
-    a = SubspaceBasis.empty(4)
-    b = SubspaceBasis.empty(4)
+    a = np.zeros((4, 0), dtype=np.complex128)
+    b = np.zeros((4, 0), dtype=np.complex128)
     assert subspace_distance(a, b) == 0.0
     with pytest.raises(ShapeError):
-        subspace_distance(a, SubspaceBasis.empty(2))
+        subspace_distance(a, np.zeros((2, 0), dtype=np.complex128))
+    with pytest.raises(ShapeError):
+        subspace_distance(np.eye(4, 1), np.eye(2, 1))
 
 
 def _random_basis(rng, dim, count):
     g = rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
-    return SubspaceBasis(dim=dim, matrix=np.linalg.qr(g)[0])
+    return np.linalg.qr(g)[0]
 
 
 def test_subspace_distance_matches_projector_norm(rng):
@@ -199,12 +200,12 @@ def test_subspace_distance_matches_projector_norm(rng):
         for scale in (1.0, 1e-3, 1e-9):
             a = _random_basis(rng, dim, count)
             # b is a tilted by about scale, so small distances are covered
-            tilt = a.matrix + scale * (
+            tilt = a + scale * (
                 rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
             )
-            b = SubspaceBasis(dim=dim, matrix=np.linalg.qr(tilt)[0])
-            pa = a.matrix @ a.matrix.conj().T
-            pb = b.matrix @ b.matrix.conj().T
+            b = np.linalg.qr(tilt)[0]
+            pa = a @ a.conj().T
+            pb = b @ b.conj().T
             expected = np.linalg.norm(pa - pb, 2)
             assert abs(subspace_distance(a, b) - expected) <= 1e-12
     for dim, ca, cb in [(4, 0, 1), (8, 3, 2), (16, 1, 8)]:

@@ -27,7 +27,7 @@ from ghzstab.observables import SIGMA_X, SIGMA_Z, ProductObservable
 from ghzstab.construct import GHZSpec, stabilizing_pair_for
 from ghzstab.linalg import null_space
 from ghzstab.solve import SECTORS
-from ghzstab.sampling import stratified_sample
+from sampling import stratified_sample
 
 
 def rationals(*pairs):
@@ -35,7 +35,7 @@ def rationals(*pairs):
 
 
 def oracle_dims(d):
-    return tuple(b.count for b in sector_oracle_bases(d))
+    return tuple(b.shape[1] for b in sector_oracle_bases(d))
 
 
 def test_solver_size_cap():
@@ -47,7 +47,7 @@ def test_solve_epr():
     report = solve_common_eigenspace(rationals((1, 2), (1, 2)))
     assert report.dimension == 1
     assert report.classification.case is StabilizerCase.UNIQUE_GHZ
-    v = report.basis.matrix[:, 0]
+    v = report.basis[:, 0]
     epr = np.zeros(4, dtype=complex)
     epr[0] = epr[3] = 1 / math.sqrt(2)
     assert abs(np.vdot(epr, v)) >= 1 - 1e-10
@@ -57,7 +57,7 @@ def test_solve_epr():
 def test_solve_no_eigenstate():
     report = solve_common_eigenspace(rationals((1, 2), (1, 3)))
     assert report.dimension == 0
-    assert report.basis.count == 0
+    assert report.basis.shape == (4, 0)
 
 
 def test_solve_degenerate_all_z():
@@ -65,7 +65,7 @@ def test_solve_degenerate_all_z():
     assert report.dimension == 4
     # every basis vector lives on even-parity indices
     s1 = parity_classes(3).s1
-    assert np.max(np.abs(report.basis.matrix[s1, :])) <= 1e-10
+    assert np.max(np.abs(report.basis[s1, :])) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -83,9 +83,9 @@ def test_solver_spans_oracle_on_degenerate_inputs(pairs, dim):
     oracle = brute_force_eigenspace(
         product_observable(d), sigma_z_product(d.n_parties)
     )
-    assert report.dimension == oracle.count == dim
+    assert report.dimension == oracle.shape[1] == dim
     assert subspace_distance(report.basis, oracle) <= 1e-10
-    gram = report.basis.matrix.conj().T @ report.basis.matrix
+    gram = report.basis.conj().T @ report.basis
     assert np.allclose(gram, np.eye(dim), atol=1e-12)
 
 
@@ -97,7 +97,7 @@ def test_solver_limit_follows_tol():
     assert report.dimension == 2
     assert abs(report.residual - 1e-6) <= 1e-12
     oracle = brute_force_eigenspace(product_observable(d), sigma_z_product(2), 1e-6)
-    assert oracle.count == 2
+    assert oracle.shape[1] == 2
     purity = purity_security_check(
         solve_common_eigenspace(d, 1e-6), d, env_dim=4, trials=5
     )
@@ -107,19 +107,19 @@ def test_solver_limit_follows_tol():
 def test_oracle_examples():
     z = ProductObservable([SIGMA_Z])
     basis = brute_force_eigenspace(z, z)
-    assert basis.count == 1
-    assert abs(abs(basis.matrix[0, 0]) - 1) <= 1e-12
+    assert basis.shape == (2, 1)
+    assert abs(abs(basis[0, 0]) - 1) <= 1e-12
 
     xx = ProductObservable([SIGMA_X] * 2)
     zz = sigma_z_product(2)
     basis = brute_force_eigenspace(xx, zz)
-    assert basis.count == 1
+    assert basis.shape == (4, 1)
     epr = np.zeros(4, dtype=complex)
     epr[0] = epr[3] = 1 / math.sqrt(2)
-    assert abs(np.vdot(epr, basis.matrix[:, 0])) >= 1 - 1e-10
+    assert abs(np.vdot(epr, basis[:, 0])) >= 1 - 1e-10
 
     x = ProductObservable([SIGMA_X])
-    assert brute_force_eigenspace(x, z).count == 0
+    assert brute_force_eigenspace(x, z).shape == (2, 0)
 
 
 def stacked_reference(a_full, b_full, tol=1e-9):
@@ -132,7 +132,7 @@ def stacked_reference(a_full, b_full, tol=1e-9):
 
 
 def assert_same_space(oracle, reference):
-    assert oracle.count == reference.count
+    assert oracle.shape == reference.shape
     assert subspace_distance(oracle, reference) <= 1e-10
 
 
@@ -162,7 +162,7 @@ def test_oracle_matches_stacked_null_space_on_rotated_pairs(rng):
             assert_same_space(
                 oracle, stacked_reference(pair.a.full, pair.b.full)
             )
-            assert abs(np.vdot(pair.target.amplitudes, oracle.matrix[:, 0])) >= 1 - 1e-10
+            assert abs(np.vdot(pair.target.amplitudes, oracle[:, 0])) >= 1 - 1e-10
             minus_b = ProductObservable(
                 np.concatenate([-pair.b.mats[:1], pair.b.mats[1:]])
             )
@@ -179,7 +179,7 @@ def test_solver_matches_oracle_on_stratified_sample():
             oracle = brute_force_eigenspace(
                 product_observable(d), sigma_z_product(n)
             )
-            assert report.dimension == oracle.count
+            assert report.dimension == oracle.shape[1]
             assert subspace_distance(report.basis, oracle) <= 1e-7
 
 
@@ -190,7 +190,7 @@ def test_solver_basis_even_support_and_residuals(rng):
         if report.dimension == 0:
             continue
         s1 = parity_classes(4).s1
-        assert np.max(np.abs(report.basis.matrix[s1, :])) <= 1e-10
+        assert np.max(np.abs(report.basis[s1, :])) <= 1e-10
         assert report.residual <= 1e-8
 
 
@@ -242,7 +242,7 @@ def test_solver_matches_oracles_on_exact_lists(d):
         product_observable(d), sigma_z_product(d.n_parties)
     )
     assert report.dimension == len(report.classification.patterns)
-    assert report.dimension == oracle.count
+    assert report.dimension == oracle.shape[1]
     assert subspace_distance(report.basis, oracle) <= 1e-8
     assert sector_dimensions(d) == oracle_dims(d)
 
@@ -280,7 +280,7 @@ def test_oracle_counts_with_classify_rule_near_threshold(case):
     oracle = brute_force_eigenspace(
         product_observable(d), sigma_z_product(d.n_parties), tol
     )
-    assert oracle.count == len(classify(d, tol).patterns)
+    assert oracle.shape[1] == len(classify(d, tol).patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +369,7 @@ def test_purity_batch_matches_per_draw_loop(d, chunk_parties, monkeypatch):
     sys_dim = 1 << d.n_parties
     solved = solve_common_eigenspace(d)
     report = purity_security_check(solved, d, env_dim=env_dim, trials=trials, seed=seed)
-    basis = solved.basis.matrix
+    basis = solved.basis
     rng = np.random.default_rng(seed)
     entropies, fidelities = [], []
     for _ in range(trials):
@@ -409,7 +409,7 @@ def test_odd_parity_residual_vanishes_for_stabilized(rng):
     report = solve_common_eigenspace(d)
     env_dim = 3
     joint = np.kron(
-        report.basis.matrix[:, 0],
+        report.basis[:, 0],
         (rng.normal(size=env_dim) + 1j * rng.normal(size=env_dim)),
     )
     joint /= np.linalg.norm(joint)
