@@ -8,13 +8,12 @@ cross-checked against an independent brute-force oracle.
 """
 
 from .angles import PI, Angle, DirectionList
-from .bitstrings import parity_classes
+from .bitstrings import even_indices
 from .certify import (
     CertificationConfig,
     Ensemble,
     expectation,
     joint_outcome_probabilities,
-    measure_round,
     run_certification,
     sequential_outcome_probabilities,
 )
@@ -44,13 +43,10 @@ from .observables import (
     local_observable,
     product_observable,
     sigma_z_product,
-    spin_down_eigenvector,
-    spin_up_eigenvector,
     stabilizer_dimension,
 )
 from .solve import (
     character_sum_check,
-    odd_parity_contraction_residual,
     purity_security_check,
     sector_dimensions,
     sector_oracle_bases,
@@ -76,15 +72,13 @@ __all__ = [
     "canonical_stabilizer_generators",
     "character_sum_check",
     "classify",
+    "even_indices",
     "expectation",
     "fidelity",
     "ghz_from_pattern",
     "joint_outcome_probabilities",
     "local_observable",
-    "measure_round",
     "null_space",
-    "odd_parity_contraction_residual",
-    "parity_classes",
     "pattern_condition",
     "product_observable",
     "purity_security_check",
@@ -97,8 +91,6 @@ __all__ = [
     "sign_pattern_set",
     "signed_angle_sum",
     "solve_common_eigenspace",
-    "spin_down_eigenvector",
-    "spin_up_eigenvector",
     "stabilizer_dimension",
     "stabilizing_pair_for",
     "subspace_distance",

@@ -1,9 +1,7 @@
 """Basis and pattern indices as n-bit integers, party l at bit n - l (party 1
-the most significant): their even/odd parity classes and "0101" labels."""
+the most significant): the even-parity class and "0101" labels."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,22 +9,12 @@ from .errors import SizeError
 from .linalg import MAX_PARTIES
 
 
-@dataclass(frozen=True)
-class ParityClasses:
-    """Even- and odd-parity basis index lists, ascending."""
-
-    n: int
-    s0: np.ndarray
-    s1: np.ndarray
-
-
-def parity_classes(n: int) -> ParityClasses:
-    """Partition all 2^n basis indices by the XOR-parity of their bits."""
+def even_indices(n: int) -> np.ndarray:
+    """The 2^(n-1) basis indices of even bit parity, ascending, as int64."""
     if not 1 <= n <= MAX_PARTIES:
         raise SizeError(f"n must be in 1..{MAX_PARTIES}, got {n}")
     idx = np.arange(1 << n, dtype=np.int64)
-    par = parity_of(idx)
-    return ParityClasses(n=n, s0=idx[par == 0], s1=idx[par == 1])
+    return idx[parity_of(idx) == 0]
 
 
 def bit_labels(values: np.ndarray, n: int) -> list[str]:

@@ -8,9 +8,10 @@ expectation per component and setting and a few binomial draws. A state that
 is the unique common +1 eigenstate of both product observables gives product
 outcome +1 in every round; any other input fails detectably.
 
-measure_round samples one joint outcome from the Born probabilities, and
-sequential_outcome_probabilities recomputes those by party-by-party
-collapse, as an independent check of the Born rule.
+joint_outcome_probabilities gives the Born probabilities of all 2^n joint
+outcomes of setting A, and sequential_outcome_probabilities recomputes them
+by party-by-party collapse, as an independent check of the Born rule; the
+tests tie both to the expectation that run_certification draws from.
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ import numpy as np
 from .angles import ZERO_ANGLE, DirectionList
 from .errors import DomainError, ShapeError
 from .linalg import StateVector, apply_locals
-from .observables import (
-    product_observable,
-    spin_down_eigenvector,
-    spin_up_eigenvector,
-)
+from .observables import product_observable, spin_frames
 
 
 @dataclass(frozen=True)
@@ -46,6 +43,8 @@ class CertificationConfig:
             raise DomainError(
                 f"pass_threshold must be in (0,1], got {self.pass_threshold}"
             )
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -88,50 +87,11 @@ class Ensemble:
             raise DomainError(f"unknown sampling {self.sampling!r}")
 
 
-def measurement_bases(d: DirectionList) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 2) arrays of per-party +1 and -1 eigenvectors for setting A."""
-    up = np.stack(
-        [
-            spin_up_eigenvector(t, p).amplitudes
-            for t, p in zip(d.thetas, d.phis)
-        ]
-    )
-    down = np.stack(
-        [
-            spin_down_eigenvector(t, p).amplitudes
-            for t, p in zip(d.thetas, d.phis)
-        ]
-    )
-    return up, down
-
-
-def measure_round(state: StateVector, d: DirectionList, rng) -> tuple[np.ndarray, int]:
-    """One round of joint measurement along d, drawn from the Born
-    probabilities of all 2^n joint outcomes.
-
-    Returns the per-party outcomes as +-1 and their product. The product's
-    sampling distribution has expectation <state|A|state>.
-    """
-    if state.n_qubits != d.n_parties:
-        raise ShapeError(
-            f"state has {state.n_qubits} qubits, directions {d.n_parties}"
-        )
-    probs = joint_outcome_probabilities(state, d)
-    index = rng.choice(probs.size, p=probs / probs.sum())
-    bits = (index >> np.arange(d.n_parties - 1, -1, -1)) & 1
-    outcomes = 1 - 2 * bits
-    return outcomes, int(np.prod(outcomes))
-
-
 def joint_outcome_probabilities(state: StateVector, d: DirectionList) -> np.ndarray:
     """Born probabilities of all 2^n joint outcomes (bit 0 = +1 outcome),
     computed directly from the product-basis overlap."""
-    up, down = measurement_bases(d)
-    mats = np.stack(
-        [np.stack([up[l].conj(), down[l].conj()]) for l in range(d.n_parties)]
-    )
-    transformed = apply_locals(mats, state.amplitudes)
-    return np.abs(transformed) ** 2
+    frames_h = spin_frames(d).conj().transpose(0, 2, 1)
+    return np.abs(apply_locals(frames_h, state.amplitudes)) ** 2
 
 
 def sequential_outcome_probabilities(
@@ -139,7 +99,7 @@ def sequential_outcome_probabilities(
 ) -> np.ndarray:
     """Joint outcome probabilities accumulated through the sequential
     collapse chain rule; must match the direct Born probabilities."""
-    up, down = measurement_bases(d)
+    frames = spin_frames(d)
     n = d.n_parties
     probs = np.zeros(1 << n)
 
@@ -149,27 +109,17 @@ def sequential_outcome_probabilities(
         if l == n:
             probs[prefix] = norm_sq
             return
-        pos = n - 1 - l
-        step = 1 << pos
-        resh = amps.reshape(-1, 2, step) if step > 1 else amps.reshape(-1, 2)
-        for bit, basis in ((0, up[l]), (1, down[l])):
-            if step > 1:
-                c = basis[0].conj() * resh[:, 0, :] + basis[1].conj() * resh[:, 1, :]
-            else:
-                c = basis[0].conj() * resh[:, 0] + basis[1].conj() * resh[:, 1]
+        resh = amps.reshape(-1, 2, 1 << (n - 1 - l))
+        for bit in (0, 1):
+            basis = frames[l, :, bit]
+            c = basis[0].conj() * resh[:, 0] + basis[1].conj() * resh[:, 1]
             p = float(np.sum(np.abs(c) ** 2))
             if p < 1e-30:
                 continue
-            new = np.zeros_like(amps).reshape(resh.shape)
-            if step > 1:
-                new[:, 0, :] = basis[0] * c / math.sqrt(p)
-                new[:, 1, :] = basis[1] * c / math.sqrt(p)
-            else:
-                new[:, 0] = basis[0] * c / math.sqrt(p)
-                new[:, 1] = basis[1] * c / math.sqrt(p)
+            new = basis[:, None] * (c / math.sqrt(p))[:, None, :]
             walk(new.reshape(-1), norm_sq * p, l + 1, (prefix << 1) | bit)
 
-    walk(state.amplitudes.copy(), 1.0, 0, 0)
+    walk(state.amplitudes, 1.0, 0, 0)
     return probs
 
 

@@ -46,7 +46,7 @@ AMPLITUDE_CUTOFF = 1e-12
 MAX_RADIANS = 4 * math.pi
 
 
-class InputError(Exception):
+class InputError(GhzstabError):
     """Malformed or invalid JSON input."""
 
 
@@ -140,10 +140,14 @@ def parse_state_file(data) -> StateVector:
             _finite(rec.get("re", 0.0), f"amplitudes[{k}].re"),
             _finite(rec.get("im", 0.0), f"amplitudes[{k}].im"),
         )
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
+    # scaled to a largest real or imaginary part of 1 first, so the norm
+    # neither overflows nor underflows
+    parts = vec.view(np.float64)
+    scale = np.abs(parts).max()
+    if scale == 0.0:
         raise InputError("state vector has zero norm")
-    return StateVector(n, vec / norm)
+    parts /= scale
+    return StateVector(n, vec / np.linalg.norm(vec))
 
 
 def _load_json(path: str):
@@ -265,10 +269,7 @@ def cmd_construct(args) -> dict:
                 raise InputError(
                     f"unitaries[{k}] must be a 2x2 matrix of [re, im] pairs"
                 )
-        try:
-            spec = GHZSpec.from_matrices(mats)
-        except GhzstabError as exc:
-            raise InputError(str(exc))
+        spec = GHZSpec.from_matrices(mats)
     else:
         spec = GHZSpec.identity(n)
     pair = stabilizing_pair_for(spec)
@@ -296,13 +297,19 @@ def cmd_certify(args) -> dict:
         pass_threshold=args.threshold,
     )
     rep = run_certification(state, d, cfg)
+
+    def defined(x: float) -> float | None:
+        # a mean over 0 rounds, or a stderr over fewer than 2, is NaN, which
+        # JSON cannot carry
+        return None if math.isnan(x) else x
+
     return {
-        "mean_a": rep.mean_a,
-        "mean_b": rep.mean_b,
+        "mean_a": defined(rep.mean_a),
+        "mean_b": defined(rep.mean_b),
         "count_a": rep.count_a,
         "count_b": rep.count_b,
-        "stderr_a": rep.stderr_a,
-        "stderr_b": rep.stderr_b,
+        "stderr_a": defined(rep.stderr_a),
+        "stderr_b": defined(rep.stderr_b),
         "pass": rep.passed,
         "threshold": rep.threshold,
         "shots": rep.shots,
@@ -312,9 +319,13 @@ def cmd_certify(args) -> dict:
 
 def cmd_verify(args) -> dict:
     d, tol = _angle_args(args)
-    for flag, value in (("--trials", args.trials), ("--env-dim", args.env_dim)):
-        if value < 1:
-            raise InputError(f"{flag} must be >= 1, got {value}")
+    for flag, value, low in (
+        ("--trials", args.trials, 1),
+        ("--env-dim", args.env_dim, 1),
+        ("--seed", args.seed, 0),
+    ):
+        if value < low:
+            raise InputError(f"{flag} must be >= {low}, got {value}")
     block = (1 << d.n_parties) * args.env_dim * args.trials
     if block > 1 << MAX_PARTIES:
         raise InputError(
@@ -421,9 +432,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 3

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import Angle, DirectionList
-from .bitstrings import parity_classes
+from .bitstrings import even_indices
 from .errors import DomainError, InternalConsistencyError, PreconditionError
 from .linalg import DEFAULT_TOL, StateVector, apply_locals, check_dense
 from .observables import (
@@ -61,7 +61,7 @@ def ghz_states(d: DirectionList, bits: np.ndarray) -> np.ndarray:
     """
     n = d.n_parties
     phases = pattern_phases(d, bits)
-    s0 = parity_classes(n).s0
+    s0 = even_indices(n)
     amps = np.zeros((1 << n, bits.size), dtype=np.complex128)
     vals = np.ones((s0.size, bits.size), dtype=np.complex128)
     for l in range(n):
@@ -80,15 +80,6 @@ def ghz_from_pattern(d: DirectionList, m: int) -> StateVector:
     if m >> (n - 1):
         raise PreconditionError("pattern must have m_1 = 0")
     return StateVector(n, ghz_states(d, np.array([m]))[:, 0])
-
-
-def parity_rotation_image(n: int) -> np.ndarray:
-    """Image of |0..0> + |1..1> under the unnormalized map |0> -> |0>+|1>,
-    |1> -> |0>-|1> on each party; equals twice the even-parity indicator."""
-    h = np.array([[1, 1], [1, -1]], dtype=np.complex128)
-    vec = np.zeros(1 << n, dtype=np.complex128)
-    vec[0] = vec[-1] = 1.0
-    return apply_locals(np.stack([h] * n), vec)
 
 
 @dataclass(frozen=True)

@@ -147,12 +147,3 @@ def apply_locals(mats: np.ndarray, amps: np.ndarray) -> np.ndarray:
         t = np.moveaxis(np.tensordot(mats[l], t, axes=([1], [l])), 0, l)
     return np.ascontiguousarray(t.reshape(amps.shape))
 
-
-def single_party_reduced(state: StateVector, party: int) -> np.ndarray:
-    """2x2 reduced density matrix of one party (1-based index)."""
-    n = state.n_qubits
-    if not 1 <= party <= n:
-        raise DomainError(f"party {party} out of range 1..{n}")
-    t = state.amplitudes.reshape((2,) * n)
-    t = np.moveaxis(t, party - 1, 0).reshape(2, -1)
-    return t @ t.conj().T

@@ -13,7 +13,6 @@ from .angles import Angle, DirectionList
 from .errors import DomainError, PreconditionError, ShapeError
 from .linalg import (
     DEFAULT_TOL,
-    StateVector,
     apply_locals,
     check_dense,
     kron_all,
@@ -39,20 +38,16 @@ def local_observable(theta: Angle, phi: Angle) -> np.ndarray:
     return np.array([[c, s * e.conjugate()], [s * e, -c]], dtype=np.complex128)
 
 
-def spin_up_eigenvector(theta: Angle, phi: Angle) -> StateVector:
-    """+1 eigenvector (cos(t/2), e^{ip} sin(t/2)) of local_observable(t, p)."""
-    t = theta.to_radians() / 2.0
-    p = phi.to_radians()
-    e = complex(math.cos(p), math.sin(p))
-    return StateVector.from_amplitudes([math.cos(t), e * math.sin(t)])
-
-
-def spin_down_eigenvector(theta: Angle, phi: Angle) -> StateVector:
-    """-1 eigenvector (-sin(t/2), e^{ip} cos(t/2)), orthogonal to spin up."""
-    t = theta.to_radians() / 2.0
-    p = phi.to_radians()
-    e = complex(math.cos(p), math.sin(p))
-    return StateVector.from_amplitudes([-math.sin(t), e * math.cos(t)])
+def spin_frames(d: DirectionList) -> np.ndarray:
+    """(n, 2, 2) array of per-party eigenframes of local_observable: party
+    l's columns are the +1 eigenvector (cos(t/2), e^{ip} sin(t/2)) and the
+    -1 eigenvector (-sin(t/2), e^{ip} cos(t/2))."""
+    t = np.array(d.theta_radians()) / 2.0
+    p = np.array(d.phi_radians())
+    c, s = np.cos(t), np.sin(t)
+    e = np.cos(p) + 1j * np.sin(p)
+    rows = (np.stack([c, -s], axis=-1), np.stack([e * s, e * c], axis=-1))
+    return np.stack(rows, axis=1)
 
 
 class ProductObservable:

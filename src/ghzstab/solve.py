@@ -25,7 +25,6 @@ import numpy as np
 
 from . import _kernels
 from .angles import DirectionList
-from .bitstrings import parity_classes
 from .classify import (
     ClassificationReport,
     StabilizerCase,
@@ -187,18 +186,6 @@ def character_sum_check(n: int, seed: int = 0) -> float:
 
 # ---------------------------------------------------------------------------
 # purifications and the leak-freedom check
-
-
-def odd_parity_contraction_residual(
-    joint: np.ndarray, d: DirectionList, env_dim: int
-) -> float:
-    """For a joint system/environment state sum_i |i> |e_i>, the max norm of
-    sum_i <j|A|i> |e_i> over odd-parity j; vanishes for any joint state
-    stabilized by the product observable."""
-    n = d.n_parties
-    image = product_observable(d).apply(joint.reshape(1 << n, env_dim))
-    s1 = parity_classes(n).s1
-    return float(np.max(np.linalg.norm(image[s1], axis=1))) if s1.size else 0.0
 
 
 @dataclass(frozen=True)

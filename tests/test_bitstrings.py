@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ghzstab import DirectionList, parity_classes, signed_angle_sum
+from ghzstab import DirectionList, even_indices, signed_angle_sum
 from ghzstab.bitstrings import bit_labels, parity_of
 from ghzstab.errors import SizeError
 
@@ -33,26 +33,24 @@ def test_bit_labels_match_format(rng, n):
 
 
 def test_parity_classes_small():
-    pc = parity_classes(2)
-    assert pc.s0.tolist() == [0b00, 0b11]
-    assert pc.s1.tolist() == [0b01, 0b10]
-    pc3 = parity_classes(3)
-    assert pc3.s0.tolist() == [0b000, 0b011, 0b101, 0b110]
-    pc1 = parity_classes(1)
-    assert pc1.s0.tolist() == [0] and pc1.s1.tolist() == [1]
+    assert even_indices(2).tolist() == [0b00, 0b11]
+    assert even_indices(3).tolist() == [0b000, 0b011, 0b101, 0b110]
+    assert even_indices(1).tolist() == [0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 10])
 def test_parity_classes_sizes_and_order(n):
-    pc = parity_classes(n)
-    assert pc.s0.size == pc.s1.size == 1 << (n - 1)
-    assert np.all(np.diff(pc.s0) > 0) and np.all(np.diff(pc.s1) > 0)
-    both = np.concatenate([pc.s0, pc.s1])
-    assert np.array_equal(np.sort(both), np.arange(1 << n))
+    # the even class is half of all indices, ascending, and its complement
+    # is the odd class
+    even = even_indices(n)
+    assert even.dtype == np.int64 and even.size == 1 << (n - 1)
+    assert np.all(np.diff(even) > 0)
+    odd = np.setdiff1d(np.arange(1 << n), even)
+    assert np.all(parity_of(even) == 0) and np.all(parity_of(odd) == 1)
 
 
 def test_parity_classes_range_check():
     with pytest.raises(SizeError):
-        parity_classes(0)
+        even_indices(0)
     with pytest.raises(SizeError):
-        parity_classes(25)
+        even_indices(25)

@@ -12,11 +12,11 @@ from ghzstab import (
     expectation,
     ghz_from_pattern,
     joint_outcome_probabilities,
-    measure_round,
     run_certification,
     sequential_outcome_probabilities,
     solve_common_eigenspace,
 )
+from ghzstab.bitstrings import parity_of
 from ghzstab.errors import DomainError
 from sampling import uniform_directions
 
@@ -29,26 +29,46 @@ EPR_DIRECTIONS = rationals((1, 2), (1, 2))
 EPR = StateVector.ghz(2)
 
 
-def test_measure_round_eigenstate_always_plus_one(rng):
-    for _ in range(50):
-        outcomes, product = measure_round(EPR, EPR_DIRECTIONS, rng)
-        assert product == 1
-        assert set(outcomes.tolist()) <= {-1, 1}
+def odd_weight(probs):
+    """Probability of product outcome -1: the joint outcomes (bit 1 = -1)
+    with an odd number of -1s."""
+    idx = np.arange(probs.size)
+    return float(probs[parity_of(idx) == 1].sum())
 
 
-def test_measure_round_zero_expectation_state(rng):
+def test_measure_round_eigenstate_always_plus_one():
+    # the stabilized state puts no weight on product outcome -1
+    probs = joint_outcome_probabilities(EPR, EPR_DIRECTIONS)
+    assert odd_weight(probs) <= 1e-12
+    assert abs(probs.sum() - 1.0) <= 1e-12
+
+
+def test_measure_round_zero_expectation_state():
     # |00> under XX: product is +-1 with equal probability
     state = StateVector.basis_state(2, 0)
-    products = [measure_round(state, EPR_DIRECTIONS, rng)[1] for _ in range(2000)]
-    assert abs(np.mean(products)) <= 5 / math.sqrt(2000)
+    probs = joint_outcome_probabilities(state, EPR_DIRECTIONS)
+    assert abs(odd_weight(probs) - 0.5) <= 1e-12
 
 
-def test_measure_round_z_eigenstate(rng):
-    # |00> measured along z on both parties: product +1 always
+def test_measure_round_z_eigenstate():
+    # |00> measured along z on both parties: outcome (+1, +1) always
     d = rationals((0, 1), (0, 1))
     state = StateVector.basis_state(2, 0)
-    for _ in range(50):
-        assert measure_round(state, d, rng)[1] == 1
+    probs = joint_outcome_probabilities(state, d)
+    assert abs(probs[0b00] - 1.0) <= 1e-12
+
+
+def test_product_mean_of_born_probabilities_is_the_expectation(rng):
+    # run_certification draws from expectation alone; the Born law of the
+    # joint outcomes must give the same product mean
+    for n in range(1, 7):
+        for _ in range(5):
+            d = uniform_directions(n, rng)
+            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            state = StateVector.from_amplitudes(amps).normalize()
+            probs = joint_outcome_probabilities(state, d)
+            mean = 1.0 - 2.0 * odd_weight(probs)
+            assert abs(mean - expectation(state, d)) <= 1e-12
 
 
 def test_sequential_matches_joint_probabilities(rng):
@@ -188,15 +208,12 @@ def test_local_marginals_unbiased_product_certain():
     # product is +1 in every round for both settings
     d = EPR_DIRECTIONS
     state = StateVector(2, solve_common_eigenspace(d).basis[:, 0])
-    rng = np.random.default_rng(9)
-    singles = []
-    for _ in range(3000):
-        outcomes, product = measure_round(state, d, rng)
-        assert product == 1
-        singles.append(outcomes)
-    singles = np.array(singles)
-    for party in range(2):
-        assert abs(np.mean(singles[:, party])) <= 5 / math.sqrt(3000)
+    z_axis = rationals((0, 1), (0, 1))
+    for setting in (d, z_axis):
+        probs = joint_outcome_probabilities(state, setting).reshape(2, 2)
+        assert odd_weight(probs.ravel()) <= 1e-12
+        for marginal in (probs.sum(axis=1), probs.sum(axis=0)):
+            assert np.max(np.abs(marginal - 0.5)) <= 1e-12
 
 
 def test_config_validation():
@@ -208,3 +225,5 @@ def test_config_validation():
         CertificationConfig(a_fraction=1.5)
     with pytest.raises(DomainError):
         CertificationConfig(pass_threshold=0.0)
+    with pytest.raises(DomainError):
+        CertificationConfig(seed=-1)

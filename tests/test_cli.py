@@ -621,6 +621,63 @@ def test_certify_seed_determinism(tmp_path, capsys):
     assert first == second
 
 
+def test_negative_seed_exits_two(tmp_path, capsys):
+    # the seed reached np.random.default_rng, whose ValueError escaped main
+    ipath = tmp_path / "angles.json"
+    ipath.write_text(json.dumps(EPR_INPUT))
+    spath = tmp_path / "state.json"
+    spath.write_text(json.dumps({"n": 2, "amplitudes": [{"index": 0, "re": 1.0}]}))
+    for args in (
+        ["certify", str(ipath), "--state", str(spath), "--seed", "-1"],
+        ["verify", str(ipath), "--seed", "-1"],
+    ):
+        assert main(args) == 2, args
+        captured = capsys.readouterr()
+        assert "seed must be >= 0, got -1" in captured.err and not captured.out
+
+
+def test_state_file_norm_neither_overflows_nor_underflows(tmp_path, capsys):
+    # 1e308 overflowed the norm to inf and certified the zero vector; 1e-200
+    # underflowed it and exited 2 as "zero norm"
+    ipath = tmp_path / "angles.json"
+    ipath.write_text(json.dumps(EPR_INPUT))
+    spath = tmp_path / "state.json"
+    for amp in (1e308, -1.5e308, 1e-200, 5e-324):
+        spath.write_text(json.dumps({"n": 2, "amplitudes": [
+            {"index": 0, "re": amp, "im": amp}, {"index": 3, "re": amp, "im": amp},
+        ]}))
+        assert main(["certify", str(ipath), "--state", str(spath)]) == 0, amp
+        doc = parse(capsys.readouterr().out)
+        assert doc["mean_a"] == doc["mean_b"] == 1.0 and doc["pass"] is True, amp
+    spath.write_text(json.dumps({"n": 2, "amplitudes": [{"index": 1, "re": 0.0}]}))
+    assert main(["certify", str(ipath), "--state", str(spath)]) == 2
+    assert "zero norm" in capsys.readouterr().err
+
+
+def test_certify_prints_strict_json(tmp_path, capsys):
+    # a mean over no rounds and a stderr over fewer than two are undefined;
+    # they printed as NaN, which is not JSON, and now print as null
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    ipath = tmp_path / "angles.json"
+    ipath.write_text(json.dumps(EPR_INPUT))
+    spath = tmp_path / "state.json"
+    spath.write_text(json.dumps({"n": 2, "amplitudes": [{"index": 0, "re": 1.0}]}))
+    seen = set()
+    for shots in (1, 2, 3):
+        for seed in range(8):
+            assert main(["certify", str(ipath), "--state", str(spath),
+                         "--shots", str(shots), "--seed", str(seed)]) == 0
+            doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+            for s in ("a", "b"):
+                count = doc[f"count_{s}"]
+                assert (doc[f"mean_{s}"] is None) == (count == 0)
+                assert (doc[f"stderr_{s}"] is None) == (count < 2)
+                seen.add(count)
+    assert {0, 1, 2} <= seen
+
+
 def test_verify_epr(tmp_path, capsys):
     code, out, _ = run_cli(
         ["verify", "--trials", "5", "--env-dim", "4"], tmp_path, capsys, EPR_INPUT

@@ -20,14 +20,21 @@ from ghzstab import (
     stabilizing_pair_for,
     subspace_distance,
 )
-from ghzstab.bitstrings import bit_labels, parity_classes
-from ghzstab.construct import ghz_states, parity_rotation_image, pattern_phases
+from ghzstab.bitstrings import bit_labels, even_indices
+from ghzstab.construct import ghz_states, pattern_phases
 from ghzstab.errors import DomainError, PreconditionError
-from ghzstab.linalg import single_party_reduced
+from ghzstab.linalg import apply_locals
 
 
 def rationals(*pairs):
     return DirectionList.from_rationals(list(pairs))
+
+
+def single_party_reduced(state: StateVector, party: int) -> np.ndarray:
+    """2x2 reduced density matrix of one party (1-based index)."""
+    t = np.moveaxis(state.amplitudes.reshape((2,) * state.n_qubits), party - 1, 0)
+    t = t.reshape(2, -1)
+    return t @ t.conj().T
 
 
 def test_canonical_angles_recipes():
@@ -115,7 +122,7 @@ def test_ghz_states_match_the_per_pattern_product_bit_for_bit(rng):
         )
         bits = np.arange(1 << (n - 1), dtype=np.int64)
         states = ghz_states(d, bits)
-        s0 = parity_classes(n).s0
+        s0 = even_indices(n)
         for m in bits.tolist():
             phis = np.array(d.phi_radians())
             signs = np.array([1 - 2 * ((m >> (n - l)) & 1) for l in range(1, n + 1)])
@@ -141,9 +148,14 @@ def test_solver_state_matches_pattern_state():
 
 
 def test_parity_rotation_identity():
+    # |0..0> + |1..1> under |0> -> |0>+|1>, |1> -> |0>-|1> on every party
+    # is twice the even-parity indicator
+    h = np.array([[1, 1], [1, -1]], dtype=np.complex128)
     for n in range(1, 11):
-        image = parity_rotation_image(n)
-        s0 = parity_classes(n).s0
+        ghz = np.zeros(1 << n, dtype=np.complex128)
+        ghz[0] = ghz[-1] = 1.0
+        image = apply_locals(np.stack([h] * n), ghz)
+        s0 = even_indices(n)
         expected = np.zeros(1 << n, dtype=complex)
         expected[s0] = 2.0
         assert np.array_equal(image, expected)
@@ -188,7 +200,7 @@ def test_stabilizing_pair_identity_spec():
 def test_stabilizing_pair_hadamard_spec():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     pair = stabilizing_pair_for(GHZSpec.from_matrices([h, h, h]))
-    s0 = parity_classes(3).s0
+    s0 = even_indices(3)
     expected = np.zeros(8, dtype=complex)
     expected[s0] = 0.5
     assert abs(np.vdot(expected, pair.target.amplitudes)) >= 1 - 1e-12

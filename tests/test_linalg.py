@@ -10,7 +10,7 @@ from ghzstab import (
     subspace_distance,
 )
 from ghzstab.errors import DomainError, ShapeError, SizeError
-from ghzstab.linalg import apply_locals, kron_all, single_party_reduced
+from ghzstab.linalg import apply_locals, kron_all
 from ghzstab.observables import SIGMA_X, SIGMA_Z
 
 
@@ -224,13 +224,6 @@ def test_apply_locals_matches_kron(rng):
         assert np.allclose(apply_locals(mats, v), full @ v, atol=1e-12)
         cols = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
         assert np.allclose(apply_locals(mats, cols), full @ cols, atol=1e-12)
-
-
-def test_single_party_reduced_ghz():
-    ghz = StateVector.ghz(3)
-    for party in (1, 2, 3):
-        rho = single_party_reduced(ghz, party)
-        assert np.allclose(rho, np.eye(2) / 2, atol=1e-12)
 
 
 def test_normalize():

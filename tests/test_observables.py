@@ -11,12 +11,17 @@ from ghzstab import (
     local_observable,
     product_observable,
     sigma_z_product,
-    spin_down_eigenvector,
-    spin_up_eigenvector,
     stabilizer_dimension,
 )
 from ghzstab.errors import DomainError, PreconditionError, SizeError
-from ghzstab.observables import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, ProductObservable
+from ghzstab.observables import (
+    IDENTITY_2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    ProductObservable,
+    spin_frames,
+)
 
 
 HALF_PI = Angle.exact(1, 2)
@@ -43,25 +48,24 @@ def test_local_observable_properties(rng):
 
 
 def test_spin_eigenvectors(rng):
-    for _ in range(50):
-        theta = Angle.radians(rng.uniform(0, 2 * math.pi))
-        phi = Angle.radians(rng.uniform(0, 2 * math.pi))
+    # column 0 of party l's frame is the +1 eigenvector, column 1 the -1 one
+    d = DirectionList.of(
+        [Angle.radians(t) for t in rng.uniform(0, 2 * math.pi, size=50)],
+        [Angle.radians(p) for p in rng.uniform(0, 2 * math.pi, size=50)],
+    )
+    frames = spin_frames(d)
+    assert frames.shape == (50, 2, 2) and frames.dtype == np.complex128
+    for frame, theta, phi in zip(frames, d.thetas, d.phis):
         op = local_observable(theta, phi)
-        up = spin_up_eigenvector(theta, phi)
-        down = spin_down_eigenvector(theta, phi)
-        assert np.linalg.norm(op @ up.amplitudes - up.amplitudes) <= 1e-12
-        assert np.linalg.norm(op @ down.amplitudes + down.amplitudes) <= 1e-12
-        assert abs(np.vdot(up.amplitudes, down.amplitudes)) <= 1e-12
+        assert np.max(np.abs(op @ frame - frame * [1, -1])) <= 1e-12
+        assert np.max(np.abs(frame.conj().T @ frame - np.eye(2))) <= 1e-12
 
 
 def test_spin_up_special_points():
-    assert np.allclose(spin_up_eigenvector(ZERO, ZERO).amplitudes, [1, 0])
-    assert np.allclose(
-        spin_up_eigenvector(HALF_PI, ZERO).amplitudes,
-        [1 / math.sqrt(2), 1 / math.sqrt(2)],
-    )
-    up = spin_up_eigenvector(Angle.exact(1), ZERO).amplitudes
-    assert abs(abs(up[1]) - 1.0) <= 1e-12 and abs(up[0]) <= 1e-12
+    up = spin_frames(DirectionList.of([ZERO, HALF_PI, Angle.exact(1)]))[:, :, 0]
+    assert np.allclose(up[0], [1, 0])
+    assert np.allclose(up[1], [1 / math.sqrt(2), 1 / math.sqrt(2)])
+    assert abs(abs(up[2, 1]) - 1.0) <= 1e-12 and abs(up[2, 0]) <= 1e-12
 
 
 def test_product_observable_xx():

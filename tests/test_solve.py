@@ -11,7 +11,6 @@ from ghzstab import (
     brute_force_eigenspace,
     character_sum_check,
     classify,
-    odd_parity_contraction_residual,
     product_observable,
     purity_security_check,
     sector_dimensions,
@@ -21,7 +20,7 @@ from ghzstab import (
     subspace_distance,
     trig_parity_identity_residuals,
 )
-from ghzstab.bitstrings import parity_classes
+from ghzstab.bitstrings import even_indices
 from ghzstab.errors import DomainError, SizeError
 from ghzstab.observables import SIGMA_X, SIGMA_Z, ProductObservable
 from ghzstab.construct import GHZSpec, stabilizing_pair_for
@@ -64,8 +63,8 @@ def test_solve_degenerate_all_z():
     report = solve_common_eigenspace(rationals((1, 1), (1, 1), (0, 1)))
     assert report.dimension == 4
     # every basis vector lives on even-parity indices
-    s1 = parity_classes(3).s1
-    assert np.max(np.abs(report.basis[s1, :])) <= 1e-10
+    odd_rows = np.delete(report.basis, even_indices(3), axis=0)
+    assert np.max(np.abs(odd_rows)) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -189,8 +188,8 @@ def test_solver_basis_even_support_and_residuals(rng):
         report = solve_common_eigenspace(d)
         if report.dimension == 0:
             continue
-        s1 = parity_classes(4).s1
-        assert np.max(np.abs(report.basis[s1, :])) <= 1e-10
+        odd_rows = np.delete(report.basis, even_indices(4), axis=0)
+        assert np.max(np.abs(odd_rows)) <= 1e-10
         assert report.residual <= 1e-8
 
 
@@ -402,25 +401,3 @@ def test_purity_draw_size_cap():
     with pytest.raises(SizeError):
         d = rationals((1, 2), (1, 2))
         purity_security_check(solve_common_eigenspace(d), d, env_dim=1 << 23, trials=1)
-
-
-def test_odd_parity_residual_vanishes_for_stabilized(rng):
-    d = rationals((1, 2), (1, 2))
-    report = solve_common_eigenspace(d)
-    env_dim = 3
-    joint = np.kron(
-        report.basis[:, 0],
-        (rng.normal(size=env_dim) + 1j * rng.normal(size=env_dim)),
-    )
-    joint /= np.linalg.norm(joint)
-    assert odd_parity_contraction_residual(joint, d, env_dim) <= 1e-10
-
-
-def test_odd_parity_residual_nonzero_for_unstabilized():
-    # |00> x |e> is not stabilized by a parity-mixing observable, so the
-    # odd-parity contraction does not vanish
-    d = rationals((1, 3), (1, 4))
-    env_dim = 2
-    joint = np.zeros(8, dtype=complex)
-    joint[0] = 1.0
-    assert odd_parity_contraction_residual(joint, d, env_dim) > 0.1
