@@ -79,8 +79,8 @@ class Ensemble:
             raise DomainError("ensemble needs at least one state")
         if len(self.weights) != len(self.states):
             raise ShapeError("weights and states differ in length")
-        if min(self.weights) < 0:
-            raise DomainError("ensemble weights must be non-negative")
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+            raise DomainError("ensemble weights must be finite and non-negative")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise DomainError("ensemble weights must sum to 1")
         if self.sampling not in ("random", "cycle"):
@@ -99,8 +99,10 @@ def sequential_outcome_probabilities(
 ) -> np.ndarray:
     """Joint outcome probabilities accumulated through the sequential
     collapse chain rule; must match the direct Born probabilities."""
-    frames = spin_frames(d)
     n = d.n_parties
+    if state.n_qubits != n:
+        raise ShapeError(f"state has {state.n_qubits} qubits, directions {n}")
+    frames = spin_frames(d)
     probs = np.zeros(1 << n)
 
     def walk(amps, norm_sq, l, prefix):
@@ -140,13 +142,10 @@ def run_certification(
     """
     n = d.n_parties
     if isinstance(state, StateVector):
-        if state.n_qubits != n:
-            raise ShapeError(
-                f"state has {state.n_qubits} qubits, directions {n}"
-            )
         state = Ensemble(states=(state,), weights=(1.0,), sampling="cycle")
-    if any(s.n_qubits != n for s in state.states):
-        raise ShapeError("ensemble state size mismatch")
+    for s in state.states:
+        if s.n_qubits != n:
+            raise ShapeError(f"state has {s.n_qubits} qubits, directions {n}")
     rng = np.random.default_rng(cfg.seed)
     k = len(state.states)
     if state.sampling == "cycle":

@@ -15,13 +15,10 @@ import numpy as np
 
 from .angles import Angle, DirectionList
 from .bitstrings import even_indices
+from .classify import classify
 from .errors import DomainError, InternalConsistencyError, PreconditionError
-from .linalg import DEFAULT_TOL, StateVector, apply_locals, check_dense
-from .observables import (
-    ProductObservable,
-    brute_force_eigenspace,
-    local_observable,
-)
+from .linalg import StateVector, apply_locals, check_dense
+from .observables import ProductObservable, local_observable
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
 
@@ -146,7 +143,10 @@ def stabilizing_pair_for(spec: GHZSpec) -> StabilizingPair:
     Starts from the canonical angle recipe (unique pattern = the zero
     string), aligns the stabilized state's local frame to the canonical GHZ
     frame, and conjugates both observables by the target's local unitaries
-    composed with that frame map. The result is oracle-verified.
+    composed with that frame map. The pair's common +1 eigenspace is that
+    map's image of the canonical one, so by the theorem it is one state
+    exactly when classify finds only the zero string; both observables are
+    also checked on the target matrix-free.
     """
     n = spec.n
     check_dense(n)
@@ -164,10 +164,11 @@ def stabilizing_pair_for(spec: GHZSpec) -> StabilizingPair:
     res_a = float(np.linalg.norm(a.apply(target.amplitudes) - target.amplitudes))
     res_b = float(np.linalg.norm(b.apply(target.amplitudes) - target.amplitudes))
     residual = max(res_a, res_b)
-    oracle = brute_force_eigenspace(a, b, DEFAULT_TOL)
-    if oracle.shape[1] != 1:
+    bits = classify(d).patterns.bits
+    if bits.tolist() != [0]:
         raise InternalConsistencyError(
-            f"constructed pair has eigenspace dimension {oracle.shape[1]}, expected 1"
+            f"canonical angles for n={n} vanish on patterns {bits[:4].tolist()} "
+            f"({bits.size} in all), expected only the zero string [0]"
         )
     if residual > 1e-9:
         raise InternalConsistencyError(

@@ -142,6 +142,10 @@ def apply_locals(mats: np.ndarray, amps: np.ndarray) -> np.ndarray:
     or to each column of a (2^n, k) array, without materializing the full
     operator."""
     n = mats.shape[0]
+    if amps.shape[0] != 1 << n:
+        raise ShapeError(
+            f"{n} local factors need 2^{n} amplitudes, got {amps.shape[0]}"
+        )
     t = amps.reshape((2,) * n + amps.shape[1:])
     for l in range(n):
         t = np.moveaxis(np.tensordot(mats[l], t, axes=([1], [l])), 0, l)

@@ -174,6 +174,8 @@ def character_sum_check(n: int, seed: int = 0) -> float:
     {0, 1, 2}^n."""
     if n > MAX_PARTIES:
         raise SizeError(f"n {n} exceeds the party cap {MAX_PARTIES}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     vs = rng.integers(0, 3, size=(CHARACTER_SAMPLES, n))
     bits = np.zeros(CHARACTER_SAMPLES, dtype=np.int64)
@@ -241,6 +243,8 @@ def purity_security_check(
         )
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if sys_dim * env_dim > 1 << MAX_PARTIES:
         raise SizeError(
             f"one purification draw of 2^{n} * env_dim {env_dim} amplitudes "

@@ -17,7 +17,7 @@ from ghzstab import (
     solve_common_eigenspace,
 )
 from ghzstab.bitstrings import parity_of
-from ghzstab.errors import DomainError
+from ghzstab.errors import DomainError, ShapeError
 from sampling import uniform_directions
 
 
@@ -194,6 +194,22 @@ def test_ensemble_validation():
         Ensemble(states=(EPR,), weights=(1.0,), sampling="bogus")
     with pytest.raises(DomainError):
         Ensemble(states=(EPR, EPR), weights=(1.5, -0.5))
+    with pytest.raises(DomainError):
+        Ensemble(states=(EPR,), weights=(math.nan,))
+
+
+def test_qubit_count_must_match_directions():
+    # every route checks the count itself; unchecked, the chain rule walks
+    # the wrong parties and returns a plausible distribution
+    ghz3 = StateVector.ghz(3)
+    for fn in (
+        expectation, joint_outcome_probabilities, sequential_outcome_probabilities
+    ):
+        with pytest.raises(ShapeError):
+            fn(ghz3, EPR_DIRECTIONS)
+    for state in (ghz3, Ensemble(states=(EPR, ghz3), weights=(0.5, 0.5))):
+        with pytest.raises(ShapeError, match="3 qubits, directions 2"):
+            run_certification(state, EPR_DIRECTIONS)
 
 
 def test_report_is_deterministic():

@@ -300,6 +300,47 @@ def test_verify_builds_no_dense_operator(tmp_path, capsys, monkeypatch):
     assert parse(out)["oracle_dimension"] == 1
 
 
+def test_production_commands_run_no_oracle(tmp_path, capsys, monkeypatch):
+    # classify, solve, construct and certify answer by the theorem: none of
+    # them runs the brute-force oracle, a null space or a dense operator
+    from ghzstab.cli import angle_schema
+    from ghzstab.construct import GHZSpec, canonical_angles
+    from ghzstab.linalg import kron_all, null_space
+    from ghzstab.observables import brute_force_eigenspace
+
+    for fn in (brute_force_eigenspace, null_space, kron_all):
+        def refuse(*args, _name=fn.__name__, **kwargs):
+            raise AssertionError(f"{_name} called")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ghzstab") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, refuse)
+    angles = angle_schema(canonical_angles(8))
+    for command in ("classify", "solve"):
+        code, _, err = run_cli([command], tmp_path, capsys, angles)
+        assert code == 0, (command, err)
+    code, out, err = run_cli(["construct", "8"], tmp_path, capsys)
+    assert code == 0, err
+    doc = parse(out)
+    mats = GHZSpec.random(8, np.random.default_rng(5)).local_unitaries
+    upath = tmp_path / "unitaries.json"
+    upath.write_text(json.dumps({
+        "n": 8,
+        "unitaries": [[[[c.real, c.imag] for c in row] for row in m] for m in mats],
+    }))
+    code, _, err = run_cli(
+        ["construct", "8", "--unitaries", str(upath)], tmp_path, capsys
+    )
+    assert code == 0, err
+    spath = tmp_path / "state.json"
+    spath.write_text(json.dumps({"n": 8, "amplitudes": doc["target_state"]}))
+    code, out, err = run_cli(
+        ["certify", "--state", str(spath)], tmp_path, capsys, doc["pair"]["a"]
+    )
+    assert code == 0, err
+    assert parse(out)["pass"] is True
+
+
 def _exact_input(*thetas, **extra):
     angles = [{"theta": dict(zip(("pi_num", "pi_den"), t))} for t in thetas]
     return {"n": len(thetas), "angles": angles, **extra}

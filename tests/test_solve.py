@@ -318,6 +318,15 @@ def test_character_sum_check_zero_deviation(n):
     assert character_sum_check(n, seed=3) == 0.0
 
 
+def test_audits_reject_negative_seed():
+    # numpy would raise its own ValueError for the seed
+    d = rationals((1, 2), (1, 2))
+    with pytest.raises(DomainError, match="seed"):
+        character_sum_check(3, seed=-1)
+    with pytest.raises(DomainError, match="seed"):
+        purity_security_check(solve_common_eigenspace(d), d, seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # purifications
 
