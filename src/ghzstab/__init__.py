@@ -31,12 +31,7 @@ from .construct import (
     ghz_from_pattern,
     stabilizing_pair_for,
 )
-from .linalg import (
-    StateVector,
-    fidelity,
-    null_space,
-    subspace_distance,
-)
+from .linalg import StateVector, fidelity, subspace_distance
 from .observables import (
     brute_force_eigenspace,
     canonical_stabilizer_generators,
@@ -78,7 +73,6 @@ __all__ = [
     "ghz_from_pattern",
     "joint_outcome_probabilities",
     "local_observable",
-    "null_space",
     "pattern_condition",
     "product_observable",
     "purity_security_check",

@@ -1,9 +1,9 @@
 """Dense complex linear algebra on 2^n-dimensional Hilbert space.
 
-State vectors, tensor products of square factors, rank-revealing null
-spaces and subspace comparison, in double precision. The size table lives
-here: MAX_PARTIES bounds 2^n-amplitude vectors and MAX_DENSE_PARTIES bounds
-2^n x 2^n matrices.
+State vectors, tensor products of square factors, matrix-free products of
+local factors and subspace comparison, in double precision. The size table
+lives here: MAX_PARTIES bounds 2^n-amplitude vectors and MAX_DENSE_PARTIES
+bounds 2^n x 2^n matrices.
 """
 
 from __future__ import annotations
@@ -90,26 +90,6 @@ def kron_all(mats) -> np.ndarray:
         raise DomainError("kron_all needs at least one factor")
     check_dense(sum(_check_power_of_two(m.shape[0]) for m in mats))  # before any product
     return reduce(np.kron, mats)
-
-
-def null_space(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the numerical null space of a matrix, square or
-    rectangular, as the columns of a complex (cols, k) array.
-
-    Singular values at or below tol count as zero.
-    """
-    arr = np.asarray(m, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ShapeError(f"null_space needs a matrix, got shape {arr.shape}")
-    rows, cols = arr.shape
-    if rows > cols:
-        # R of a QR has the singular values and right singular vectors of a
-        # tall input, and its SVD builds no U as large as the input
-        arr = np.linalg.qr(arr, mode="r")
-    # a square input has all cols right singular vectors in the thin SVD
-    _, s, vh = np.linalg.svd(arr, full_matrices=rows < cols)
-    rank = int(np.sum(s > tol))
-    return np.ascontiguousarray(vh[rank:].conj().T)
 
 
 def fidelity(u: StateVector, v: StateVector) -> float:

@@ -5,19 +5,14 @@ oracle."""
 from __future__ import annotations
 
 import math
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
 from .angles import Angle, DirectionList
+from .bitstrings import parity_of
 from .errors import DomainError, PreconditionError, ShapeError
-from .linalg import (
-    DEFAULT_TOL,
-    apply_locals,
-    check_dense,
-    kron_all,
-    null_space,
-)
+from .linalg import DEFAULT_TOL, apply_locals, check_dense, kron_all
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -101,37 +96,77 @@ def sigma_z_product(n: int) -> ProductObservable:
 
 def brute_force_eigenspace(
     a: ProductObservable, b: ProductObservable, tol: float = DEFAULT_TOL
-) -> np.ndarray:
-    """Oracle: the +1 eigenvectors of A inside the +1 eigenspace of B, as an
-    orthonormal (2^n, k) array.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Oracle: the common eigenspaces of A and B in the four sign sectors
+    (+,+), (+,-), (-,+), (-,-) (A's sign first), each an orthonormal
+    (2^n, k) array, from one SVD.
 
-    Each local factor of B is an involution, so its 2x2 eigenbasis (+1
-    eigenvector first) gives B = U D U^H with U the product of the local
-    frames and D diagonal with entries +-1. The +1 eigenspace of B is
-    therefore spanned by Q, U applied to the identity columns where D is +1
-    (the even-parity columns when every factor is traceless). The common
-    eigenspace is Q times the null space of (A - I) Q, taken matrix-free.
+    Each local factor of B is an involution, so its 2x2 eigenbasis F_l (+1
+    eigenvector first) makes B' = F^H B F diagonal with entries +-1, and
+    A' = F^H A F is still a product of 2x2 factors. Split the indices into
+    P (B' = +1) and M (B' = -1). Two involutions split the space into
+    invariant blocks of dimension at most 2 (Jordan's lemma). On a
+    2-dimensional block, A' acts on its P and M vectors p and m as
+    [[cos S, sin S], [sin S, -cos S]] up to a phase, so the block of A'
+    mapping P into M, C = A'[M, P], has singular value |sin S| there, with
+    right singular vector p and left singular vector m. A 1-dimensional
+    block is a vector of P or M that A' fixes up to sign, and C or C^H
+    sends it to 0.
 
-    For involutions A and B the space splits into blocks of dimension at
-    most 2. On a 2-dimensional block the +1 eigenvectors of A and B meet at
-    an angle beta, and (A - I) maps the +1 eigenvector of B to a vector of
-    norm 2 sin(beta). For a product spin observable and the all-Z one,
-    2 beta is the distance of a signed angle sum S from 2 pi Z, so cutting
-    at 2 tol admits exactly the patterns with |sin(S / 2)| <= tol,
-    classify's rule. No sign pattern enters the computation.
+    In sector (+,+) a block counts when |sin(S/2)| <= tol, classify's rule
+    for a product spin observable and the all-Z one (S/2 is the angle
+    between p and A's +1 eigenvector); in (-,+) when |cos(S/2)| <= tol.
+    |sin S| = 2 |sin(S/2)| |cos(S/2)| grows with the smaller of the two
+    factors while that is below 1/sqrt(2), so for tol < 1/sqrt(2) a block
+    meets one of the two rules exactly when |sin S| <= 2 tol sqrt(1 - tol^2),
+    the cut. The right singular vectors at or below the cut span P's side of
+    those blocks and the left ones M's side. Each side splits by the
+    eigenvalues lambda of its compression of A' (cos S on P's side, -cos S
+    on M's): the + sector takes lambda > 0 or (1 - lambda)/2 <= tol^2, the
+    - sector lambda < 0 or (1 + lambda)/2 <= tol^2. The cut resolves sin S
+    to float precision near 0 and pi, where (1 -+ lambda)/2 cannot. From
+    tol = 1/sqrt(2) on, every vector is kept, the lambda rule alone
+    decides, and a block may count in two sectors, as in classify. No sign
+    pattern enters the computation.
     """
     n = b.n_parties
     if a.n_parties != n:
         raise ShapeError(f"party counts differ: {a.n_parties} vs {n}")
-    check_dense(n)  # Q is 2^n x 2^(n-1)
+    check_dense(n)  # A' applied to the P columns is 2^n x |P|
     values, frames = np.linalg.eigh(b.mats)
     values, frames = values[:, ::-1], frames[:, :, ::-1]  # +1 eigenvector first
-    signs = reduce(np.kron, np.sign(values))
-    cols = np.flatnonzero(signs > 0)
-    q = np.zeros((b.dim, cols.size), dtype=np.complex128)
-    q[cols, np.arange(cols.size)] = 1.0
-    q = apply_locals(frames, q)
-    return q @ null_space(a.apply(q) - q, 2.0 * min(tol, 1.0))
+    rotated = frames.conj().transpose(0, 2, 1) @ a.mats @ frames
+    # B' at index j is the product of values[l, bit l of j], so its sign
+    # flips with each set bit of a party whose two eigenvalues differ
+    neg = values < 0
+    mask = sum(1 << (n - 1 - l) for l in np.flatnonzero(neg[:, 0] != neg[:, 1]))
+    odd = parity_of(np.arange(b.dim) & mask) ^ (np.count_nonzero(neg[:, 0]) & 1)
+    p_idx, m_idx = np.flatnonzero(odd == 0), np.flatnonzero(odd)
+    cols = np.zeros((b.dim, p_idx.size), dtype=np.complex128)
+    cols[p_idx, np.arange(p_idx.size)] = 1.0
+    u, s, vh = np.linalg.svd(apply_locals(rotated, cols)[m_idx], full_matrices=True)
+    # at tol >= 1/sqrt(2) the cut would be 1, the largest sigma, and float
+    # noise must not drop a block there
+    cut = 2.0 * tol * math.sqrt(1.0 - tol * tol) if tol < math.sqrt(0.5) else math.inf
+    sides = []  # the kept vectors of P and of M, embedded in 2^n rows
+    for idx, vecs in ((p_idx, vh.conj().T), (m_idx, u)):
+        keep = np.ones(idx.size, dtype=bool)  # vectors past s have sigma 0
+        keep[: s.size] = s <= cut
+        side = np.zeros((b.dim, np.count_nonzero(keep)), dtype=np.complex128)
+        side[idx] = vecs[:, keep]
+        sides.append(side)
+    images = apply_locals(rotated, np.hstack(sides))
+    plus, minus = [], []
+    for side, image in zip(sides, np.split(images, [sides[0].shape[1]], axis=1)):
+        lam, vecs = np.linalg.eigh(side.conj().T @ image)
+        lam = np.clip(lam, -1.0, 1.0)
+        side = side @ vecs
+        plus.append(side[:, (lam > 0) | ((1.0 - lam) / 2.0 <= tol * tol)])
+        minus.append(side[:, (lam < 0) | ((1.0 + lam) / 2.0 <= tol * tol)])
+    parts = plus + minus  # (+,+), (+,-), (-,+), (-,-)
+    bases = apply_locals(frames, np.hstack(parts))
+    bounds = np.cumsum([part.shape[1] for part in parts])[:-1]
+    return tuple(np.ascontiguousarray(x) for x in np.split(bases, bounds, axis=1))
 
 
 def canonical_stabilizer_generators(n: int) -> list[ProductObservable]:

@@ -10,10 +10,10 @@ a character sum that vanishes because m xor m' is neither zero nor the
 all-ones string (its first bit is 0). So the basis is orthonormal by
 construction.
 
-The brute-force route (the null space of A - I inside the +1 eigenspace of
-B, over the four sign sectors for sector dimensions) is kept as an
-independent oracle for tests and ``ghzstab verify``; the production routes
-never run it.
+The brute-force route (one SVD of the block of A that maps B's +1
+eigenspace into its -1 eigenspace, which gives all four sign sectors) is
+kept as an independent oracle for tests and ``ghzstab verify``; the
+production routes never run it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .construct import ghz_states
 from .errors import DomainError, InternalConsistencyError, SizeError
 from .linalg import DEFAULT_TOL, MAX_PARTIES, check_dense
 from .observables import (
-    ProductObservable,
     brute_force_eigenspace,
     product_observable,
     sigma_z_product,
@@ -113,8 +112,8 @@ def sector_oracle_bases(
     d: DirectionList, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Oracle for sector_dimensions: the brute-force common eigenspaces of
-    (sA, sB) in the four sign sectors, (+,+) first, each a (2^n, k) array;
-    a sign flips an observable's first local factor.
+    (sA, sB) in the four sign sectors, in the order of SECTORS, each a
+    (2^n, k) array, from one run of brute_force_eigenspace.
 
     classify decides exact thetas without tol, so for them the cut is
     lowered to half the smallest score a non-vanishing pattern can have:
@@ -130,20 +129,9 @@ def sector_oracle_bases(
                 f"is too large for the float oracle (cut {gap:.1e} < 1e-12)"
             )
         tol = min(tol, gap)
-    a = product_observable(d)
-    b = sigma_z_product(d.n_parties)
-    signed_a = {1: a, -1: _negated(a)}
-    signed_b = {1: b, -1: _negated(b)}
-    return tuple(
-        brute_force_eigenspace(signed_a[sa], signed_b[sb], tol) for sa, sb in SECTORS
+    return brute_force_eigenspace(
+        product_observable(d), sigma_z_product(d.n_parties), tol
     )
-
-
-def _negated(obs: ProductObservable) -> ProductObservable:
-    """-obs, by negating its first local factor."""
-    mats = obs.mats.copy()
-    mats[0] *= -1
-    return ProductObservable(mats)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +258,7 @@ def purity_security_check(
             axis=1,
         ).reshape(sys_dim, k * env_dim)
         proj = (basis @ (basis.conj().T @ g)).reshape(sys_dim, k, env_dim)
+        del g  # in the residual check apply_locals holds 3 blocks beside proj
         norms = np.linalg.norm(proj, axis=(0, 2))
         if norms.min() < 1e-12:
             raise InternalConsistencyError("projected Gaussian draw collapsed to 0")

@@ -67,7 +67,7 @@ def solved_sample():
                 report = solve_common_eigenspace(d)
                 oracle = brute_force_eigenspace(
                     product_observable(d), sigma_z_product(n)
-                )
+                )[0]
                 instances.append(
                     SolvedInstance(
                         n=n,
@@ -174,7 +174,7 @@ def test_criterion_4_construction_sweep():
             assert pair.residual <= 1e-9
             # the construction decides uniqueness by the theorem; the oracle
             # checks it independently
-            assert brute_force_eigenspace(pair.a, pair.b).shape[1] == 1, n
+            assert brute_force_eigenspace(pair.a, pair.b)[0].shape[1] == 1, n
             trials += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 180.0

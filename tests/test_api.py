@@ -9,13 +9,14 @@ import ghzstab
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
-# traced names the program dropped before this test existed; the benchmark
-# reports them as not found
+# traced names the program has dropped; the benchmark reports them as not
+# found. null_space moved to the tests once the oracle stopped calling it.
 STALE_SPAN_TARGETS = {
     "ghzstab.solve.even_parity_block",
     "ghzstab._kernels.even_block",
     "ghzstab._kernels.collapse_rounds",
     "ghzstab._kernels.collapse_rounds_numpy",
+    "ghzstab.linalg.null_space",
 }
 
 

@@ -69,7 +69,7 @@ def test_sign_pattern_set_degenerate_triple():
     assert bit_labels(patterns.bits, 3) == ["000", "001", "010", "011"]
     sums = sorted(signed_angle_sum(d, m).pi_multiple for m in patterns.bits.tolist())
     assert sums == [0, 0, 2, 2]
-    oracle = brute_force_eigenspace(product_observable(d), sigma_z_product(3))
+    oracle = brute_force_eigenspace(product_observable(d), sigma_z_product(3))[0]
     assert oracle.shape == (8, 4)
 
 
@@ -84,12 +84,15 @@ def test_members_have_leading_zero(rng):
 def test_classify_trichotomy():
     # oracle dimensions computed first: 0, 1, 4
     no = rationals((1, 2), (1, 3))
-    assert brute_force_eigenspace(product_observable(no), sigma_z_product(2)).shape[1] == 0
+    assert (
+        brute_force_eigenspace(product_observable(no), sigma_z_product(2))[0].shape[1]
+        == 0
+    )
     assert classify(no).case is StabilizerCase.NO_COMMON_EIGENSTATE
 
     unique = rationals((1, 2), (1, 2))
     assert (
-        brute_force_eigenspace(product_observable(unique), sigma_z_product(2)).shape[1]
+        brute_force_eigenspace(product_observable(unique), sigma_z_product(2))[0].shape[1]
         == 1
     )
     assert classify(unique).case is StabilizerCase.UNIQUE_GHZ

@@ -199,9 +199,10 @@ def test_verify_exits_3_when_sector_oracle_disagrees(tmp_path, capsys, monkeypat
     assert "sector dims" in err
 
 
-def test_verify_runs_one_oracle_per_sector(tmp_path, capsys, monkeypatch):
-    # the (+,+) sector's oracle is also the solver's, so four runs in all;
-    # every module binding the oracle gets the counting wrapper
+def test_verify_runs_the_oracle_once(tmp_path, capsys, monkeypatch):
+    # one run gives all four sign sectors, and its (+,+) basis is also the
+    # solver's cross-check; every module binding the oracle gets the
+    # counting wrapper
     from ghzstab.observables import brute_force_eigenspace as oracle
 
     calls = []
@@ -219,7 +220,7 @@ def test_verify_runs_one_oracle_per_sector(tmp_path, capsys, monkeypatch):
         ["verify", "--trials", "2", "--env-dim", "4"], tmp_path, capsys, EPR_INPUT
     )
     assert code == 0, err
-    assert len(calls) == 4
+    assert len(calls) == 1
 
 
 def test_verify_solves_once(tmp_path, capsys, monkeypatch):
@@ -302,13 +303,13 @@ def test_verify_builds_no_dense_operator(tmp_path, capsys, monkeypatch):
 
 def test_production_commands_run_no_oracle(tmp_path, capsys, monkeypatch):
     # classify, solve, construct and certify answer by the theorem: none of
-    # them runs the brute-force oracle, a null space or a dense operator
+    # them runs the brute-force oracle or builds a dense operator
     from ghzstab.cli import angle_schema
     from ghzstab.construct import GHZSpec, canonical_angles
-    from ghzstab.linalg import kron_all, null_space
+    from ghzstab.linalg import kron_all
     from ghzstab.observables import brute_force_eigenspace
 
-    for fn in (brute_force_eigenspace, null_space, kron_all):
+    for fn in (brute_force_eigenspace, kron_all):
         def refuse(*args, _name=fn.__name__, **kwargs):
             raise AssertionError(f"{_name} called")
 
@@ -457,6 +458,25 @@ def test_verify_oracle_counts_with_classify_rule(tmp_path, capsys):
         assert code == 0, err
         doc = parse(out)
         assert doc["solver_dimension"] == doc["oracle_dimension"] == dim
+
+
+def test_verify_accepts_tol_of_one_and_above(tmp_path, capsys):
+    # at tol >= 1 every pattern counts in every sector; the oracle's cut once
+    # sat at the largest singular value, where float noise dropped a block
+    # and verify exited 3 with oracle sector dims [2, 2, 1, 2]
+    angles = [
+        {"theta": {"rad": 5.799863360473465}, "phi": {"rad": 1.7055807331938575}},
+        {"theta": {"rad": 0.483321946706122}, "phi": {"rad": 5.527011327741266}},
+    ]
+    for tol in (1.0, 5.0):
+        code, out, err = run_cli(
+            ["verify", "--trials", "2", "--env-dim", "4"], tmp_path, capsys,
+            {"n": 2, "angles": angles, "tol": tol},
+        )
+        assert code == 0, (tol, err)
+        doc = parse(out)
+        assert doc["solver_dimension"] == doc["oracle_dimension"] == 2
+        assert doc["sector_dims"] == [2, 2, 2, 2]
 
 
 def test_construct_identity(tmp_path, capsys):

@@ -3,15 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ghzstab import (
-    StateVector,
-    fidelity,
-    null_space,
-    subspace_distance,
-)
+from ghzstab import StateVector, fidelity, subspace_distance
 from ghzstab.errors import DomainError, ShapeError, SizeError
 from ghzstab.linalg import apply_locals, kron_all
 from ghzstab.observables import SIGMA_X, SIGMA_Z
+from reference import null_space
 
 
 def _random_matrix(rng, dim):

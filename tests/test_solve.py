@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ghzstab import (
@@ -22,19 +23,19 @@ from ghzstab import (
 )
 from ghzstab.bitstrings import even_indices
 from ghzstab.errors import DomainError, SizeError
-from ghzstab.observables import SIGMA_X, SIGMA_Z, ProductObservable
+from ghzstab.observables import IDENTITY_2, SIGMA_X, SIGMA_Z, ProductObservable
 from ghzstab.construct import GHZSpec, stabilizing_pair_for
-from ghzstab.linalg import null_space
 from ghzstab.solve import SECTORS
-from sampling import stratified_sample
+from reference import stacked_reference
+from sampling import stratified_sample, uniform_directions
 
 
 def rationals(*pairs):
     return DirectionList.from_rationals(list(pairs))
 
 
-def oracle_dims(d):
-    return tuple(b.shape[1] for b in sector_oracle_bases(d))
+def oracle_dims(d, tol=1e-9):
+    return tuple(b.shape[1] for b in sector_oracle_bases(d, tol))
 
 
 def test_solver_size_cap():
@@ -81,7 +82,7 @@ def test_solver_spans_oracle_on_degenerate_inputs(pairs, dim):
     report = solve_common_eigenspace(d)
     oracle = brute_force_eigenspace(
         product_observable(d), sigma_z_product(d.n_parties)
-    )
+    )[0]
     assert report.dimension == oracle.shape[1] == dim
     assert subspace_distance(report.basis, oracle) <= 1e-10
     gram = report.basis.conj().T @ report.basis
@@ -95,7 +96,7 @@ def test_solver_limit_follows_tol():
     report = solve_common_eigenspace(d, tol=1e-6)
     assert report.dimension == 2
     assert abs(report.residual - 1e-6) <= 1e-12
-    oracle = brute_force_eigenspace(product_observable(d), sigma_z_product(2), 1e-6)
+    oracle = brute_force_eigenspace(product_observable(d), sigma_z_product(2), 1e-6)[0]
     assert oracle.shape[1] == 2
     purity = purity_security_check(
         solve_common_eigenspace(d, 1e-6), d, env_dim=4, trials=5
@@ -105,29 +106,20 @@ def test_solver_limit_follows_tol():
 
 def test_oracle_examples():
     z = ProductObservable([SIGMA_Z])
-    basis = brute_force_eigenspace(z, z)
+    basis = brute_force_eigenspace(z, z)[0]
     assert basis.shape == (2, 1)
     assert abs(abs(basis[0, 0]) - 1) <= 1e-12
 
     xx = ProductObservable([SIGMA_X] * 2)
     zz = sigma_z_product(2)
-    basis = brute_force_eigenspace(xx, zz)
+    basis = brute_force_eigenspace(xx, zz)[0]
     assert basis.shape == (4, 1)
     epr = np.zeros(4, dtype=complex)
     epr[0] = epr[3] = 1 / math.sqrt(2)
     assert abs(np.vdot(epr, basis[:, 0])) >= 1 - 1e-10
 
     x = ProductObservable([SIGMA_X])
-    assert brute_force_eigenspace(x, z).shape == (2, 0)
-
-
-def stacked_reference(a_full, b_full, tol=1e-9):
-    # the oracle's former formulation, kept here as a reference: the null
-    # space of [(A - I); (B - I)], whose near-null singular value on a
-    # 2-dimensional block is 2 sqrt(2) |sin(S / 4)|
-    eye = np.eye(a_full.shape[0])
-    cut = 2.0 * math.sqrt(2.0) * math.sin(math.asin(min(tol, 1.0)) / 2.0)
-    return null_space(np.vstack([a_full - eye, b_full - eye]), cut)
+    assert brute_force_eigenspace(x, z)[0].shape == (2, 0)
 
 
 def assert_same_space(oracle, reference):
@@ -140,7 +132,7 @@ def test_oracle_matches_stacked_null_space():
         for d in stratified_sample(n, 20, seed=11):
             a, b = product_observable(d), sigma_z_product(n)
             assert_same_space(
-                brute_force_eigenspace(a, b),
+                brute_force_eigenspace(a, b)[0],
                 stacked_reference(a.full, b.full),
             )
             # radians, so every sector cuts at the default tol
@@ -157,7 +149,7 @@ def test_oracle_matches_stacked_null_space_on_rotated_pairs(rng):
     for n in range(2, 6):
         for _ in range(4):
             pair = stabilizing_pair_for(GHZSpec.random(n, rng))
-            oracle = brute_force_eigenspace(pair.a, pair.b)
+            oracle = brute_force_eigenspace(pair.a, pair.b)[0]
             assert_same_space(
                 oracle, stacked_reference(pair.a.full, pair.b.full)
             )
@@ -165,10 +157,67 @@ def test_oracle_matches_stacked_null_space_on_rotated_pairs(rng):
             minus_b = ProductObservable(
                 np.concatenate([-pair.b.mats[:1], pair.b.mats[1:]])
             )
-            flipped = brute_force_eigenspace(pair.a, minus_b)
+            flipped = brute_force_eigenspace(pair.a, minus_b)[0]
             assert_same_space(
                 flipped, stacked_reference(pair.a.full, -pair.b.full)
             )
+
+
+def stacked_sector(a, b, sa, sb, tol):
+    # for each admitted 2-dimensional block the stacked null space holds the
+    # bisector of the +1 eigenvectors of sA and sB, up to half the block's
+    # angle from the oracle's vector; its component in the +1 eigenspace of
+    # sB, (I + sB)/2 times it, is the oracle's vector
+    ref = stacked_reference(sa * a.full, sb * b.full, tol)
+    return np.linalg.qr(ref + sb * (b.full @ ref))[0]
+
+
+def assert_sectors_match_stacked(a, b, tol):
+    bases = brute_force_eigenspace(a, b, tol)
+    for (sa, sb), basis in zip(SECTORS, bases):
+        assert_same_space(basis, stacked_sector(a, b, sa, sb, tol))
+    return bases
+
+
+# 0.75 is above 1/sqrt(2), where a block may count in two sectors; the
+# stacked reference's own cut is borderline at tol 1
+SECTOR_TOLS = pytest.mark.parametrize("tol", [1e-9, 0.3, 0.75])
+
+
+@SECTOR_TOLS
+def test_oracle_sectors_match_stacked_reference(tol):
+    for n in range(2, 6):
+        for d in stratified_sample(n, 20, seed=11):
+            assert_sectors_match_stacked(product_observable(d), sigma_z_product(n), tol)
+
+
+@SECTOR_TOLS
+def test_oracle_sectors_match_stacked_reference_on_rotated_pairs(tol, rng):
+    # B is conjugated by random local unitaries, so it is not diagonal; with
+    # its last factor +-I, B's sign at an index skips that party's bit
+    for n in range(2, 6):
+        for _ in range(4):
+            pair = stabilizing_pair_for(GHZSpec.random(n, rng))
+            assert_sectors_match_stacked(pair.a, pair.b, tol)
+            for factor in (IDENTITY_2, -IDENTITY_2):
+                mats = pair.b.mats.copy()
+                mats[-1] = factor
+                assert_sectors_match_stacked(pair.a, ProductObservable(mats), tol)
+
+
+@SECTOR_TOLS
+def test_oracle_sectors_with_trivial_b(tol, rng):
+    # B = +-I: one of B's eigenspaces is empty, so C has no rows or no
+    # columns, and the sectors of that side are empty
+    for n in range(1, 5):
+        a = product_observable(uniform_directions(n, rng))
+        for sign in (1, -1):
+            mats = np.array([IDENTITY_2] * n)
+            mats[0] *= sign
+            bases = assert_sectors_match_stacked(a, ProductObservable(mats), tol)
+            half = 1 << (n - 1)
+            expected = [half, 0, half, 0] if sign > 0 else [0, half, 0, half]
+            assert [x.shape[1] for x in bases] == expected
 
 
 def test_solver_matches_oracle_on_stratified_sample():
@@ -177,7 +226,7 @@ def test_solver_matches_oracle_on_stratified_sample():
             report = solve_common_eigenspace(d)
             oracle = brute_force_eigenspace(
                 product_observable(d), sigma_z_product(n)
-            )
+            )[0]
             assert report.dimension == oracle.shape[1]
             assert subspace_distance(report.basis, oracle) <= 1e-7
 
@@ -239,7 +288,7 @@ def test_solver_matches_oracles_on_exact_lists(d):
     report = solve_common_eigenspace(d)
     oracle = brute_force_eigenspace(
         product_observable(d), sigma_z_product(d.n_parties)
-    )
+    )[0]
     assert report.dimension == len(report.classification.patterns)
     assert report.dimension == oracle.shape[1]
     assert subspace_distance(report.basis, oracle) <= 1e-8
@@ -278,8 +327,42 @@ def test_oracle_counts_with_classify_rule_near_threshold(case):
     d, tol = case
     oracle = brute_force_eigenspace(
         product_observable(d), sigma_z_product(d.n_parties), tol
-    )
+    )[0]
     assert oracle.shape[1] == len(classify(d, tol).patterns)
+
+
+def test_oracle_keeps_blocks_at_the_largest_singular_value():
+    # theta_1 - theta_2 = -pi/2 gives a block with |sin S| = 1, which the SVD
+    # returns as 1 + 2e-16 here; from tol = 1/sqrt(2) on every block counts,
+    # so no cut at 1 may drop it
+    d = DirectionList.from_radians([math.pi / 4, 3 * math.pi / 4])
+    for tol in (0.75, 1.0, 5.0):
+        assert oracle_dims(d, tol) == sector_dimensions(d, tol)
+
+
+@st.composite
+def radian_lists_at_any_tol(draw):
+    n = draw(st.integers(1, 6))
+    angle = st.floats(-2 * math.pi, 2 * math.pi)
+    thetas = draw(st.lists(angle, min_size=n, max_size=n))
+    phis = draw(st.lists(angle, min_size=n, max_size=n))
+    tol = draw(st.floats(0.0, 5.0, exclude_min=True))
+    return DirectionList.from_radians(thetas, phis), tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(radian_lists_at_any_tol())
+def test_oracle_sector_counts_match_classify_at_any_tol(case):
+    # one SVD's cut and the compression eigenvalues count every sector by
+    # classify's rule, past 1/sqrt(2) and past 1 too; a score within float
+    # noise of tol may fall either way, so such draws are skipped
+    d, tol = case
+    thetas = np.array(d.theta_radians())
+    signs = np.array(list(itertools.product((1, -1), repeat=d.n_parties - 1)))
+    for first in (thetas[0], math.pi - thetas[0]):
+        sums = first + signs @ thetas[1:]
+        assume(np.min(np.abs(np.abs(np.sin(sums / 2)) - tol)) > 1e-9)
+    assert oracle_dims(d, tol) == sector_dimensions(d, tol)
 
 
 # ---------------------------------------------------------------------------
