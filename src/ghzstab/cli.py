@@ -126,6 +126,51 @@ def parse_state_file(data) -> StateVector:
     if not isinstance(amps, list) or not amps:
         raise InputError("state amplitudes must be a non-empty list")
     vec = np.zeros(1 << n, dtype=np.complex128)
+    bulk = _bulk_amplitudes(amps, n)
+    if bulk is None:
+        _record_amplitudes(amps, n, vec)  # raises on the first bad record
+    else:
+        pos, values = bulk
+        # part by part, as complex(re, im) does: re + 1j*im turns -0.0 into 0.0
+        vec.real[pos] = values[: pos.size]
+        vec.imag[pos] = values[pos.size :]
+    # scaled to a largest real or imaginary part of 1 first, so the norm
+    # neither overflows nor underflows
+    parts = vec.view(np.float64)
+    scale = np.abs(parts).max()
+    if scale == 0.0:
+        raise InputError("state vector has zero norm")
+    parts /= scale
+    return StateVector(n, vec / np.linalg.norm(vec))
+
+
+def _bulk_amplitudes(amps: list, n: int):
+    """The records' indices, and their re parts followed by their im parts as
+    float64, when every record is valid; None otherwise."""
+    if set(map(type, amps)) != {dict}:
+        return None
+    idx = [rec.get("index") for rec in amps]
+    parts = [rec.get("re", 0.0) for rec in amps] + [rec.get("im", 0.0) for rec in amps]
+    # exact types, so a bool is neither an index nor a part
+    if set(map(type, idx)) != {int} or not set(map(type, parts)) <= {int, float}:
+        return None
+    if min(idx) < 0 or max(idx) >= 1 << n:
+        return None
+    pos = np.array(idx)
+    if np.bincount(pos).max() > 1:
+        return None
+    try:
+        values = np.array(parts, dtype=np.float64)
+    except OverflowError:  # an integer part beyond the float range
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return pos, values
+
+
+def _record_amplitudes(amps: list, n: int, vec: np.ndarray) -> None:
+    """Check the records one by one, raising on the first bad one, and store
+    their amplitudes in vec."""
     seen = set()
     for k, rec in enumerate(amps):
         if not isinstance(rec, dict) or "index" not in rec:
@@ -140,14 +185,6 @@ def parse_state_file(data) -> StateVector:
             _finite(rec.get("re", 0.0), f"amplitudes[{k}].re"),
             _finite(rec.get("im", 0.0), f"amplitudes[{k}].im"),
         )
-    # scaled to a largest real or imaginary part of 1 first, so the norm
-    # neither overflows nor underflows
-    parts = vec.view(np.float64)
-    scale = np.abs(parts).max()
-    if scale == 0.0:
-        raise InputError("state vector has zero norm")
-    parts /= scale
-    return StateVector(n, vec / np.linalg.norm(vec))
 
 
 def _load_json(path: str):
@@ -288,6 +325,8 @@ def cmd_construct(args) -> dict:
 
 
 def cmd_certify(args) -> dict:
+    if args.input == args.state == "-":
+        raise InputError("only one of the angle file and --state can be '-' (stdin)")
     d, _, _ = parse_angle_file(_load_json(args.input))
     state = parse_state_file(_load_json(args.state))
     cfg = CertificationConfig(

@@ -120,14 +120,23 @@ def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
 def apply_locals(mats: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """Apply the tensor product of n 2x2 matrices to a 2^n amplitude vector,
     or to each column of a (2^n, k) array, without materializing the full
-    operator."""
+    operator.
+
+    Party l's factor acts on the middle axis of the (2^l, 2, R) view, as one
+    batched GEMM whose long side is the larger of R and 2^l (the shuffle
+    product of Fernandes, Plateau and Stewart, J. ACM 45(3), 1998).
+    """
     n = mats.shape[0]
     if amps.shape[0] != 1 << n:
         raise ShapeError(
             f"{n} local factors need 2^{n} amplitudes, got {amps.shape[0]}"
         )
-    t = amps.reshape((2,) * n + amps.shape[1:])
+    t = amps
     for l in range(n):
-        t = np.moveaxis(np.tensordot(mats[l], t, axes=([1], [l])), 0, l)
+        rest = amps.size >> (l + 1)
+        v = t.reshape(1 << l, 2, rest)
+        if rest >= 1 << l:
+            t = mats[l] @ v
+        else:
+            t = (v.transpose(2, 0, 1) @ mats[l].T).transpose(1, 2, 0)
     return np.ascontiguousarray(t.reshape(amps.shape))
-

@@ -258,7 +258,7 @@ def purity_security_check(
             axis=1,
         ).reshape(sys_dim, k * env_dim)
         proj = (basis @ (basis.conj().T @ g)).reshape(sys_dim, k, env_dim)
-        del g  # in the residual check apply_locals holds 3 blocks beside proj
+        del g  # in the residual check apply_locals holds 2 blocks beside proj
         norms = np.linalg.norm(proj, axis=(0, 2))
         if norms.min() < 1e-12:
             raise InternalConsistencyError("projected Gaussian draw collapsed to 0")

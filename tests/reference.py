@@ -38,3 +38,15 @@ def stacked_reference(a_full, b_full, tol=1e-9):
     eye = np.eye(a_full.shape[0])
     cut = 2.0 * math.sqrt(2.0) * math.sin(math.asin(min(tol, 1.0)) / 2.0)
     return null_space(np.vstack([a_full - eye, b_full - eye]), cut)
+
+
+def parse_state_records(data: dict) -> np.ndarray:
+    """The normalized amplitudes of a valid state file, stored record by
+    record as complex(re, im), with the scaling of cli.parse_state_file."""
+    vec = np.zeros(1 << data["n"], dtype=np.complex128)
+    for rec in data["amplitudes"]:
+        re, im = rec.get("re", 0.0), rec.get("im", 0.0)
+        vec[rec["index"]] = complex(float(re), float(im))
+    parts = vec.view(np.float64)
+    parts /= np.abs(parts).max()
+    return vec / np.linalg.norm(vec)

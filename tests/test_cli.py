@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -6,8 +7,11 @@ import subprocess
 import sys
 
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ghzstab.cli import main, sparse_amplitudes
+from ghzstab.cli import main, parse_state_file, sparse_amplitudes
+from reference import parse_state_records
 
 EPR_INPUT = {
     "n": 2,
@@ -105,8 +109,6 @@ def test_solve_json_round_trip(tmp_path, capsys):
 
 
 def test_stdin_input(capsys, monkeypatch, tmp_path):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EPR_INPUT)))
     code = main(["classify"])
     out = capsys.readouterr().out
@@ -612,33 +614,122 @@ def test_certify_epr(tmp_path, capsys):
     assert doc["count_a"] + doc["count_b"] == 2000
 
 
-def test_certify_rejects_bad_amplitudes(tmp_path, capsys):
+BAD_STATE_FILES = (
+    # (state file text, the exact stderr line after "error: ")
+    ('{"n": 2, "amplitudes": [{"index": 1.0, "re": 1.0}]}',
+     "amplitudes[0].index out of range"),
+    ('{"n": 2, "amplitudes": [{"index": 0, "re": false}]}',
+     "amplitudes[0].re must be a number, got False"),
+    ('{"n": 2, "amplitudes": [{"index": 0, "re": 1' + "0" * 400 + "}]}",
+     "amplitudes[0].re must be finite, got 1" + "0" * 400),
+    ('{"n": 2, "amplitudes": [{"index": 0, "re": NaN}]}',
+     "amplitudes[0].re must be finite, got nan"),
+    ('{"n": 2, "amplitudes": [{"index": 0, "im": Infinity}]}',
+     "amplitudes[0].im must be finite, got inf"),
+    ('{"n": 2, "amplitudes": [{"index": 0, "re": 1.0}, {"index": -1, "re": 1.0}]}',
+     "amplitudes[1].index out of range"),
+    ('{"n": 2, "amplitudes": [{"index": 4, "re": 1.0}]}',
+     "amplitudes[0].index out of range"),
+    ('{"n": 2, "amplitudes": [{"index": 0, "re": 1.0}, [3, 1.0]]}',
+     "amplitudes[1] must be an object with index"),
+    ('{"n": 2, "amplitudes": [{"index": 0, "re": 1.0}, {"re": 1.0}]}',
+     "amplitudes[1] must be an object with index"),
+    # several faults: the first bad record names the error, and within a
+    # record the index is checked before re, and re before im
+    ('{"n": 2, "amplitudes": [{"index": 0, "im": "x"}, 7]}',
+     "amplitudes[0].im must be a number, got 'x'"),
+    ('{"n": 2, "amplitudes": [{"index": 1, "re": 1.0}, '
+     '{"index": 2, "re": true, "im": NaN}, {"index": 9}, {"index": 1}]}',
+     "amplitudes[1].re must be a number, got True"),
+)
+
+
+def assert_state_files_rejected(tmp_path, capsys, cases):
+    """Each state file exits 2 with exactly its stderr line and no stdout."""
     ipath = tmp_path / "angles.json"
     ipath.write_text(json.dumps(EPR_INPUT))
     spath = tmp_path / "state.json"
-    for state in (
-        {"n": 2, "amplitudes": [{"index": 0, "re": [1]}]},
-        {"n": 2, "amplitudes": [{"index": True, "re": 1.0}]},
-        {"n": 2, "amplitudes": [{"index": 0, "im": "nan"}]},
+    for text, message in cases:
+        spath.write_text(text)
+        assert main(["certify", str(ipath), "--state", str(spath)]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and not captured.out, text
+
+
+def test_certify_rejects_bad_amplitudes(tmp_path, capsys):
+    assert_state_files_rejected(tmp_path, capsys, (
+        ('{"n": 2, "amplitudes": [{"index": 0, "re": [1]}]}',
+         "amplitudes[0].re must be a number, got [1]"),
+        ('{"n": 2, "amplitudes": [{"index": true, "re": 1.0}]}',
+         "amplitudes[0].index out of range"),
+        ('{"n": 2, "amplitudes": [{"index": 0, "im": "nan"}]}',
+         "amplitudes[0].im must be a number, got 'nan'"),
         # above the party cap: rejected before 2^n amplitudes are allocated
-        {"n": 64, "amplitudes": [{"index": 0, "re": 1.0}]},
-    ):
-        spath.write_text(json.dumps(state))
-        assert main(["certify", str(ipath), "--state", str(spath)]) == 2, state
-        assert "error" in capsys.readouterr().err
+        ('{"n": 64, "amplitudes": [{"index": 0, "re": 1.0}]}',
+         "state n must be an integer in 1..24, got 64"),
+    ))
 
 
 def test_certify_rejects_a_repeated_index(tmp_path, capsys):
     # a later record overwrote an earlier one: this certified |11> and exited 0
-    ipath = tmp_path / "angles.json"
-    ipath.write_text(json.dumps(EPR_INPUT))
-    spath = tmp_path / "state.json"
-    spath.write_text(json.dumps({"n": 2, "amplitudes": [
-        {"index": 0, "re": 0.707}, {"index": 3, "re": 0.707}, {"index": 0, "re": 0.0},
-    ]}))
-    assert main(["certify", str(ipath), "--state", str(spath)]) == 2
+    assert_state_files_rejected(tmp_path, capsys, (
+        ('{"n": 2, "amplitudes": [{"index": 0, "re": 0.7}, {"index": 3, "re": 0.7}, '
+         '{"index": 0, "re": 0.0}]}',
+         "amplitudes[2] repeats index 0"),
+    ))
+
+
+def test_certify_state_file_errors_are_exact(tmp_path, capsys):
+    assert_state_files_rejected(tmp_path, capsys, BAD_STATE_FILES)
+
+
+# int and float parts, with -0.0, subnormals and parts near the float limit
+STATE_PARTS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(
+        [0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308,
+         -1.7976931348623157e308, 2**1023, -(2**1023)]
+    ),
+)
+
+
+@st.composite
+def state_files(draw):
+    """Valid state files: a sparse subset of the indices in shuffled order,
+    each record with or without its re and im keys."""
+    n = draw(st.integers(1, 6))
+    indices = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, unique=True))
+    records = []
+    for index in indices:
+        rec = {"index": index}
+        for key in draw(st.sets(st.sampled_from(["re", "im"]))):
+            rec[key] = draw(STATE_PARTS)
+        records.append(rec)
+    # through the JSON text, as a state file reaches the parser
+    return json.loads(json.dumps({"n": n, "amplitudes": records}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(state_files())
+def test_bulk_state_parser_matches_per_record_reference(data):
+    parts = [rec.get(k, 0) for rec in data["amplitudes"] for k in ("re", "im")]
+    assume(any(parts))
+    got = parse_state_file(data).amplitudes.view(np.float64)
+    want = parse_state_records(data).view(np.float64)
+    # bit for bit: equality on floats would let -0.0 stand for 0.0
+    assert got.tobytes() == want.tobytes()
+
+
+def test_certify_rejects_stdin_for_both_inputs(monkeypatch, capsys):
+    # the angle file consumed stdin, and the state file then read it empty
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(EPR_INPUT)))
+    assert main(["certify", "-", "--state", "-"]) == 2
     captured = capsys.readouterr()
-    assert "repeats index 0" in captured.err and not captured.out
+    assert captured.err == (
+        "error: only one of the angle file and --state can be '-' (stdin)\n"
+    )
+    assert not captured.out and sys.stdin.read() == json.dumps(EPR_INPUT)
 
 
 def test_certify_rejects_shots_outside_int64(tmp_path, capsys):

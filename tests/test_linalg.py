@@ -211,15 +211,32 @@ def test_subspace_distance_matches_projector_norm(rng):
 
 
 def test_apply_locals_matches_kron(rng):
-    for n in [1, 2, 3, 4]:
-        mats = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-        full = mats[0]
-        for l in range(1, n):
-            full = np.kron(full, mats[l])
-        v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        assert np.allclose(apply_locals(mats, v), full @ v, atol=1e-12)
-        cols = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
-        assert np.allclose(apply_locals(mats, cols), full @ cols, atol=1e-12)
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for n in range(1, 10):
+        dim = 1 << n
+        mats = gaussian(n, 2, 2)
+        full = kron_all(mats)
+        wide = gaussian(dim, 2 * dim)
+        inputs = [
+            gaussian(dim),
+            gaussian(dim, 1),
+            gaussian(dim, 3),
+            gaussian(dim, dim),
+            wide[:, ::2],  # a non-contiguous column slice
+            np.asfortranarray(gaussian(dim, 3)),
+            rng.normal(size=dim),
+            rng.normal(size=(dim, 3)),
+        ]
+        for amps in inputs:
+            got = apply_locals(mats, amps)
+            want = full @ amps
+            assert got.shape == amps.shape, (n, amps.shape)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (
+                n, amps.shape,
+            )
+            assert got.flags.c_contiguous and not np.shares_memory(got, amps)
 
 
 def test_normalize():
