@@ -28,7 +28,10 @@ class Angle:
 
     @classmethod
     def radians(cls, value: float) -> "Angle":
-        return cls(pi_multiple=None, raw_radians=float(value))
+        rad = float(value)
+        if not math.isfinite(rad):
+            raise DomainError(f"angle must be finite, got {rad!r} rad")
+        return cls(pi_multiple=None, raw_radians=rad)
 
     @property
     def is_exact(self) -> bool:

@@ -81,9 +81,7 @@ def pattern_condition(d: DirectionList, m: int, tol: float = DEFAULT_TOL) -> boo
 def _scaled_thetas(d: DirectionList) -> tuple[list[int], int]:
     """Integer numerators over a common denominator: theta_l = nums[l]*pi/den."""
     fracs = [t.pi_multiple for t in d.thetas]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // math.gcd(den, f.denominator)
+    den = math.lcm(*(f.denominator for f in fracs))
     return [int(f * den) for f in fracs], den
 
 

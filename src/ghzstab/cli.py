@@ -187,6 +187,25 @@ def _record_amplitudes(amps: list, n: int, vec: np.ndarray) -> None:
         )
 
 
+def _unitary(rows, what: str) -> list[list[complex]]:
+    """A 2x2 matrix given as two rows of two [re, im] pairs of numbers."""
+
+    def pair(x) -> bool:
+        return isinstance(x, list) and len(x) == 2
+
+    if not (pair(rows) and all(pair(row) and all(map(pair, row)) for row in rows)):
+        raise InputError(f"{what} must be a 2x2 matrix of [re, im] pairs")
+    return [
+        [
+            complex(
+                _finite(re, f"{what}[{i}][{j}].re"), _finite(im, f"{what}[{i}][{j}].im")
+            )
+            for j, (re, im) in enumerate(row)
+        ]
+        for i, row in enumerate(rows)
+    ]
+
+
 def _load_json(path: str):
     try:
         if path == "-":
@@ -293,20 +312,9 @@ def cmd_construct(args) -> dict:
             raise InputError(f"unitaries file n {data['n']!r} != n {n}")
         if len(data["unitaries"]) != n:
             raise InputError(f"unitaries count {len(data['unitaries'])} != n {n}")
-        mats = []
-        for k, rows in enumerate(data["unitaries"]):
-            try:
-                mats.append(
-                    np.array(
-                        [[complex(c[0], c[1]) for c in row] for row in rows],
-                        dtype=np.complex128,
-                    )
-                )
-            except (TypeError, IndexError, ValueError):
-                raise InputError(
-                    f"unitaries[{k}] must be a 2x2 matrix of [re, im] pairs"
-                )
-        spec = GHZSpec.from_matrices(mats)
+        spec = GHZSpec.from_matrices(
+            [_unitary(u, f"unitaries[{k}]") for k, u in enumerate(data["unitaries"])]
+        )
     else:
         spec = GHZSpec.identity(n)
     pair = stabilizing_pair_for(spec)

@@ -18,7 +18,7 @@ from .bitstrings import even_indices
 from .classify import classify
 from .errors import DomainError, InternalConsistencyError, PreconditionError
 from .linalg import StateVector, apply_locals, check_dense
-from .observables import ProductObservable, local_observable
+from .observables import SIGMA_Z, ProductObservable, product_observable
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
 
@@ -96,7 +96,7 @@ class GHZSpec:
         if u.shape[1:] != (2, 2):
             raise DomainError("local unitaries must be 2x2")
         defect = np.max(np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(2)))
-        if defect > 1e-12:
+        if not defect <= 1e-12:  # NaN fails this too
             raise DomainError(f"matrix is not unitary (defect {defect:.3e})")
 
     @classmethod
@@ -158,9 +158,8 @@ def stabilizing_pair_for(spec: GHZSpec) -> StabilizingPair:
                        phases[:, None] * HADAMARD[1]], axis=1)
     v = spec.local_unitaries @ frames.conj().transpose(0, 2, 1)
     v_h = v.conj().transpose(0, 2, 1)
-    a_locals = np.array([local_observable(t, p) for t, p in zip(d.thetas, d.phis)])
-    a = ProductObservable(v @ a_locals @ v_h)
-    b = ProductObservable(v @ np.diag([1.0, -1.0]) @ v_h)
+    a = ProductObservable(v @ product_observable(d).mats @ v_h)
+    b = ProductObservable(v @ SIGMA_Z @ v_h)
     res_a = float(np.linalg.norm(a.apply(target.amplitudes) - target.amplitudes))
     res_b = float(np.linalg.norm(b.apply(target.amplitudes) - target.amplitudes))
     residual = max(res_a, res_b)

@@ -144,7 +144,9 @@ def brute_force_eigenspace(
     p_idx, m_idx = np.flatnonzero(odd == 0), np.flatnonzero(odd)
     cols = np.zeros((b.dim, p_idx.size), dtype=np.complex128)
     cols[p_idx, np.arange(p_idx.size)] = 1.0
-    u, s, vh = np.linalg.svd(apply_locals(rotated, cols)[m_idx], full_matrices=True)
+    c = apply_locals(rotated, cols)[m_idx]
+    del cols  # 2^n x |P|, as large as U and Vh together: free it before the SVD
+    u, s, vh = np.linalg.svd(c, full_matrices=True)
     # at tol >= 1/sqrt(2) the cut would be 1, the largest sigma, and float
     # noise must not drop a block there
     cut = 2.0 * tol * math.sqrt(1.0 - tol * tol) if tol < math.sqrt(0.5) else math.inf

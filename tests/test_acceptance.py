@@ -18,25 +18,24 @@ from ghzstab import (
     StabilizerCase,
     StateVector,
     brute_force_eigenspace,
-    canonical_angles,
-    canonical_stabilizer_generators,
-    character_sum_check,
     classify,
-    fidelity,
-    ghz_from_pattern,
     product_observable,
-    purity_security_check,
     run_certification,
-    sector_dimensions,
-    sector_oracle_bases,
     sigma_z_product,
     solve_common_eigenspace,
-    stabilizer_dimension,
     stabilizing_pair_for,
-    subspace_distance,
-    trig_parity_identity_residuals,
 )
 from ghzstab.bitstrings import bit_labels
+from ghzstab.construct import canonical_angles, ghz_from_pattern
+from ghzstab.linalg import fidelity, subspace_distance
+from ghzstab.observables import canonical_stabilizer_generators, stabilizer_dimension
+from ghzstab.solve import (
+    character_sum_check,
+    purity_security_check,
+    sector_dimensions,
+    sector_oracle_bases,
+    trig_parity_identity_residuals,
+)
 from sampling import stratified_sample
 
 SAMPLE_SEED = 20260808

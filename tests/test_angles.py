@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ghzstab import Angle, DirectionList, PI
+from ghzstab import Angle, DirectionList, classify
+from ghzstab.angles import PI
 from ghzstab.errors import DomainError, ShapeError
 
 
@@ -38,6 +39,16 @@ def test_arithmetic_preserves_exactness():
 def test_pi_minus():
     assert (PI - Angle.exact(1, 3)).pi_multiple == Fraction(2, 3)
     assert abs((PI - Angle.radians(1.0)).to_radians() - (math.pi - 1.0)) <= 1e-15
+
+
+def test_non_finite_radians_are_rejected():
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            Angle.radians(value)
+        with pytest.raises(DomainError, match="finite"):
+            classify(DirectionList.from_radians([value, 1.0]))
+        with pytest.raises(DomainError, match="finite"):
+            DirectionList.from_radians([1.0, 1.0], [0.0, value])
 
 
 def test_radians_accessors_raise():

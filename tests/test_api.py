@@ -1,6 +1,8 @@
-"""The public API: the README tour runs as written, every exported name
-resolves, and every name the benchmark traces still exists."""
+"""The public API: the README tour runs as written, the package exports
+exactly what the tour imports, every exported name resolves, and every name
+the benchmark traces still exists."""
 
+import ast
 import importlib
 import pathlib
 import re
@@ -24,6 +26,18 @@ def test_readme_tour_runs():
     section = README.read_text(encoding="utf-8").split("## Library quick tour", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_exports_are_the_readme_tour():
+    section = README.read_text(encoding="utf-8").split("## Library quick tour", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    imported = {
+        alias.name
+        for node in ast.parse(code).body
+        if isinstance(node, ast.ImportFrom) and node.module == "ghzstab"
+        for alias in node.names
+    }
+    assert set(ghzstab.__all__) == imported
 
 
 def test_all_names_resolve():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ghzstab import DirectionList, even_indices, signed_angle_sum
-from ghzstab.bitstrings import bit_labels, parity_of
+from ghzstab import DirectionList
+from ghzstab.bitstrings import bit_labels, even_indices, parity_of
+from ghzstab.classify import signed_angle_sum
 from ghzstab.errors import SizeError
 
 

@@ -6,17 +6,18 @@ import pytest
 from ghzstab import (
     CertificationConfig,
     DirectionList,
-    Ensemble,
     StateVector,
-    canonical_angles,
-    expectation,
-    ghz_from_pattern,
-    joint_outcome_probabilities,
     run_certification,
-    sequential_outcome_probabilities,
     solve_common_eigenspace,
 )
 from ghzstab.bitstrings import parity_of
+from ghzstab.certify import (
+    Ensemble,
+    expectation,
+    joint_outcome_probabilities,
+    sequential_outcome_probabilities,
+)
+from ghzstab.construct import canonical_angles, ghz_from_pattern
 from ghzstab.errors import DomainError, ShapeError
 from sampling import uniform_directions
 

@@ -11,14 +11,16 @@ from ghzstab import (
     StabilizerCase,
     brute_force_eigenspace,
     classify,
-    pattern_condition,
     product_observable,
-    sector_transform,
     sigma_z_product,
+)
+from ghzstab.bitstrings import bit_labels
+from ghzstab.classify import (
+    pattern_condition,
+    sector_transform,
     sign_pattern_set,
     signed_angle_sum,
 )
-from ghzstab.bitstrings import bit_labels
 from ghzstab.errors import DomainError
 from sampling import uniform_directions
 

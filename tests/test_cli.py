@@ -539,6 +539,34 @@ def test_construct_checks_the_unitaries_count_first(tmp_path, capsys):
         assert captured.err == f"error: {message}\n" and not captured.out
 
 
+def test_construct_unitaries_errors_are_exact(tmp_path, capsys):
+    # each entry is exactly an [re, im] pair of finite numbers, bools excluded
+    eye2 = "[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]"
+    for first, message in (
+        ("[[[true, 0], [0, 0]], [[0, 0], [1, 0]]]",
+         "unitaries[0][0][0].re must be a number, got True"),
+        ("[[[1, 0], [0, false]], [[0, 0], [1, 0]]]",
+         "unitaries[0][0][1].im must be a number, got False"),
+        ("[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]",
+         "unitaries[0][0][0].re must be finite, got nan"),
+        ("[[[1, 0], [0, 0]], [[0, Infinity], [1, 0]]]",
+         "unitaries[0][1][0].im must be finite, got inf"),
+        ("[[[1, 0], [0, 0]], [[0, 0], [-Infinity, 0]]]",
+         "unitaries[0][1][1].re must be finite, got -inf"),
+        ('[[["1", 0], [0, 0]], [[0, 0], [1, 0]]]',
+         "unitaries[0][0][0].re must be a number, got '1'"),
+        ('[[{"re": 1}, [0, 0]], [[0, 0], [1, 0]]]',
+         "unitaries[0] must be a 2x2 matrix of [re, im] pairs"),
+        ("[[[1, 0, 5], [0, 0]], [[0, 0], [1, 0]]]",
+         "unitaries[0] must be a 2x2 matrix of [re, im] pairs"),
+    ):
+        upath = tmp_path / "unitaries.json"
+        upath.write_text(f'{{"n": 2, "unitaries": [{first}, {eye2}]}}')
+        assert main(["construct", "2", "--unitaries", str(upath)]) == 2, first
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and not captured.out
+
+
 def test_sparse_amplitudes_match_per_entry_records(rng):
     def per_entry(amps, n):
         return [
@@ -612,6 +640,26 @@ def test_certify_epr(tmp_path, capsys):
     assert doc["mean_a"] == 1.0 and doc["mean_b"] == 1.0
     assert doc["pass"] is True
     assert doc["count_a"] + doc["count_b"] == 2000
+
+
+def test_certify_passes_on_the_solved_state_of_constructs_angles(tmp_path, capsys):
+    # certify's second setting is Z^N, so it certifies construct's target in
+    # the frame of the canonical angles: the solver's state for those angles
+    for n in (3, 4, 5, 6):
+        code, out, _ = run_cli(["construct", str(n)], tmp_path, capsys)
+        assert code == 0
+        apath = tmp_path / "angles.json"
+        apath.write_text(json.dumps(parse(out)["canonical_angles"]))
+        code, out, _ = run_cli(["solve", str(apath)], tmp_path, capsys)
+        assert code == 0
+        spath = tmp_path / "state.json"
+        spath.write_text(json.dumps({"n": n, "amplitudes": parse(out)["states"][0]}))
+        code, out, _ = run_cli(
+            ["certify", str(apath), "--state", str(spath)], tmp_path, capsys
+        )
+        doc = parse(out)
+        assert code == 0 and doc["pass"] is True, n
+        assert doc["mean_a"] == doc["mean_b"] == 1.0, n
 
 
 BAD_STATE_FILES = (

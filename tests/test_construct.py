@@ -10,20 +10,21 @@ from ghzstab import (
     StabilizerCase,
     StateVector,
     brute_force_eigenspace,
-    canonical_angles,
     classify,
-    fidelity,
-    ghz_from_pattern,
     product_observable,
     sigma_z_product,
     solve_common_eigenspace,
     stabilizing_pair_for,
-    subspace_distance,
 )
 from ghzstab.bitstrings import bit_labels, even_indices
-from ghzstab.construct import ghz_states, pattern_phases
+from ghzstab.construct import (
+    canonical_angles,
+    ghz_from_pattern,
+    ghz_states,
+    pattern_phases,
+)
 from ghzstab.errors import DomainError, PreconditionError
-from ghzstab.linalg import apply_locals
+from ghzstab.linalg import apply_locals, fidelity, subspace_distance
 
 
 def rationals(*pairs):
@@ -176,6 +177,13 @@ def test_ghz_spec_validation():
     assert np.allclose(
         spec.to_state().amplitudes, StateVector.ghz(3).amplitudes
     )
+
+
+def test_ghz_spec_rejects_non_finite_entries():
+    # a NaN entry makes the unitarity defect NaN, which no bound rejects
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="not unitary"):
+            GHZSpec.from_matrices([[[value, 0], [0, 1]], np.eye(2)])
 
 
 def test_ghz_spec_marginals(rng):

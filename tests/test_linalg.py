@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ghzstab import StateVector, fidelity, subspace_distance
+from ghzstab import StateVector
 from ghzstab.errors import DomainError, ShapeError, SizeError
-from ghzstab.linalg import apply_locals, kron_all
+from ghzstab.linalg import apply_locals, fidelity, kron_all, subspace_distance
 from ghzstab.observables import SIGMA_X, SIGMA_Z
 from reference import null_space
 

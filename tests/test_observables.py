@@ -7,11 +7,8 @@ from ghzstab import (
     Angle,
     DirectionList,
     StateVector,
-    canonical_stabilizer_generators,
-    local_observable,
     product_observable,
     sigma_z_product,
-    stabilizer_dimension,
 )
 from ghzstab.errors import DomainError, PreconditionError, SizeError
 from ghzstab.observables import (
@@ -20,7 +17,10 @@ from ghzstab.observables import (
     SIGMA_Y,
     SIGMA_Z,
     ProductObservable,
+    canonical_stabilizer_generators,
+    local_observable,
     spin_frames,
+    stabilizer_dimension,
 )
 
 

@@ -10,22 +10,24 @@ from ghzstab import (
     DirectionList,
     StabilizerCase,
     brute_force_eigenspace,
-    character_sum_check,
     classify,
     product_observable,
-    purity_security_check,
-    sector_dimensions,
-    sector_oracle_bases,
     sigma_z_product,
     solve_common_eigenspace,
-    subspace_distance,
-    trig_parity_identity_residuals,
 )
 from ghzstab.bitstrings import even_indices
 from ghzstab.errors import DomainError, SizeError
+from ghzstab.linalg import subspace_distance
 from ghzstab.observables import IDENTITY_2, SIGMA_X, SIGMA_Z, ProductObservable
 from ghzstab.construct import GHZSpec, stabilizing_pair_for
-from ghzstab.solve import SECTORS
+from ghzstab.solve import (
+    SECTORS,
+    character_sum_check,
+    purity_security_check,
+    sector_dimensions,
+    sector_oracle_bases,
+    trig_parity_identity_residuals,
+)
 from reference import stacked_reference
 from sampling import stratified_sample, uniform_directions
 
