@@ -7,11 +7,6 @@ the setting's product observable X, so a run needs one matrix-free
 expectation per component and setting and a few binomial draws. A state that
 is the unique common +1 eigenstate of both product observables gives product
 outcome +1 in every round; any other input fails detectably.
-
-joint_outcome_probabilities gives the Born probabilities of all 2^n joint
-outcomes of setting A, and sequential_outcome_probabilities recomputes them
-by party-by-party collapse, as an independent check of the Born rule; the
-tests tie both to the expectation that run_certification draws from.
 """
 
 from __future__ import annotations
@@ -23,8 +18,8 @@ import numpy as np
 
 from .angles import ZERO_ANGLE, DirectionList
 from .errors import DomainError, ShapeError
-from .linalg import StateVector, apply_locals
-from .observables import product_observable, spin_frames
+from .linalg import StateVector
+from .observables import product_observable
 
 
 @dataclass(frozen=True)
@@ -85,44 +80,6 @@ class Ensemble:
             raise DomainError("ensemble weights must sum to 1")
         if self.sampling not in ("random", "cycle"):
             raise DomainError(f"unknown sampling {self.sampling!r}")
-
-
-def joint_outcome_probabilities(state: StateVector, d: DirectionList) -> np.ndarray:
-    """Born probabilities of all 2^n joint outcomes (bit 0 = +1 outcome),
-    computed directly from the product-basis overlap."""
-    frames_h = spin_frames(d).conj().transpose(0, 2, 1)
-    return np.abs(apply_locals(frames_h, state.amplitudes)) ** 2
-
-
-def sequential_outcome_probabilities(
-    state: StateVector, d: DirectionList
-) -> np.ndarray:
-    """Joint outcome probabilities accumulated through the sequential
-    collapse chain rule; must match the direct Born probabilities."""
-    n = d.n_parties
-    if state.n_qubits != n:
-        raise ShapeError(f"state has {state.n_qubits} qubits, directions {n}")
-    frames = spin_frames(d)
-    probs = np.zeros(1 << n)
-
-    def walk(amps, norm_sq, l, prefix):
-        if norm_sq < 1e-30:
-            return
-        if l == n:
-            probs[prefix] = norm_sq
-            return
-        resh = amps.reshape(-1, 2, 1 << (n - 1 - l))
-        for bit in (0, 1):
-            basis = frames[l, :, bit]
-            c = basis[0].conj() * resh[:, 0] + basis[1].conj() * resh[:, 1]
-            p = float(np.sum(np.abs(c) ** 2))
-            if p < 1e-30:
-                continue
-            new = basis[:, None] * (c / math.sqrt(p))[:, None, :]
-            walk(new.reshape(-1), norm_sq * p, l + 1, (prefix << 1) | bit)
-
-    walk(state.amplitudes, 1.0, 0, 0)
-    return probs
 
 
 def run_certification(

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .angles import PI, Angle, DirectionList
+from .angles import PI, DirectionList
 from .errors import DomainError, SizeError
 from .linalg import DEFAULT_TOL, MAX_PARTIES
 
@@ -36,7 +36,7 @@ class StabilizerCase(Enum):
 class SignPatternSet:
     """Vanishing sign patterns with m_1 = 0, as ascending pattern indices
     (party l at bit n - l), and whether a non-member came near the
-    threshold. A member's signed sum is signed_angle_sum(d, m); its
+    threshold. A member's signed sum is sum_l (-1)^{m_l} theta_l; its
     complement (m_1 = 1) vanishes too but is never listed."""
 
     n: int
@@ -54,28 +54,6 @@ class ClassificationReport:
     mode: str
     tol: float
     warnings: tuple[str, ...] = ()
-
-
-def signed_angle_sum(d: DirectionList, m: int) -> Angle:
-    """sum_l (-1)^{m_l} theta_l for the pattern index m, party l at bit
-    n - l; exact whenever every theta is exact."""
-    n = d.n_parties
-    if not 0 <= m < 1 << n:
-        raise DomainError(f"pattern {m} out of range for n_parties={n}")
-    total = None
-    for l, theta in enumerate(d.thetas):
-        term = -theta if (m >> (n - 1 - l)) & 1 else theta
-        total = term if total is None else total + term
-    return total
-
-
-def pattern_condition(d: DirectionList, m: int, tol: float = DEFAULT_TOL) -> bool:
-    """Whether sin(signed sum / 2) vanishes for pattern m (no m_1 filter)."""
-    s = signed_angle_sum(d, m)
-    if s.is_exact:
-        frac = s.pi_multiple
-        return frac.denominator == 1 and frac.numerator % 2 == 0
-    return abs(math.sin(s.to_radians() / 2.0)) <= tol
 
 
 def _scaled_thetas(d: DirectionList) -> tuple[list[int], int]:

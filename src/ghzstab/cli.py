@@ -60,8 +60,9 @@ def _finite(value, what: str) -> float:
         raise InputError(f"{what} must be a number, got {value!r}")
     try:
         out = float(value)
-    except OverflowError:
-        out = math.inf
+    except OverflowError:  # an int beyond the float range: name its size
+        digits = len(str(abs(value)))
+        raise InputError(f"{what} must be finite, got an integer of {digits} digits")
     if not math.isfinite(out):
         raise InputError(f"{what} must be finite, got {value!r}")
     return out

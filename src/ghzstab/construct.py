@@ -95,8 +95,10 @@ class GHZSpec:
             raise DomainError(f"expected {self.n} local unitaries, got {len(u)}")
         if u.shape[1:] != (2, 2):
             raise DomainError("local unitaries must be 2x2")
+        if not np.isfinite(u).all():  # checked first: inf warns in the product
+            raise DomainError("matrix is not unitary (non-finite entry)")
         defect = np.max(np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(2)))
-        if not defect <= 1e-12:  # NaN fails this too
+        if not defect <= 1e-12:  # an overflow to NaN fails this too
             raise DomainError(f"matrix is not unitary (defect {defect:.3e})")
 
     @classmethod

@@ -92,13 +92,6 @@ def kron_all(mats) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def fidelity(u: StateVector, v: StateVector) -> float:
-    """|<u|v>| for normalized states."""
-    if u.dim != v.dim:
-        raise ShapeError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    return float(abs(np.vdot(u.amplitudes, v.amplitudes)))
-
-
 def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Spectral-norm distance between the orthogonal projectors onto the
     column spans of two orthonormal (dim, k) bases.
@@ -119,8 +112,8 @@ def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def apply_locals(mats: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """Apply the tensor product of n 2x2 matrices to a 2^n amplitude vector,
-    or to each column of a (2^n, k) array, without materializing the full
-    operator.
+    or to each column of a (2^n, k) array, without materializing the
+    2^n x 2^n operator.
 
     Party l's factor acts on the middle axis of the (2^l, 2, R) view, as one
     batched GEMM whose long side is the larger of R and 2^l (the shuffle

@@ -1,18 +1,16 @@
-"""Local spin observables, their tensor products, the commuting stabilizer
-generator set for the GHZ state, and the brute-force common-eigenspace
-oracle."""
+"""Local spin observables, their tensor products, and the brute-force
+common-eigenspace oracle."""
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
 from .angles import Angle, DirectionList
 from .bitstrings import parity_of
-from .errors import DomainError, PreconditionError, ShapeError
-from .linalg import DEFAULT_TOL, apply_locals, check_dense, kron_all
+from .errors import DomainError, ShapeError
+from .linalg import DEFAULT_TOL, apply_locals, check_dense
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -33,24 +31,10 @@ def local_observable(theta: Angle, phi: Angle) -> np.ndarray:
     return np.array([[c, s * e.conjugate()], [s * e, -c]], dtype=np.complex128)
 
 
-def spin_frames(d: DirectionList) -> np.ndarray:
-    """(n, 2, 2) array of per-party eigenframes of local_observable: party
-    l's columns are the +1 eigenvector (cos(t/2), e^{ip} sin(t/2)) and the
-    -1 eigenvector (-sin(t/2), e^{ip} cos(t/2))."""
-    t = np.array(d.theta_radians()) / 2.0
-    p = np.array(d.phi_radians())
-    c, s = np.cos(t), np.sin(t)
-    e = np.cos(p) + 1j * np.sin(p)
-    rows = (np.stack([c, -s], axis=-1), np.stack([e * s, e * c], axis=-1))
-    return np.stack(rows, axis=1)
-
-
 class ProductObservable:
     """Tensor product of 2x2 Hermitian involutions, one per party, held as
-    the (n, 2, 2) array `mats` (party 1 first).
-
-    The full 2^n matrix is materialized lazily and cached, and only there
-    does the dense size cap apply; apply works matrix-free at any size.
+    the (n, 2, 2) array `mats` (party 1 first). apply works matrix-free at
+    any size; the class never builds the 2^n x 2^n operator.
     """
 
     def __init__(self, mats):
@@ -69,10 +53,6 @@ class ProductObservable:
     @property
     def dim(self) -> int:
         return 1 << self.n_parties
-
-    @cached_property
-    def full(self) -> np.ndarray:
-        return kron_all(self.mats)
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """Matrix-free application to an amplitude vector, or to each column
@@ -169,42 +149,3 @@ def brute_force_eigenspace(
     bases = apply_locals(frames, np.hstack(parts))
     bounds = np.cumsum([part.shape[1] for part in parts])[:-1]
     return tuple(np.ascontiguousarray(x) for x in np.split(bases, bounds, axis=1))
-
-
-def canonical_stabilizer_generators(n: int) -> list[ProductObservable]:
-    """The n commuting Pauli strings with the GHZ state as unique +1 eigenstate.
-
-    One all-X string plus the n-1 weight-two Z strings pairing party 1 with
-    each other party.
-    """
-    if n < 2:
-        raise DomainError(f"need at least 2 parties, got {n}")
-    gens = [ProductObservable([SIGMA_X] * n)]
-    for k in range(2, n + 1):
-        mats = np.array([IDENTITY_2] * n)
-        mats[[0, k - 1]] = SIGMA_Z
-        gens.append(ProductObservable(mats))
-    return gens
-
-
-def stabilizer_dimension(
-    generators: list[ProductObservable], n: int | None = None
-) -> int:
-    """Dimension of the common +1 eigenspace of commuting involutions,
-    computed as tr(prod (I + P_i) / 2^k)."""
-    if not generators:
-        if n is None:
-            raise DomainError("n required when the generator list is empty")
-        return 1 << n
-    dim = generators[0].dim
-    mats = [g.full for g in generators]
-    for i, a in enumerate(mats):
-        if a.shape[0] != dim:
-            raise PreconditionError("generators act on different party counts")
-        for b in mats[i + 1:]:
-            if np.max(np.abs(a @ b - b @ a)) > 1e-10:
-                raise PreconditionError("generators do not commute")
-    acc = np.eye(dim, dtype=np.complex128)
-    for a in mats:
-        acc = acc @ ((np.eye(dim) + a) / 2.0)
-    return int(round(float(np.trace(acc).real)))

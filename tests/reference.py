@@ -1,5 +1,19 @@
-"""Dense references for the oracle tests: a rank-revealing null space and
-the common eigenspace as the null space of a stacked matrix."""
+"""Dense and per-pattern references that only the tests call.
+
+- a rank-revealing null space, and the common eigenspace as the null space
+  of a stacked matrix (the oracle tests);
+- the signed angle sum and vanishing condition of one sign pattern (the
+  enumeration tests);
+- the spin eigenframes, and the joint-outcome Born probabilities computed
+  directly and by party-by-party collapse (the certification tests);
+- the commuting stabilizer generators of the GHZ state and the dimension of
+  their common +1 eigenspace (acceptance criterion 6);
+- the fidelity of two pure states;
+- the amplitudes of a state file, parsed record by record (the CLI tests).
+
+Dense operators are built with ghzstab.linalg.kron_all, which keeps the
+dense size cap.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +21,10 @@ import math
 
 import numpy as np
 
-from ghzstab.errors import ShapeError
-from ghzstab.linalg import DEFAULT_TOL
+from ghzstab.angles import Angle, DirectionList
+from ghzstab.errors import DomainError, PreconditionError, ShapeError
+from ghzstab.linalg import DEFAULT_TOL, StateVector, apply_locals, kron_all
+from ghzstab.observables import IDENTITY_2, SIGMA_X, SIGMA_Z, ProductObservable
 
 
 def null_space(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -50,3 +66,121 @@ def parse_state_records(data: dict) -> np.ndarray:
     parts = vec.view(np.float64)
     parts /= np.abs(parts).max()
     return vec / np.linalg.norm(vec)
+
+
+def signed_angle_sum(d: DirectionList, m: int) -> Angle:
+    """sum_l (-1)^{m_l} theta_l for the pattern index m, party l at bit
+    n - l; exact whenever every theta is exact."""
+    n = d.n_parties
+    if not 0 <= m < 1 << n:
+        raise DomainError(f"pattern {m} out of range for n_parties={n}")
+    total = None
+    for l, theta in enumerate(d.thetas):
+        term = -theta if (m >> (n - 1 - l)) & 1 else theta
+        total = term if total is None else total + term
+    return total
+
+
+def pattern_condition(d: DirectionList, m: int, tol: float = DEFAULT_TOL) -> bool:
+    """Whether sin(signed sum / 2) vanishes for pattern m (no m_1 filter)."""
+    s = signed_angle_sum(d, m)
+    if s.is_exact:
+        frac = s.pi_multiple
+        return frac.denominator == 1 and frac.numerator % 2 == 0
+    return abs(math.sin(s.to_radians() / 2.0)) <= tol
+
+
+def spin_frames(d: DirectionList) -> np.ndarray:
+    """(n, 2, 2) array of per-party eigenframes of local_observable: party
+    l's columns are the +1 eigenvector (cos(t/2), e^{ip} sin(t/2)) and the
+    -1 eigenvector (-sin(t/2), e^{ip} cos(t/2))."""
+    t = np.array(d.theta_radians()) / 2.0
+    p = np.array(d.phi_radians())
+    c, s = np.cos(t), np.sin(t)
+    e = np.cos(p) + 1j * np.sin(p)
+    rows = (np.stack([c, -s], axis=-1), np.stack([e * s, e * c], axis=-1))
+    return np.stack(rows, axis=1)
+
+
+def joint_outcome_probabilities(state: StateVector, d: DirectionList) -> np.ndarray:
+    """Born probabilities of all 2^n joint outcomes (bit 0 = +1 outcome),
+    computed directly from the product-basis overlap."""
+    frames_h = spin_frames(d).conj().transpose(0, 2, 1)
+    return np.abs(apply_locals(frames_h, state.amplitudes)) ** 2
+
+
+def sequential_outcome_probabilities(
+    state: StateVector, d: DirectionList
+) -> np.ndarray:
+    """Joint outcome probabilities accumulated through the sequential
+    collapse chain rule; must match the direct Born probabilities."""
+    n = d.n_parties
+    if state.n_qubits != n:
+        raise ShapeError(f"state has {state.n_qubits} qubits, directions {n}")
+    frames = spin_frames(d)
+    probs = np.zeros(1 << n)
+
+    def walk(amps, norm_sq, l, prefix):
+        if norm_sq < 1e-30:
+            return
+        if l == n:
+            probs[prefix] = norm_sq
+            return
+        resh = amps.reshape(-1, 2, 1 << (n - 1 - l))
+        for bit in (0, 1):
+            basis = frames[l, :, bit]
+            c = basis[0].conj() * resh[:, 0] + basis[1].conj() * resh[:, 1]
+            p = float(np.sum(np.abs(c) ** 2))
+            if p < 1e-30:
+                continue
+            new = basis[:, None] * (c / math.sqrt(p))[:, None, :]
+            walk(new.reshape(-1), norm_sq * p, l + 1, (prefix << 1) | bit)
+
+    walk(state.amplitudes, 1.0, 0, 0)
+    return probs
+
+
+def canonical_stabilizer_generators(n: int) -> list[ProductObservable]:
+    """The n commuting Pauli strings with the GHZ state as unique +1 eigenstate.
+
+    One all-X string plus the n-1 weight-two Z strings pairing party 1 with
+    each other party.
+    """
+    if n < 2:
+        raise DomainError(f"need at least 2 parties, got {n}")
+    gens = [ProductObservable([SIGMA_X] * n)]
+    for k in range(2, n + 1):
+        mats = np.array([IDENTITY_2] * n)
+        mats[[0, k - 1]] = SIGMA_Z
+        gens.append(ProductObservable(mats))
+    return gens
+
+
+def stabilizer_dimension(
+    generators: list[ProductObservable], n: int | None = None
+) -> int:
+    """Dimension of the common +1 eigenspace of commuting involutions,
+    computed as tr(prod (I + P_i) / 2^k)."""
+    if not generators:
+        if n is None:
+            raise DomainError("n required when the generator list is empty")
+        return 1 << n
+    dim = generators[0].dim
+    mats = [kron_all(g.mats) for g in generators]
+    for i, a in enumerate(mats):
+        if a.shape[0] != dim:
+            raise PreconditionError("generators act on different party counts")
+        for b in mats[i + 1:]:
+            if np.max(np.abs(a @ b - b @ a)) > 1e-10:
+                raise PreconditionError("generators do not commute")
+    acc = np.eye(dim, dtype=np.complex128)
+    for a in mats:
+        acc = acc @ ((np.eye(dim) + a) / 2.0)
+    return int(round(float(np.trace(acc).real)))
+
+
+def fidelity(u: StateVector, v: StateVector) -> float:
+    """|<u|v>| for normalized states."""
+    if u.dim != v.dim:
+        raise ShapeError(f"dimension mismatch: {u.dim} vs {v.dim}")
+    return float(abs(np.vdot(u.amplitudes, v.amplitudes)))

@@ -27,8 +27,7 @@ from ghzstab import (
 )
 from ghzstab.bitstrings import bit_labels
 from ghzstab.construct import canonical_angles, ghz_from_pattern
-from ghzstab.linalg import fidelity, subspace_distance
-from ghzstab.observables import canonical_stabilizer_generators, stabilizer_dimension
+from ghzstab.linalg import subspace_distance
 from ghzstab.solve import (
     character_sum_check,
     purity_security_check,
@@ -36,6 +35,7 @@ from ghzstab.solve import (
     sector_oracle_bases,
     trig_parity_identity_residuals,
 )
+from reference import canonical_stabilizer_generators, fidelity, stabilizer_dimension
 from sampling import stratified_sample
 
 SAMPLE_SEED = 20260808

@@ -3,7 +3,7 @@ import pytest
 
 from ghzstab import DirectionList
 from ghzstab.bitstrings import bit_labels, even_indices, parity_of
-from ghzstab.classify import signed_angle_sum
+from reference import signed_angle_sum
 from ghzstab.errors import SizeError
 
 

@@ -11,14 +11,10 @@ from ghzstab import (
     solve_common_eigenspace,
 )
 from ghzstab.bitstrings import parity_of
-from ghzstab.certify import (
-    Ensemble,
-    expectation,
-    joint_outcome_probabilities,
-    sequential_outcome_probabilities,
-)
+from ghzstab.certify import Ensemble, expectation
 from ghzstab.construct import canonical_angles, ghz_from_pattern
 from ghzstab.errors import DomainError, ShapeError
+from reference import joint_outcome_probabilities, sequential_outcome_probabilities
 from sampling import uniform_directions
 
 
@@ -110,7 +106,7 @@ def test_unique_state_passes_exactly():
 
 def test_stabilized_state_passes_exactly_at_twenty_parties():
     # E_A reads 1 + 2e-16 here; 2^20 amplitudes are beyond the dense cap,
-    # which only .full enforces
+    # which only kron_all enforces
     d = canonical_angles(20)
     state = ghz_from_pattern(d, 0)
     report = run_certification(

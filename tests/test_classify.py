@@ -15,13 +15,10 @@ from ghzstab import (
     sigma_z_product,
 )
 from ghzstab.bitstrings import bit_labels
-from ghzstab.classify import (
-    pattern_condition,
-    sector_transform,
-    sign_pattern_set,
-    signed_angle_sum,
-)
+from ghzstab.classify import sector_transform, sign_pattern_set
 from ghzstab.errors import DomainError
+from ghzstab.linalg import kron_all
+from reference import pattern_condition, signed_angle_sum
 from sampling import uniform_directions
 
 
@@ -331,15 +328,15 @@ def test_sector_transform_single_qubit_negation():
     d = rationals((0, 1))
     t = sector_transform(d, -1, 1)
     assert t.thetas[0].pi_multiple == 1  # -sigma_Z points along theta = pi
-    full = product_observable(t).full
+    full = kron_all(product_observable(t).mats)
     assert np.allclose(full, -np.diag([1.0, -1.0]), atol=1e-15)
 
 
 def test_sector_transform_negates_full_observable():
     d = rationals((1, 2), (1, 2))
     t = sector_transform(d, -1, 1)
-    orig = product_observable(d).full
-    flipped = product_observable(t).full
+    orig = kron_all(product_observable(d).mats)
+    flipped = kron_all(product_observable(t).mats)
     assert np.max(np.abs(flipped + orig)) <= 1e-12
 
 
@@ -348,8 +345,8 @@ def test_sector_transform_involution(rng):
         for _ in range(5):
             d = uniform_directions(3, rng)
             twice = sector_transform(sector_transform(d, sa, sb), sa, sb)
-            a = product_observable(d).full
-            b = product_observable(twice).full
+            a = kron_all(product_observable(d).mats)
+            b = kron_all(product_observable(twice).mats)
             assert np.max(np.abs(a - b)) <= 1e-12
 
 

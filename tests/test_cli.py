@@ -167,6 +167,21 @@ def test_schema_violations_exit_2(tmp_path, capsys):
             assert err
 
 
+def test_overflowing_integers_are_named_by_size(tmp_path, capsys):
+    # an integer beyond the float range gets its digit count, not its digits
+    big = "1" + "0" * 400
+    for text, message in (
+        ('{"n": 1, "angles": [{"theta": {"rad": 0.5}}], "tol": %s}' % big,
+         "tol must be finite, got an integer of 401 digits"),
+        ('{"n": 1, "angles": [{"theta": {"rad": %s}}]}' % big,
+         "angles[0].theta.rad must be finite, got an integer of 401 digits"),
+        ('{"n": 1, "angles": [{"theta": {"rad": 0.5}, "phi": {"rad": -%s}}]}' % big,
+         "angles[0].phi.rad must be finite, got an integer of 401 digits"),
+    ):
+        code, out, err = run_cli(["classify"], tmp_path, capsys, text)
+        assert code == 2 and err == f"error: {message}\n" and not out, text
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["classify", "/nonexistent/angles.json"]) == 2
 
@@ -311,6 +326,12 @@ def test_production_commands_run_no_oracle(tmp_path, capsys, monkeypatch):
     from ghzstab.linalg import kron_all
     from ghzstab.observables import brute_force_eigenspace
 
+    # no package module but linalg can build a dense operator at all
+    binders = {
+        name for name, module in sys.modules.items()
+        if name.startswith("ghzstab") and getattr(module, "kron_all", None) is kron_all
+    }
+    assert binders == {"ghzstab.linalg"}
     for fn in (brute_force_eigenspace, kron_all):
         def refuse(*args, _name=fn.__name__, **kwargs):
             raise AssertionError(f"{_name} called")
@@ -498,6 +519,7 @@ def test_construct_pair_angles_reproduce_observables(tmp_path, capsys):
     # the emitted angle schemas rebuild the same local observables
     from ghzstab.cli import parse_angle_file
     from ghzstab.construct import GHZSpec, stabilizing_pair_for
+    from ghzstab.linalg import kron_all
     from ghzstab.observables import product_observable
 
     code, out, _ = run_cli(["construct", "3"], tmp_path, capsys)
@@ -506,7 +528,7 @@ def test_construct_pair_angles_reproduce_observables(tmp_path, capsys):
     for key, obs in (("a", pair.a), ("b", pair.b)):
         d, _, _ = parse_angle_file(doc["pair"][key])
         rebuilt = product_observable(d)
-        assert np.max(np.abs(rebuilt.full - obs.full)) <= 1e-9
+        assert np.max(np.abs(kron_all(rebuilt.mats) - kron_all(obs.mats))) <= 1e-9
 
 
 def test_construct_with_unitaries(tmp_path, capsys):
@@ -553,6 +575,8 @@ def test_construct_unitaries_errors_are_exact(tmp_path, capsys):
          "unitaries[0][1][0].im must be finite, got inf"),
         ("[[[1, 0], [0, 0]], [[0, 0], [-Infinity, 0]]]",
          "unitaries[0][1][1].re must be finite, got -inf"),
+        ("[[[1, 0], [0, -1%s]], [[0, 0], [1, 0]]]" % ("0" * 400),
+         "unitaries[0][0][1].im must be finite, got an integer of 401 digits"),
         ('[[["1", 0], [0, 0]], [[0, 0], [1, 0]]]',
          "unitaries[0][0][0].re must be a number, got '1'"),
         ('[[{"re": 1}, [0, 0]], [[0, 0], [1, 0]]]',
@@ -669,7 +693,7 @@ BAD_STATE_FILES = (
     ('{"n": 2, "amplitudes": [{"index": 0, "re": false}]}',
      "amplitudes[0].re must be a number, got False"),
     ('{"n": 2, "amplitudes": [{"index": 0, "re": 1' + "0" * 400 + "}]}",
-     "amplitudes[0].re must be finite, got 1" + "0" * 400),
+     "amplitudes[0].re must be finite, got an integer of 401 digits"),
     ('{"n": 2, "amplitudes": [{"index": 0, "re": NaN}]}',
      "amplitudes[0].re must be finite, got nan"),
     ('{"n": 2, "amplitudes": [{"index": 0, "im": Infinity}]}',

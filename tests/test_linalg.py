@@ -5,9 +5,9 @@ import pytest
 
 from ghzstab import StateVector
 from ghzstab.errors import DomainError, ShapeError, SizeError
-from ghzstab.linalg import apply_locals, fidelity, kron_all, subspace_distance
+from ghzstab.linalg import apply_locals, kron_all, subspace_distance
 from ghzstab.observables import SIGMA_X, SIGMA_Z
-from reference import null_space
+from reference import fidelity, null_space
 
 
 def _random_matrix(rng, dim):

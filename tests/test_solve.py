@@ -17,7 +17,7 @@ from ghzstab import (
 )
 from ghzstab.bitstrings import even_indices
 from ghzstab.errors import DomainError, SizeError
-from ghzstab.linalg import subspace_distance
+from ghzstab.linalg import kron_all, subspace_distance
 from ghzstab.observables import IDENTITY_2, SIGMA_X, SIGMA_Z, ProductObservable
 from ghzstab.construct import GHZSpec, stabilizing_pair_for
 from ghzstab.solve import (
@@ -135,14 +135,14 @@ def test_oracle_matches_stacked_null_space():
             a, b = product_observable(d), sigma_z_product(n)
             assert_same_space(
                 brute_force_eigenspace(a, b)[0],
-                stacked_reference(a.full, b.full),
+                stacked_reference(kron_all(a.mats), kron_all(b.mats)),
             )
             # radians, so every sector cuts at the default tol
             bases = sector_oracle_bases(d.in_mode("approx"))
             for (sa, sb), basis in zip(SECTORS, bases):
                 assert_same_space(
                     basis,
-                    stacked_reference(sa * a.full, sb * b.full),
+                    stacked_reference(sa * kron_all(a.mats), sb * kron_all(b.mats)),
                 )
 
 
@@ -153,7 +153,7 @@ def test_oracle_matches_stacked_null_space_on_rotated_pairs(rng):
             pair = stabilizing_pair_for(GHZSpec.random(n, rng))
             oracle = brute_force_eigenspace(pair.a, pair.b)[0]
             assert_same_space(
-                oracle, stacked_reference(pair.a.full, pair.b.full)
+                oracle, stacked_reference(kron_all(pair.a.mats), kron_all(pair.b.mats))
             )
             assert abs(np.vdot(pair.target.amplitudes, oracle[:, 0])) >= 1 - 1e-10
             minus_b = ProductObservable(
@@ -161,7 +161,7 @@ def test_oracle_matches_stacked_null_space_on_rotated_pairs(rng):
             )
             flipped = brute_force_eigenspace(pair.a, minus_b)[0]
             assert_same_space(
-                flipped, stacked_reference(pair.a.full, -pair.b.full)
+                flipped, stacked_reference(kron_all(pair.a.mats), -kron_all(pair.b.mats))
             )
 
 
@@ -170,8 +170,8 @@ def stacked_sector(a, b, sa, sb, tol):
     # bisector of the +1 eigenvectors of sA and sB, up to half the block's
     # angle from the oracle's vector; its component in the +1 eigenspace of
     # sB, (I + sB)/2 times it, is the oracle's vector
-    ref = stacked_reference(sa * a.full, sb * b.full, tol)
-    return np.linalg.qr(ref + sb * (b.full @ ref))[0]
+    ref = stacked_reference(sa * kron_all(a.mats), sb * kron_all(b.mats), tol)
+    return np.linalg.qr(ref + sb * (kron_all(b.mats) @ ref))[0]
 
 
 def assert_sectors_match_stacked(a, b, tol):
