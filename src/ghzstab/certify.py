@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import ZERO_ANGLE, DirectionList
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, shown
 from .linalg import StateVector
 from .observables import product_observable
 
@@ -31,7 +31,7 @@ class CertificationConfig:
 
     def __post_init__(self):
         if not 1 <= self.shots <= np.iinfo(np.int64).max:
-            raise DomainError(f"shots must be in 1..2^63-1, got {self.shots}")
+            raise DomainError(f"shots must be in 1..2^63-1, got {shown(self.shots)}")
         if not 0.0 < self.a_fraction < 1.0:
             raise DomainError(f"a_fraction must be in (0,1), got {self.a_fraction}")
         if not 0.0 < self.pass_threshold <= 1.0:
@@ -39,7 +39,7 @@ class CertificationConfig:
                 f"pass_threshold must be in (0,1], got {self.pass_threshold}"
             )
         if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+            raise DomainError(f"seed must be >= 0, got {shown(self.seed)}")
 
 
 @dataclass(frozen=True)

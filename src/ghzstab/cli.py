@@ -25,7 +25,7 @@ from .bitstrings import bit_labels
 from .certify import CertificationConfig, run_certification
 from .classify import ClassificationReport, classify
 from .construct import GHZSpec, stabilizing_pair_for
-from .errors import GhzstabError, InternalConsistencyError
+from .errors import GhzstabError, InternalConsistencyError, shown
 from .linalg import (
     DEFAULT_TOL,
     MAX_PARTIES,
@@ -60,18 +60,17 @@ def _finite(value, what: str) -> float:
         raise InputError(f"{what} must be a number, got {value!r}")
     try:
         out = float(value)
-    except OverflowError:  # an int beyond the float range: name its size
-        digits = len(str(abs(value)))
-        raise InputError(f"{what} must be finite, got an integer of {digits} digits")
+    except OverflowError:  # an int beyond the float range
+        out = math.inf
     if not math.isfinite(out):
-        raise InputError(f"{what} must be finite, got {value!r}")
+        raise InputError(f"{what} must be finite, got {shown(value)}")
     return out
 
 
 def _tol(value) -> float:
     tol = _finite(value, "tol")
     if tol <= 0:
-        raise InputError(f"tol must be positive, got {value!r}")
+        raise InputError(f"tol must be positive, got {shown(value)}")
     return tol
 
 
@@ -83,7 +82,7 @@ def _parse_angle(obj, what: str) -> Angle:
         if not _is_int(num) or not _is_int(den):
             raise InputError(f"{what}: pi_num and pi_den must be integers")
         if den <= 0:
-            raise InputError(f"{what}: pi_den must be positive, got {den}")
+            raise InputError(f"{what}: pi_den must be positive, got {shown(den)}")
         if abs(num) > 4 * den:
             raise InputError(f"{what}: |pi_num| must be at most 4*pi_den")
         return Angle.exact(num, den)
@@ -101,9 +100,9 @@ def parse_angle_file(data) -> tuple[DirectionList, float, str | None]:
     n = data.get("n")
     angles = data.get("angles")
     if not _is_int(n) or n < 1:
-        raise InputError(f"n must be a positive integer, got {n!r}")
+        raise InputError(f"n must be a positive integer, got {shown(n)}")
     if not isinstance(angles, list) or len(angles) != n:
-        raise InputError(f"angles must be a list of length n={n}")
+        raise InputError(f"angles must be a list of length n={shown(n)}")
     thetas, phis = [], []
     for k, rec in enumerate(angles):
         if not isinstance(rec, dict):
@@ -123,7 +122,9 @@ def parse_state_file(data) -> StateVector:
     n = data.get("n")
     amps = data.get("amplitudes")
     if not _is_int(n) or not 1 <= n <= MAX_PARTIES:
-        raise InputError(f"state n must be an integer in 1..{MAX_PARTIES}, got {n!r}")
+        raise InputError(
+            f"state n must be an integer in 1..{MAX_PARTIES}, got {shown(n)}"
+        )
     if not isinstance(amps, list) or not amps:
         raise InputError("state amplitudes must be a non-empty list")
     vec = np.zeros(1 << n, dtype=np.complex128)
@@ -310,9 +311,11 @@ def cmd_construct(args) -> dict:
         if not isinstance(data, dict) or not isinstance(data.get("unitaries"), list):
             raise InputError("unitaries file must be {n, unitaries: [...]}")
         if "n" in data and data["n"] != n:
-            raise InputError(f"unitaries file n {data['n']!r} != n {n}")
+            raise InputError(f"unitaries file n {shown(data['n'])} != n {shown(n)}")
         if len(data["unitaries"]) != n:
-            raise InputError(f"unitaries count {len(data['unitaries'])} != n {n}")
+            raise InputError(
+                f"unitaries count {len(data['unitaries'])} != n {shown(n)}"
+            )
         spec = GHZSpec.from_matrices(
             [_unitary(u, f"unitaries[{k}]") for k, u in enumerate(data["unitaries"])]
         )
@@ -373,12 +376,13 @@ def cmd_verify(args) -> dict:
         ("--seed", args.seed, 0),
     ):
         if value < low:
-            raise InputError(f"{flag} must be >= {low}, got {value}")
+            raise InputError(f"{flag} must be >= {low}, got {shown(value)}")
     block = (1 << d.n_parties) * args.env_dim * args.trials
     if block > 1 << MAX_PARTIES:
         raise InputError(
-            f"purity block 2^{d.n_parties} * env_dim {args.env_dim} * trials "
-            f"{args.trials} = {block} amplitudes exceeds 2^{MAX_PARTIES}"
+            f"purity block 2^{d.n_parties} * env_dim {shown(args.env_dim)} * "
+            f"trials {shown(args.trials)} = {shown(block)} amplitudes exceeds "
+            f"2^{MAX_PARTIES}"
         )
     report = solve_common_eigenspace(d, tol)
     bases = sector_oracle_bases(d, tol)

@@ -16,7 +16,7 @@ import numpy as np
 from .angles import Angle, DirectionList
 from .bitstrings import even_indices
 from .classify import classify
-from .errors import DomainError, InternalConsistencyError, PreconditionError
+from .errors import DomainError, InternalConsistencyError, PreconditionError, shown
 from .linalg import StateVector, apply_locals, check_dense
 from .observables import SIGMA_Z, ProductObservable, product_observable
 
@@ -28,7 +28,7 @@ def canonical_angles(n: int) -> DirectionList:
     string): all thetas 2pi/n for odd n; theta_1 = 4pi/(n+1) and the rest
     2pi/(n+1) for even n. All phis zero."""
     if n < 2:
-        raise DomainError(f"need at least 2 parties, got {n}")
+        raise DomainError(f"need at least 2 parties, got {shown(n)}")
     if n % 2 == 1:
         thetas = [Angle.exact(2, n)] * n
     else:
@@ -90,15 +90,18 @@ class GHZSpec:
     def __post_init__(self):
         u = self.local_unitaries
         if self.n < 2:
-            raise DomainError(f"need at least 2 parties, got {self.n}")
+            raise DomainError(f"need at least 2 parties, got {shown(self.n)}")
         if len(u) != self.n:
             raise DomainError(f"expected {self.n} local unitaries, got {len(u)}")
         if u.shape[1:] != (2, 2):
             raise DomainError("local unitaries must be 2x2")
-        if not np.isfinite(u).all():  # checked first: inf warns in the product
-            raise DomainError("matrix is not unitary (non-finite entry)")
+        # a unitary's entries have modulus at most 1; checked before the
+        # product, where an inf or huge entry warns (a NaN fails this too)
+        largest = np.abs(u).max()
+        if not largest <= 1 + 1e-12:
+            raise DomainError(f"matrix is not unitary (entry of modulus {largest:.3e})")
         defect = np.max(np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(2)))
-        if not defect <= 1e-12:  # an overflow to NaN fails this too
+        if defect > 1e-12:
             raise DomainError(f"matrix is not unitary (defect {defect:.3e})")
 
     @classmethod

@@ -13,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, SizeError
+from .errors import DomainError, ShapeError, SizeError, shown
 
 MAX_PARTIES = 24
 MAX_DENSE_PARTIES = 12
@@ -24,7 +24,7 @@ def check_dense(n_parties: int) -> None:
     """Raise SizeError when 2^n x 2^n dense storage exceeds the cap."""
     if n_parties > MAX_DENSE_PARTIES:
         raise SizeError(
-            f"{n_parties} parties exceed the dense cap of {MAX_DENSE_PARTIES}"
+            f"{shown(n_parties)} parties exceed the dense cap of {MAX_DENSE_PARTIES}"
         )
 
 

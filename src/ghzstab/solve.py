@@ -32,7 +32,7 @@ from .classify import (
     sector_transform,
 )
 from .construct import ghz_states
-from .errors import DomainError, InternalConsistencyError, SizeError
+from .errors import DomainError, InternalConsistencyError, SizeError, shown
 from .linalg import DEFAULT_TOL, MAX_PARTIES, check_dense
 from .observables import (
     brute_force_eigenspace,
@@ -125,7 +125,7 @@ def sector_oracle_bases(
         gap = math.sin(math.pi * (1 / (2 * den))) / 2.0  # int / int: no overflow
         if gap < 1e-12:
             raise DomainError(
-                f"common theta denominator {den if den < 10**30 else '> 1e30'} "
+                f"common theta denominator {shown(den)} "
                 f"is too large for the float oracle (cut {gap:.1e} < 1e-12)"
             )
         tol = min(tol, gap)
@@ -207,8 +207,11 @@ def purity_security_check(
     (zero entropy) whose reduced system state is the unique stabilized
     state; degenerate projectors admit entangled purifications.
 
-    The draws are checked together, as a (2^n, trials * env_dim) block cut
-    into chunks of at most 2^MAX_PARTIES amplitudes.
+    Each draw, a (2^n, env_dim) Gaussian g of at most 2^MAX_PARTIES
+    amplitudes, is audited on its (dim, env_dim) coefficients c = B^H g in
+    the solver's basis B: for an isometry B (checked first, to 1e-12), B c
+    has c's norm, singular values and overlaps, and misses stabilization by
+    sqrt(c^H G c), G the Gram matrix of (A - I) B or of (Z^N - I) B.
     """
     dim_p = report.dimension
     n = d.n_parties
@@ -239,42 +242,38 @@ def purity_security_check(
             f"exceeds 2^{MAX_PARTIES}"
         )
     unique = report.classification.case is StabilizerCase.UNIQUE_GHZ
-    basis = report.basis
-    obs = product_observable(d)
-    b_diag = sigma_z_product(n)
+    basis_h = report.basis.conj().T
+    defect = float(np.abs(basis_h @ report.basis - np.eye(dim_p)).max())
+    if defect > 1e-12:
+        raise InternalConsistencyError(
+            f"solver basis is not orthonormal: max|B^H B - I| {defect:.3e}"
+        )
+    # the Gram matrices of (A - I) B and (Z^N - I) B
+    ops = (product_observable(d), sigma_z_product(n))
+    residuals = [op.apply(report.basis) - report.basis for op in ops]
+    grams = np.stack([w.conj().T @ w for w in residuals])
     rng = np.random.default_rng(seed)
-    step = (1 << MAX_PARTIES) // (sys_dim * env_dim)
-    entropies = []
-    fidelities = []
-    worst_residual = 0.0
-    for start in range(0, trials, step):
-        k = min(step, trials - start)
-        g = np.stack(
-            [
-                rng.normal(size=(sys_dim, env_dim))
-                + 1j * rng.normal(size=(sys_dim, env_dim))
-                for _ in range(k)
-            ],
-            axis=1,
-        ).reshape(sys_dim, k * env_dim)
-        proj = (basis @ (basis.conj().T @ g)).reshape(sys_dim, k, env_dim)
-        del g  # in the residual check apply_locals holds 2 blocks beside proj
-        norms = np.linalg.norm(proj, axis=(0, 2))
-        if norms.min() < 1e-12:
+    probs = np.empty((trials, dim_p))
+    quads = np.empty(trials)
+    for t in range(trials):
+        c = basis_h @ (
+            rng.normal(size=(sys_dim, env_dim))
+            + 1j * rng.normal(size=(sys_dim, env_dim))
+        )
+        norm = np.linalg.norm(c)
+        if norm < 1e-12:
             raise InternalConsistencyError("projected Gaussian draw collapsed to 0")
-        proj /= norms[:, None]
-        cols = proj.reshape(sys_dim, k * env_dim)
-        for op in (obs, b_diag):
-            res = float(np.linalg.norm(op.apply(cols) - cols, axis=0).max())
-            worst_residual = max(worst_residual, res)
-        # entropy in bits across the system:environment cut, one per draw
-        probs = np.linalg.svd(proj.transpose(1, 0, 2), compute_uv=False) ** 2
-        probs = np.where(probs > 1e-15, probs, 1.0)
-        entropies.extend((-np.sum(probs * np.log2(probs), axis=1)).tolist())
-        if unique:
-            overlaps = np.tensordot(basis[:, 0].conj(), proj, axes=1)
-            fidelities.extend(np.sum(np.abs(overlaps) ** 2, axis=1).tolist())
-    min_fidelity = min(fidelities) if unique else None
+        c /= norm
+        quads[t] = np.sum(c.conj() * (grams @ c), axis=1).real.max()
+        probs[t] = np.linalg.svd(c, compute_uv=False) ** 2
+    # rounding can leave a vanishing c^H G c slightly negative
+    worst_residual = math.sqrt(max(quads.max(), 0.0))
+    # with dim 1, B c's overlap with the unique state is |c|^2, c's one
+    # squared singular value
+    min_fidelity = float(probs[:, 0].min()) if unique else None
+    # entropy in bits across the system:environment cut, one per draw
+    probs = np.where(probs > 1e-15, probs, 1.0)
+    entropies = (-np.sum(probs * np.log2(probs), axis=1)).tolist()
     # a unit draw V alpha misses stabilization by at most ||(A - I) V||, and
     # that is at most sqrt(dim) times the worst basis state's limit
     tol = report.classification.tol

@@ -182,6 +182,63 @@ def test_overflowing_integers_are_named_by_size(tmp_path, capsys):
         assert code == 2 and err == f"error: {message}\n" and not out, text
 
 
+def test_out_of_range_integers_are_named_by_size(tmp_path, capsys):
+    # an integer past 64 bits is named by its size in every one-line error,
+    # also past the 4300 digits that str() converts
+    big, huge = "1" + "0" * 400, "1" + "0" * 4200
+    epr = json.dumps(EPR_INPUT)
+    one = '{"n": 1, "angles": [{"theta": %s}]%s}'
+    state = '{"n": 1, "amplitudes": [{"index": 0, "re": 1}]}'
+    eye2 = "[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]"
+    for argv, files, message in (
+        (["classify", "a"], {"a": '{"n": -%s, "angles": []}' % big},
+         "n must be a positive integer, got an integer of 401 digits"),
+        (["classify", "a"], {"a": '{"n": %s, "angles": []}' % big},
+         "angles must be a list of length n=an integer of 401 digits"),
+        (["classify", "a"], {"a": one % ('{"pi_num": 1, "pi_den": -%s}' % big, "")},
+         "angles[0].theta: pi_den must be positive, got an integer of 401 digits"),
+        (["classify", "a"], {"a": one % ('{"rad": 0.5}', ', "tol": -1' + "0" * 300)},
+         "tol must be positive, got an integer of 301 digits"),
+        (["verify", "a"],
+         {"a": one % ('{"pi_num": 1, "pi_den": 1%s}' % ("0" * 30), "")},
+         "common theta denominator an integer of 31 digits is too large for the "
+         "float oracle (cut 7.9e-31 < 1e-12)"),
+        (["certify", "a", "--state", "s"],
+         {"a": epr, "s": '{"n": %s, "amplitudes": []}' % big},
+         "state n must be an integer in 1..24, got an integer of 401 digits"),
+        (["certify", "a", "--state", "s", "--shots", big],
+         {"a": one % ('{"rad": 0.5}', ""), "s": state},
+         "shots must be in 1..2^63-1, got an integer of 401 digits"),
+        (["certify", "a", "--state", "s", "--seed=-" + big],
+         {"a": one % ('{"rad": 0.5}', ""), "s": state},
+         "seed must be >= 0, got an integer of 401 digits"),
+        (["construct", "2", "--unitaries", "u"],
+         {"u": '{"n": %s, "unitaries": []}' % big},
+         "unitaries file n an integer of 401 digits != n 2"),
+        (["construct", "--unitaries", "u", "--", "-" + big],
+         {"u": '{"unitaries": [%s, %s]}' % (eye2, eye2)},
+         "unitaries count 2 != n an integer of 401 digits"),
+        (["construct", big], {},
+         "an integer of 401 digits parties exceed the dense cap of 12"),
+        (["construct", "--", "-" + big], {},
+         "need at least 2 parties, got an integer of 401 digits"),
+        (["verify", "a", "--seed=-" + big], {"a": epr},
+         "--seed must be >= 0, got an integer of 401 digits"),
+        (["verify", "a", "--trials", big], {"a": epr},
+         "purity block 2^2 * env_dim 8 * trials an integer of 401 digits = "
+         "an integer of 402 digits amplitudes exceeds 2^24"),
+        (["verify", "a", "--trials", huge, "--env-dim", huge], {"a": epr},
+         "purity block 2^2 * env_dim an integer of 4201 digits * trials an integer "
+         "of 4201 digits = an integer of 8401 digits amplitudes exceeds 2^24"),
+    ):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        assert main(argv) == 2, message
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and not captured.out
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["classify", "/nonexistent/angles.json"]) == 2
 
@@ -577,6 +634,9 @@ def test_construct_unitaries_errors_are_exact(tmp_path, capsys):
          "unitaries[0][1][1].re must be finite, got -inf"),
         ("[[[1, 0], [0, -1%s]], [[0, 0], [1, 0]]]" % ("0" * 400),
          "unitaries[0][0][1].im must be finite, got an integer of 401 digits"),
+        # finite, but the unitarity product would overflow
+        ("[[[1e200, 0], [1e200, 0]], [[1e200, 0], [-1e200, 0]]]",
+         "matrix is not unitary (entry of modulus 1.000e+200)"),
         ('[[["1", 0], [0, 0]], [[0, 0], [1, 0]]]',
          "unitaries[0][0][0].re must be a number, got '1'"),
         ('[[{"re": 1}, [0, 0]], [[0, 0], [1, 0]]]',

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -16,7 +17,7 @@ from ghzstab import (
     solve_common_eigenspace,
 )
 from ghzstab.bitstrings import even_indices
-from ghzstab.errors import DomainError, SizeError
+from ghzstab.errors import DomainError, InternalConsistencyError, SizeError
 from ghzstab.linalg import kron_all, subspace_distance
 from ghzstab.observables import IDENTITY_2, SIGMA_X, SIGMA_Z, ProductObservable
 from ghzstab.construct import GHZSpec, stabilizing_pair_for
@@ -443,24 +444,26 @@ def test_purity_empty_case():
     assert report.projector_dim == 0
 
 
-@pytest.mark.parametrize("chunk_parties", [None, 6])
 @pytest.mark.parametrize(
-    "d",
+    "d, env_dim",
     [
-        rationals((1, 2), (1, 2)),
-        rationals((1, 1), (1, 1), (0, 1)),
-        DirectionList.from_radians([0.4, 1.3, 2.2, 0.4 + 1.3 + 2.2 - 2 * math.pi]),
+        (rationals((1, 2), (1, 2)), 4),
+        (rationals((1, 1), (1, 1), (0, 1)), 4),
+        (
+            DirectionList.from_radians([0.4, 1.3, 2.2, 0.4 + 1.3 + 2.2 - 2 * math.pi]),
+            4,
+        ),
+        (rationals(*[(1, 3)] * 6), 11),  # 11 patterns vanish: env_dim = d
     ],
-    ids=["unique", "degenerate", "unique_radians"],
+    ids=["unique", "degenerate", "unique_radians", "degenerate_n6"],
 )
-def test_purity_batch_matches_per_draw_loop(d, chunk_parties, monkeypatch):
-    # reference: one draw at a time, with its own SVD and overlap; a lowered
-    # MAX_PARTIES splits the batch into chunks of 4, 2 or 1 draws
-    if chunk_parties is not None:
-        monkeypatch.setattr("ghzstab.solve.MAX_PARTIES", chunk_parties)
-    env_dim, trials, seed = 4, 7, 3
+def test_purity_batch_matches_per_draw_loop(d, env_dim):
+    # reference: one draw at a time, projected onto the 2^n rows of the
+    # solver's basis, with its own SVD and overlap
+    trials, seed = 7, 3
     sys_dim = 1 << d.n_parties
     solved = solve_common_eigenspace(d)
+    assert solved.dimension <= env_dim
     report = purity_security_check(solved, d, env_dim=env_dim, trials=trials, seed=seed)
     basis = solved.basis
     rng = np.random.default_rng(seed)
@@ -482,6 +485,17 @@ def test_purity_batch_matches_per_draw_loop(d, chunk_parties, monkeypatch):
     else:
         assert report.reduced_state_fidelity is None
         assert report.max_entropy > 0.1
+
+
+def test_purity_rejects_a_basis_that_is_not_orthonormal():
+    # the audit reads each draw from its coefficients in the basis, which
+    # stands for the projected draw only when the basis is an isometry
+    d = rationals((1, 1), (1, 1), (0, 1))
+    solved = solve_common_eigenspace(d)
+    basis = solved.basis.copy()
+    basis[:, 1] *= 1.01
+    with pytest.raises(InternalConsistencyError, match="not orthonormal"):
+        purity_security_check(dataclasses.replace(solved, basis=basis), d, env_dim=4)
 
 
 def test_purity_env_too_small():
