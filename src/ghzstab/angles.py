@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, shown
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class DirectionList:
         "approx" (thetas become radians, decided with a tolerance) or None
         (exact exactly when every theta is)."""
         if mode not in (None, "exact", "approx"):
-            raise DomainError(f"mode must be exact or approx, got {mode!r}")
+            raise DomainError(f"mode must be exact or approx, got {shown(mode)}")
         if mode == "exact" and not self.all_exact:
             raise DomainError("exact mode requires all thetas rational multiples of pi")
         if mode == "approx" and self.all_exact:

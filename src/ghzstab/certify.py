@@ -79,7 +79,7 @@ class Ensemble:
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise DomainError("ensemble weights must sum to 1")
         if self.sampling not in ("random", "cycle"):
-            raise DomainError(f"unknown sampling {self.sampling!r}")
+            raise DomainError(f"unknown sampling {shown(self.sampling)}")
 
 
 def run_certification(

@@ -56,19 +56,22 @@ class ClassificationReport:
     warnings: tuple[str, ...] = ()
 
 
-def _scaled_thetas(d: DirectionList) -> tuple[list[int], int]:
-    """Integer numerators over a common denominator: theta_l = nums[l]*pi/den."""
-    fracs = [t.pi_multiple for t in d.thetas]
-    den = math.lcm(*(f.denominator for f in fracs))
-    return [int(f * den) for f in fracs], den
-
-
-def _join(
-    order: np.ndarray, left: np.ndarray, right: np.ndarray, shift: int
+def _meet(
+    high: np.ndarray, low: np.ndarray, modulus, width, shift: int
 ) -> np.ndarray:
-    """Pattern indices hi << shift | order[k mod len(order)] for every
-    high-block index hi and every k in [left[hi], right[hi]), hi-major."""
-    counts = right - left
+    """Pattern indices hi << shift | lo, hi-major, for every low half-sum
+    low[lo] within width of -high[hi] on the circle of circumference
+    modulus; within one hi, the lo follow the stable order of low mod
+    modulus. The sorted low sums are laid on three turns of the circle, so
+    each window [t - width, t + width], t in [0, modulus), is found by
+    binary search; a window of width 0 meets only the middle turn."""
+    target = -high % modulus
+    low = low % modulus
+    order = np.argsort(low, kind="stable")
+    low = low[order]
+    ring = np.concatenate((low - modulus, low, low + modulus))
+    left = np.searchsorted(ring, target - width, "left")
+    counts = np.searchsorted(ring, target + width, "right") - left
     hi = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
     starts = np.cumsum(counts) - counts
     k = np.arange(hi.size, dtype=np.int64) - np.repeat(starts - left, counts)
@@ -76,22 +79,18 @@ def _join(
 
 
 def _exact_members(d: DirectionList, h: int) -> np.ndarray:
-    """Members of an exact list: lo = -hi mod 2 den, found by binary search
-    in the stably sorted low residues, so they come out ascending."""
-    nums, den = _scaled_thetas(d)
+    """Members of an exact list: theta_l = nums[l] pi / den, and a pattern
+    vanishes when its low half-sum is minus its high half-sum mod 2 den.
+    Equal low residues keep their order, so members come out ascending."""
+    fracs = [t.pi_multiple for t in d.thetas]
+    den = math.lcm(*(f.denominator for f in fracs))
     mod = 2 * den
-    nums = [v % mod for v in nums]
+    nums = [int(f * den) % mod for f in fracs]
     if len(nums) * mod < _INT64_SAFE:
         kernel = _kernels.signed_sums_i8
     else:
         kernel = _kernels.signed_sums_int
-    target = -kernel(nums[:h]) % mod
-    lo = kernel([0] + nums[h:]) % mod
-    order = np.argsort(lo, kind="stable")
-    lo = lo[order]
-    left = np.searchsorted(lo, target, "left")
-    right = np.searchsorted(lo, target, "right")
-    return _join(order, left, right, len(nums) - h)
+    return _meet(kernel(nums[:h]), kernel([0] + nums[h:]), mod, 0, len(nums) - h)
 
 
 def _float_members(d: DirectionList, h: int, tol: float) -> tuple[np.ndarray, bool]:
@@ -112,20 +111,9 @@ def _float_members(d: DirectionList, h: int, tol: float) -> tuple[np.ndarray, bo
     # the 1 + 4 eps covers the rounding of the score itself
     slack = 8 * (n + 4) * eps * (float(np.abs(theta).sum()) + 4 * math.pi)
     reach = 2.0 * math.asin(min(FRAGILE_FACTOR * tol * (1.0 + 4 * eps), 1.0))
-    width = reach + slack
     prefix = _kernels.signed_sums_f8(theta[:h])
-    if width >= math.pi:  # the window covers the whole circle
-        patterns = np.arange(1 << (n - 1), dtype=np.int64)
-    else:
-        two_pi = 2.0 * math.pi
-        target = np.mod(-prefix, two_pi)
-        lo = np.mod(_kernels.signed_sums_f8(np.concatenate(([0.0], theta[h:]))), two_pi)
-        order = np.argsort(lo)
-        lo = lo[order]
-        ring = np.concatenate((lo - two_pi, lo, lo + two_pi))
-        left = np.searchsorted(ring, target - width, "left")
-        right = np.searchsorted(ring, target + width, "right")
-        patterns = _join(order, left, right, n - h)
+    low = _kernels.signed_sums_f8(np.concatenate(([0.0], theta[h:])))
+    patterns = _meet(prefix, low, 2.0 * math.pi, reach + slack, n - h)
     # the high half-sums are the sequential sums' first h - 1 steps, so
     # each candidate goes on from its own with the low parties
     sums = prefix[patterns >> (n - h)]
@@ -135,8 +123,8 @@ def _float_members(d: DirectionList, h: int, tol: float) -> tuple[np.ndarray, bo
     score = np.abs(np.sin(sums / 2.0))
     hits = score <= tol
     fragile = bool(np.any((score > tol) & (score <= FRAGILE_FACTOR * tol)))
-    # candidates come hi-major but not lo-sorted, and a window just under pi
-    # can meet one low sum twice
+    # candidates come hi-major but not lo-sorted, and a window of half-width
+    # near pi or more meets a low sum twice near its ends
     return np.unique(patterns[hits]), fragile
 
 

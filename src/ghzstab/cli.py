@@ -57,7 +57,7 @@ def _is_int(value) -> bool:
 def _finite(value, what: str) -> float:
     """A JSON number (not a bool) that is finite as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{what} must be a number, got {value!r}")
+        raise InputError(f"{what} must be a number, got {shown(value)}")
     try:
         out = float(value)
     except OverflowError:  # an int beyond the float range
@@ -112,7 +112,7 @@ def parse_angle_file(data) -> tuple[DirectionList, float, str | None]:
     tol = _tol(data.get("tol", DEFAULT_TOL))
     mode = data.get("mode")
     if mode not in (None, "exact", "approx"):
-        raise InputError(f"mode must be exact or approx, got {mode!r}")
+        raise InputError(f"mode must be exact or approx, got {shown(mode)}")
     return DirectionList.of(thetas, phis), tol, mode
 
 
@@ -422,6 +422,31 @@ def cmd_verify(args) -> dict:
     }
 
 
+def _typed(convert, invalid: str):
+    """An argparse type: convert(text), or argparse's own message for a
+    refused value with the value quoted through shown, so that an over-long
+    argument is named by its size."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(invalid.format(shown(text))) from None
+
+    return parse
+
+
+def _mode(text: str) -> str:
+    if text not in ("exact", "approx"):
+        raise ValueError(text)
+    return text
+
+
+_INT = _typed(int, "invalid int value: {}")
+_FLOAT = _typed(float, "invalid float value: {}")
+_MODE = _typed(_mode, "invalid choice: {} (choose from 'exact', 'approx')")
+
+
 @functools.cache  # each parse fills a fresh namespace, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -435,9 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
             "input", nargs="?", default="-",
             help="angle JSON file ('-' for stdin, the default)",
         )
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=_FLOAT, default=None)
         if with_mode:
-            p.add_argument("--mode", choices=["exact", "approx"], default=None)
+            p.add_argument("--mode", type=_MODE, metavar="{exact,approx}", default=None)
         p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("classify", help="classify the direction list")
@@ -451,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "construct", help="build a uniquely-stabilizing pair for a GHZ state"
     )
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_INT)
     p.add_argument(
         "--unitaries", default=None,
         help="optional JSON file of per-party 2x2 unitaries",
@@ -462,10 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="simulate the two-setting certification")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--state", required=True, help="state JSON file")
-    p.add_argument("--shots", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=0.999)
-    p.add_argument("--a-fraction", type=float, default=0.5)
+    p.add_argument("--shots", type=_INT, default=10_000)
+    p.add_argument("--seed", type=_INT, default=0)
+    p.add_argument("--threshold", type=_FLOAT, default=0.999)
+    p.add_argument("--a-fraction", type=_FLOAT, default=0.5)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_certify)
 
@@ -473,9 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="cross-check solver, oracle, identities, and purity"
     )
     common(p, with_mode=False)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--env-dim", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_INT, default=20)
+    p.add_argument("--env-dim", type=_INT, default=8)
+    p.add_argument("--seed", type=_INT, default=0)
     p.set_defaults(func=cmd_verify)
     return ap
 

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzstab import (
+    Angle,
     CertificationConfig,
     DirectionList,
     StateVector,
@@ -116,6 +119,42 @@ def test_stabilized_state_passes_exactly_at_twenty_parties():
     assert report.mean_a == 1.0 and report.mean_b == 1.0
     assert report.stderr_a == 0.0 and report.stderr_b == 0.0
     assert report.passed
+
+
+@st.composite
+def stabilized_lists(draw):
+    """An exact list with a planted vanishing pattern and random phis;
+    parties of theta 0 or pi make it degenerate."""
+    n = draw(st.integers(2, 8))
+    q = draw(st.integers(1, 12))
+    nums = draw(st.lists(
+        st.one_of(st.integers(-4 * q, 4 * q), st.sampled_from([0, q])),
+        min_size=n, max_size=n,
+    ))
+    signs = [1] + draw(st.lists(st.sampled_from([-1, 1]), min_size=n - 1, max_size=n - 1))
+    partial = sum(s * v for s, v in zip(signs[:-1], nums))
+    nums[-1] = (-signs[-1] * partial) % (2 * q)
+    phis = draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n))
+    return DirectionList.of(
+        [Angle.exact(v, q) for v in nums], [Angle.radians(p) for p in phis]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(stabilized_lists(), st.integers(0, 2**32 - 1))
+def test_stabilized_states_certify_with_means_of_exactly_one(d, seed):
+    # any unit combination of the solver's basis is a common +1 eigenstate,
+    # so no round ever reads -1, for the exact list and its radian copy
+    rng = np.random.default_rng(seed)
+    for listed in (d, d.in_mode("approx")):
+        basis = solve_common_eigenspace(listed).basis
+        c = rng.normal(size=basis.shape[1]) + 1j * rng.normal(size=basis.shape[1])
+        state = StateVector(d.n_parties, basis @ (c / np.linalg.norm(c)))
+        report = run_certification(
+            state, listed, CertificationConfig(shots=2000, seed=seed)
+        )
+        assert report.mean_a == report.mean_b == 1.0, (listed, report)
+        assert report.passed
 
 
 def test_born_probability_is_clipped():

@@ -278,6 +278,30 @@ def test_half_sums_match_enumeration_on_float_lists(case):
     _assert_matches_enumeration(*case)
 
 
+def _wide_lists():
+    """Lists at the sizes classify_wide runs, past the strategies' n <= 16:
+    radian lists whose windows reach pi or more, and one exact list per
+    integer lane with a planted vanishing pattern and a party of theta pi."""
+    rng = np.random.default_rng(18)
+    for n in (18, 20):
+        for tol in (0.1, 0.2, 1.5):
+            d = DirectionList.from_radians(rng.uniform(-4 * math.pi, 4 * math.pi, n))
+            yield pytest.param(d, tol, id=f"radians-n{n}-tol{tol}")
+    for n, den, lane in ((20, 12, "int64"), (18, (1 << 61) + 1, "bigint")):
+        nums = [int(v) % (4 * den) for v in rng.integers(0, 1 << 62, n)]
+        nums[n // 2] = den
+        signs = [1] + [int(s) for s in rng.choice([-1, 1], size=n - 1)]
+        partial = sum(s * v for s, v in zip(signs[:-1], nums))
+        nums[-1] = (-signs[-1] * partial) % (2 * den)
+        d = DirectionList.from_rationals([(v, den) for v in nums])
+        yield pytest.param(d, 1e-9, id=f"{lane}-n{n}")
+
+
+@pytest.mark.parametrize("d, tol", _wide_lists())
+def test_half_sums_match_enumeration_on_wide_lists(d, tol):
+    _assert_matches_enumeration(d, tol)
+
+
 def test_half_sums_pass_at_most_half_the_parties_to_a_kernel(rng, monkeypatch):
     from ghzstab import _kernels
 

@@ -7,10 +7,14 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ghzstab import DirectionList, StateVector
+from ghzstab.certify import Ensemble
 from ghzstab.cli import main, parse_state_file, sparse_amplitudes
+from ghzstab.errors import DomainError
 from reference import parse_state_records
 
 EPR_INPUT = {
@@ -237,6 +241,90 @@ def test_out_of_range_integers_are_named_by_size(tmp_path, capsys):
         assert main(argv) == 2, message
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and not captured.out
+
+
+def test_long_values_are_named_by_size(tmp_path, capsys):
+    # a string, list or dict whose repr would pass 64 characters is named by
+    # its type and size in every one-line error; a shorter one keeps its repr
+    long, many = json.dumps("x" * 3000), json.dumps(list(range(2000)))
+    one = '{"n": 1, "angles": [{"theta": %s}]%s}'
+    state = '{"n": 2, "amplitudes": [{"index": 0, "re": %s}]}'
+    for argv, files, message in (
+        (["classify", "a"], {"a": '{"n": %s, "angles": []}' % long},
+         "n must be a positive integer, got a string of 3000 characters"),
+        (["classify", "a"], {"a": one % ('{"rad": 0.5}', ', "mode": %s' % long)},
+         "mode must be exact or approx, got a string of 3000 characters"),
+        (["classify", "a"], {"a": one % ('{"rad": 0.5}', ', "tol": %s' % long)},
+         "tol must be a number, got a string of 3000 characters"),
+        (["classify", "a"], {"a": one % ('{"rad": %s}' % long, "")},
+         "angles[0].theta.rad must be a number, got a string of 3000 characters"),
+        (["classify", "a"], {"a": one % ('{"rad": %s}' % many, "")},
+         "angles[0].theta.rad must be a number, got a list of 2000 items"),
+        (["classify", "a"], {"a": one % ('{"rad": [[%s]]}' % long, "")},
+         "angles[0].theta.rad must be a number, got a list of 1 item"),
+        (["classify", "a"], {"a": one % ('{"rad": {"k": %s}}' % many, "")},
+         "angles[0].theta.rad must be a number, got a dict of 1 item"),
+        (["classify", "a"], {"a": one % ('{"rad": [%s]}' % ("1" + "0" * 30), "")},
+         "angles[0].theta.rad must be a number, got a list of 1 item"),
+        (["certify", "a", "--state", "s"], {"a": json.dumps(EPR_INPUT), "s": state % long},
+         "amplitudes[0].re must be a number, got a string of 3000 characters"),
+        (["construct", "2", "--unitaries", "u"], {"u": '{"n": %s, "unitaries": []}' % many},
+         "unitaries file n a list of 2000 items != n 2"),
+        # up to 64 characters, the repr itself
+        (["classify", "a"], {"a": one % ('{"rad": %s}' % json.dumps("x" * 62), "")},
+         "angles[0].theta.rad must be a number, got '%s'" % ("x" * 62)),
+        (["classify", "a"], {"a": one % ('{"rad": {"k": [1, "y", null]}}', "")},
+         "angles[0].theta.rad must be a number, got {'k': [1, 'y', None]}"),
+    ):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        assert main(argv) == 2, message
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and not captured.out
+    # the library's own checks of the same values
+    for build, message in (
+        (lambda: DirectionList.from_rationals([(1, 2)]).in_mode("x" * 3000),
+         "mode must be exact or approx, got a string of 3000 characters"),
+        (lambda: Ensemble((StateVector.ghz(2),), (1.0,), sampling=["c"] * 2000),
+         "unknown sampling a list of 2000 items"),
+    ):
+        with pytest.raises(DomainError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+V = object()  # where the refused value goes in an argv
+
+
+def test_over_long_arguments_are_named_by_size(capsys):
+    # argparse quotes a refused argument whole; each typed argument names an
+    # over-long one by its size, in argparse's usage and wording otherwise
+    long = "x" * 3000
+    for argv, value in (
+        (["construct", V], "1" + "0" * 5000),
+        (["classify", "--mode", V], long),
+        (["solve", "--mode", V], long),
+        (["classify", "--tol", V], long),
+        (["certify", "--state", "s", "--shots", V], long),
+        (["certify", "--state", "s", "--seed", V], long),
+        (["certify", "--state", "s", "--threshold", V], long),
+        (["certify", "--state", "s", "--a-fraction", V], long),
+        (["verify", "--tol", V], long),
+        (["verify", "--trials", V], "9" * 4400),
+        (["verify", "--env-dim", V], long),
+        (["verify", "--seed", V], long),
+    ):
+        errs = []
+        for arg in ("x", value):
+            with pytest.raises(SystemExit) as exc:
+                main([arg if a is V else a for a in argv])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2 and not captured.out
+            errs.append(captured.err)
+        assert errs[0].count("'x'") == 1, errs[0]
+        named = f"a string of {len(value)} characters"
+        assert errs[1] == errs[0].replace("'x'", named), argv
 
 
 def test_missing_file_exits_2(capsys):
