@@ -54,10 +54,17 @@ def parity_product_sums(cos_t: np.ndarray, msin_t: np.ndarray):
 # ---------------------------------------------------------------------------
 # group character sums sum_m (-1)^{m . v}; only v mod 2 matters
 
+CHARACTER_BLOCK = 1 << 16  # entries of one (samples, m) block
+
+
 def character_sums(vbits: np.ndarray, n: int) -> np.ndarray:
-    m = np.arange(1 << n, dtype=np.uint64)
-    out = np.empty(vbits.size, dtype=np.int64)
-    for k in range(vbits.size):
-        par = np.bitwise_count(m & np.uint64(vbits[k])) & 1
-        out[k] = (1 << n) - 2 * int(par.sum())
-    return out
+    width = min(1 << n, CHARACTER_BLOCK)
+    rows = CHARACTER_BLOCK // width
+    v = np.asarray(vbits, dtype=np.uint64).reshape(-1, 1)
+    odd = np.zeros(v.shape[0], dtype=np.int64)
+    for lo in range(0, 1 << n, width):
+        m = np.arange(lo, lo + width, dtype=np.uint64)
+        for r in range(0, v.shape[0], rows):
+            par = np.bitwise_count(v[r : r + rows] & m) & 1
+            odd[r : r + rows] += par.sum(axis=1, dtype=np.int64)
+    return (1 << n) - 2 * odd

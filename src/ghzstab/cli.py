@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -220,15 +221,44 @@ def _load_json(path: str):
         raise InputError(f"invalid JSON in {path}: {exc}")
 
 
-def sparse_amplitudes(amps: np.ndarray, n: int) -> list[dict]:
-    idx = np.nonzero(np.abs(amps) > AMPLITUDE_CUTOFF)[0]
-    vals = amps[idx]
-    return [
-        {"index": i, "label": label, "re": re, "im": im}
-        for i, label, re, im in zip(
-            idx.tolist(), bit_labels(idx, n), vals.real.tolist(), vals.imag.tolist()
+_RECORD = '{"im": %r, "index": %d, "label": "%s", "re": %r}'
+# _JSON.encode(o) is json.dumps(o, sort_keys=True), without a new encoder per call
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
+def amplitude_json(amps: np.ndarray) -> str:
+    """The JSON text of a state's amplitude list, or of the lists of the
+    columns of a (2^n, k) basis of states, as json.dumps with sort_keys
+    writes them: one {"im", "index", "label", "re"} record per amplitude above
+    AMPLITUDE_CUTOFF, in index order.
+
+    Each distinct record, keyed by its index and the exact bits of re and im
+    (so 0.0 and -0.0 stay apart), is formatted once: the solver's states
+    repeat the same records up to sign."""
+    cols = amps.reshape(amps.shape[0], -1)
+    n = cols.shape[0].bit_length() - 1
+    col, idx = np.nonzero(np.abs(cols.T) > AMPLITUDE_CUTOFF)  # column by column
+    vals = cols[idx, col]
+    where = range(idx.size)
+    if cols.shape[1] > 1:  # one state's records are distinct, one per index
+        keys = np.column_stack(
+            [idx, vals.real.view(np.int64), vals.imag.view(np.int64)]
+        ).view(np.dtype((np.void, 24)))  # one 24-byte key per entry
+        _, first, where = np.unique(
+            keys.ravel(), return_index=True, return_inverse=True
+        )
+        idx, vals, where = idx[first], vals[first], where.tolist()
+    records = [
+        _RECORD % rec
+        for rec in zip(
+            vals.imag.tolist(), idx.tolist(), bit_labels(idx, n), vals.real.tolist()
         )
     ]
+    pieces = [records[k] for k in where]
+    counts = np.bincount(col, minlength=cols.shape[1]).tolist()
+    ends = list(itertools.accumulate(counts))
+    lists = ["[" + ", ".join(pieces[a:b]) + "]" for a, b in zip([0] + ends, ends)]
+    return lists[0] if amps.ndim == 1 else "[" + ", ".join(lists) + "]"
 
 
 def classification_fields(report: ClassificationReport) -> dict:
@@ -269,9 +299,25 @@ def observable_angles(obs) -> DirectionList:
     return DirectionList.of(thetas, phis)
 
 
-def _emit(obj, pretty: bool) -> None:
-    # json.dumps without indent runs the C encoder in one shot
-    text = json.dumps(obj, indent=2 if pretty else None, sort_keys=True)
+def _emit(obj: dict, pretty: bool) -> None:
+    """obj as json.dumps(obj, sort_keys=True) writes it, with each array value
+    (a state, or a basis of states as columns) written by amplitude_json;
+    --pretty re-renders that text with indent 2."""
+    # without indent, the C encoder writes the other keys, each run in one call
+    if not any(isinstance(value, np.ndarray) for value in obj.values()):
+        text = _JSON.encode(obj)
+    else:
+        pieces = []
+        for arrays, items in itertools.groupby(
+            sorted(obj.items()), key=lambda item: isinstance(item[1], np.ndarray)
+        ):
+            if arrays:
+                pieces += [f"{_JSON.encode(k)}: {amplitude_json(v)}" for k, v in items]
+            else:
+                pieces.append(_JSON.encode(dict(items))[1:-1])
+        text = "{%s}" % ", ".join(pieces)
+    if pretty:  # every float round-trips through its repr
+        text = json.dumps(json.loads(text), indent=2, sort_keys=True)
     sys.stdout.write(text + "\n")
 
 
@@ -294,12 +340,9 @@ def cmd_solve(args) -> dict:
     report = solve_common_eigenspace(d, tol)
     out = classification_fields(report.classification)
     out["dimension"] = report.dimension
-    out["states"] = [
-        sparse_amplitudes(report.basis[:, k], d.n_parties)
-        for k in range(report.dimension)
-    ]
+    out["states"] = report.basis
     out["residuals"] = report.residual
-    out["sector_dims"] = list(sector_dimensions(d, tol))
+    out["sector_dims"] = list(sector_dimensions(d, report.classification))
     return out
 
 
@@ -330,7 +373,7 @@ def cmd_construct(args) -> dict:
             "b": angle_schema(observable_angles(pair.b)),
         },
         "canonical_angles": angle_schema(pair.directions),
-        "target_state": sparse_amplitudes(pair.target.amplitudes, n),
+        "target_state": pair.target.amplitudes,
         "residuals": pair.residual,
         "warnings": [],
     }
@@ -391,7 +434,7 @@ def cmd_verify(args) -> dict:
         raise InternalConsistencyError(
             f"oracle dim {oracle.shape[1]} != solver dim {report.dimension}"
         )
-    sector_dims = sector_dimensions(d, tol)
+    sector_dims = sector_dimensions(d, report.classification)
     oracle_sector_dims = tuple(b.shape[1] for b in bases)
     if sector_dims != oracle_sector_dims:
         raise InternalConsistencyError(
@@ -447,9 +490,32 @@ _FLOAT = _typed(float, "invalid float value: {}")
 _MODE = _typed(_mode, "invalid choice: {} (choose from 'exact', 'approx')")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with an over-long subcommand name or unrecognized
+    argument named by its size (errors.shown) in argparse's own wording."""
+
+    def _check_value(self, action, value):  # only the subcommand has choices
+        try:
+            super()._check_value(action, value)
+        except argparse.ArgumentError as exc:
+            if shown(value) == repr(value):
+                raise
+            message = exc.message.replace(repr(value), shown(value), 1)
+            raise argparse.ArgumentError(action, message) from None
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            text = " ".join(extra)  # argparse prints these unquoted
+            if shown(text) != repr(text):
+                text = shown(text)
+            self.error(f"unrecognized arguments: {text}")
+        return args
+
+
 @functools.cache  # each parse fills a fresh namespace, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ghzstab",
         description="Two-observable stabilization of N-qubit GHZ states.",
     )

@@ -93,18 +93,22 @@ def solve_common_eigenspace(
 
 
 def sector_dimensions(
-    d: DirectionList, tol: float = DEFAULT_TOL
+    d: DirectionList, classification: ClassificationReport
 ) -> tuple[int, int, int, int]:
     """Common eigenspace dimensions of (sA, sB) for the four sign sectors
     (+,+), (+,-), (-,+), (-,-): the vanishing-pattern count of each sector's
-    transformed angles.
+    transformed angles, given classify's report for d (the solver's
+    classification).
 
     sector_transform moves only theta_1 (and phi_1, which classify does not
-    read): (-,-) keeps theta_1, and (+,-) and (-,+) both map it to
-    pi - theta_1. So two counts give all four sectors.
+    read): (-,-) keeps theta_1, so it counts the report's patterns, and
+    (+,-) and (-,+) both map theta_1 to pi - theta_1, one more classify run
+    at the report's tol.
     """
-    same = len(classify(d, tol).patterns)
-    flipped = len(classify(sector_transform(d, 1, -1), tol).patterns)
+    same = len(classification.patterns)
+    flipped = len(
+        classify(sector_transform(d, 1, -1), classification.tol).patterns
+    )
     return (same, flipped, flipped, same)
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ghzstab import DirectionList, StateVector
 from ghzstab.certify import Ensemble
-from ghzstab.cli import main, parse_state_file, sparse_amplitudes
+from ghzstab.cli import amplitude_json, main, parse_state_file
 from ghzstab.errors import DomainError
 from reference import parse_state_records
 
@@ -325,6 +325,29 @@ def test_over_long_arguments_are_named_by_size(capsys):
         assert errs[0].count("'x'") == 1, errs[0]
         named = f"a string of {len(value)} characters"
         assert errs[1] == errs[0].replace("'x'", named), argv
+
+
+def test_over_long_commands_and_extra_arguments_are_named_by_size(capsys):
+    # argparse quotes a refused subcommand, and lists unrecognized arguments,
+    # whole; an over-long one is named by its size, in argparse's usage and
+    # wording otherwise. Each short value prints as given ("'x'", "--x")
+    long = "x" * 3000
+    for argv, short, printed, value in (
+        ([V], "x", "'x'", long),
+        (["classify", V], "--x", "--x", "--" + long),
+        (["solve", "angles.json", V], "--x", "--x", long),
+        (["verify", "--trials", "2", V], "--x", "--x", "-" + long),
+    ):
+        errs = []
+        for arg in (short, value):
+            with pytest.raises(SystemExit) as exc:
+                main([arg if a is V else a for a in argv])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2 and not captured.out
+            errs.append(captured.err)
+        assert errs[0].count(printed) == 1, errs[0]
+        named = f"a string of {len(value)} characters"
+        assert errs[1] == errs[0].replace(printed, named), argv
 
 
 def test_missing_file_exits_2(capsys):
@@ -739,32 +762,59 @@ def test_construct_unitaries_errors_are_exact(tmp_path, capsys):
         assert captured.err == f"error: {message}\n" and not captured.out
 
 
-def test_sparse_amplitudes_match_per_entry_records(rng):
-    def per_entry(amps, n):
-        return [
-            {
-                "index": int(idx),
-                "label": format(int(idx), f"0{n}b"),
-                "re": float(amps[idx].real),
-                "im": float(amps[idx].imag),
-            }
-            for idx in np.nonzero(np.abs(amps) > 1e-12)[0]
-        ]
+def per_entry(amps):
+    """The amplitude records of one state, built entry by entry."""
+    n = amps.size.bit_length() - 1
+    return [
+        {
+            "index": int(idx),
+            "label": format(int(idx), f"0{n}b"),
+            "re": float(amps[idx].real),
+            "im": float(amps[idx].imag),
+        }
+        for idx in np.nonzero(np.abs(amps) > 1e-12)[0]
+    ]
 
+
+def test_amplitude_json_matches_per_entry_records(rng):
     one_hot = np.zeros(8, dtype=np.complex128)
     one_hot[5] = -1j
     dense = rng.normal(size=64) + 1j * rng.normal(size=64)
     dense[::3] = 0.0
     dense[1] = -0.0 + 0.5j
-    for amps, n in (
-        (np.array([1.0, 0.0], dtype=np.complex128), 1),
-        (np.array([0.0, -0.0 - 1j], dtype=np.complex128), 1),
-        (one_hot, 3),
-        (dense, 6),
+    for amps in (
+        np.array([1.0, 0.0], dtype=np.complex128),
+        np.array([0.0, -0.0 - 1j], dtype=np.complex128),
+        one_hot,
+        dense,
     ):
-        records = sparse_amplitudes(amps, n)
-        assert records == per_entry(amps, n)
-        assert json.dumps(records) == json.dumps(per_entry(amps, n))  # signed zeros
+        # the text carries the signed zeros
+        assert amplitude_json(amps) == json.dumps(per_entry(amps), sort_keys=True)
+
+
+@st.composite
+def amplitude_bases(draw):
+    """(2^n, k) bases whose parts include signed zeros and moduli just below
+    and just above the 1e-12 cut, with columns repeated and negated, so that
+    records repeat across columns."""
+    n = draw(st.integers(1, 5))
+    cut = [0.0, -0.0, 9.99999e-13, 1e-12, -1e-12, 1.0000001e-12, 0.5, -0.5]
+    part = st.sampled_from(cut) | st.floats(-2.0, 2.0)
+    column = st.lists(part, min_size=2 << n, max_size=2 << n)  # re, im pairs
+    columns = draw(st.lists(column, max_size=4))
+    for _ in range(draw(st.integers(0, 3)) if columns else 0):
+        picked = columns[draw(st.integers(0, len(columns) - 1))]
+        columns.append([-x for x in picked] if draw(st.booleans()) else picked)
+    parts = np.array(columns, dtype=np.float64).reshape(len(columns), 1 << n, 2)
+    # part by part: re + 1j * im would turn -0.0 into 0.0
+    return np.ascontiguousarray(parts.transpose(1, 0, 2)).view(np.complex128)[..., 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(amplitude_bases())
+def test_amplitude_json_matches_per_entry_records_on_bases(basis):
+    expected = [per_entry(basis[:, k]) for k in range(basis.shape[1])]
+    assert amplitude_json(basis) == json.dumps(expected, sort_keys=True)
 
 
 def test_construct_rejects_parties_above_dense_cap(capsys):
@@ -1068,6 +1118,27 @@ def test_pretty_flag(tmp_path, capsys):
     code, out, _ = run_cli(["classify", "--pretty"], tmp_path, capsys, EPR_INPUT)
     assert code == 0
     assert "\n  " in out
+
+
+def test_pretty_output_is_the_compact_output_indented(tmp_path, capsys):
+    # a degenerate n=5 list: sixteen states that repeat their records
+    degenerate = {
+        "n": 5,
+        "angles": [{"theta": {"pi_num": 0, "pi_den": 1}, "phi": {"rad": 0.1 * k}}
+                   for k in range(5)],
+    }
+    outs = []
+    for extra in ([], ["--pretty"]):
+        code, out, err = run_cli(["solve", *extra], tmp_path, capsys, degenerate)
+        assert code == 0 and not err
+        assert main(["construct", "5", *extra]) == 0
+        outs += [out, capsys.readouterr().out]
+    solve, construct, solve_pretty, construct_pretty = outs
+    assert len(json.loads(solve)["states"]) == 16
+    for compact, pretty in ((solve, solve_pretty), (construct, construct_pretty)):
+        doc = json.loads(compact)
+        assert compact == json.dumps(doc, sort_keys=True) + "\n"
+        assert pretty == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):

@@ -247,18 +247,18 @@ def test_solver_basis_even_support_and_residuals(rng):
 
 def test_sector_dimensions_single_qubit():
     d = rationals((0, 1))
-    assert sector_dimensions(d) == oracle_dims(d) == (1, 0, 0, 1)
+    assert sector_dimensions(d, classify(d)) == oracle_dims(d) == (1, 0, 0, 1)
 
 
 def test_sector_dimensions_bell():
     # the four Bell states, one per sector
     d = rationals((1, 2), (1, 2))
-    assert sector_dimensions(d) == oracle_dims(d) == (1, 1, 1, 1)
+    assert sector_dimensions(d, classify(d)) == oracle_dims(d) == (1, 1, 1, 1)
 
 
 def test_sector_dimensions_empty_everywhere():
     d = rationals((1, 2), (1, 3))
-    assert sector_dimensions(d) == oracle_dims(d) == (0, 0, 0, 0)
+    assert sector_dimensions(d, classify(d)) == oracle_dims(d) == (0, 0, 0, 0)
 
 
 def test_no_eigenstate_in_any_sector(rng):
@@ -268,7 +268,7 @@ def test_no_eigenstate_in_any_sector(rng):
         if classify(d).case is StabilizerCase.NO_COMMON_EIGENSTATE:
             found += 1
             assert oracle_dims(d) == (0, 0, 0, 0)
-            assert sector_dimensions(d) == (0, 0, 0, 0)
+            assert sector_dimensions(d, classify(d)) == (0, 0, 0, 0)
     assert found >= 5
 
 
@@ -295,7 +295,7 @@ def test_solver_matches_oracles_on_exact_lists(d):
     assert report.dimension == len(report.classification.patterns)
     assert report.dimension == oracle.shape[1]
     assert subspace_distance(report.basis, oracle) <= 1e-8
-    assert sector_dimensions(d) == oracle_dims(d)
+    assert sector_dimensions(d, classify(d)) == oracle_dims(d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,7 +305,7 @@ def test_sector_dimensions_match_oracles_on_radian_lists(d):
     # signed sum is k pi / den (den <= 12) up to rounding, so every score
     # |sin(S/2)| is about 1e-16 or at least sin(pi / 24)
     r = d.in_mode("approx")
-    assert sector_dimensions(r) == oracle_dims(r)
+    assert sector_dimensions(r, classify(r)) == oracle_dims(r)
 
 
 @st.composite
@@ -340,7 +340,7 @@ def test_oracle_keeps_blocks_at_the_largest_singular_value():
     # so no cut at 1 may drop it
     d = DirectionList.from_radians([math.pi / 4, 3 * math.pi / 4])
     for tol in (0.75, 1.0, 5.0):
-        assert oracle_dims(d, tol) == sector_dimensions(d, tol)
+        assert oracle_dims(d, tol) == sector_dimensions(d, classify(d, tol))
 
 
 @st.composite
@@ -365,7 +365,7 @@ def test_oracle_sector_counts_match_classify_at_any_tol(case):
     for first in (thetas[0], math.pi - thetas[0]):
         sums = first + signs @ thetas[1:]
         assume(np.min(np.abs(np.abs(np.sin(sums / 2)) - tol)) > 1e-9)
-    assert oracle_dims(d, tol) == sector_dimensions(d, tol)
+    assert oracle_dims(d, tol) == sector_dimensions(d, classify(d, tol))
 
 
 # ---------------------------------------------------------------------------
