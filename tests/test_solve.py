@@ -21,16 +21,23 @@ from ghzstab.errors import DomainError, InternalConsistencyError, SizeError
 from ghzstab.linalg import kron_all, subspace_distance
 from ghzstab.observables import IDENTITY_2, SIGMA_X, SIGMA_Z, ProductObservable
 from ghzstab.construct import GHZSpec, stabilizing_pair_for
+import ghzstab.solve as solve_module
 from ghzstab.solve import (
     SECTORS,
     character_sum_check,
     purity_security_check,
     sector_dimensions,
     sector_oracle_bases,
+    stabilization_limit,
     trig_parity_identity_residuals,
 )
 from reference import stacked_reference
-from sampling import stratified_sample, uniform_directions
+from sampling import (
+    degenerate_directions,
+    resonant_directions,
+    stratified_sample,
+    uniform_directions,
+)
 
 
 def rationals(*pairs):
@@ -458,21 +465,18 @@ def test_purity_empty_case():
     ids=["unique", "degenerate", "unique_radians", "degenerate_n6"],
 )
 def test_purity_batch_matches_per_draw_loop(d, env_dim):
-    # reference: one draw at a time, projected onto the 2^n rows of the
-    # solver's basis, with its own SVD and overlap
+    # reference: the same (dim, env_dim) coefficient draws, embedded in the
+    # 2^n rows of the solver's basis, with their own SVD and overlap
     trials, seed = 7, 3
-    sys_dim = 1 << d.n_parties
     solved = solve_common_eigenspace(d)
     assert solved.dimension <= env_dim
     report = purity_security_check(solved, d, env_dim=env_dim, trials=trials, seed=seed)
     basis = solved.basis
+    shape = (solved.dimension, env_dim)
     rng = np.random.default_rng(seed)
     entropies, fidelities = [], []
     for _ in range(trials):
-        g = rng.normal(size=(sys_dim, env_dim)) + 1j * rng.normal(
-            size=(sys_dim, env_dim)
-        )
-        proj = basis @ (basis.conj().T @ g)
+        proj = basis @ (rng.normal(size=shape) + 1j * rng.normal(size=shape))
         proj /= np.linalg.norm(proj)
         probs = np.linalg.svd(proj, compute_uv=False) ** 2
         probs = probs[probs > 1e-15]
@@ -498,6 +502,99 @@ def test_purity_rejects_a_basis_that_is_not_orthonormal():
         purity_security_check(dataclasses.replace(solved, basis=basis), d, env_dim=4)
 
 
+def test_purity_rejects_an_eigenspace_that_is_not_stabilized():
+    # the last column, tilted by eps towards a unit u orthogonal to the
+    # basis, misses stabilization by 5e-8, above the bound
+    # sqrt(4) * stabilization_limit(1e-9) = 2.4e-8, while the columns stay
+    # orthonormal; a random unit state of the span misses it by less, so
+    # sampled draws rarely see it, and the spectral norm of (A - I) B does
+    d = rationals((1, 1), (1, 1), (0, 1))
+    solved = solve_common_eigenspace(d)
+    assert solved.dimension == 4
+    assert 2 * stabilization_limit(solved.classification.tol) == pytest.approx(2.4e-8)
+    basis = solved.basis.copy()
+    rng = np.random.default_rng(0)
+    u = rng.normal(size=basis.shape[0]) + 1j * rng.normal(size=basis.shape[0])
+    u -= basis @ (basis.conj().T @ u)
+    u /= np.linalg.norm(u)
+    ops = (product_observable(d), sigma_z_product(d.n_parties))
+    eps = 5e-8 / max(np.linalg.norm(op.apply(u) - u) for op in ops)
+    tilted = basis[:, -1] + eps * u
+    basis[:, -1] = tilted / np.linalg.norm(tilted)
+    assert np.abs(basis.conj().T @ basis - np.eye(4)).max() <= 1e-12
+    tampered = dataclasses.replace(solved, basis=basis)
+    for seed in range(5):
+        with pytest.raises(InternalConsistencyError, match="not stabilized"):
+            purity_security_check(tampered, d, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "d, env_dim",
+    [
+        (rationals((1, 2), (1, 2)), 4),
+        (rationals((1, 1), (1, 1), (0, 1)), 8),
+        (rationals(*[(1, 3)] * 6), 11),
+    ],
+    ids=["unique", "degenerate", "degenerate_n6"],
+)
+def test_purity_draws_only_in_the_solver_coordinates(d, env_dim, monkeypatch):
+    # every Gaussian the audit draws is (dim, env_dim); none has 2^n rows
+    sizes = []
+    default_rng = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def normal(self, *args, size=None, **kwargs):
+            sizes.append(size)
+            return self.rng.normal(*args, size=size, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    solved = solve_common_eigenspace(d)
+    monkeypatch.setattr(solve_module.np.random, "default_rng", Recording)
+    purity_security_check(solved, d, env_dim=env_dim, trials=3, seed=1)
+    assert len(sizes) == 6
+    assert set(sizes) == {(solved.dimension, env_dim)}
+
+
+@st.composite
+def sampled_lists(draw):
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    make = draw(st.sampled_from(
+        [uniform_directions, resonant_directions, degenerate_directions]
+    ))
+    return make(n, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_lists(), st.integers(0, 4), st.integers(0, 2**16))
+def test_purity_report_invariants(d, extra_env, seed):
+    # what the audit's deleted per-draw checks claimed, as properties: the
+    # residual is the dense operators' worst over range(P), entropies stay
+    # within log2 of the Schmidt rank, and a unique state leaks nothing
+    solved = solve_common_eigenspace(d)
+    env_dim = solved.dimension + extra_env
+    report = purity_security_check(solved, d, env_dim=env_dim, trials=4, seed=seed)
+    if solved.dimension == 0:
+        assert report.empty and report.entropies == ()
+        return
+    basis = solved.basis
+    dense = (kron_all(product_observable(d).mats), kron_all([SIGMA_Z] * d.n_parties))
+    worst = max(np.linalg.norm(op @ basis - basis, 2) for op in dense)
+    assert abs(report.stabilization_residual - worst) <= 1e-12
+    top = math.log2(min(solved.dimension, env_dim)) + 1e-12
+    assert all(0.0 <= e <= top for e in report.entropies)
+    if report.case is StabilizerCase.UNIQUE_GHZ:
+        assert abs(report.reduced_state_fidelity - 1.0) <= 1e-12
+        assert report.max_entropy <= 1e-12
+    else:
+        assert report.reduced_state_fidelity is None
+
+
 def test_purity_env_too_small():
     with pytest.raises(DomainError):
         d = rationals((1, 1), (1, 1), (0, 1))
@@ -505,7 +602,7 @@ def test_purity_env_too_small():
 
 
 def test_purity_draw_size_cap():
-    # one draw of 2^2 * 2^23 amplitudes is refused before it is allocated
+    # a purification of 2^2 * 2^23 amplitudes is refused before any draw
     with pytest.raises(SizeError):
         d = rationals((1, 2), (1, 2))
         purity_security_check(solve_common_eigenspace(d), d, env_dim=1 << 23, trials=1)
