@@ -420,14 +420,13 @@ def cmd_verify(args) -> dict:
     ):
         if value < low:
             raise InputError(f"{flag} must be >= {low}, got {shown(value)}")
-    block = (1 << d.n_parties) * args.env_dim * args.trials
-    if block > 1 << MAX_PARTIES:
-        raise InputError(
-            f"purity block 2^{d.n_parties} * env_dim {shown(args.env_dim)} * "
-            f"trials {shown(args.trials)} = {shown(block)} amplitudes exceeds "
-            f"2^{MAX_PARTIES}"
-        )
     report = solve_common_eigenspace(d, tol)
+    # first after the solver: an oversized purification batch exits 2 before
+    # the oracle runs
+    purity = purity_security_check(
+        report, d, env_dim=max(args.env_dim, report.dimension),
+        trials=args.trials, seed=args.seed,
+    )
     bases = sector_oracle_bases(d, tol)
     oracle = bases[0]
     if oracle.shape[1] != report.dimension:
@@ -442,10 +441,6 @@ def cmd_verify(args) -> dict:
             f"{list(oracle_sector_dims)}"
         )
     odd_res, even_res = trig_parity_identity_residuals(d)
-    purity = purity_security_check(
-        report, d, env_dim=max(args.env_dim, report.dimension),
-        trials=args.trials, seed=args.seed,
-    )
     return {
         "case": report.classification.case.value,
         "solver_dimension": report.dimension,

@@ -83,15 +83,20 @@ def brute_force_eigenspace(
 
     Each local factor of B is an involution, so its 2x2 eigenbasis F_l (+1
     eigenvector first) makes B' = F^H B F diagonal with entries +-1, and
-    A' = F^H A F is still a product of 2x2 factors. Split the indices into
-    P (B' = +1) and M (B' = -1). Two involutions split the space into
-    invariant blocks of dimension at most 2 (Jordan's lemma). On a
-    2-dimensional block, A' acts on its P and M vectors p and m as
-    [[cos S, sin S], [sin S, -cos S]] up to a phase, so the block of A'
-    mapping P into M, C = A'[M, P], has singular value |sin S| there, with
-    right singular vector p and left singular vector m. A 1-dimensional
-    block is a vector of P or M that A' fixes up to sign, and C or C^H
-    sends it to 0.
+    A' = F^H A F is still a product of 2x2 factors. Each factor is Hermitian,
+    and the diagonal phase diag(1, e^{-i arg beta_l}) on F_l's second vector
+    (beta_l the factor's off-diagonal entry) makes it real while B' stays
+    diagonal, so everything below runs in float64 up to the final map back
+    through the frames. Taking the real part drops only the factors'
+    anti-Hermitian part, at most the 1e-12 that ProductObservable's
+    Hermitian check admits. Split the indices into P (B' = +1) and M
+    (B' = -1). Two involutions split the space into invariant blocks of
+    dimension at most 2 (Jordan's lemma). On a 2-dimensional block, A' acts
+    on its P and M vectors p and m as [[cos S, sin S], [sin S, -cos S]] up
+    to a sign, so the block of A' mapping P into M, C = A'[M, P], has
+    singular value |sin S| there, with right singular vector p and left
+    singular vector m. A 1-dimensional block is a vector of P or M that A'
+    fixes up to sign, and C or C^T sends it to 0.
 
     In sector (+,+) a block counts when |sin(S/2)| <= tol, classify's rule
     for a product spin observable and the all-Z one (S/2 is the angle
@@ -115,14 +120,18 @@ def brute_force_eigenspace(
     check_dense(n)  # A' applied to the P columns is 2^n x |P|
     values, frames = np.linalg.eigh(b.mats)
     values, frames = values[:, ::-1], frames[:, :, ::-1]  # +1 eigenvector first
-    rotated = frames.conj().transpose(0, 2, 1) @ a.mats @ frames
+    beta = (frames.conj().transpose(0, 2, 1) @ a.mats @ frames)[:, 0, 1]
+    # e^{-i arg beta} on each frame's second vector turns beta into |beta|;
+    # np.angle(0) is 0, and nothing divides by |beta|
+    frames[:, :, 1] *= np.exp(-1j * np.angle(beta))[:, None]
+    rotated = (frames.conj().transpose(0, 2, 1) @ a.mats @ frames).real
     # B' at index j is the product of values[l, bit l of j], so its sign
     # flips with each set bit of a party whose two eigenvalues differ
     neg = values < 0
     mask = sum(1 << (n - 1 - l) for l in np.flatnonzero(neg[:, 0] != neg[:, 1]))
     odd = parity_of(np.arange(b.dim) & mask) ^ (np.count_nonzero(neg[:, 0]) & 1)
     p_idx, m_idx = np.flatnonzero(odd == 0), np.flatnonzero(odd)
-    cols = np.zeros((b.dim, p_idx.size), dtype=np.complex128)
+    cols = np.zeros((b.dim, p_idx.size))
     cols[p_idx, np.arange(p_idx.size)] = 1.0
     c = apply_locals(rotated, cols)[m_idx]
     del cols  # 2^n x |P|, as large as U and Vh together: free it before the SVD
@@ -131,16 +140,16 @@ def brute_force_eigenspace(
     # noise must not drop a block there
     cut = 2.0 * tol * math.sqrt(1.0 - tol * tol) if tol < math.sqrt(0.5) else math.inf
     sides = []  # the kept vectors of P and of M, embedded in 2^n rows
-    for idx, vecs in ((p_idx, vh.conj().T), (m_idx, u)):
+    for idx, vecs in ((p_idx, vh.T), (m_idx, u)):
         keep = np.ones(idx.size, dtype=bool)  # vectors past s have sigma 0
         keep[: s.size] = s <= cut
-        side = np.zeros((b.dim, np.count_nonzero(keep)), dtype=np.complex128)
+        side = np.zeros((b.dim, np.count_nonzero(keep)))
         side[idx] = vecs[:, keep]
         sides.append(side)
     images = apply_locals(rotated, np.hstack(sides))
     plus, minus = [], []
     for side, image in zip(sides, np.split(images, [sides[0].shape[1]], axis=1)):
-        lam, vecs = np.linalg.eigh(side.conj().T @ image)
+        lam, vecs = np.linalg.eigh(side.T @ image)
         lam = np.clip(lam, -1.0, 1.0)
         side = side @ vecs
         plus.append(side[:, (lam > 0) | ((1.0 - lam) / 2.0 <= tol * tol)])

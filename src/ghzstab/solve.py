@@ -43,6 +43,9 @@ from .observables import (
 RESIDUAL_LIMIT = 1e-8
 SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 CHARACTER_SAMPLES = 100
+# the purification draws of one audit hold at most 2^23 complex
+# coefficients, 128 MiB per copy
+PURITY_BATCH_BITS = 23
 
 
 @dataclass(frozen=True)
@@ -213,13 +216,14 @@ def purity_security_check(
     normalized: the coefficients in the solver's basis B of a Gaussian
     (2^n, env_dim) draw projected onto range(P), which has that law when B
     is an isometry (checked first, to 1e-12). B c then has c's norm,
-    singular values and overlaps. Stabilization is checked once for the
+    singular values and overlaps. All trials are drawn as one batch of
+    trials * dim * env_dim coefficients, at most 2^PURITY_BATCH_BITS, and
+    read by one stacked SVD. Stabilization is checked once for the
     whole eigenspace: no unit state of range(P) misses it by more than the
     spectral norm of (A - I) B or of (Z^N - I) B.
     """
     dim_p = report.dimension
     n = d.n_parties
-    sys_dim = 1 << n
     if dim_p == 0:
         return PurityReport(
             case=report.classification.case,
@@ -240,10 +244,12 @@ def purity_security_check(
         raise DomainError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    if sys_dim * env_dim > 1 << MAX_PARTIES:
+    batch = trials * dim_p * env_dim
+    if batch > 1 << PURITY_BATCH_BITS:
         raise SizeError(
-            f"one purification of 2^{n} * env_dim {env_dim} amplitudes "
-            f"exceeds 2^{MAX_PARTIES}"
+            f"purification batch trials {shown(trials)} * dim {dim_p} * "
+            f"env_dim {shown(env_dim)} = {shown(batch)} coefficients exceeds "
+            f"2^{PURITY_BATCH_BITS}"
         )
     unique = report.classification.case is StabilizerCase.UNIQUE_GHZ
     basis = report.basis
@@ -263,12 +269,12 @@ def purity_security_check(
         raise InternalConsistencyError(
             f"common eigenspace not stabilized: residual {worst_residual:.3e}"
         )
-    rng = np.random.default_rng(seed)
-    probs = np.empty((trials, dim_p))
-    shape = (dim_p, env_dim)
-    for t in range(trials):
-        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        probs[t] = np.linalg.svd(c / np.linalg.norm(c), compute_uv=False) ** 2
+    # draw t is g[t, 0] + i g[t, 1]: the generator fills g in C order, so
+    # this is the stream of one real and one imaginary draw per trial
+    g = np.random.default_rng(seed).normal(size=(trials, 2, dim_p, env_dim))
+    c = g[:, 0] + 1j * g[:, 1]
+    c /= np.linalg.norm(c, axis=(1, 2), keepdims=True)
+    probs = np.linalg.svd(c, compute_uv=False) ** 2
     # rounding can lift a squared singular value of a unit c just above 1
     probs = np.minimum(probs, 1.0)
     # with dim 1, B c's overlap with the unique state is |c|^2, c's one

@@ -229,11 +229,12 @@ def test_out_of_range_integers_are_named_by_size(tmp_path, capsys):
         (["verify", "a", "--seed=-" + big], {"a": epr},
          "--seed must be >= 0, got an integer of 401 digits"),
         (["verify", "a", "--trials", big], {"a": epr},
-         "purity block 2^2 * env_dim 8 * trials an integer of 401 digits = "
-         "an integer of 402 digits amplitudes exceeds 2^24"),
+         "purification batch trials an integer of 401 digits * dim 1 * env_dim 8 "
+         "= an integer of 401 digits coefficients exceeds 2^23"),
         (["verify", "a", "--trials", huge, "--env-dim", huge], {"a": epr},
-         "purity block 2^2 * env_dim an integer of 4201 digits * trials an integer "
-         "of 4201 digits = an integer of 8401 digits amplitudes exceeds 2^24"),
+         "purification batch trials an integer of 4201 digits * dim 1 * env_dim an "
+         "integer of 4201 digits = an integer of 8401 digits coefficients exceeds "
+         "2^23"),
     ):
         for name, text in files.items():
             (tmp_path / name).write_text(text)
@@ -431,18 +432,44 @@ def test_verify_solves_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_verify_bounds_the_purity_block(tmp_path, capsys):
-    # 2^n * env_dim * trials amplitudes are drawn; past 2^24 verify exits 2
-    # and names the product, before any draw is allocated
+def test_verify_bounds_the_purity_block(tmp_path, capsys, monkeypatch):
+    # trials * dim * env_dim coefficients are drawn in one batch; past 2^23
+    # verify exits 2 and names the product, before any draw is allocated and
+    # before the oracle runs
+    from ghzstab.observables import brute_force_eigenspace as oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ghzstab") and getattr(
+            module, "brute_force_eigenspace", None
+        ) is oracle:
+            monkeypatch.setattr(module, "brute_force_eigenspace", refuse)
     for flags, block in (
-        (["--env-dim", "1000000000"], 4 * 10**9 * 20),
-        (["--trials", "1000000000"], 4 * 8 * 10**9),
-        (["--env-dim", "2048", "--trials", "2049"], 4 * 2048 * 2049),
+        (["--env-dim", "1000000000"], 20 * 10**9),
+        (["--trials", "1000000000"], 10**9 * 8),
+        (["--env-dim", "4096", "--trials", "2049"], 2049 * 4096),
     ):
         code, out, err = run_cli(["verify", *flags], tmp_path, capsys, EPR_INPUT)
         assert code == 2, err
         assert not out
-        assert f"= {block} amplitudes" in err
+        assert "* dim 1 * " in err and f"= {block} coefficients exceeds 2^23" in err
+
+
+def test_verify_bounds_only_what_it_draws(tmp_path, capsys):
+    # canonical_angles(6) has one common eigenstate, so 32769 trials draw
+    # 32769 * 1 * 8 coefficients, far below the cap: the bound counts what
+    # is drawn, not 2^n amplitudes per trial (2^6 * 8 * 32769 > 2^24)
+    from ghzstab.cli import angle_schema
+    from ghzstab.construct import canonical_angles
+
+    code, out, err = run_cli(
+        ["verify", "--trials", "32769"], tmp_path, capsys,
+        angle_schema(canonical_angles(6)),
+    )
+    assert code == 0, err
+    assert parse(out)["purity"]["projector_dim"] == 1
 
 
 def test_verify_rejects_trials_and_env_dim_below_one(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ghzstab.errors import DomainError, InternalConsistencyError, SizeError
 from ghzstab.linalg import kron_all, subspace_distance
 from ghzstab.observables import IDENTITY_2, SIGMA_X, SIGMA_Z, ProductObservable
 from ghzstab.construct import GHZSpec, stabilizing_pair_for
+import ghzstab.observables as observables_module
 import ghzstab.solve as solve_module
 from ghzstab.solve import (
     SECTORS,
@@ -375,6 +377,57 @@ def test_oracle_sector_counts_match_classify_at_any_tol(case):
     assert oracle_dims(d, tol) == sector_dimensions(d, classify(d, tol))
 
 
+@st.composite
+def involution_factors(draw):
+    # +-I, +-Z, or a spin observable whose off-diagonal entry has a complex
+    # phase and any size in [0, 1], subnormal ones included
+    kind = draw(st.sampled_from(["identity", "diagonal", "general"]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if kind == "identity":
+        return sign * IDENTITY_2
+    if kind == "diagonal":
+        return sign * SIGMA_Z
+    s = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([5e-324, 1e-310, 1e-160])))
+    c = sign * math.sqrt(1.0 - s * s)
+    p = draw(st.floats(-math.pi, math.pi))
+    e = complex(math.cos(p), math.sin(p))
+    return np.array([[c, s * e.conjugate()], [s * e, -c]])
+
+
+@st.composite
+def product_pairs(draw):
+    n = draw(st.integers(1, 5))
+    factors = st.lists(involution_factors(), min_size=n, max_size=n)
+    return ProductObservable(draw(factors)), ProductObservable(draw(factors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_pairs())
+def test_oracle_sectors_are_orthonormal_and_stabilized_on_general_pairs(pair):
+    # the oracle rephases B's frames so that A's factors are real, and its
+    # SVD sees only float64; each sector's basis is orthonormal and fixed by
+    # (sA A, sB B) up to the residual an admitted block may have
+    a, b = pair
+    svd = np.linalg.svd
+    seen = []
+
+    def recording(x, *args, **kwargs):
+        seen.append(x.dtype)
+        return svd(x, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(observables_module.np.linalg, "svd", recording)
+        bases = brute_force_eigenspace(a, b)
+    assert seen == [np.float64]
+    limit = stabilization_limit(1e-9)
+    for (sa, sb), basis in zip(SECTORS, bases):
+        k = basis.shape[1]
+        assert np.abs(basis.conj().T @ basis - np.eye(k)).max(initial=0.0) <= 1e-12
+        for sign, op in ((sa, a), (sb, b)):
+            residual = sign * op.apply(basis) - basis
+            assert np.linalg.norm(residual, axis=0).max(initial=0.0) <= limit
+
+
 # ---------------------------------------------------------------------------
 # identities
 
@@ -538,7 +591,8 @@ def test_purity_rejects_an_eigenspace_that_is_not_stabilized():
     ids=["unique", "degenerate", "degenerate_n6"],
 )
 def test_purity_draws_only_in_the_solver_coordinates(d, env_dim, monkeypatch):
-    # every Gaussian the audit draws is (dim, env_dim); none has 2^n rows
+    # the audit draws once, (trials, 2, dim, env_dim): the real and imaginary
+    # (dim, env_dim) coefficients of every trial; nothing has 2^n rows
     sizes = []
     default_rng = np.random.default_rng
 
@@ -556,8 +610,8 @@ def test_purity_draws_only_in_the_solver_coordinates(d, env_dim, monkeypatch):
     solved = solve_common_eigenspace(d)
     monkeypatch.setattr(solve_module.np.random, "default_rng", Recording)
     purity_security_check(solved, d, env_dim=env_dim, trials=3, seed=1)
-    assert len(sizes) == 6
-    assert set(sizes) == {(solved.dimension, env_dim)}
+    assert sizes == [(3, 2, solved.dimension, env_dim)]
+    assert sizes[0][2] < 1 << d.n_parties  # rows of each trial's draw
 
 
 @st.composite
@@ -602,7 +656,8 @@ def test_purity_env_too_small():
 
 
 def test_purity_draw_size_cap():
-    # a purification of 2^2 * 2^23 amplitudes is refused before any draw
-    with pytest.raises(SizeError):
-        d = rationals((1, 2), (1, 2))
-        purity_security_check(solve_common_eigenspace(d), d, env_dim=1 << 23, trials=1)
+    # a batch of 2 * 1 * 2^23 coefficients is refused before any draw
+    d = rationals((1, 2), (1, 2))
+    message = "trials 2 * dim 1 * env_dim 8388608 = 16777216 coefficients exceeds 2^23"
+    with pytest.raises(SizeError, match=re.escape(message)):
+        purity_security_check(solve_common_eigenspace(d), d, env_dim=1 << 23, trials=2)
