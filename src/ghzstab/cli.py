@@ -421,8 +421,8 @@ def cmd_verify(args) -> dict:
         if value < low:
             raise InputError(f"{flag} must be >= {low}, got {shown(value)}")
     report = solve_common_eigenspace(d, tol)
-    # first after the solver: an oversized purification batch exits 2 before
-    # the oracle runs
+    # first after the solver: an oversized purification or trial count exits
+    # 2 before the oracle runs
     purity = purity_security_check(
         report, d, env_dim=max(args.env_dim, report.dimension),
         trials=args.trials, seed=args.seed,

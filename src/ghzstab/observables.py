@@ -120,11 +120,15 @@ def brute_force_eigenspace(
     check_dense(n)  # A' applied to the P columns is 2^n x |P|
     values, frames = np.linalg.eigh(b.mats)
     values, frames = values[:, ::-1], frames[:, :, ::-1]  # +1 eigenvector first
-    beta = (frames.conj().transpose(0, 2, 1) @ a.mats @ frames)[:, 0, 1]
-    # e^{-i arg beta} on each frame's second vector turns beta into |beta|;
-    # np.angle(0) is 0, and nothing divides by |beta|
-    frames[:, :, 1] *= np.exp(-1j * np.angle(beta))[:, None]
-    rotated = (frames.conj().transpose(0, 2, 1) @ a.mats @ frames).real
+    rotated = frames.conj().transpose(0, 2, 1) @ a.mats @ frames
+    # e^{-i arg beta} on each frame's second vector turns beta into |beta|
+    # and its conjugate below the diagonal too; np.angle(0) is 0, and
+    # nothing divides by |beta|
+    phase = np.exp(-1j * np.angle(rotated[:, 0, 1]))
+    frames[:, :, 1] *= phase[:, None]
+    rotated[:, 0, 1] *= phase
+    rotated[:, 1, 0] *= phase.conj()
+    rotated = rotated.real
     # B' at index j is the product of values[l, bit l of j], so its sign
     # flips with each set bit of a party whose two eigenvalues differ
     neg = values < 0

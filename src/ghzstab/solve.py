@@ -43,9 +43,13 @@ from .observables import (
 RESIDUAL_LIMIT = 1e-8
 SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 CHARACTER_SAMPLES = 100
-# the purification draws of one audit hold at most 2^23 complex
-# coefficients, 128 MiB per copy
-PURITY_BATCH_BITS = 23
+# one purification draw (dim * env_dim coefficients, 128 MiB when complex)
+# and the number of trials are each at most 2^23
+PURITY_CAP_BITS = 23
+# the draws are read in batches of at most 2^20 coefficients (16 MiB), or
+# one draw when it is larger: enough to share one stacked SVD among many
+# small draws
+PURITY_BATCH_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -191,7 +195,7 @@ class PurityReport:
     trials: int
     empty: bool
     max_entropy: float
-    entropies: tuple[float, ...]
+    entropies: np.ndarray  # one float per trial
     stabilization_residual: float
     reduced_state_fidelity: float | None
 
@@ -216,11 +220,12 @@ def purity_security_check(
     normalized: the coefficients in the solver's basis B of a Gaussian
     (2^n, env_dim) draw projected onto range(P), which has that law when B
     is an isometry (checked first, to 1e-12). B c then has c's norm,
-    singular values and overlaps. All trials are drawn as one batch of
-    trials * dim * env_dim coefficients, at most 2^PURITY_BATCH_BITS, and
-    read by one stacked SVD. Stabilization is checked once for the
-    whole eigenspace: no unit state of range(P) misses it by more than the
-    spectral norm of (A - I) B or of (Z^N - I) B.
+    singular values and overlaps. dim * env_dim and trials are each capped
+    at 2^PURITY_CAP_BITS. The trials are drawn in consecutive batches of at
+    most 2^PURITY_BATCH_BITS coefficients (or one draw), each read by one
+    stacked SVD. Stabilization is checked once for the whole eigenspace: no
+    unit state of range(P) misses it by more than the spectral norm of
+    (A - I) B or of (Z^N - I) B.
     """
     dim_p = report.dimension
     n = d.n_parties
@@ -232,7 +237,7 @@ def purity_security_check(
             trials=0,
             empty=True,
             max_entropy=0.0,
-            entropies=(),
+            entropies=np.zeros(0),
             stabilization_residual=0.0,
             reduced_state_fidelity=None,
         )
@@ -244,13 +249,14 @@ def purity_security_check(
         raise DomainError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    batch = trials * dim_p * env_dim
-    if batch > 1 << PURITY_BATCH_BITS:
+    draw = dim_p * env_dim
+    if draw > 1 << PURITY_CAP_BITS:
         raise SizeError(
-            f"purification batch trials {shown(trials)} * dim {dim_p} * "
-            f"env_dim {shown(env_dim)} = {shown(batch)} coefficients exceeds "
-            f"2^{PURITY_BATCH_BITS}"
+            f"one purification of dim {dim_p} * env_dim {shown(env_dim)} = "
+            f"{shown(draw)} coefficients exceeds 2^{PURITY_CAP_BITS}"
         )
+    if trials > 1 << PURITY_CAP_BITS:
+        raise SizeError(f"trials {shown(trials)} exceeds 2^{PURITY_CAP_BITS}")
     unique = report.classification.case is StabilizerCase.UNIQUE_GHZ
     basis = report.basis
     defect = float(np.abs(basis.conj().T @ basis - np.eye(dim_p)).max())
@@ -269,28 +275,35 @@ def purity_security_check(
         raise InternalConsistencyError(
             f"common eigenspace not stabilized: residual {worst_residual:.3e}"
         )
-    # draw t is g[t, 0] + i g[t, 1]: the generator fills g in C order, so
-    # this is the stream of one real and one imaginary draw per trial
-    g = np.random.default_rng(seed).normal(size=(trials, 2, dim_p, env_dim))
-    c = g[:, 0] + 1j * g[:, 1]
-    c /= np.linalg.norm(c, axis=(1, 2), keepdims=True)
-    probs = np.linalg.svd(c, compute_uv=False) ** 2
-    # rounding can lift a squared singular value of a unit c just above 1
-    probs = np.minimum(probs, 1.0)
-    # with dim 1, B c's overlap with the unique state is |c|^2, c's one
-    # squared singular value
-    min_fidelity = float(probs[:, 0].min()) if unique else None
-    # entropy in bits across the system:environment cut, one per draw
-    probs = np.where(probs > 1e-15, probs, 1.0)
-    entropies = (-np.sum(probs * np.log2(probs), axis=1)).tolist()
+    rng = np.random.default_rng(seed)
+    per_batch = max(1, (1 << PURITY_BATCH_BITS) // draw)
+    entropies = np.empty(trials)
+    min_fidelity = 1.0
+    for start in range(0, trials, per_batch):
+        # draw t is g[t, 0] + i g[t, 1]: the generator fills each g in C
+        # order, so the batches continue one stream of one real and one
+        # imaginary draw per trial
+        g = rng.normal(size=(min(per_batch, trials - start), 2, dim_p, env_dim))
+        c = g[:, 0] + 1j * g[:, 1]
+        c /= np.linalg.norm(c, axis=(1, 2), keepdims=True)
+        probs = np.linalg.svd(c, compute_uv=False) ** 2
+        # rounding can lift a squared singular value of a unit c just above 1
+        probs = np.minimum(probs, 1.0)
+        # with dim 1, B c's overlap with the unique state is |c|^2, c's one
+        # squared singular value
+        min_fidelity = min(min_fidelity, float(probs[:, 0].min()))
+        # entropy in bits across the system:environment cut, one per draw
+        probs = np.where(probs > 1e-15, probs, 1.0)
+        stop = start + len(probs)
+        entropies[start:stop] = -np.sum(probs * np.log2(probs), axis=1)
     return PurityReport(
         case=report.classification.case,
         projector_dim=dim_p,
         env_dim=env_dim,
         trials=trials,
         empty=False,
-        max_entropy=max(entropies),
-        entropies=tuple(entropies),
+        max_entropy=float(entropies.max()),
+        entropies=entropies,
         stabilization_residual=worst_residual,
-        reduced_state_fidelity=min_fidelity,
+        reduced_state_fidelity=min_fidelity if unique else None,
     )

@@ -229,12 +229,10 @@ def test_out_of_range_integers_are_named_by_size(tmp_path, capsys):
         (["verify", "a", "--seed=-" + big], {"a": epr},
          "--seed must be >= 0, got an integer of 401 digits"),
         (["verify", "a", "--trials", big], {"a": epr},
-         "purification batch trials an integer of 401 digits * dim 1 * env_dim 8 "
-         "= an integer of 401 digits coefficients exceeds 2^23"),
+         "trials an integer of 401 digits exceeds 2^23"),
         (["verify", "a", "--trials", huge, "--env-dim", huge], {"a": epr},
-         "purification batch trials an integer of 4201 digits * dim 1 * env_dim an "
-         "integer of 4201 digits = an integer of 8401 digits coefficients exceeds "
-         "2^23"),
+         "one purification of dim 1 * env_dim an integer of 4201 digits = an "
+         "integer of 4201 digits coefficients exceeds 2^23"),
     ):
         for name, text in files.items():
             (tmp_path / name).write_text(text)
@@ -433,28 +431,25 @@ def test_verify_solves_once(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_bounds_the_purity_block(tmp_path, capsys, monkeypatch):
-    # trials * dim * env_dim coefficients are drawn in one batch; past 2^23
-    # verify exits 2 and names the product, before any draw is allocated and
-    # before the oracle runs
-    from ghzstab.observables import brute_force_eigenspace as oracle
-
+    # one purification's dim * env_dim coefficients and the trials are each
+    # capped at 2^23; past either, verify exits 2 and names it, before any
+    # draw is allocated and before the oracle runs
     def refuse(*args, **kwargs):
         raise AssertionError("oracle called")
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ghzstab") and getattr(
-            module, "brute_force_eigenspace", None
-        ) is oracle:
-            monkeypatch.setattr(module, "brute_force_eigenspace", refuse)
-    for flags, block in (
-        (["--env-dim", "1000000000"], 20 * 10**9),
-        (["--trials", "1000000000"], 10**9 * 8),
-        (["--env-dim", "4096", "--trials", "2049"], 2049 * 4096),
+    monkeypatch.setattr("ghzstab.cli.sector_oracle_bases", refuse)
+    for flags, message in (
+        (["--env-dim", "1000000000"], "one purification of dim 1 * env_dim "
+         "1000000000 = 1000000000 coefficients exceeds 2^23"),
+        (["--env-dim", "8388609"], "one purification of dim 1 * env_dim "
+         "8388609 = 8388609 coefficients exceeds 2^23"),
+        (["--trials", "1000000000"], "trials 1000000000 exceeds 2^23"),
+        (["--trials", "8388609"], "trials 8388609 exceeds 2^23"),
     ):
         code, out, err = run_cli(["verify", *flags], tmp_path, capsys, EPR_INPUT)
         assert code == 2, err
         assert not out
-        assert "* dim 1 * " in err and f"= {block} coefficients exceeds 2^23" in err
+        assert err == f"error: {message}\n"
 
 
 def test_verify_bounds_only_what_it_draws(tmp_path, capsys):
@@ -470,6 +465,20 @@ def test_verify_bounds_only_what_it_draws(tmp_path, capsys):
     )
     assert code == 0, err
     assert parse(out)["purity"]["projector_dim"] == 1
+
+
+def test_verify_draws_a_large_eigenspace_in_batches(tmp_path, capsys):
+    # all ten thetas 0: d = 512, so env_dim = 512 and 33 trials hold
+    # 33 * 512 * 512 coefficients, above 2^23; each draw, 2^18 coefficients,
+    # is under the cap, and they are read four at a time
+    code, out, err = run_cli(
+        ["verify", "--trials", "33"], tmp_path, capsys,
+        {"n": 10, "angles": [{"theta": {"rad": 0.0}, "phi": {"rad": 0.0}}] * 10},
+    )
+    assert code == 0, err
+    doc = parse(out)
+    assert doc["solver_dimension"] == doc["oracle_dimension"] == 512
+    assert doc["purity"]["projector_dim"] == 512
 
 
 def test_verify_rejects_trials_and_env_dim_below_one(tmp_path, capsys):

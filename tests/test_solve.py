@@ -17,6 +17,7 @@ from ghzstab import (
     sigma_z_product,
     solve_common_eigenspace,
 )
+from ghzstab.angles import Angle
 from ghzstab.bitstrings import even_indices
 from ghzstab.errors import DomainError, InternalConsistencyError, SizeError
 from ghzstab.linalg import kron_all, subspace_distance
@@ -81,16 +82,26 @@ def test_solve_degenerate_all_z():
 
 
 @pytest.mark.parametrize(
-    "pairs, dim",
+    "d, dim",
     [
-        pytest.param([(1, 1), (1, 1), (0, 1)], 4, id="all_z"),
-        pytest.param([(2, 3), (2, 3), (2, 3), (0, 1)], 2, id="two_patterns"),
-        pytest.param([(1, 1)] * 4, 8, id="all_pi_four_parties"),
-        pytest.param([(0, 1), (0, 1)], 2, id="pair_of_equal_observables"),
+        pytest.param(rationals((1, 1), (1, 1), (0, 1)), 4, id="all_z"),
+        pytest.param(rationals((2, 3), (2, 3), (2, 3), (0, 1)), 2, id="two_patterns"),
+        pytest.param(rationals(*[(1, 1)] * 4), 8, id="all_pi_four_parties"),
+        pytest.param(rationals((0, 1), (0, 1)), 2, id="pair_of_equal_observables"),
+        # the oracle sees the phis only through the phase that makes A's
+        # rotated factors real
+        pytest.param(
+            DirectionList.of(
+                [Angle.exact(p, q) for p, q in
+                 ((1, 3), (2, 3), (1, 4), (3, 4), (1, 6), (5, 6), (1, 2), (1, 2))],
+                [Angle.radians(0.1 + 0.6 * k) for k in range(8)],
+            ),
+            12,
+            id="n8_nonzero_phis",
+        ),
     ],
 )
-def test_solver_spans_oracle_on_degenerate_inputs(pairs, dim):
-    d = rationals(*pairs)
+def test_solver_spans_oracle_on_degenerate_inputs(d, dim):
     report = solve_common_eigenspace(d)
     oracle = brute_force_eigenspace(
         product_observable(d), sigma_z_product(d.n_parties)
@@ -544,6 +555,50 @@ def test_purity_batch_matches_per_draw_loop(d, env_dim):
         assert report.max_entropy > 0.1
 
 
+def record_draw_sizes(monkeypatch):
+    """The size of every normal draw of the generators made from now on."""
+    sizes = []
+    default_rng = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def normal(self, *args, size=None, **kwargs):
+            sizes.append(size)
+            return self.rng.normal(*args, size=size, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(solve_module.np.random, "default_rng", Recording)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "d, bits, per_batch",
+    [
+        (rationals((1, 2), (1, 2)), 3, 2),
+        (rationals((1, 1), (1, 1), (0, 1)), 5, 2),
+        (rationals((1, 1), (1, 1), (0, 1)), 3, 1),  # a draw exceeds the batch
+    ],
+    ids=["unique", "degenerate", "degenerate_one_per_batch"],
+)
+def test_purity_batches_continue_one_stream(d, bits, per_batch, monkeypatch):
+    # with room for one or two (dim, 4) draws per batch, seven trials are
+    # read in several batches, and exactly as in one batch of seven
+    solved = solve_common_eigenspace(d)
+    whole = purity_security_check(solved, d, env_dim=4, trials=7, seed=3)
+    monkeypatch.setattr(solve_module, "PURITY_BATCH_BITS", bits)
+    sizes = record_draw_sizes(monkeypatch)
+    split = purity_security_check(solved, d, env_dim=4, trials=7, seed=3)
+    batches = [per_batch] * (7 // per_batch) + [1] * (7 % per_batch)
+    assert sizes == [(k, 2, solved.dimension, 4) for k in batches]
+    assert np.array_equal(split.entropies, whole.entropies)
+    assert split.max_entropy == whole.max_entropy
+    assert split.reduced_state_fidelity == whole.reduced_state_fidelity
+
+
 def test_purity_rejects_a_basis_that_is_not_orthonormal():
     # the audit reads each draw from its coefficients in the basis, which
     # stands for the projected draw only when the basis is an isometry
@@ -593,22 +648,8 @@ def test_purity_rejects_an_eigenspace_that_is_not_stabilized():
 def test_purity_draws_only_in_the_solver_coordinates(d, env_dim, monkeypatch):
     # the audit draws once, (trials, 2, dim, env_dim): the real and imaginary
     # (dim, env_dim) coefficients of every trial; nothing has 2^n rows
-    sizes = []
-    default_rng = np.random.default_rng
-
-    class Recording:
-        def __init__(self, seed):
-            self.rng = default_rng(seed)
-
-        def normal(self, *args, size=None, **kwargs):
-            sizes.append(size)
-            return self.rng.normal(*args, size=size, **kwargs)
-
-        def __getattr__(self, name):
-            return getattr(self.rng, name)
-
     solved = solve_common_eigenspace(d)
-    monkeypatch.setattr(solve_module.np.random, "default_rng", Recording)
+    sizes = record_draw_sizes(monkeypatch)
     purity_security_check(solved, d, env_dim=env_dim, trials=3, seed=1)
     assert sizes == [(3, 2, solved.dimension, env_dim)]
     assert sizes[0][2] < 1 << d.n_parties  # rows of each trial's draw
@@ -634,7 +675,7 @@ def test_purity_report_invariants(d, extra_env, seed):
     env_dim = solved.dimension + extra_env
     report = purity_security_check(solved, d, env_dim=env_dim, trials=4, seed=seed)
     if solved.dimension == 0:
-        assert report.empty and report.entropies == ()
+        assert report.empty and len(report.entropies) == 0
         return
     basis = solved.basis
     dense = (kron_all(product_observable(d).mats), kron_all([SIGMA_Z] * d.n_parties))
@@ -656,8 +697,13 @@ def test_purity_env_too_small():
 
 
 def test_purity_draw_size_cap():
-    # a batch of 2 * 1 * 2^23 coefficients is refused before any draw
+    # one draw of 1 * (2^23 + 1) coefficients, or 2^23 + 1 trials, is
+    # refused before any draw
     d = rationals((1, 2), (1, 2))
-    message = "trials 2 * dim 1 * env_dim 8388608 = 16777216 coefficients exceeds 2^23"
-    with pytest.raises(SizeError, match=re.escape(message)):
-        purity_security_check(solve_common_eigenspace(d), d, env_dim=1 << 23, trials=2)
+    solved = solve_common_eigenspace(d)
+    env = (1 << 23) + 1
+    message = f"one purification of dim 1 * env_dim {env} = {env} coefficients"
+    with pytest.raises(SizeError, match=re.escape(message + " exceeds 2^23")):
+        purity_security_check(solved, d, env_dim=env, trials=1)
+    with pytest.raises(SizeError, match=re.escape(f"trials {env} exceeds 2^23")):
+        purity_security_check(solved, d, env_dim=1, trials=env)
