@@ -124,8 +124,12 @@ def _float_members(d: DirectionList, h: int, tol: float) -> tuple[np.ndarray, bo
     hits = score <= tol
     fragile = bool(np.any((score > tol) & (score <= FRAGILE_FACTOR * tol)))
     # candidates come hi-major but not lo-sorted, and a window of half-width
-    # near pi or more meets a low sum twice near its ends
-    return np.unique(patterns[hits]), fragile
+    # near pi or more meets a low sum twice near its ends; a sort and an
+    # adjacent-duplicate mask, since np.unique hashes before it sorts
+    members = np.sort(patterns[hits])
+    keep = np.ones(members.size, dtype=bool)
+    keep[1:] = members[1:] != members[:-1]
+    return members[keep], fragile
 
 
 def sign_pattern_set(d: DirectionList, tol: float = DEFAULT_TOL) -> SignPatternSet:

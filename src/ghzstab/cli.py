@@ -18,11 +18,12 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import Angle, DirectionList
-from .bitstrings import bit_labels
+from .bitstrings import bit_labels, bit_labels_json
 from .certify import CertificationConfig, run_certification
 from .classify import ClassificationReport, classify
 from .construct import GHZSpec, stabilizing_pair_for
@@ -221,6 +222,14 @@ def _load_json(path: str):
         raise InputError(f"invalid JSON in {path}: {exc}")
 
 
+@dataclass(frozen=True)
+class JsonText:
+    """A value already written as JSON text, which _emit splices in as it
+    stands."""
+
+    text: str
+
+
 _RECORD = '{"im": %r, "index": %d, "label": "%s", "re": %r}'
 # _JSON.encode(o) is json.dumps(o, sort_keys=True), without a new encoder per call
 _JSON = json.JSONEncoder(sort_keys=True)
@@ -264,7 +273,7 @@ def amplitude_json(amps: np.ndarray) -> str:
 def classification_fields(report: ClassificationReport) -> dict:
     return {
         "case": report.case.value,
-        "m_set": bit_labels(report.patterns.bits, report.patterns.n),
+        "m_set": JsonText(bit_labels_json(report.patterns.bits, report.patterns.n)),
         "mode": report.mode,
         "tol": report.tol,
         "warnings": list(report.warnings),
@@ -300,19 +309,18 @@ def observable_angles(obs) -> DirectionList:
 
 
 def _emit(obj: dict, pretty: bool) -> None:
-    """obj as json.dumps(obj, sort_keys=True) writes it, with each array value
-    (a state, or a basis of states as columns) written by amplitude_json;
-    --pretty re-renders that text with indent 2."""
+    """obj as json.dumps(obj, sort_keys=True) writes it, with each JsonText
+    value spliced in as its text; --pretty re-renders that text with indent 2."""
     # without indent, the C encoder writes the other keys, each run in one call
-    if not any(isinstance(value, np.ndarray) for value in obj.values()):
+    if not any(isinstance(value, JsonText) for value in obj.values()):
         text = _JSON.encode(obj)
     else:
         pieces = []
-        for arrays, items in itertools.groupby(
-            sorted(obj.items()), key=lambda item: isinstance(item[1], np.ndarray)
+        for spliced, items in itertools.groupby(
+            sorted(obj.items()), key=lambda item: isinstance(item[1], JsonText)
         ):
-            if arrays:
-                pieces += [f"{_JSON.encode(k)}: {amplitude_json(v)}" for k, v in items]
+            if spliced:
+                pieces += [f"{_JSON.encode(k)}: {v.text}" for k, v in items]
             else:
                 pieces.append(_JSON.encode(dict(items))[1:-1])
         text = "{%s}" % ", ".join(pieces)
@@ -340,7 +348,7 @@ def cmd_solve(args) -> dict:
     report = solve_common_eigenspace(d, tol)
     out = classification_fields(report.classification)
     out["dimension"] = report.dimension
-    out["states"] = report.basis
+    out["states"] = JsonText(amplitude_json(report.basis))
     out["residuals"] = report.residual
     out["sector_dims"] = list(sector_dimensions(d, report.classification))
     return out
@@ -373,7 +381,7 @@ def cmd_construct(args) -> dict:
             "b": angle_schema(observable_angles(pair.b)),
         },
         "canonical_angles": angle_schema(pair.directions),
-        "target_state": pair.target.amplitudes,
+        "target_state": JsonText(amplitude_json(pair.target.amplitudes)),
         "residuals": pair.residual,
         "warnings": [],
     }

@@ -127,9 +127,9 @@ def sector_oracle_bases(
     (2^n, k) array, from one run of brute_force_eigenspace.
 
     classify decides exact thetas without tol, so for them the cut is
-    lowered to half the smallest score a non-vanishing pattern can have:
-    a signed sum k pi / den (den the common theta denominator, which the
-    sector transforms keep) off 2 pi Z scores at least sin(pi / (2 den)).
+    half the smallest score a non-vanishing pattern can have, whatever tol
+    is: a signed sum k pi / den (den the common theta denominator, which
+    the sector transforms keep) off 2 pi Z scores at least sin(pi / (2 den)).
     """
     if d.all_exact:
         den = math.lcm(*(t.denominator for t in d.thetas))
@@ -139,7 +139,7 @@ def sector_oracle_bases(
                 f"common theta denominator {shown(den)} "
                 f"is too large for the float oracle (cut {gap:.1e} < 1e-12)"
             )
-        tol = min(tol, gap)
+        tol = gap
     return brute_force_eigenspace(
         product_observable(d), sigma_z_product(d.n_parties), tol
     )
@@ -295,7 +295,9 @@ def purity_security_check(
         # entropy in bits across the system:environment cut, one per draw
         probs = np.where(probs > 1e-15, probs, 1.0)
         stop = start + len(probs)
-        entropies[start:stop] = -np.sum(probs * np.log2(probs), axis=1)
+        # 0.0 - sum, not -sum: a pure draw sums to 0.0, whose negation
+        # would be reported as -0.0
+        entropies[start:stop] = 0.0 - np.sum(probs * np.log2(probs), axis=1)
     return PurityReport(
         case=report.classification.case,
         projector_dim=dim_p,

@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzstab import DirectionList
-from ghzstab.bitstrings import bit_labels, even_indices, parity_of
+from ghzstab.bitstrings import bit_labels, bit_labels_json, even_indices, parity_of
+from ghzstab.linalg import MAX_PARTIES
 from reference import signed_angle_sum
 from ghzstab.errors import SizeError
 
@@ -31,6 +36,23 @@ def test_bit_labels_match_format(rng, n):
     assert bit_labels(values, n) == [format(int(v), f"0{n}b") for v in values]
     assert bit_labels(values[:1], n) == ["0" * n]
     assert bit_labels(np.zeros(0, dtype=np.int64), n) == []
+
+
+@st.composite
+def _label_values(draw):
+    n = draw(st.integers(1, MAX_PARTIES))
+    top = (1 << n) - 1
+    values = draw(
+        st.lists(st.integers(0, top) | st.sampled_from([0, top]), max_size=40)
+    )
+    return np.array(values, dtype=np.int64), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_label_values())
+def test_bit_labels_json_is_json_dumps_of_the_labels(case):
+    values, n = case
+    assert bit_labels_json(values, n) == json.dumps(bit_labels(values, n))
 
 
 def test_parity_classes_small():

@@ -576,10 +576,14 @@ def _exact_input(*thetas, **extra):
 
 def test_verify_oracle_counts_exact_lists_by_the_exact_rule(tmp_path, capsys):
     # classify ignores tol on exact lists; the oracle used to cut with it
-    # and reported e.g. "oracle dim 3 != solver dim 1" on the EPR input
+    # and reported e.g. "oracle dim 3 != solver dim 1" on the EPR input, or,
+    # at a tiny tol, "sector dims [1, 1, 1, 1] != oracle sector dims
+    # [1, 0, 0, 1]" on the pi/2, pi/2 list
+    pi_halves = _exact_input((1, 2), (1, 2), tol=1e-30)
     for payload, dim in (
         (_exact_input((1, 2), (0,), tol=0.9), 0),
         (dict(EPR_INPUT, tol=1), 1),
+        (pi_halves, 1),
         (_exact_input((1, 3), (0,), tol=0.6), 0),
         (_exact_input((1, 10**10), (0,)), 0),
     ):
@@ -589,6 +593,8 @@ def test_verify_oracle_counts_exact_lists_by_the_exact_rule(tmp_path, capsys):
         assert code == 0, (payload, err)
         doc = parse(out)
         assert doc["solver_dimension"] == doc["oracle_dimension"] == dim
+        if payload is pi_halves:
+            assert doc["sector_dims"] == [1, 1, 1, 1]
 
 
 def test_verify_rejects_denominators_beyond_the_oracle(tmp_path, capsys):
@@ -1150,6 +1156,17 @@ def test_verify_epr(tmp_path, capsys):
     assert doc["purity"]["max_entropy"] <= 1e-8
 
 
+def test_verify_reports_a_unique_state_entropy_as_zero(tmp_path, capsys):
+    # every purification of a one-dimensional projector is a product state;
+    # a draw whose one squared singular value rounds to exactly 1 has entropy
+    # -sum p log2 p = -0.0, which this one draw printed
+    code, out, _ = run_cli(
+        ["verify", "--trials", "1", "--env-dim", "1"], tmp_path, capsys, EPR_INPUT
+    )
+    assert code == 0
+    assert '"max_entropy": 0.0,' in out and "-0.0" not in out
+
+
 def test_pretty_flag(tmp_path, capsys):
     code, out, _ = run_cli(["classify", "--pretty"], tmp_path, capsys, EPR_INPUT)
     assert code == 0
@@ -1175,6 +1192,18 @@ def test_pretty_output_is_the_compact_output_indented(tmp_path, capsys):
         doc = json.loads(compact)
         assert compact == json.dumps(doc, sort_keys=True) + "\n"
         assert pretty == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_classify_writes_many_members_as_json_dumps_does(tmp_path, capsys):
+    # sixteen thetas 0: every one of the 2^15 patterns with m_1 = 0 vanishes
+    zeros = _exact_input(*[(0,)] * 16)
+    code, out, err = run_cli(["classify"], tmp_path, capsys, zeros)
+    assert code == 0 and not err
+    doc = json.loads(out)
+    assert out == json.dumps(doc, sort_keys=True) + "\n"
+    assert doc["m_set"] == [format(m, "016b") for m in range(1 << 15)]
+    code, pretty, _ = run_cli(["classify", "--pretty"], tmp_path, capsys, zeros)
+    assert code == 0 and json.loads(pretty) == doc
 
 
 def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
