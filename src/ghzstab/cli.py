@@ -220,6 +220,8 @@ def _load_json(path: str):
         raise InputError(f"no such file: {path}")
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise InputError(f"invalid JSON in {path}: {exc}")
+    except RecursionError:  # arrays or objects nested past the decoder's depth
+        raise InputError(f"invalid JSON in {path}: nested too deeply")
 
 
 @dataclass(frozen=True)
@@ -432,15 +434,11 @@ def cmd_verify(args) -> dict:
     # first after the solver: an oversized purification or trial count exits
     # 2 before the oracle runs
     purity = purity_security_check(
-        report, d, env_dim=max(args.env_dim, report.dimension),
+        report, env_dim=max(args.env_dim, report.dimension),
         trials=args.trials, seed=args.seed,
     )
     bases = sector_oracle_bases(d, tol)
-    oracle = bases[0]
-    if oracle.shape[1] != report.dimension:
-        raise InternalConsistencyError(
-            f"oracle dim {oracle.shape[1]} != solver dim {report.dimension}"
-        )
+    # the (+,+) entries are the solver's and the oracle's dimensions
     sector_dims = sector_dimensions(d, report.classification)
     oracle_sector_dims = tuple(b.shape[1] for b in bases)
     if sector_dims != oracle_sector_dims:
@@ -452,8 +450,8 @@ def cmd_verify(args) -> dict:
     return {
         "case": report.classification.case.value,
         "solver_dimension": report.dimension,
-        "oracle_dimension": oracle.shape[1],
-        "subspace_distance": subspace_distance(report.basis, oracle),
+        "oracle_dimension": bases[0].shape[1],
+        "subspace_distance": subspace_distance(report.basis, bases[0]),
         "sector_dims": list(sector_dims),
         "identity_residuals": {"odd": odd_res, "even": even_res},
         "character_sum_deviation": character_sum_check(
@@ -468,43 +466,28 @@ def cmd_verify(args) -> dict:
     }
 
 
-def _typed(convert, invalid: str):
-    """An argparse type: convert(text), or argparse's own message for a
-    refused value with the value quoted through shown, so that an over-long
-    argument is named by its size."""
-
-    def parse(text: str):
-        try:
-            return convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(invalid.format(shown(text))) from None
-
-    return parse
-
-
-def _mode(text: str) -> str:
-    if text not in ("exact", "approx"):
-        raise ValueError(text)
-    return text
-
-
-_INT = _typed(int, "invalid int value: {}")
-_FLOAT = _typed(float, "invalid float value: {}")
-_MODE = _typed(_mode, "invalid choice: {} (choose from 'exact', 'approx')")
+def _named(check, action, value):
+    """check(action, value), with value's repr in a refusal replaced by
+    shown(value)."""
+    try:
+        return check(action, value)
+    except argparse.ArgumentError as exc:
+        if shown(value) == repr(value):
+            raise
+        message = exc.message.replace(repr(value), shown(value), 1)
+        raise argparse.ArgumentError(action, message) from None
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, with an over-long subcommand name or unrecognized
-    argument named by its size (errors.shown) in argparse's own wording."""
+    """argparse's parser, with an over-long argument that it refuses (a
+    typed value, a choice, a subcommand name or unrecognized arguments)
+    named by its size (errors.shown) in argparse's own wording."""
 
-    def _check_value(self, action, value):  # only the subcommand has choices
-        try:
-            super()._check_value(action, value)
-        except argparse.ArgumentError as exc:
-            if shown(value) == repr(value):
-                raise
-            message = exc.message.replace(repr(value), shown(value), 1)
-            raise argparse.ArgumentError(action, message) from None
+    def _get_value(self, action, arg_string):
+        return _named(super()._get_value, action, arg_string)
+
+    def _check_value(self, action, value):
+        return _named(super()._check_value, action, value)
 
     def parse_args(self, args=None, namespace=None):
         args, extra = self.parse_known_args(args, namespace)
@@ -529,9 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
             "input", nargs="?", default="-",
             help="angle JSON file ('-' for stdin, the default)",
         )
-        p.add_argument("--tol", type=_FLOAT, default=None)
+        p.add_argument("--tol", type=float, default=None)
         if with_mode:
-            p.add_argument("--mode", type=_MODE, metavar="{exact,approx}", default=None)
+            p.add_argument("--mode", choices=("exact", "approx"), default=None)
         p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("classify", help="classify the direction list")
@@ -545,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "construct", help="build a uniquely-stabilizing pair for a GHZ state"
     )
-    p.add_argument("n", type=_INT)
+    p.add_argument("n", type=int)
     p.add_argument(
         "--unitaries", default=None,
         help="optional JSON file of per-party 2x2 unitaries",
@@ -556,10 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="simulate the two-setting certification")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--state", required=True, help="state JSON file")
-    p.add_argument("--shots", type=_INT, default=10_000)
-    p.add_argument("--seed", type=_INT, default=0)
-    p.add_argument("--threshold", type=_FLOAT, default=0.999)
-    p.add_argument("--a-fraction", type=_FLOAT, default=0.5)
+    p.add_argument("--shots", type=int, default=10_000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threshold", type=float, default=0.999)
+    p.add_argument("--a-fraction", type=float, default=0.5)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_certify)
 
@@ -567,9 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="cross-check solver, oracle, identities, and purity"
     )
     common(p, with_mode=False)
-    p.add_argument("--trials", type=_INT, default=20)
-    p.add_argument("--env-dim", type=_INT, default=8)
-    p.add_argument("--seed", type=_INT, default=0)
+    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--env-dim", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
     return ap
 

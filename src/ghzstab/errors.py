@@ -30,7 +30,11 @@ def shown(value) -> str:
 def _repr_within(value, room: int) -> str | None:
     """repr(value) if it has at most room characters, else None. A string,
     list or dict, and what it holds, is read only as far as room reaches,
-    so no longer repr is ever built."""
+    so no longer repr is ever built. No repr is empty, so none fits in
+    room < 1; each level of nesting takes at least 2 characters of room,
+    which bounds the recursion."""
+    if room < 1:
+        return None
     if isinstance(value, (list, dict)):
         is_dict = isinstance(value, dict)
         parts, used = [], 0  # used: the parts so far, each with ", " or brackets

@@ -217,15 +217,13 @@ def test_criterion_6_stabilizer_dimension_formula():
 def test_criterion_7_security_property():
     unique_d = DirectionList.from_rationals([(1, 2), (1, 2)])
     unique = purity_security_check(
-        solve_common_eigenspace(unique_d), unique_d,
-        env_dim=8, trials=50, seed=SAMPLE_SEED,
+        solve_common_eigenspace(unique_d), env_dim=8, trials=50, seed=SAMPLE_SEED,
     )
     assert unique.case is StabilizerCase.UNIQUE_GHZ
     assert unique.max_entropy <= 1e-8
     degenerate_d = DirectionList.from_rationals([(1, 1), (1, 1), (0, 1)])
     degenerate = purity_security_check(
-        solve_common_eigenspace(degenerate_d), degenerate_d,
-        env_dim=8, trials=50, seed=SAMPLE_SEED,
+        solve_common_eigenspace(degenerate_d), env_dim=8, trials=50, seed=SAMPLE_SEED,
     )
     assert degenerate.projector_dim == 4
     assert any(e > 0.1 for e in degenerate.entropies)

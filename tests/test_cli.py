@@ -120,11 +120,33 @@ def test_stdin_input(capsys, monkeypatch, tmp_path):
     assert parse(out)["case"] == "UniqueGHZ"
 
 
-def test_malformed_json_exits_2(tmp_path, capsys):
+def test_malformed_json_exits_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["classify", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+    # past the decoder's depth json.load raises RecursionError, for every
+    # file a command reads and for stdin
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000 + "]" * 100000)
+    angles = tmp_path / "angles.json"
+    angles.write_text(json.dumps(EPR_INPUT))
+    bad, good = str(nested), str(angles)
+    for argv, path in (
+        (["classify", bad], bad),
+        (["solve", bad], bad),
+        (["verify", bad], bad),
+        (["certify", bad, "--state", good], bad),
+        (["certify", good, "--state", bad], bad),
+        (["construct", "2", "--unitaries", bad], bad),
+        (["classify"], "-"),
+        (["certify", good, "--state", "-"], "-"),
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(nested.read_text()))
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"error: invalid JSON in {path}: nested too deeply\n"
+        assert not captured.out
 
 
 def _one_party(theta, **extra):
@@ -265,6 +287,9 @@ def test_long_values_are_named_by_size(tmp_path, capsys):
          "angles[0].theta.rad must be a number, got a dict of 1 item"),
         (["classify", "a"], {"a": one % ('{"rad": [%s]}' % ("1" + "0" * 30), "")},
          "angles[0].theta.rad must be a number, got a list of 1 item"),
+        # nested within the decoder's depth, but far past any room for a repr
+        (["classify", "a"], {"a": '{"n": %s1%s, "angles": []}' % ("[" * 900, "]" * 900)},
+         "n must be a positive integer, got a list of 1 item"),
         (["certify", "a", "--state", "s"], {"a": json.dumps(EPR_INPUT), "s": state % long},
          "amplitudes[0].re must be a number, got a string of 3000 characters"),
         (["construct", "2", "--unitaries", "u"], {"u": '{"n": %s, "unitaries": []}' % many},
@@ -366,21 +391,31 @@ def test_internal_consistency_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_exits_3_when_sector_oracle_disagrees(tmp_path, capsys, monkeypatch):
+    # one oracle column dropped from the last sector, or from the (+,+)
+    # sector, whose entries are the solver's and the oracle's dimensions:
+    # one comparison covers both
     import ghzstab.cli
 
     oracle = ghzstab.cli.sector_oracle_bases
+    for sector in (3, 0):
 
-    def last_sector_emptied(d, tol):
-        bases = oracle(d, tol)
-        return bases[:3] + (bases[3][:, :0],)
+        def one_column_dropped(d, tol):
+            bases = list(oracle(d, tol))
+            bases[sector] = bases[sector][:, 1:]
+            return tuple(bases)
 
-    monkeypatch.setattr("ghzstab.cli.sector_oracle_bases", last_sector_emptied)
-    code, out, err = run_cli(
-        ["verify", "--trials", "2", "--env-dim", "4"], tmp_path, capsys, EPR_INPUT
-    )
-    assert code == 3
-    assert not out
-    assert "sector dims" in err
+        monkeypatch.setattr("ghzstab.cli.sector_oracle_bases", one_column_dropped)
+        code, out, err = run_cli(
+            ["verify", "--trials", "2", "--env-dim", "4"], tmp_path, capsys, EPR_INPUT
+        )
+        assert code == 3
+        assert not out
+        dims = [1, 1, 1, 1]
+        dims[sector] = 0
+        assert err == (
+            "internal consistency error: sector dims [1, 1, 1, 1] != oracle "
+            f"sector dims {dims}\n"
+        )
 
 
 def test_verify_runs_the_oracle_once(tmp_path, capsys, monkeypatch):

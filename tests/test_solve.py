@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import re
 
@@ -19,6 +20,7 @@ from ghzstab import (
 )
 from ghzstab.angles import Angle
 from ghzstab.bitstrings import even_indices
+from ghzstab.cli import main
 from ghzstab.errors import DomainError, InternalConsistencyError, SizeError
 from ghzstab.linalg import kron_all, subspace_distance
 from ghzstab.observables import IDENTITY_2, SIGMA_X, SIGMA_Z, ProductObservable
@@ -122,7 +124,7 @@ def test_solver_limit_follows_tol():
     oracle = brute_force_eigenspace(product_observable(d), sigma_z_product(2), 1e-6)[0]
     assert oracle.shape[1] == 2
     purity = purity_security_check(
-        solve_common_eigenspace(d, 1e-6), d, env_dim=4, trials=5
+        solve_common_eigenspace(d, 1e-6), env_dim=4, trials=5
     )
     assert purity.projector_dim == 2
 
@@ -481,7 +483,7 @@ def test_audits_reject_negative_seed():
     with pytest.raises(DomainError, match="seed"):
         character_sum_check(3, seed=-1)
     with pytest.raises(DomainError, match="seed"):
-        purity_security_check(solve_common_eigenspace(d), d, seed=-1)
+        purity_security_check(solve_common_eigenspace(d), seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +493,7 @@ def test_audits_reject_negative_seed():
 def test_purity_unique_case():
     d = rationals((1, 2), (1, 2))
     report = purity_security_check(
-        solve_common_eigenspace(d), d, env_dim=4, trials=20, seed=5
+        solve_common_eigenspace(d), env_dim=4, trials=20, seed=5
     )
     assert report.case is StabilizerCase.UNIQUE_GHZ
     assert report.max_entropy <= 1e-8
@@ -501,16 +503,16 @@ def test_purity_unique_case():
 def test_purity_degenerate_case():
     d = rationals((1, 1), (1, 1), (0, 1))
     report = purity_security_check(
-        solve_common_eigenspace(d), d, env_dim=4, trials=20, seed=5
+        solve_common_eigenspace(d), env_dim=4, trials=20, seed=5
     )
     assert report.projector_dim == 4
     assert report.max_entropy > 0.1
-    assert report.stabilization_residual <= 1e-8
+    assert report.reduced_state_fidelity is None
 
 
 def test_purity_empty_case():
     d = rationals((1, 2), (1, 3))
-    report = purity_security_check(solve_common_eigenspace(d), d, env_dim=4, trials=5)
+    report = purity_security_check(solve_common_eigenspace(d), env_dim=4, trials=5)
     assert report.empty
     assert report.projector_dim == 0
 
@@ -534,7 +536,7 @@ def test_purity_batch_matches_per_draw_loop(d, env_dim):
     trials, seed = 7, 3
     solved = solve_common_eigenspace(d)
     assert solved.dimension <= env_dim
-    report = purity_security_check(solved, d, env_dim=env_dim, trials=trials, seed=seed)
+    report = purity_security_check(solved, env_dim=env_dim, trials=trials, seed=seed)
     basis = solved.basis
     shape = (solved.dimension, env_dim)
     rng = np.random.default_rng(seed)
@@ -588,10 +590,10 @@ def test_purity_batches_continue_one_stream(d, bits, per_batch, monkeypatch):
     # with room for one or two (dim, 4) draws per batch, seven trials are
     # read in several batches, and exactly as in one batch of seven
     solved = solve_common_eigenspace(d)
-    whole = purity_security_check(solved, d, env_dim=4, trials=7, seed=3)
+    whole = purity_security_check(solved, env_dim=4, trials=7, seed=3)
     monkeypatch.setattr(solve_module, "PURITY_BATCH_BITS", bits)
     sizes = record_draw_sizes(monkeypatch)
-    split = purity_security_check(solved, d, env_dim=4, trials=7, seed=3)
+    split = purity_security_check(solved, env_dim=4, trials=7, seed=3)
     batches = [per_batch] * (7 // per_batch) + [1] * (7 % per_batch)
     assert sizes == [(k, 2, solved.dimension, 4) for k in batches]
     assert np.array_equal(split.entropies, whole.entropies)
@@ -607,33 +609,45 @@ def test_purity_rejects_a_basis_that_is_not_orthonormal():
     basis = solved.basis.copy()
     basis[:, 1] *= 1.01
     with pytest.raises(InternalConsistencyError, match="not orthonormal"):
-        purity_security_check(dataclasses.replace(solved, basis=basis), d, env_dim=4)
+        purity_security_check(dataclasses.replace(solved, basis=basis), env_dim=4)
 
 
-def test_purity_rejects_an_eigenspace_that_is_not_stabilized():
+def test_solver_rejects_an_eigenspace_that_is_not_stabilized(
+    tmp_path, capsys, monkeypatch
+):
     # the last column, tilted by eps towards a unit u orthogonal to the
-    # basis, misses stabilization by 5e-8, above the bound
-    # sqrt(4) * stabilization_limit(1e-9) = 2.4e-8, while the columns stay
-    # orthonormal; a random unit state of the span misses it by less, so
-    # sampled draws rarely see it, and the spectral norm of (A - I) B does
+    # basis, misses stabilization by 5e-8, above stabilization_limit(1e-9)
+    # = 1.2e-8, while the columns stay orthonormal. solve's own per-state
+    # check, the only stabilization check on the CLI's routes, refuses it,
+    # and solve and verify exit 3
     d = rationals((1, 1), (1, 1), (0, 1))
     solved = solve_common_eigenspace(d)
     assert solved.dimension == 4
-    assert 2 * stabilization_limit(solved.classification.tol) == pytest.approx(2.4e-8)
+    assert stabilization_limit(solved.classification.tol) == pytest.approx(1.2e-8)
     basis = solved.basis.copy()
     rng = np.random.default_rng(0)
     u = rng.normal(size=basis.shape[0]) + 1j * rng.normal(size=basis.shape[0])
     u -= basis @ (basis.conj().T @ u)
     u /= np.linalg.norm(u)
-    ops = (product_observable(d), sigma_z_product(d.n_parties))
-    eps = 5e-8 / max(np.linalg.norm(op.apply(u) - u) for op in ops)
+    eps = 5e-8 / np.linalg.norm(product_observable(d).apply(u) - u)
     tilted = basis[:, -1] + eps * u
     basis[:, -1] = tilted / np.linalg.norm(tilted)
     assert np.abs(basis.conj().T @ basis - np.eye(4)).max() <= 1e-12
-    tampered = dataclasses.replace(solved, basis=basis)
-    for seed in range(5):
-        with pytest.raises(InternalConsistencyError, match="not stabilized"):
-            purity_security_check(tampered, d, seed=seed)
+    monkeypatch.setattr(solve_module, "ghz_states", lambda d, bits: basis)
+    with pytest.raises(InternalConsistencyError, match="fails stabilization check"):
+        solve_common_eigenspace(d)
+    path = tmp_path / "angles.json"
+    path.write_text(json.dumps({
+        "n": 3,
+        "angles": [{"theta": {"pi_num": k, "pi_den": 1}} for k in (1, 1, 0)],
+    }))
+    for command in ("solve", "verify"):
+        assert main([command, str(path)]) == 3, command
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith(
+            "internal consistency error: solver basis fails stabilization check"
+        )
 
 
 @pytest.mark.parametrize(
@@ -650,7 +664,7 @@ def test_purity_draws_only_in_the_solver_coordinates(d, env_dim, monkeypatch):
     # (dim, env_dim) coefficients of every trial; nothing has 2^n rows
     solved = solve_common_eigenspace(d)
     sizes = record_draw_sizes(monkeypatch)
-    purity_security_check(solved, d, env_dim=env_dim, trials=3, seed=1)
+    purity_security_check(solved, env_dim=env_dim, trials=3, seed=1)
     assert sizes == [(3, 2, solved.dimension, env_dim)]
     assert sizes[0][2] < 1 << d.n_parties  # rows of each trial's draw
 
@@ -668,19 +682,23 @@ def sampled_lists(draw):
 @settings(max_examples=60, deadline=None)
 @given(sampled_lists(), st.integers(0, 4), st.integers(0, 2**16))
 def test_purity_report_invariants(d, extra_env, seed):
-    # what the audit's deleted per-draw checks claimed, as properties: the
-    # residual is the dense operators' worst over range(P), entropies stay
-    # within log2 of the Schmidt rank, and a unique state leaks nothing
+    # what the audit's deleted checks claimed, as properties: solve's
+    # per-state limit bounds the dense operators' spectral norms over
+    # range(P) (so the audit need not take them), entropies stay within
+    # log2 of the Schmidt rank, and a unique state leaks nothing
     solved = solve_common_eigenspace(d)
     env_dim = solved.dimension + extra_env
-    report = purity_security_check(solved, d, env_dim=env_dim, trials=4, seed=seed)
+    report = purity_security_check(solved, env_dim=env_dim, trials=4, seed=seed)
     if solved.dimension == 0:
         assert report.empty and len(report.entropies) == 0
         return
     basis = solved.basis
-    dense = (kron_all(product_observable(d).mats), kron_all([SIGMA_Z] * d.n_parties))
-    worst = max(np.linalg.norm(op @ basis - basis, 2) for op in dense)
-    assert abs(report.stabilization_residual - worst) <= 1e-12
+    a_dense = kron_all(product_observable(d).mats)
+    z_dense = kron_all([SIGMA_Z] * d.n_parties)
+    limit = stabilization_limit(solved.classification.tol)
+    bound = math.sqrt(solved.dimension) * limit
+    assert np.linalg.norm(a_dense @ basis - basis, 2) <= bound
+    assert np.linalg.norm(z_dense @ basis - basis, 2) == 0.0
     top = math.log2(min(solved.dimension, env_dim)) + 1e-12
     assert all(0.0 <= e <= top for e in report.entropies)
     if report.case is StabilizerCase.UNIQUE_GHZ:
@@ -693,7 +711,7 @@ def test_purity_report_invariants(d, extra_env, seed):
 def test_purity_env_too_small():
     with pytest.raises(DomainError):
         d = rationals((1, 1), (1, 1), (0, 1))
-        purity_security_check(solve_common_eigenspace(d), d, env_dim=2, trials=5)
+        purity_security_check(solve_common_eigenspace(d), env_dim=2, trials=5)
 
 
 def test_purity_draw_size_cap():
@@ -704,6 +722,6 @@ def test_purity_draw_size_cap():
     env = (1 << 23) + 1
     message = f"one purification of dim 1 * env_dim {env} = {env} coefficients"
     with pytest.raises(SizeError, match=re.escape(message + " exceeds 2^23")):
-        purity_security_check(solved, d, env_dim=env, trials=1)
+        purity_security_check(solved, env_dim=env, trials=1)
     with pytest.raises(SizeError, match=re.escape(f"trials {env} exceeds 2^23")):
-        purity_security_check(solved, d, env_dim=1, trials=env)
+        purity_security_check(solved, env_dim=1, trials=env)
