@@ -37,18 +37,6 @@ class Angle:
     def is_exact(self) -> bool:
         return self.pi_multiple is not None
 
-    @property
-    def numerator(self) -> int:
-        if self.pi_multiple is None:
-            raise DomainError("angle is not an exact multiple of pi")
-        return self.pi_multiple.numerator
-
-    @property
-    def denominator(self) -> int:
-        if self.pi_multiple is None:
-            raise DomainError("angle is not an exact multiple of pi")
-        return self.pi_multiple.denominator
-
     def to_radians(self) -> float:
         if self.pi_multiple is not None:
             return float(self.pi_multiple) * math.pi

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import ZERO_ANGLE, DirectionList
+from .angles import DirectionList
 from .errors import DomainError, ShapeError, shown
 from .linalg import StateVector
-from .observables import product_observable
+from .observables import ProductObservable, product_observable, sigma_z_product
 
 
 @dataclass(frozen=True)
@@ -91,15 +91,16 @@ def run_certification(
     products from the Born rule, and pass iff both empirical product means
     reach the threshold.
 
-    A pure state is a one-component ensemble. Each (component, setting)
-    count of +1 products is binomial with p = (1 + <psi|X|psi>) / 2, which
-    is the law of the per-round process, so no state is ever collapsed.
+    A pure state is a one-component ensemble, whose multinomial allocation
+    draws nothing from the generator. Each (component, setting) count of +1
+    products is binomial with p = (1 + <psi|X|psi>) / 2, which is the law of
+    the per-round process, so no state is ever collapsed.
     All randomness comes from the seed, so reports are bit-identical for
     identical inputs.
     """
     n = d.n_parties
     if isinstance(state, StateVector):
-        state = Ensemble(states=(state,), weights=(1.0,), sampling="cycle")
+        state = Ensemble(states=(state,), weights=(1.0,))
     for s in state.states:
         if s.n_qubits != n:
             raise ShapeError(f"state has {s.n_qubits} qubits, directions {n}")
@@ -111,10 +112,9 @@ def run_certification(
         weights = np.asarray(state.weights)
         rounds = rng.multinomial(cfg.shots, weights / weights.sum())
     rounds_a = rng.binomial(rounds, cfg.a_fraction)
-    z_axis = DirectionList.of([ZERO_ANGLE] * n)
 
-    def stats(counts, setting):
-        e = np.array([expectation(s, setting) for s in state.states])
+    def stats(counts, obs):
+        e = np.array([expectation(s, obs) for s in state.states])
         # rounding can put (1 + e) / 2 a few ulps above 1
         p_plus = np.clip((1.0 + e) / 2.0, 0.0, 1.0)
         plus = int(rng.binomial(counts, p_plus).sum())
@@ -127,8 +127,8 @@ def run_certification(
         # ddof=1 standard error of count +-1 outcomes with this mean
         return count, mean, math.sqrt((1.0 - mean * mean) / (count - 1))
 
-    count_a, mean_a, stderr_a = stats(rounds_a, d)
-    count_b, mean_b, stderr_b = stats(rounds - rounds_a, z_axis)
+    count_a, mean_a, stderr_a = stats(rounds_a, product_observable(d))
+    count_b, mean_b, stderr_b = stats(rounds - rounds_a, sigma_z_product(n))
     passed = (
         count_a > 0
         and count_b > 0
@@ -149,9 +149,8 @@ def run_certification(
     )
 
 
-def expectation(state: StateVector, d: DirectionList) -> float:
-    """Analytic <state|A|state> for the product observable of d."""
-    obs = product_observable(d)
+def expectation(state: StateVector, obs: ProductObservable) -> float:
+    """Analytic <state|X|state> for a product observable X."""
     return float(
         np.real(np.vdot(state.amplitudes, obs.apply(state.amplitudes)))
     )

@@ -93,6 +93,18 @@ def _exact_members(d: DirectionList, h: int) -> np.ndarray:
     return _meet(kernel(nums[:h]), kernel([0] + nums[h:]), mod, 0, len(nums) - h)
 
 
+def signed_sum_error(thetas) -> float:
+    """Bound on the float error of a signed sum sum_l +-theta_l of these
+    radian thetas, as classify computes it: the sequential sum, the two
+    half-sums, their reductions mod 2 pi and the window ends each err by a
+    few ulps of sum|theta| + 4 pi per step. A tol below it asks the float
+    routes (classify's scores and the brute-force oracle's singular values)
+    for more than their sums resolve, so verify refuses one."""
+    theta = np.asarray(thetas, dtype=np.float64)
+    eps = np.finfo(np.float64).eps
+    return 8 * (theta.size + 4) * eps * (float(np.abs(theta).sum()) + 4 * math.pi)
+
+
 def _float_members(d: DirectionList, h: int, tol: float) -> tuple[np.ndarray, bool]:
     """Members of a radian list and the fragile flag.
 
@@ -106,10 +118,8 @@ def _float_members(d: DirectionList, h: int, tol: float) -> tuple[np.ndarray, bo
     theta = np.asarray(d.theta_radians(), dtype=np.float64)
     n = theta.size
     eps = np.finfo(np.float64).eps
-    # the sequential sum, the two half-sums, their reductions mod 2 pi and
-    # the window ends each err by a few ulps of sum|theta| + 4 pi per step;
+    slack = signed_sum_error(theta)
     # the 1 + 4 eps covers the rounding of the score itself
-    slack = 8 * (n + 4) * eps * (float(np.abs(theta).sum()) + 4 * math.pi)
     reach = 2.0 * math.asin(min(FRAGILE_FACTOR * tol * (1.0 + 4 * eps), 1.0))
     prefix = _kernels.signed_sums_f8(theta[:h])
     low = _kernels.signed_sums_f8(np.concatenate(([0.0], theta[h:])))

@@ -25,7 +25,7 @@ import numpy as np
 from .angles import Angle, DirectionList
 from .bitstrings import bit_labels, bit_labels_json
 from .certify import CertificationConfig, run_certification
-from .classify import ClassificationReport, classify
+from .classify import ClassificationReport, classify, signed_sum_error
 from .construct import GHZSpec, stabilizing_pair_for
 from .errors import GhzstabError, InternalConsistencyError, shown
 from .linalg import (
@@ -288,7 +288,8 @@ def angle_schema(d: DirectionList) -> dict:
         rec = {}
         for key, a in (("theta", t), ("phi", p)):
             if a.is_exact:
-                rec[key] = {"pi_num": a.numerator, "pi_den": a.denominator}
+                frac = a.pi_multiple
+                rec[key] = {"pi_num": frac.numerator, "pi_den": frac.denominator}
             else:
                 rec[key] = {"rad": a.to_radians()}
         angles.append(rec)
@@ -430,6 +431,14 @@ def cmd_verify(args) -> dict:
     ):
         if value < low:
             raise InputError(f"{flag} must be >= {low}, got {shown(value)}")
+    # exact lists are decided without tol, and their oracle cuts at the gap
+    if not d.all_exact:
+        bound = signed_sum_error(d.theta_radians())
+        if tol < bound:
+            raise InputError(
+                f"tol {shown(tol)} is below {bound:.1e}, "
+                "the float error of this list's signed sums"
+            )
     report = solve_common_eigenspace(d, tol)
     # first after the solver: an oversized purification or trial count exits
     # 2 before the oracle runs
@@ -458,9 +467,9 @@ def cmd_verify(args) -> dict:
             d.n_parties, seed=args.seed
         ),
         "purity": {
-            "projector_dim": purity.projector_dim,
-            "empty": purity.empty,
-            "max_entropy": purity.max_entropy,
+            "projector_dim": report.dimension,
+            "empty": report.dimension == 0,
+            "max_entropy": float(purity.entropies.max(initial=0.0)),
             "reduced_state_fidelity": purity.reduced_state_fidelity,
         },
     }

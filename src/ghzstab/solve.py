@@ -132,7 +132,7 @@ def sector_oracle_bases(
     the sector transforms keep) off 2 pi Z scores at least sin(pi / (2 den)).
     """
     if d.all_exact:
-        den = math.lcm(*(t.denominator for t in d.thetas))
+        den = math.lcm(*(t.pi_multiple.denominator for t in d.thetas))
         gap = math.sin(math.pi * (1 / (2 * den))) / 2.0  # int / int: no overflow
         if gap < 1e-12:
             raise DomainError(
@@ -189,10 +189,6 @@ def character_sum_check(n: int, seed: int = 0) -> float:
 
 @dataclass(frozen=True)
 class PurityReport:
-    case: StabilizerCase
-    projector_dim: int
-    empty: bool
-    max_entropy: float
     entropies: np.ndarray  # one float per trial
     reduced_state_fidelity: float | None
 
@@ -228,14 +224,7 @@ def purity_security_check(
     """
     dim_p = report.dimension
     if dim_p == 0:
-        return PurityReport(
-            case=report.classification.case,
-            projector_dim=0,
-            empty=True,
-            max_entropy=0.0,
-            entropies=np.zeros(0),
-            reduced_state_fidelity=None,
-        )
+        return PurityReport(entropies=np.zeros(0), reduced_state_fidelity=None)
     if env_dim < dim_p:
         raise DomainError(
             f"env_dim {env_dim} is smaller than the projector dimension {dim_p}"
@@ -283,10 +272,6 @@ def purity_security_check(
         # would be reported as -0.0
         entropies[start:stop] = 0.0 - np.sum(probs * np.log2(probs), axis=1)
     return PurityReport(
-        case=report.classification.case,
-        projector_dim=dim_p,
-        empty=False,
-        max_entropy=float(entropies.max()),
         entropies=entropies,
         reduced_state_fidelity=min_fidelity if unique else None,
     )

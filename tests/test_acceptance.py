@@ -215,22 +215,26 @@ def test_criterion_6_stabilizer_dimension_formula():
 
 
 def test_criterion_7_security_property():
-    unique_d = DirectionList.from_rationals([(1, 2), (1, 2)])
+    unique_solved = solve_common_eigenspace(
+        DirectionList.from_rationals([(1, 2), (1, 2)])
+    )
     unique = purity_security_check(
-        solve_common_eigenspace(unique_d), env_dim=8, trials=50, seed=SAMPLE_SEED,
+        unique_solved, env_dim=8, trials=50, seed=SAMPLE_SEED,
     )
-    assert unique.case is StabilizerCase.UNIQUE_GHZ
-    assert unique.max_entropy <= 1e-8
-    degenerate_d = DirectionList.from_rationals([(1, 1), (1, 1), (0, 1)])
+    assert unique_solved.classification.case is StabilizerCase.UNIQUE_GHZ
+    assert unique.entropies.max() <= 1e-8
+    degenerate_solved = solve_common_eigenspace(
+        DirectionList.from_rationals([(1, 1), (1, 1), (0, 1)])
+    )
     degenerate = purity_security_check(
-        solve_common_eigenspace(degenerate_d), env_dim=8, trials=50, seed=SAMPLE_SEED,
+        degenerate_solved, env_dim=8, trials=50, seed=SAMPLE_SEED,
     )
-    assert degenerate.projector_dim == 4
+    assert degenerate_solved.dimension == 4
     assert any(e > 0.1 for e in degenerate.entropies)
     report_line(
         7,
-        f"unique max entropy {unique.max_entropy:.2e}, degenerate max "
-        f"{degenerate.max_entropy:.3f}",
+        f"unique max entropy {unique.entropies.max():.2e}, degenerate max "
+        f"{degenerate.entropies.max():.3f}",
     )
 
 

@@ -13,8 +13,10 @@ from ghzstab import (
     run_certification,
     solve_common_eigenspace,
 )
+from ghzstab import certify as certify_module
 from ghzstab.bitstrings import parity_of
 from ghzstab.certify import Ensemble, expectation
+from ghzstab.observables import product_observable
 from ghzstab.construct import canonical_angles, ghz_from_pattern
 from ghzstab.errors import DomainError, ShapeError
 from reference import joint_outcome_probabilities, sequential_outcome_probabilities
@@ -68,7 +70,7 @@ def test_product_mean_of_born_probabilities_is_the_expectation(rng):
             state = StateVector.from_amplitudes(amps).normalize()
             probs = joint_outcome_probabilities(state, d)
             mean = 1.0 - 2.0 * odd_weight(probs)
-            assert abs(mean - expectation(state, d)) <= 1e-12
+            assert abs(mean - expectation(state, product_observable(d))) <= 1e-12
 
 
 def test_sequential_matches_joint_probabilities(rng):
@@ -93,9 +95,8 @@ def test_empirical_matches_analytic_expectation(rng):
             state = StateVector.from_amplitudes(amps).normalize()
             cfg = CertificationConfig(shots=shots, a_fraction=0.99, seed=seed)
             report = run_certification(state, d, cfg)
-            assert abs(report.mean_a - expectation(state, d)) <= 5 / math.sqrt(
-                report.count_a
-            )
+            expected = expectation(state, product_observable(d))
+            assert abs(report.mean_a - expected) <= 5 / math.sqrt(report.count_a)
 
 
 def test_unique_state_passes_exactly():
@@ -223,6 +224,41 @@ def test_ensemble_random_sampling():
     assert abs(report.mean_a) <= 5 * report.stderr_a
 
 
+def test_pure_state_is_a_one_component_ensemble(rng):
+    # a one-component multinomial draws nothing from the generator, so the
+    # pure route, its random ensemble and its cycled ensemble read one stream
+    d = canonical_angles(3)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    state = StateVector.from_amplitudes(amps).normalize()
+    for shots in (1, 2, 7, 10**4):
+        for seed in (0, 1, 3, 42):
+            cfg = CertificationConfig(shots=shots, seed=seed)
+            pure = run_certification(state, d, cfg)
+            for sampling in ("random", "cycle"):
+                ens = Ensemble(states=(state,), weights=(1.0,), sampling=sampling)
+                other = run_certification(ens, d, cfg)
+                # repr compares every field exactly, a NaN stderr included
+                assert repr(other) == repr(pure), (shots, seed, sampling)
+
+
+def test_each_setting_is_built_once_per_run(monkeypatch):
+    # the two settings' observables serve every component of a mixture
+    calls = {"product_observable": 0, "sigma_z_product": 0}
+    for name in calls:
+        built = getattr(certify_module, name)
+
+        def counted(*args, name=name, built=built):
+            calls[name] += 1
+            return built(*args)
+
+        monkeypatch.setattr(certify_module, name, counted)
+    ens = Ensemble(
+        states=(EPR, StateVector.basis_state(2, 0)), weights=(0.5, 0.5)
+    )
+    run_certification(ens, EPR_DIRECTIONS, CertificationConfig(shots=100, seed=1))
+    assert calls == {"product_observable": 1, "sigma_z_product": 1}
+
+
 def test_ensemble_validation():
     with pytest.raises(DomainError):
         Ensemble(states=(EPR,), weights=(0.5,))
@@ -238,9 +274,9 @@ def test_qubit_count_must_match_directions():
     # every route checks the count itself; unchecked, the chain rule walks
     # the wrong parties and returns a plausible distribution
     ghz3 = StateVector.ghz(3)
-    for fn in (
-        expectation, joint_outcome_probabilities, sequential_outcome_probabilities
-    ):
+    with pytest.raises(ShapeError):
+        expectation(ghz3, product_observable(EPR_DIRECTIONS))
+    for fn in (joint_outcome_probabilities, sequential_outcome_probabilities):
         with pytest.raises(ShapeError):
             fn(ghz3, EPR_DIRECTIONS)
     for state in (ghz3, Ensemble(states=(EPR, ghz3), weights=(0.5, 0.5))):

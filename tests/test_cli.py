@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -745,6 +747,76 @@ def test_verify_accepts_tol_of_one_and_above(tmp_path, capsys):
         doc = parse(out)
         assert doc["solver_dimension"] == doc["oracle_dimension"] == 2
         assert doc["sector_dims"] == [2, 2, 2, 2]
+
+
+TINY_TOL_INPUT = {
+    "n": 2,
+    "angles": [
+        {"theta": {"rad": 0.0}, "phi": {"rad": math.pi}},
+        {"theta": {"rad": math.pi}},
+    ],
+}
+BOUND_MESSAGE = "the float error of this list's signed sums"
+
+
+def test_verify_refuses_a_tol_below_float_resolution(tmp_path, capsys):
+    # below the signed sums' float error the oracle's singular values are
+    # noise: this list exited 3 with "sector dims [0, 1, 1, 0] != oracle
+    # sector dims [0, 0, 0, 0]" at tol 1e-300 and 1e-20, and with oracle
+    # sector dims [0, 2, 2, 0] at 1e-16
+    for tol in (1e-300, 1e-20, 1e-16):
+        code, out, err = run_cli(
+            ["verify", "--trials", "2"], tmp_path, capsys,
+            dict(TINY_TOL_INPUT, tol=tol),
+        )
+        assert code == 2, (tol, err)
+        assert not out
+        assert err == f"error: tol {tol!r} is below 1.7e-13, {BOUND_MESSAGE}\n"
+    code, out, err = run_cli(
+        ["verify", "--trials", "2"], tmp_path, capsys, dict(TINY_TOL_INPUT, tol=1e-12)
+    )
+    assert code == 0, err
+    assert parse(out)["sector_dims"] == [0, 2, 2, 0]
+    # an exact list is decided without tol, so no tol is too small for it
+    code, out, err = run_cli(
+        ["verify", "--trials", "2"], tmp_path, capsys,
+        _exact_input((0,), (1,), tol=1e-300),
+    )
+    assert code == 0, err
+
+
+EDGE_RADIANS = st.integers(-24, 24).map(lambda k: k * math.pi / 6)
+
+
+@st.composite
+def edge_radian_files(draw):
+    """Radian lists of multiples of pi/6 up to 4 pi, and a tol from far
+    below the signed sums' float error to well above it."""
+    n = draw(st.integers(1, 5))
+    angles = [
+        {"theta": {"rad": draw(EDGE_RADIANS)}, "phi": {"rad": draw(EDGE_RADIANS)}}
+        for _ in range(n)
+    ]
+    tol = draw(st.sampled_from(
+        [1e-300, 1e-20, 1e-16, 1e-15, 1e-13, 1e-12, 1e-9, 1e-6]
+    ))
+    return {"n": n, "angles": angles, "tol": tol}
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_radian_files())
+def test_verify_never_exits_3_on_edge_radian_lists(payload):
+    # sums of multiples of pi/6 land on 2 pi Z up to float noise, which is
+    # where the solver and the oracle disagreed below float resolution
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(payload))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--trials", "2"])
+    assert code in (0, 2), (payload, err.getvalue())
+    if code == 2:
+        assert not out.getvalue()
+        assert err.getvalue().startswith(f"error: tol {payload['tol']!r} is below ")
+        assert err.getvalue().endswith(f", {BOUND_MESSAGE}\n"), err.getvalue()
 
 
 def test_construct_identity(tmp_path, capsys):

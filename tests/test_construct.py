@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,10 +42,10 @@ def single_party_reduced(state: StateVector, party: int) -> np.ndarray:
 
 def test_canonical_angles_recipes():
     d3 = canonical_angles(3)
-    assert [(t.numerator, t.denominator) for t in d3.thetas] == [(2, 3)] * 3
+    assert [t.pi_multiple for t in d3.thetas] == [Fraction(2, 3)] * 3
     d4 = canonical_angles(4)
-    assert [(t.numerator, t.denominator) for t in d4.thetas] == [
-        (4, 5), (2, 5), (2, 5), (2, 5),
+    assert [t.pi_multiple for t in d4.thetas] == [
+        Fraction(4, 5), Fraction(2, 5), Fraction(2, 5), Fraction(2, 5),
     ]
     with pytest.raises(DomainError):
         canonical_angles(1)

@@ -123,10 +123,9 @@ def test_solver_limit_follows_tol():
     assert abs(report.residual - 1e-6) <= 1e-12
     oracle = brute_force_eigenspace(product_observable(d), sigma_z_product(2), 1e-6)[0]
     assert oracle.shape[1] == 2
-    purity = purity_security_check(
-        solve_common_eigenspace(d, 1e-6), env_dim=4, trials=5
-    )
-    assert purity.projector_dim == 2
+    purity = purity_security_check(report, env_dim=4, trials=5)
+    assert len(purity.entropies) == 5
+    assert purity.reduced_state_fidelity is None
 
 
 def test_oracle_examples():
@@ -492,29 +491,29 @@ def test_audits_reject_negative_seed():
 
 def test_purity_unique_case():
     d = rationals((1, 2), (1, 2))
-    report = purity_security_check(
-        solve_common_eigenspace(d), env_dim=4, trials=20, seed=5
-    )
-    assert report.case is StabilizerCase.UNIQUE_GHZ
-    assert report.max_entropy <= 1e-8
+    solved = solve_common_eigenspace(d)
+    report = purity_security_check(solved, env_dim=4, trials=20, seed=5)
+    assert solved.classification.case is StabilizerCase.UNIQUE_GHZ
+    assert report.entropies.max() <= 1e-8
     assert report.reduced_state_fidelity >= 1 - 1e-9
 
 
 def test_purity_degenerate_case():
     d = rationals((1, 1), (1, 1), (0, 1))
-    report = purity_security_check(
-        solve_common_eigenspace(d), env_dim=4, trials=20, seed=5
-    )
-    assert report.projector_dim == 4
-    assert report.max_entropy > 0.1
+    solved = solve_common_eigenspace(d)
+    report = purity_security_check(solved, env_dim=4, trials=20, seed=5)
+    assert solved.dimension == 4
+    assert report.entropies.max() > 0.1
     assert report.reduced_state_fidelity is None
 
 
 def test_purity_empty_case():
     d = rationals((1, 2), (1, 3))
-    report = purity_security_check(solve_common_eigenspace(d), env_dim=4, trials=5)
-    assert report.empty
-    assert report.projector_dim == 0
+    solved = solve_common_eigenspace(d)
+    report = purity_security_check(solved, env_dim=4, trials=5)
+    assert solved.dimension == 0
+    assert len(report.entropies) == 0
+    assert report.reduced_state_fidelity is None
 
 
 @pytest.mark.parametrize(
@@ -550,11 +549,11 @@ def test_purity_batch_matches_per_draw_loop(d, env_dim):
         fidelities.append(float(np.linalg.norm(basis[:, 0].conj() @ proj) ** 2))
     assert len(report.entropies) == trials
     assert np.max(np.abs(np.array(report.entropies) - entropies)) <= 1e-12
-    if report.case is StabilizerCase.UNIQUE_GHZ:
+    if solved.classification.case is StabilizerCase.UNIQUE_GHZ:
         assert abs(report.reduced_state_fidelity - min(fidelities)) <= 1e-12
     else:
         assert report.reduced_state_fidelity is None
-        assert report.max_entropy > 0.1
+        assert report.entropies.max() > 0.1
 
 
 def record_draw_sizes(monkeypatch):
@@ -597,7 +596,6 @@ def test_purity_batches_continue_one_stream(d, bits, per_batch, monkeypatch):
     batches = [per_batch] * (7 // per_batch) + [1] * (7 % per_batch)
     assert sizes == [(k, 2, solved.dimension, 4) for k in batches]
     assert np.array_equal(split.entropies, whole.entropies)
-    assert split.max_entropy == whole.max_entropy
     assert split.reduced_state_fidelity == whole.reduced_state_fidelity
 
 
@@ -690,7 +688,7 @@ def test_purity_report_invariants(d, extra_env, seed):
     env_dim = solved.dimension + extra_env
     report = purity_security_check(solved, env_dim=env_dim, trials=4, seed=seed)
     if solved.dimension == 0:
-        assert report.empty and len(report.entropies) == 0
+        assert len(report.entropies) == 0
         return
     basis = solved.basis
     a_dense = kron_all(product_observable(d).mats)
@@ -701,9 +699,9 @@ def test_purity_report_invariants(d, extra_env, seed):
     assert np.linalg.norm(z_dense @ basis - basis, 2) == 0.0
     top = math.log2(min(solved.dimension, env_dim)) + 1e-12
     assert all(0.0 <= e <= top for e in report.entropies)
-    if report.case is StabilizerCase.UNIQUE_GHZ:
+    if solved.classification.case is StabilizerCase.UNIQUE_GHZ:
         assert abs(report.reduced_state_fidelity - 1.0) <= 1e-12
-        assert report.max_entropy <= 1e-12
+        assert report.entropies.max() <= 1e-12
     else:
         assert report.reduced_state_fidelity is None
 
