@@ -54,17 +54,10 @@ def parity_product_sums(cos_t: np.ndarray, msin_t: np.ndarray):
 # ---------------------------------------------------------------------------
 # group character sums sum_m (-1)^{m . v}; only v mod 2 matters
 
-CHARACTER_BLOCK = 1 << 16  # entries of one (samples, m) block
-
-
 def character_sums(vbits: np.ndarray, n: int) -> np.ndarray:
-    width = min(1 << n, CHARACTER_BLOCK)
-    rows = CHARACTER_BLOCK // width
+    """The sums for each v, from one (samples, 2^n) block of the parities of
+    v & m; callers bound n by the dense cap."""
     v = np.asarray(vbits, dtype=np.uint64).reshape(-1, 1)
-    odd = np.zeros(v.shape[0], dtype=np.int64)
-    for lo in range(0, 1 << n, width):
-        m = np.arange(lo, lo + width, dtype=np.uint64)
-        for r in range(0, v.shape[0], rows):
-            par = np.bitwise_count(v[r : r + rows] & m) & 1
-            odd[r : r + rows] += par.sum(axis=1, dtype=np.int64)
+    m = np.arange(1 << n, dtype=np.uint64)
+    odd = (np.bitwise_count(v & m) & 1).sum(axis=1, dtype=np.int64)
     return (1 << n) - 2 * odd

@@ -129,15 +129,14 @@ def parse_state_file(data) -> StateVector:
         )
     if not isinstance(amps, list) or not amps:
         raise InputError("state amplitudes must be a non-empty list")
-    vec = np.zeros(1 << n, dtype=np.complex128)
     bulk = _bulk_amplitudes(amps, n)
     if bulk is None:
-        _record_amplitudes(amps, n, vec)  # raises on the first bad record
-    else:
-        pos, values = bulk
-        # part by part, as complex(re, im) does: re + 1j*im turns -0.0 into 0.0
-        vec.real[pos] = values[: pos.size]
-        vec.imag[pos] = values[pos.size :]
+        _raise_first_bad_record(amps, n)
+    pos, values = bulk
+    vec = np.zeros(1 << n, dtype=np.complex128)
+    # part by part, as complex(re, im) does: re + 1j*im turns -0.0 into 0.0
+    vec.real[pos] = values[: pos.size]
+    vec.imag[pos] = values[pos.size :]
     # scaled to a largest real or imaginary part of 1 first, so the norm
     # neither overflows nor underflows
     parts = vec.view(np.float64)
@@ -172,9 +171,8 @@ def _bulk_amplitudes(amps: list, n: int):
     return pos, values
 
 
-def _record_amplitudes(amps: list, n: int, vec: np.ndarray) -> None:
-    """Check the records one by one, raising on the first bad one, and store
-    their amplitudes in vec."""
+def _raise_first_bad_record(amps: list, n: int) -> None:
+    """Raise the error of the first bad record, checking them one by one."""
     seen = set()
     for k, rec in enumerate(amps):
         if not isinstance(rec, dict) or "index" not in rec:
@@ -185,10 +183,9 @@ def _record_amplitudes(amps: list, n: int, vec: np.ndarray) -> None:
         if idx in seen:
             raise InputError(f"amplitudes[{k}] repeats index {idx}")
         seen.add(idx)
-        vec[idx] = complex(
-            _finite(rec.get("re", 0.0), f"amplitudes[{k}].re"),
-            _finite(rec.get("im", 0.0), f"amplitudes[{k}].im"),
-        )
+        _finite(rec.get("re", 0.0), f"amplitudes[{k}].re")
+        _finite(rec.get("im", 0.0), f"amplitudes[{k}].im")
+    raise InternalConsistencyError("the bulk state check rejected valid records")
 
 
 def _unitary(rows, what: str) -> list[list[complex]]:
@@ -314,19 +311,10 @@ def observable_angles(obs) -> DirectionList:
 def _emit(obj: dict, pretty: bool) -> None:
     """obj as json.dumps(obj, sort_keys=True) writes it, with each JsonText
     value spliced in as its text; --pretty re-renders that text with indent 2."""
-    # without indent, the C encoder writes the other keys, each run in one call
-    if not any(isinstance(value, JsonText) for value in obj.values()):
-        text = _JSON.encode(obj)
-    else:
-        pieces = []
-        for spliced, items in itertools.groupby(
-            sorted(obj.items()), key=lambda item: isinstance(item[1], JsonText)
-        ):
-            if spliced:
-                pieces += [f"{_JSON.encode(k)}: {v.text}" for k, v in items]
-            else:
-                pieces.append(_JSON.encode(dict(items))[1:-1])
-        text = "{%s}" % ", ".join(pieces)
+    text = "{%s}" % ", ".join(
+        f"{_JSON.encode(k)}: {v.text if isinstance(v, JsonText) else _JSON.encode(v)}"
+        for k, v in sorted(obj.items())
+    )
     if pretty:  # every float round-trips through its repr
         text = json.dumps(json.loads(text), indent=2, sort_keys=True)
     sys.stdout.write(text + "\n")

@@ -33,7 +33,7 @@ from .classify import (
 )
 from .construct import ghz_states
 from .errors import DomainError, InternalConsistencyError, SizeError, shown
-from .linalg import DEFAULT_TOL, MAX_PARTIES, check_dense
+from .linalg import DEFAULT_TOL, check_dense
 from .observables import (
     brute_force_eigenspace,
     product_observable,
@@ -171,8 +171,7 @@ def character_sum_check(n: int, seed: int = 0) -> float:
     """Max deviation of character sums from their closed form (2^n when all
     components of v are even, else 0) over CHARACTER_SAMPLES random v in
     {0, 1, 2}^n."""
-    if n > MAX_PARTIES:
-        raise SizeError(f"n {n} exceeds the party cap {MAX_PARTIES}")
+    check_dense(n)  # the (CHARACTER_SAMPLES, 2^n) block of parities
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

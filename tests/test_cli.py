@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ghzstab import DirectionList, StateVector
 from ghzstab.certify import Ensemble
-from ghzstab.cli import amplitude_json, main, parse_state_file
+from ghzstab.cli import InputError, amplitude_json, main, parse_state_file
 from ghzstab.errors import DomainError
 from reference import parse_state_records
 
@@ -1113,10 +1113,16 @@ STATE_PARTS = st.one_of(
 )
 
 
+# one bad value of a field: of the wrong type, or beyond the float range
+BAD_FIELDS = [True, False, None, "1", [], [1.0], {}, {"re": 1.0}, 10**400,
+              math.nan, math.inf, -math.inf]
+
+
 @st.composite
 def state_files(draw):
-    """Valid state files: a sparse subset of the indices in shuffled order,
-    each record with or without its re and im keys."""
+    """State files: a sparse subset of the indices in shuffled order, each
+    record with or without its re and im keys. Some draws carry one bad
+    field, index or record, and are returned with bad=True."""
     n = draw(st.integers(1, 6))
     indices = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, unique=True))
     records = []
@@ -1125,13 +1131,36 @@ def state_files(draw):
         for key in draw(st.sets(st.sampled_from(["re", "im"]))):
             rec[key] = draw(STATE_PARTS)
         records.append(rec)
+    flaw = draw(st.sampled_from(
+        [None, "re", "im", "index", "negative", "range", "repeat", "record", "no index"]
+    ))
+    k = draw(st.integers(0, len(records) - 1))
+    if flaw in ("re", "im", "index"):
+        records[k][flaw] = draw(st.sampled_from(BAD_FIELDS))
+    elif flaw in ("negative", "range"):
+        records[k]["index"] = -1 if flaw == "negative" else draw(
+            st.sampled_from([1 << n, 1 << 63, 1 << 64])
+        )
+    elif flaw == "repeat":
+        records.insert(draw(st.integers(0, len(records))), {"index": indices[k]})
+    elif flaw == "record":
+        records[k] = draw(st.sampled_from([None, 0, 1.5, "x", [], [indices[k], 1.0]]))
+    elif flaw == "no index":
+        del records[k]["index"]
     # through the JSON text, as a state file reaches the parser
-    return json.loads(json.dumps({"n": n, "amplitudes": records}))
+    return json.loads(json.dumps({"n": n, "amplitudes": records})), flaw is not None
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(state_files())
-def test_bulk_state_parser_matches_per_record_reference(data):
+def test_bulk_state_parser_matches_per_record_reference(drawn):
+    data, bad = drawn
+    if bad:
+        # the record check words the error; the bulk check never rejects a
+        # file that the record check passes
+        with pytest.raises(InputError):
+            parse_state_file(data)
+        return
     parts = [rec.get(k, 0) for rec in data["amplitudes"] for k in ("re", "im")]
     assume(any(parts))
     got = parse_state_file(data).amplitudes.view(np.float64)
@@ -1281,24 +1310,36 @@ def test_pretty_flag(tmp_path, capsys):
 
 
 def test_pretty_output_is_the_compact_output_indented(tmp_path, capsys):
-    # a degenerate n=5 list: sixteen states that repeat their records
-    degenerate = {
+    # a degenerate n=5 list: sixteen states that repeat their records, and
+    # sixteen members; solve and classify splice pre-written JSON values in,
+    # and construct, certify and verify write none
+    degenerate = tmp_path / "degenerate.json"
+    degenerate.write_text(json.dumps({
         "n": 5,
         "angles": [{"theta": {"pi_num": 0, "pi_den": 1}, "phi": {"rad": 0.1 * k}}
                    for k in range(5)],
-    }
-    outs = []
-    for extra in ([], ["--pretty"]):
-        code, out, err = run_cli(["solve", *extra], tmp_path, capsys, degenerate)
-        assert code == 0 and not err
-        assert main(["construct", "5", *extra]) == 0
-        outs += [out, capsys.readouterr().out]
-    solve, construct, solve_pretty, construct_pretty = outs
-    assert len(json.loads(solve)["states"]) == 16
-    for compact, pretty in ((solve, solve_pretty), (construct, construct_pretty)):
-        doc = json.loads(compact)
-        assert compact == json.dumps(doc, sort_keys=True) + "\n"
-        assert pretty == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    }))
+    epr = tmp_path / "epr.json"
+    epr.write_text(json.dumps(EPR_INPUT))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(
+        {"n": 2, "amplitudes": [{"index": 0, "re": 1.0}, {"index": 3, "re": 1.0}]}
+    ))
+    docs = {}
+    for args in (["solve", str(degenerate)], ["classify", str(degenerate)],
+                 ["construct", "5"], ["certify", str(epr), "--state", str(state)],
+                 ["verify", str(degenerate), "--trials", "2"]):
+        outs = []
+        for extra in ([], ["--pretty"]):
+            assert main(args + extra) == 0, args
+            captured = capsys.readouterr()
+            assert not captured.err, args
+            outs.append(captured.out)
+        compact, pretty = outs
+        doc = docs[args[0]] = json.loads(compact)
+        assert compact == json.dumps(doc, sort_keys=True) + "\n", args
+        assert pretty == json.dumps(doc, indent=2, sort_keys=True) + "\n", args
+    assert len(docs["solve"]["states"]) == len(docs["classify"]["m_set"]) == 16
 
 
 def test_classify_writes_many_members_as_json_dumps_does(tmp_path, capsys):

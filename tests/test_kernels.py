@@ -43,8 +43,8 @@ def test_parity_product_sums_reference(rng):
     assert abs(odd - ref_odd) <= 1e-12 * max(1.0, abs(ref_odd))
 
 
-def test_character_sums_closed_form(rng):
-    n = 6
+@pytest.mark.parametrize("n", [1, 6, 12])
+def test_character_sums_closed_form(rng, n):
     vbits = rng.integers(0, 1 << n, size=30).astype(np.int64)
     sums = k.character_sums(vbits, n)
     expected = np.where(vbits == 0, 1 << n, 0)

@@ -56,6 +56,8 @@ def oracle_dims(d, tol=1e-9):
 def test_solver_size_cap():
     with pytest.raises(SizeError):
         solve_common_eigenspace(rationals(*[(1, 2)] * 13))
+    with pytest.raises(SizeError, match="^13 parties exceed the dense cap of 12$"):
+        character_sum_check(13)
 
 
 def test_solve_epr():
