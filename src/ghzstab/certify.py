@@ -51,9 +51,7 @@ class CertReport:
     stderr_a: float
     stderr_b: float
     passed: bool
-    threshold: float
     shots: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -143,9 +141,7 @@ def run_certification(
         stderr_a=stderr_a,
         stderr_b=stderr_b,
         passed=passed,
-        threshold=cfg.pass_threshold,
         shots=cfg.shots,
-        seed=cfg.seed,
     )
 
 

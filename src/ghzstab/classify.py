@@ -18,8 +18,8 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .angles import PI, DirectionList
-from .errors import DomainError, SizeError
+from .angles import DirectionList
+from .errors import SizeError
 from .linalg import DEFAULT_TOL, MAX_PARTIES
 
 FRAGILE_FACTOR = 10.0
@@ -186,23 +186,4 @@ def classify(d: DirectionList, tol: float = DEFAULT_TOL) -> ClassificationReport
         mode="exact" if d.all_exact else "approx",
         tol=tol,
         warnings=warnings,
-    )
-
-
-def sector_transform(d: DirectionList, sign_a: int, sign_b: int) -> DirectionList:
-    """Angles whose (+1, +1) analysis equals the (sign_a, sign_b) sector of d.
-
-    sign_a = -1 negates the first local observable: (t1, p1) -> (pi - t1,
-    p1 + pi). sign_b = -1 conjugates party 1 by sigma_X, which negates the
-    all-Z observable and maps (t1, p1) -> (pi - t1, -p1).
-    """
-    if sign_a not in (1, -1) or sign_b not in (1, -1):
-        raise DomainError("signs must be +1 or -1")
-    t1, p1 = d.thetas[0], d.phis[0]
-    if sign_b == -1:
-        t1, p1 = PI - t1, -p1
-    if sign_a == -1:
-        t1, p1 = PI - t1, p1 + PI
-    return DirectionList.of(
-        (t1,) + d.thetas[1:], (p1,) + d.phis[1:]
     )

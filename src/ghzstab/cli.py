@@ -352,8 +352,14 @@ def cmd_construct(args) -> dict:
         data = _load_json(args.unitaries)
         if not isinstance(data, dict) or not isinstance(data.get("unitaries"), list):
             raise InputError("unitaries file must be {n, unitaries: [...]}")
-        if "n" in data and data["n"] != n:
-            raise InputError(f"unitaries file n {shown(data['n'])} != n {shown(n)}")
+        file_n = data.get("n", n)
+        # 2.0 == 2 and True == 1; no other non-int JSON value equals an int
+        if isinstance(file_n, (bool, float)):
+            raise InputError(
+                f"unitaries file n must be an integer, got {shown(file_n)}"
+            )
+        if file_n != n:
+            raise InputError(f"unitaries file n {shown(file_n)} != n {shown(n)}")
         if len(data["unitaries"]) != n:
             raise InputError(
                 f"unitaries count {len(data['unitaries'])} != n {shown(n)}"
@@ -404,9 +410,9 @@ def cmd_certify(args) -> dict:
         "stderr_a": defined(rep.stderr_a),
         "stderr_b": defined(rep.stderr_b),
         "pass": rep.passed,
-        "threshold": rep.threshold,
-        "shots": rep.shots,
-        "seed": rep.seed,
+        "threshold": cfg.pass_threshold,
+        "shots": cfg.shots,
+        "seed": cfg.seed,
     }
 
 

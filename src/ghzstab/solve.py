@@ -24,13 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .angles import DirectionList
-from .classify import (
-    ClassificationReport,
-    StabilizerCase,
-    classify,
-    sector_transform,
-)
+from .angles import PI, DirectionList
+from .classify import ClassificationReport, StabilizerCase, classify
 from .construct import ghz_states
 from .errors import DomainError, InternalConsistencyError, SizeError, shown
 from .linalg import DEFAULT_TOL, check_dense
@@ -104,19 +99,19 @@ def sector_dimensions(
 ) -> tuple[int, int, int, int]:
     """Common eigenspace dimensions of (sA, sB) for the four sign sectors
     (+,+), (+,-), (-,+), (-,-): the vanishing-pattern count of each sector's
-    transformed angles, given classify's report for d (the solver's
-    classification).
+    angles, given classify's report for d (the solver's classification).
 
-    sector_transform moves only theta_1 (and phi_1, which classify does not
-    read): (-,-) keeps theta_1, so it counts the report's patterns, and
-    (+,-) and (-,+) both map theta_1 to pi - theta_1, one more classify run
-    at the report's tol.
+    Negating A sends (theta_1, phi_1) to (pi - theta_1, phi_1 + pi), and
+    conjugating party 1 by sigma_X, which negates Z^N, sends it to
+    (pi - theta_1, -phi_1). classify reads no phi, so (+,-) and (-,+) both
+    count d with theta_1 flipped to pi - theta_1, one more classify run at
+    the report's tol, and (-,-), which flips it twice, counts the report's
+    patterns.
     """
     same = len(classification.patterns)
-    flipped = len(
-        classify(sector_transform(d, 1, -1), classification.tol).patterns
-    )
-    return (same, flipped, flipped, same)
+    flipped = DirectionList.of((PI - d.thetas[0],) + d.thetas[1:], d.phis)
+    count = len(classify(flipped, classification.tol).patterns)
+    return (same, count, count, same)
 
 
 def sector_oracle_bases(
@@ -129,7 +124,7 @@ def sector_oracle_bases(
     classify decides exact thetas without tol, so for them the cut is
     half the smallest score a non-vanishing pattern can have, whatever tol
     is: a signed sum k pi / den (den the common theta denominator, which
-    the sector transforms keep) off 2 pi Z scores at least sin(pi / (2 den)).
+    the theta_1 flip keeps) off 2 pi Z scores at least sin(pi / (2 den)).
     """
     if d.all_exact:
         den = math.lcm(*(t.pi_multiple.denominator for t in d.thetas))

@@ -15,9 +15,8 @@ from ghzstab import (
     sigma_z_product,
 )
 from ghzstab.bitstrings import bit_labels
-from ghzstab.classify import sector_transform, sign_pattern_set
+from ghzstab.classify import sign_pattern_set
 from ghzstab.errors import DomainError
-from ghzstab.linalg import kron_all
 from reference import pattern_condition, signed_angle_sum
 from sampling import uniform_directions
 
@@ -341,40 +340,3 @@ def test_fragile_flag():
     assert report.warnings
     clean = classify(DirectionList.from_radians([math.pi / 2, math.pi / 2 + 0.3]))
     assert not clean.patterns.fragile and not clean.warnings
-
-
-def test_sector_transform_identity_sector():
-    d = rationals((1, 2), (1, 3))
-    assert sector_transform(d, 1, 1) == d
-
-
-def test_sector_transform_single_qubit_negation():
-    d = rationals((0, 1))
-    t = sector_transform(d, -1, 1)
-    assert t.thetas[0].pi_multiple == 1  # -sigma_Z points along theta = pi
-    full = kron_all(product_observable(t).mats)
-    assert np.allclose(full, -np.diag([1.0, -1.0]), atol=1e-15)
-
-
-def test_sector_transform_negates_full_observable():
-    d = rationals((1, 2), (1, 2))
-    t = sector_transform(d, -1, 1)
-    orig = kron_all(product_observable(d).mats)
-    flipped = kron_all(product_observable(t).mats)
-    assert np.max(np.abs(flipped + orig)) <= 1e-12
-
-
-def test_sector_transform_involution(rng):
-    for sa, sb in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
-        for _ in range(5):
-            d = uniform_directions(3, rng)
-            twice = sector_transform(sector_transform(d, sa, sb), sa, sb)
-            a = kron_all(product_observable(d).mats)
-            b = kron_all(product_observable(twice).mats)
-            assert np.max(np.abs(a - b)) <= 1e-12
-
-
-def test_sector_transform_preserves_exactness():
-    d = rationals((1, 2), (1, 3))
-    t = sector_transform(d, -1, -1)
-    assert t.all_exact

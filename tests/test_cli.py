@@ -617,12 +617,16 @@ def test_verify_oracle_counts_exact_lists_by_the_exact_rule(tmp_path, capsys):
     # at a tiny tol, "sector dims [1, 1, 1, 1] != oracle sector dims
     # [1, 0, 0, 1]" on the pi/2, pi/2 list
     pi_halves = _exact_input((1, 2), (1, 2), tol=1e-30)
+    # the (+,-) and (-,+) sectors count 2 pi / 3 + pi / 3 - pi / 3 = 0 after
+    # the theta_1 flip, which a float flip misses at this tol
+    pi_thirds = _exact_input((1, 3), (1, 3), (1, 3), tol=1e-300)
     for payload, dim in (
         (_exact_input((1, 2), (0,), tol=0.9), 0),
         (dict(EPR_INPUT, tol=1), 1),
         (pi_halves, 1),
         (_exact_input((1, 3), (0,), tol=0.6), 0),
         (_exact_input((1, 10**10), (0,)), 0),
+        (pi_thirds, 0),
     ):
         code, out, err = run_cli(
             ["verify", "--trials", "2", "--env-dim", "4"], tmp_path, capsys, payload
@@ -632,6 +636,8 @@ def test_verify_oracle_counts_exact_lists_by_the_exact_rule(tmp_path, capsys):
         assert doc["solver_dimension"] == doc["oracle_dimension"] == dim
         if payload is pi_halves:
             assert doc["sector_dims"] == [1, 1, 1, 1]
+        if payload is pi_thirds:
+            assert doc["sector_dims"] == [0, 1, 1, 0]
 
 
 def test_verify_rejects_denominators_beyond_the_oracle(tmp_path, capsys):
@@ -870,6 +876,9 @@ def test_construct_checks_the_unitaries_count_first(tmp_path, capsys):
         ("2", {"unitaries": [eye2]}, "unitaries count 1 != n 2"),
         ("3", {"n": 5, "unitaries": [eye2] * 3}, "unitaries file n 5 != n 3"),
         ("2", {"n": 5, "unitaries": [eye2] * 3}, "unitaries file n 5 != n 2"),
+        # True == 1, so a bool n matched construct 1
+        ("1", {"n": True, "unitaries": [eye2]},
+         "unitaries file n must be an integer, got True"),
     ):
         upath = tmp_path / "unitaries.json"
         upath.write_text(json.dumps(data))
@@ -881,7 +890,7 @@ def test_construct_checks_the_unitaries_count_first(tmp_path, capsys):
 def test_construct_unitaries_errors_are_exact(tmp_path, capsys):
     # each entry is exactly an [re, im] pair of finite numbers, bools excluded
     eye2 = "[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]"
-    for first, message in (
+    bad_entries = (
         ("[[[true, 0], [0, 0]], [[0, 0], [1, 0]]]",
          "unitaries[0][0][0].re must be a number, got True"),
         ("[[[1, 0], [0, false]], [[0, 0], [1, 0]]]",
@@ -903,9 +912,15 @@ def test_construct_unitaries_errors_are_exact(tmp_path, capsys):
          "unitaries[0] must be a 2x2 matrix of [re, im] pairs"),
         ("[[[1, 0, 5], [0, 0]], [[0, 0], [1, 0]]]",
          "unitaries[0] must be a 2x2 matrix of [re, im] pairs"),
-    ):
+    )
+    rows = [("2", first, message) for first, message in bad_entries] + [
+        # the file's n is an integer, as a state file's is: 2.0 was accepted
+        ("2.0", eye2, "unitaries file n must be an integer, got 2.0"),
+        ("true", eye2, "unitaries file n must be an integer, got True"),
+    ]
+    for n, first, message in rows:
         upath = tmp_path / "unitaries.json"
-        upath.write_text(f'{{"n": 2, "unitaries": [{first}, {eye2}]}}')
+        upath.write_text(f'{{"n": {n}, "unitaries": [{first}, {eye2}]}}')
         assert main(["construct", "2", "--unitaries", str(upath)]) == 2, first
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and not captured.out
@@ -1204,6 +1219,19 @@ def test_certify_shot_count_is_not_allocated(tmp_path, capsys):
     assert code == 0
     assert doc["count_a"] + doc["count_b"] == doc["shots"] == shots
     assert doc["mean_b"] == 1.0 and abs(doc["mean_a"]) <= 1e-4
+
+
+def test_certify_echoes_its_flags(tmp_path, capsys):
+    ipath = tmp_path / "angles.json"
+    ipath.write_text(json.dumps(EPR_INPUT))
+    spath = tmp_path / "state.json"
+    spath.write_text(json.dumps({"n": 2, "amplitudes": [{"index": 0, "re": 1.0}]}))
+    code = main(["certify", str(ipath), "--state", str(spath),
+                 "--threshold", "0.5", "--seed", "3", "--shots", "7"])
+    assert code == 0
+    doc = parse(capsys.readouterr().out)
+    assert (doc["threshold"], doc["seed"], doc["shots"]) == (0.5, 3, 7)
+    assert type(doc["seed"]) is type(doc["shots"]) is int
 
 
 def test_certify_seed_determinism(tmp_path, capsys):

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ghzstab import (
@@ -18,7 +18,7 @@ from ghzstab import (
     sigma_z_product,
     solve_common_eigenspace,
 )
-from ghzstab.angles import Angle
+from ghzstab.angles import PI, Angle
 from ghzstab.bitstrings import even_indices
 from ghzstab.cli import main
 from ghzstab.errors import DomainError, InternalConsistencyError, SizeError
@@ -284,6 +284,36 @@ def test_sector_dimensions_empty_everywhere():
     assert sector_dimensions(d, classify(d)) == oracle_dims(d) == (0, 0, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "d",
+    [
+        DirectionList.from_rationals(
+            [(1, 3), (-2, 5), (7, 4)], [(1, 6), (3, 2), (-1, 5)]
+        ),
+        DirectionList.from_radians([0.7, -1.9, 2.4], [0.3, 4.1, -0.8]),
+    ],
+    ids=["exact", "radians"],
+)
+def test_sector_rule_flips_theta_1(d):
+    # the derivation in sector_dimensions' docstring: (pi - theta_1,
+    # phi_1 + pi) is -A, and sigma_X on party 1, which negates Z^N,
+    # conjugates A to (pi - theta_1, -phi_1); both keep an exact list exact
+    n = d.n_parties
+    t1, p1 = d.thetas[0], d.phis[0]
+
+    def dense(theta, phi):
+        moved = DirectionList.of((theta,) + d.thetas[1:], (phi,) + d.phis[1:])
+        assert moved.all_exact == d.all_exact
+        return kron_all(product_observable(moved).mats)
+
+    a = dense(t1, p1)
+    x1 = kron_all([SIGMA_X] + [IDENTITY_2] * (n - 1))
+    z = kron_all([SIGMA_Z] * n)
+    assert np.max(np.abs(dense(PI - t1, p1 + PI) + a)) <= 1e-12
+    assert np.max(np.abs(x1 @ a @ x1 - dense(PI - t1, -p1))) <= 1e-12
+    assert np.array_equal(x1 @ z @ x1, -z)
+
+
 def test_no_eigenstate_in_any_sector(rng):
     # classified case (i) means no common eigenstate of any eigenvalue pair
     found = 0
@@ -306,8 +336,14 @@ def exact_lists(draw):
     )
 
 
+# theta_1 at the flip's edges: 0, its fixed point pi/2, pi, -pi and 4 pi
 @settings(max_examples=60, deadline=None)
 @given(exact_lists())
+@example(DirectionList.from_rationals([(0, 1), (1, 3), (1, 3)]))
+@example(DirectionList.from_rationals([(1, 2), (1, 3), (1, 3)]))
+@example(DirectionList.from_rationals([(1, 1), (1, 3), (1, 3)]))
+@example(DirectionList.from_rationals([(-1, 1), (1, 3), (1, 3)]))
+@example(DirectionList.from_rationals([(4, 1), (1, 3), (1, 3)]))
 def test_solver_matches_oracles_on_exact_lists(d):
     # the theorem as a property: dimension = vanishing-pattern count = oracle
     # dimension, with the same span, in every sign sector
@@ -323,6 +359,9 @@ def test_solver_matches_oracles_on_exact_lists(d):
 
 @settings(max_examples=60, deadline=None)
 @given(exact_lists())
+@example(DirectionList.from_radians([0.0, math.pi / 3, math.pi / 3]))
+@example(DirectionList.from_radians([math.pi, math.pi / 3, math.pi / 3]))
+@example(DirectionList.from_radians([-math.pi, math.pi / 3, math.pi / 3]))
 def test_sector_dimensions_match_oracles_on_radian_lists(d):
     # sector symmetry for radian thetas, away from the cut: as radians each
     # signed sum is k pi / den (den <= 12) up to rounding, so every score
