@@ -3,10 +3,14 @@ the most significant): the even-parity class and "0101" labels."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .errors import SizeError
 from .linalg import MAX_PARTIES
+
+LABEL_CHUNK = 1 << 16  # labels per piece of bit_labels_json
 
 
 def even_indices(n: int) -> np.ndarray:
@@ -34,15 +38,37 @@ def bit_labels(values: np.ndarray, n: int) -> list[str]:
     return codes.view(f"U{n}").ravel().tolist()
 
 
-def bit_labels_json(values: np.ndarray, n: int) -> str:
-    """json.dumps(bit_labels(values, n)), written as bytes in one pass: each
-    label is a row of n + 4 bytes, '"', its bits, '"', ',' and ' ', and the
-    last row's separator is dropped."""
-    bits = _bits(values, n)
-    rows = np.empty((bits.shape[0], n + 4), dtype=np.uint8)
-    rows[:] = np.frombuffer(b'"' + b"0" * n + b'", ', dtype=np.uint8)
-    np.add(bits, np.uint8(ord("0")), out=rows[:, 1 : n + 1])
-    return "[" + rows.ravel()[:-2].tobytes().decode("ascii") + "]"
+def bit_labels_json(values: np.ndarray, n: int) -> Iterator[str]:
+    """json.dumps(bit_labels(values, n)) in pieces of at most LABEL_CHUNK
+    labels, n <= 32. Each piece is one byte buffer, decoded once: a label is a
+    slot of n + 4 bytes, '"', its bits, '"', ',' and ' ', the first piece
+    opens with '[', and the last slot's separator becomes ']'. Each label's
+    bits are copied in as one n-byte field, with no loop per row."""
+    values = np.asarray(values)
+    if values.size == 0:
+        yield "[]"
+        return
+    # a value's low n bits of the 32 unpacked, and a label's n bits in its slot
+    bits_field = np.dtype(
+        {"names": ["b"], "formats": [f"V{n}"], "offsets": [32 - n], "itemsize": 32}
+    )
+    slot = np.dtype(
+        {"names": ["b"], "formats": [f"V{n}"], "offsets": [1], "itemsize": n + 4}
+    )
+    row = bytearray(b'"' + b"0" * n + b'", ')
+    for start in range(0, values.size, LABEL_CHUNK):
+        chunk = values[start : start + LABEL_CHUNK]
+        bits = np.unpackbits(chunk.astype(">u4").view(np.uint8))
+        bits += np.uint8(ord("0"))
+        head = b"[" if start == 0 else b""
+        buf = bytearray(head) + row * chunk.size
+        slots = np.frombuffer(buf, dtype=slot, offset=len(head))
+        slots["b"] = bits.view(bits_field)["b"]
+        end = len(buf)
+        if start + LABEL_CHUNK >= values.size:  # the last piece closes the list
+            buf[-2] = ord("]")
+            end -= 1
+        yield str(memoryview(buf)[:end], "ascii")
 
 
 def parity_of(values: np.ndarray) -> np.ndarray:

@@ -85,7 +85,7 @@ def _exact_members(d: DirectionList, h: int) -> np.ndarray:
     fracs = [t.pi_multiple for t in d.thetas]
     den = math.lcm(*(f.denominator for f in fracs))
     mod = 2 * den
-    nums = [int(f * den) % mod for f in fracs]
+    nums = [f.numerator * (den // f.denominator) % mod for f in fracs]
     if len(nums) * mod < _INT64_SAFE:
         kernel = _kernels.signed_sums_i8
     else:

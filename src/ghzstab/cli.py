@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,10 +224,10 @@ def _load_json(path: str):
 
 @dataclass(frozen=True)
 class JsonText:
-    """A value already written as JSON text, which _emit splices in as it
-    stands."""
+    """A value written as JSON text in pieces, which _emit writes as they
+    come: the text is rendered while it is written."""
 
-    text: str
+    pieces: Iterable[str]
 
 
 _RECORD = '{"im": %r, "index": %d, "label": "%s", "re": %r}'
@@ -234,11 +235,12 @@ _RECORD = '{"im": %r, "index": %d, "label": "%s", "re": %r}'
 _JSON = json.JSONEncoder(sort_keys=True)
 
 
-def amplitude_json(amps: np.ndarray) -> str:
+def amplitude_json(amps: np.ndarray) -> Iterator[str]:
     """The JSON text of a state's amplitude list, or of the lists of the
     columns of a (2^n, k) basis of states, as json.dumps with sort_keys
     writes them: one {"im", "index", "label", "re"} record per amplitude above
-    AMPLITUDE_CUTOFF, in index order.
+    AMPLITUDE_CUTOFF, in index order. It comes in pieces: one list's text,
+    or '[', each column's list with ', ' between them, and ']'.
 
     Each distinct record, keyed by its index and the exact bits of re and im
     (so 0.0 and -0.0 stay apart), is formatted once: the solver's states
@@ -265,8 +267,16 @@ def amplitude_json(amps: np.ndarray) -> str:
     pieces = [records[k] for k in where]
     counts = np.bincount(col, minlength=cols.shape[1]).tolist()
     ends = list(itertools.accumulate(counts))
-    lists = ["[" + ", ".join(pieces[a:b]) + "]" for a, b in zip([0] + ends, ends)]
-    return lists[0] if amps.ndim == 1 else "[" + ", ".join(lists) + "]"
+    lists = ("[" + ", ".join(pieces[a:b]) + "]" for a, b in zip([0] + ends, ends))
+    if amps.ndim == 1:
+        yield from lists
+        return
+    yield "["
+    for k, text in enumerate(lists):
+        if k:
+            yield ", "
+        yield text
+    yield "]"
 
 
 def classification_fields(report: ClassificationReport) -> dict:
@@ -308,16 +318,27 @@ def observable_angles(obs) -> DirectionList:
     return DirectionList.of(thetas, phis)
 
 
+def _pieces(obj: dict) -> Iterator[str]:
+    """The pieces of json.dumps(obj, sort_keys=True) and a newline, with each
+    JsonText value's pieces written as they come."""
+    yield "{"
+    for k, (key, value) in enumerate(sorted(obj.items())):
+        yield f"{', ' if k else ''}{_JSON.encode(key)}: "
+        if isinstance(value, JsonText):
+            yield from value.pieces
+        else:
+            yield _JSON.encode(value)
+    yield "}\n"
+
+
 def _emit(obj: dict, pretty: bool) -> None:
-    """obj as json.dumps(obj, sort_keys=True) writes it, with each JsonText
-    value spliced in as its text; --pretty re-renders that text with indent 2."""
-    text = "{%s}" % ", ".join(
-        f"{_JSON.encode(k)}: {v.text if isinstance(v, JsonText) else _JSON.encode(v)}"
-        for k, v in sorted(obj.items())
-    )
+    """Write obj to stdout as json.dumps(obj, sort_keys=True) writes it, piece
+    by piece; --pretty joins the pieces and re-renders them with indent 2."""
     if pretty:  # every float round-trips through its repr
-        text = json.dumps(json.loads(text), indent=2, sort_keys=True)
-    sys.stdout.write(text + "\n")
+        doc = json.loads("".join(_pieces(obj)))
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        return
+    sys.stdout.writelines(_pieces(obj))
 
 
 def _angle_args(args) -> tuple[DirectionList, float]:
@@ -353,8 +374,7 @@ def cmd_construct(args) -> dict:
         if not isinstance(data, dict) or not isinstance(data.get("unitaries"), list):
             raise InputError("unitaries file must be {n, unitaries: [...]}")
         file_n = data.get("n", n)
-        # 2.0 == 2 and True == 1; no other non-int JSON value equals an int
-        if isinstance(file_n, (bool, float)):
+        if not _is_int(file_n):
             raise InputError(
                 f"unitaries file n must be an integer, got {shown(file_n)}"
             )

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzstab import DirectionList
-from ghzstab.bitstrings import bit_labels, bit_labels_json, even_indices, parity_of
+from ghzstab.bitstrings import (
+    LABEL_CHUNK,
+    bit_labels,
+    bit_labels_json,
+    even_indices,
+    parity_of,
+)
 from ghzstab.linalg import MAX_PARTIES
 from reference import signed_angle_sum
 from ghzstab.errors import SizeError
@@ -52,7 +58,20 @@ def _label_values(draw):
 @given(_label_values())
 def test_bit_labels_json_is_json_dumps_of_the_labels(case):
     values, n = case
-    assert bit_labels_json(values, n) == json.dumps(bit_labels(values, n))
+    assert "".join(bit_labels_json(values, n)) == json.dumps(bit_labels(values, n))
+
+
+@pytest.mark.parametrize("n", [1, 17, 24, 32])
+@pytest.mark.parametrize(
+    "k", [0, 1, LABEL_CHUNK - 1, LABEL_CHUNK, LABEL_CHUNK + 1, 2 * LABEL_CHUNK + 3]
+)
+def test_bit_labels_json_pieces_join_across_chunks(rng, k, n):
+    # the first piece opens the list, the last closes it, and the separators
+    # between pieces fall inside them
+    values = np.sort(rng.integers(0, 1 << n, size=k))
+    pieces = list(bit_labels_json(values, n))
+    assert len(pieces) == max(1, -(-k // LABEL_CHUNK))
+    assert "".join(pieces) == json.dumps(bit_labels(values, n))
 
 
 def test_parity_classes_small():

@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 
 from ghzstab import DirectionList, StateVector
 from ghzstab.certify import Ensemble
-from ghzstab.cli import InputError, amplitude_json, main, parse_state_file
+from ghzstab.cli import (
+    InputError,
+    JsonText,
+    _emit,
+    amplitude_json,
+    main,
+    parse_state_file,
+)
 from ghzstab.errors import DomainError
 from reference import parse_state_records
 
@@ -295,7 +302,7 @@ def test_long_values_are_named_by_size(tmp_path, capsys):
         (["certify", "a", "--state", "s"], {"a": json.dumps(EPR_INPUT), "s": state % long},
          "amplitudes[0].re must be a number, got a string of 3000 characters"),
         (["construct", "2", "--unitaries", "u"], {"u": '{"n": %s, "unitaries": []}' % many},
-         "unitaries file n a list of 2000 items != n 2"),
+         "unitaries file n must be an integer, got a list of 2000 items"),
         # up to 64 characters, the repr itself
         (["classify", "a"], {"a": one % ('{"rad": %s}' % json.dumps("x" * 62), "")},
          "angles[0].theta.rad must be a number, got '%s'" % ("x" * 62)),
@@ -917,6 +924,9 @@ def test_construct_unitaries_errors_are_exact(tmp_path, capsys):
         # the file's n is an integer, as a state file's is: 2.0 was accepted
         ("2.0", eye2, "unitaries file n must be an integer, got 2.0"),
         ("true", eye2, "unitaries file n must be an integer, got True"),
+        # not worded as an inequality, as if the values differed
+        ('"2"', eye2, "unitaries file n must be an integer, got '2'"),
+        ("null", eye2, "unitaries file n must be an integer, got None"),
     ]
     for n, first, message in rows:
         upath = tmp_path / "unitaries.json"
@@ -953,7 +963,50 @@ def test_amplitude_json_matches_per_entry_records(rng):
         dense,
     ):
         # the text carries the signed zeros
-        assert amplitude_json(amps) == json.dumps(per_entry(amps), sort_keys=True)
+        text = "".join(amplitude_json(amps))
+        assert text == json.dumps(per_entry(amps), sort_keys=True)
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def split_documents(draw):
+    """A dict of JSON values, and the same dict with some values replaced by
+    JsonText pieces that join to their json.dumps text, empty pieces among
+    them."""
+    obj = draw(st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=5))
+    spliced = {}
+    for key, value in obj.items():
+        if draw(st.booleans()):
+            text = json.dumps(value, sort_keys=True)
+            cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=6)))
+            bounds = [0] + cuts + [len(text)]
+            value = JsonText(iter([text[a:b] for a, b in zip(bounds, bounds[1:])]))
+        spliced[key] = value
+    return obj, spliced, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_documents())
+def test_emit_writes_json_dumps_piece_by_piece(case):
+    obj, spliced, pretty = case
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(spliced, pretty)
+    if pretty:
+        assert out.getvalue() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    else:
+        assert out.getvalue() == json.dumps(obj, sort_keys=True) + "\n"
 
 
 @st.composite
@@ -978,7 +1031,7 @@ def amplitude_bases(draw):
 @given(amplitude_bases())
 def test_amplitude_json_matches_per_entry_records_on_bases(basis):
     expected = [per_entry(basis[:, k]) for k in range(basis.shape[1])]
-    assert amplitude_json(basis) == json.dumps(expected, sort_keys=True)
+    assert "".join(amplitude_json(basis)) == json.dumps(expected, sort_keys=True)
 
 
 def test_construct_rejects_parties_above_dense_cap(capsys):
