@@ -1,11 +1,18 @@
 """Command-line front end: classify, solve, construct, certify, verify.
 
-Inputs and outputs are JSON. Angle files look like
+Inputs and outputs are JSON. An input file is an object with a positive
+integer "n" and one list, whose key names the file's form. An angle file
+(every command's input) has "angles", one direction per party:
 
     {"n": 2,
      "angles": [{"theta": {"pi_num": 1, "pi_den": 2}, "phi": {"rad": 0.0}},
                 {"theta": {"pi_num": 1, "pi_den": 2}, "phi": {"rad": 0.0}}],
      "tol": 1e-9, "mode": "exact"}
+
+A state file (certify --state) has "amplitudes", {"index", "re", "im"}
+records of a state of at most MAX_PARTIES parties. A unitaries file
+(construct --unitaries) has "unitaries", one 2x2 matrix of [re, im] pairs
+per party, and construct's n as its "n".
 
 Exit codes: 0 success, 2 malformed input, 3 internal consistency failure.
 """
@@ -97,14 +104,20 @@ def _parse_angle(obj, what: str) -> Angle:
     raise InputError(f"{what} needs either pi_num/pi_den or rad")
 
 
-def parse_angle_file(data) -> tuple[DirectionList, float, str | None]:
-    if not isinstance(data, dict):
-        raise InputError("top-level JSON must be an object")
+def _n_and_list(data, key: str, n_name: str) -> tuple[int, list]:
+    """The "n" and the list under key of a {"n", key: [...]} file: the checks
+    every input form shares. n_name is how the errors name the "n"."""
+    if not isinstance(data, dict) or not isinstance(data.get(key), list):
+        raise InputError(f'expected a JSON object {{"n": ..., "{key}": [...]}}')
     n = data.get("n")
-    angles = data.get("angles")
     if not _is_int(n) or n < 1:
-        raise InputError(f"n must be a positive integer, got {shown(n)}")
-    if not isinstance(angles, list) or len(angles) != n:
+        raise InputError(f"{n_name} must be a positive integer, got {shown(n)}")
+    return n, data[key]
+
+
+def parse_angle_file(data) -> tuple[DirectionList, float, str | None]:
+    n, angles = _n_and_list(data, "angles", "n")
+    if len(angles) != n:
         raise InputError(f"angles must be a list of length n={shown(n)}")
     thetas, phis = [], []
     for k, rec in enumerate(angles):
@@ -120,15 +133,10 @@ def parse_angle_file(data) -> tuple[DirectionList, float, str | None]:
 
 
 def parse_state_file(data) -> StateVector:
-    if not isinstance(data, dict):
-        raise InputError("state file must be a JSON object")
-    n = data.get("n")
-    amps = data.get("amplitudes")
-    if not _is_int(n) or not 1 <= n <= MAX_PARTIES:
-        raise InputError(
-            f"state n must be an integer in 1..{MAX_PARTIES}, got {shown(n)}"
-        )
-    if not isinstance(amps, list) or not amps:
+    n, amps = _n_and_list(data, "amplitudes", "state n")
+    if n > MAX_PARTIES:  # before the 2^n vector is allocated
+        raise InputError(f"state n {shown(n)} exceeds the cap of {MAX_PARTIES} parties")
+    if not amps:
         raise InputError("state amplitudes must be a non-empty list")
     bulk = _bulk_amplitudes(amps, n)
     if bulk is None:
@@ -189,6 +197,17 @@ def _raise_first_bad_record(amps: list, n: int) -> None:
     raise InternalConsistencyError("the bulk state check rejected valid records")
 
 
+def parse_unitaries_file(data, n: int) -> np.ndarray:
+    """The (n, 2, 2) local unitaries of a unitaries file for n parties."""
+    file_n, mats = _n_and_list(data, "unitaries", "unitaries file n")
+    if file_n != n:
+        raise InputError(f"unitaries file n {shown(file_n)} != n {shown(n)}")
+    if len(mats) != n:
+        raise InputError(f"unitaries count {len(mats)} != n {shown(n)}")
+    units = [_unitary(u, f"unitaries[{k}]") for k, u in enumerate(mats)]
+    return np.array(units, dtype=np.complex128)
+
+
 def _unitary(rows, what: str) -> list[list[complex]]:
     """A 2x2 matrix given as two rows of two [re, im] pairs of numbers."""
 
@@ -216,6 +235,8 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
+    except OSError as exc:  # a directory, or a file we may not read
+        raise InputError(f"cannot read {path}: {exc.strerror}")
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise InputError(f"invalid JSON in {path}: {exc}")
     except RecursionError:  # arrays or objects nested past the decoder's depth
@@ -370,23 +391,7 @@ def cmd_construct(args) -> dict:
     n = args.n
     check_dense(n)  # before building n local unitaries
     if args.unitaries is not None:
-        data = _load_json(args.unitaries)
-        if not isinstance(data, dict) or not isinstance(data.get("unitaries"), list):
-            raise InputError("unitaries file must be {n, unitaries: [...]}")
-        file_n = data.get("n", n)
-        if not _is_int(file_n):
-            raise InputError(
-                f"unitaries file n must be an integer, got {shown(file_n)}"
-            )
-        if file_n != n:
-            raise InputError(f"unitaries file n {shown(file_n)} != n {shown(n)}")
-        if len(data["unitaries"]) != n:
-            raise InputError(
-                f"unitaries count {len(data['unitaries'])} != n {shown(n)}"
-            )
-        spec = GHZSpec.from_matrices(
-            [_unitary(u, f"unitaries[{k}]") for k, u in enumerate(data["unitaries"])]
-        )
+        spec = GHZSpec(n, parse_unitaries_file(_load_json(args.unitaries), n))
     else:
         spec = GHZSpec.identity(n)
     pair = stabilizing_pair_for(spec)

@@ -110,13 +110,6 @@ class GHZSpec:
         return cls(n=n, local_unitaries=np.tile(eye, (max(n, 0), 1, 1)))
 
     @classmethod
-    def from_matrices(cls, mats) -> "GHZSpec":
-        mats = [np.asarray(m, dtype=np.complex128) for m in mats]
-        if any(m.shape != (2, 2) for m in mats):
-            raise DomainError("local unitaries must be 2x2")
-        return cls(n=len(mats), local_unitaries=np.array(mats).reshape(-1, 2, 2))
-
-    @classmethod
     def random(cls, n: int, rng) -> "GHZSpec":
         """Haar-random local unitaries via QR of complex Gaussians."""
         mats = []
@@ -125,7 +118,7 @@ class GHZSpec:
             q, r = np.linalg.qr(g)
             q = q * (np.diag(r) / np.abs(np.diag(r)))
             mats.append(q)
-        return cls.from_matrices(mats)
+        return cls(n=n, local_unitaries=np.array(mats))
 
     def to_state(self) -> StateVector:
         ghz = StateVector.ghz(self.n)

@@ -164,36 +164,57 @@ def _one_party(theta, **extra):
 
 def test_schema_violations_exit_2(tmp_path, capsys):
     two_huge = {"theta": {"rad": 1e300}}
+    wrong_form = 'expected a JSON object {"n": ..., "angles": [...]}'
+    integers = "angles[0].theta: pi_num and pi_den must be integers"
+    bounded = "|pi_num| must be at most 4*pi_den"
     bad_inputs = [
-        {"n": 2, "angles": [{"theta": {"rad": 0.0}, "phi": {"rad": 0.0}}]},
-        {"n": "two", "angles": []},
-        {"n": 1, "angles": [{"theta": {"pi_num": 1, "pi_den": 0}, "phi": {"rad": 0}}]},
-        {"n": 1, "angles": [{"phi": {"rad": 0.0}}]},
-        {"n": 1, "angles": [{"theta": {"pi_num": 1.5, "pi_den": 2}}]},
-        _one_party({"rad": math.nan}),
-        _one_party({"rad": math.inf}),
-        _one_party({"rad": 0.5}, tol=math.inf),
-        _one_party({"rad": 0.5}, tol=math.nan),
-        _one_party({"pi_num": True}),
-        _one_party({"pi_num": 1, "pi_den": True}),
-        {"n": True, "angles": [{"theta": {"pi_num": 1}}]},
-        {"n": 2, "angles": [two_huge, two_huge]},
-        _one_party({"rad": 4 * math.pi + 1e-6}),
-        {"n": 1, "angles": [{"theta": {"rad": 0.5}, "phi": {"rad": -13.0}}]},
+        ({"n": 2, "angles": [{"theta": {"rad": 0.0}, "phi": {"rad": 0.0}}]},
+         "angles must be a list of length n=2"),
+        ({"n": "two", "angles": []}, "n must be a positive integer, got 'two'"),
+        ({"n": 1, "angles": [{"theta": {"pi_num": 1, "pi_den": 0}, "phi": {"rad": 0}}]},
+         "angles[0].theta: pi_den must be positive, got 0"),
+        ({"n": 1, "angles": [{"phi": {"rad": 0.0}}]},
+         "angles[0].theta must be an object, got NoneType"),
+        ({"n": 1, "angles": [{"theta": {"pi_num": 1.5, "pi_den": 2}}]}, integers),
+        (_one_party({"rad": math.nan}), "angles[0].theta.rad must be finite, got nan"),
+        (_one_party({"rad": math.inf}), "angles[0].theta.rad must be finite, got inf"),
+        (_one_party({"rad": 0.5}, tol=math.inf), "tol must be finite, got inf"),
+        (_one_party({"rad": 0.5}, tol=math.nan), "tol must be finite, got nan"),
+        (_one_party({"pi_num": True}), integers),
+        (_one_party({"pi_num": 1, "pi_den": True}), integers),
+        ({"n": True, "angles": [{"theta": {"pi_num": 1}}]},
+         "n must be a positive integer, got True"),
+        ({"n": 2, "angles": [two_huge, two_huge]},
+         "angles[0].theta: |rad| must be at most 4*pi, got 1e+300"),
+        (_one_party({"rad": 4 * math.pi + 1e-6}),
+         "angles[0].theta: |rad| must be at most 4*pi, got 12.566371614359172"),
+        ({"n": 1, "angles": [{"theta": {"rad": 0.5}, "phi": {"rad": -13.0}}]},
+         "angles[0].phi: |rad| must be at most 4*pi, got -13.0"),
         # exact angles are bounded like radian ones: |pi_num| <= 4 * pi_den
-        _one_party({"pi_num": 10**20 + 1}),
-        _one_party({"pi_num": 2000000001, "pi_den": 3}),
-        _one_party({"pi_num": 10**400}),
-        _one_party({"pi_num": -9, "pi_den": 2}),
-        {"n": 1, "angles": [{"theta": {"pi_num": 1}, "phi": {"pi_num": 5}}]},
-        # beyond Python's int conversion limit json.load raises ValueError
-        '{"n": 1, "angles": [{"theta": {"pi_num": 1%s}}]}' % ("0" * 5000),
+        (_one_party({"pi_num": 10**20 + 1}), f"angles[0].theta: {bounded}"),
+        (_one_party({"pi_num": 2000000001, "pi_den": 3}),
+         f"angles[0].theta: {bounded}"),
+        (_one_party({"pi_num": 10**400}), f"angles[0].theta: {bounded}"),
+        (_one_party({"pi_num": -9, "pi_den": 2}), f"angles[0].theta: {bounded}"),
+        ({"n": 1, "angles": [{"theta": {"pi_num": 1}, "phi": {"pi_num": 5}}]},
+         f"angles[0].phi: {bounded}"),
+        (_one_party({"deg": 90}), "angles[0].theta needs either pi_num/pi_den or rad"),
+        ({"n": 2, "angles": [{"theta": {"rad": 0.5}}, 3]},
+         "angles[1] must be an object"),
+        # not an object, or an object of another form
+        ([EPR_INPUT], wrong_form),
+        ({"n": 2, "amplitudes": [{"index": 0, "re": 1.0}]}, wrong_form),
+        ({"n": 1, "angles": {"0": {"theta": {"rad": 0.5}}}}, wrong_form),
     ]
+    # beyond Python's int conversion limit json.load raises ValueError
+    too_long = '{"n": 1, "angles": [{"theta": {"pi_num": 1%s}}]}' % ("0" * 5000)
     for command in ("classify", "solve"):
-        for payload in bad_inputs:
+        for payload, message in bad_inputs:
             code, out, err = run_cli([command], tmp_path, capsys, payload)
             assert code == 2, (command, payload)
-            assert err and not out
+            assert err == f"error: {message}\n" and not out, (command, payload)
+        code, out, err = run_cli([command], tmp_path, capsys, too_long)
+        assert code == 2 and err.startswith("error: invalid JSON in ") and not out
         for tol in ("inf", "nan", "0", "-1e-9"):
             code, _, err = run_cli(
                 [command, f"--tol={tol}"], tmp_path, capsys, EPR_INPUT
@@ -240,7 +261,7 @@ def test_out_of_range_integers_are_named_by_size(tmp_path, capsys):
          "float oracle (cut 7.9e-31 < 1e-12)"),
         (["certify", "a", "--state", "s"],
          {"a": epr, "s": '{"n": %s, "amplitudes": []}' % big},
-         "state n must be an integer in 1..24, got an integer of 401 digits"),
+         "state n an integer of 401 digits exceeds the cap of 24 parties"),
         (["certify", "a", "--state", "s", "--shots", big],
          {"a": one % ('{"rad": 0.5}', ""), "s": state},
          "shots must be in 1..2^63-1, got an integer of 401 digits"),
@@ -251,8 +272,8 @@ def test_out_of_range_integers_are_named_by_size(tmp_path, capsys):
          {"u": '{"n": %s, "unitaries": []}' % big},
          "unitaries file n an integer of 401 digits != n 2"),
         (["construct", "--unitaries", "u", "--", "-" + big],
-         {"u": '{"unitaries": [%s, %s]}' % (eye2, eye2)},
-         "unitaries count 2 != n an integer of 401 digits"),
+         {"u": '{"n": 2, "unitaries": [%s, %s]}' % (eye2, eye2)},
+         "unitaries file n 2 != n an integer of 401 digits"),
         (["construct", big], {},
          "an integer of 401 digits parties exceed the dense cap of 12"),
         (["construct", "--", "-" + big], {},
@@ -302,7 +323,7 @@ def test_long_values_are_named_by_size(tmp_path, capsys):
         (["certify", "a", "--state", "s"], {"a": json.dumps(EPR_INPUT), "s": state % long},
          "amplitudes[0].re must be a number, got a string of 3000 characters"),
         (["construct", "2", "--unitaries", "u"], {"u": '{"n": %s, "unitaries": []}' % many},
-         "unitaries file n must be an integer, got a list of 2000 items"),
+         "unitaries file n must be a positive integer, got a list of 2000 items"),
         # up to 64 characters, the repr itself
         (["classify", "a"], {"a": one % ('{"rad": %s}' % json.dumps("x" * 62), "")},
          "angles[0].theta.rad must be a number, got '%s'" % ("x" * 62)),
@@ -385,6 +406,24 @@ def test_over_long_commands_and_extra_arguments_are_named_by_size(capsys):
 
 def test_missing_file_exits_2(capsys):
     assert main(["classify", "/nonexistent/angles.json"]) == 2
+
+
+def test_unreadable_paths_exit_2(tmp_path, capsys):
+    # each file argument: a directory, or a missing path, exits 2 with one line
+    angles = tmp_path / "angles.json"
+    angles.write_text(json.dumps(EPR_INPUT))
+    missing = tmp_path / "missing.json"
+    for path, message in ((tmp_path, "cannot read %s: Is a directory"),
+                          (missing, "no such file: %s")):
+        for argv in (
+            ["classify", str(path)],
+            ["certify", str(angles), "--state", str(path)],
+            ["construct", "2", "--unitaries", str(path)],
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message % path}\n", argv
+            assert not captured.out
 
 
 def test_internal_consistency_exits_3(tmp_path, capsys, monkeypatch):
@@ -880,12 +919,17 @@ def test_construct_checks_the_unitaries_count_first(tmp_path, capsys):
     eye2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
     for n, data, message in (
         ("2", {"n": 2, "unitaries": [eye2]}, "unitaries count 1 != n 2"),
-        ("2", {"unitaries": [eye2]}, "unitaries count 1 != n 2"),
+        # every file form gives its "n"
+        ("2", {"unitaries": [eye2]},
+         "unitaries file n must be a positive integer, got None"),
         ("3", {"n": 5, "unitaries": [eye2] * 3}, "unitaries file n 5 != n 3"),
         ("2", {"n": 5, "unitaries": [eye2] * 3}, "unitaries file n 5 != n 2"),
         # True == 1, so a bool n matched construct 1
         ("1", {"n": True, "unitaries": [eye2]},
-         "unitaries file n must be an integer, got True"),
+         "unitaries file n must be a positive integer, got True"),
+        # not an object, or an object of another form
+        ("2", [eye2, eye2], 'expected a JSON object {"n": ..., "unitaries": [...]}'),
+        ("2", EPR_INPUT, 'expected a JSON object {"n": ..., "unitaries": [...]}'),
     ):
         upath = tmp_path / "unitaries.json"
         upath.write_text(json.dumps(data))
@@ -919,14 +963,17 @@ def test_construct_unitaries_errors_are_exact(tmp_path, capsys):
          "unitaries[0] must be a 2x2 matrix of [re, im] pairs"),
         ("[[[1, 0, 5], [0, 0]], [[0, 0], [1, 0]]]",
          "unitaries[0] must be a 2x2 matrix of [re, im] pairs"),
+        # every entry of modulus at most 1, but not unitary
+        ("[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]",
+         "matrix is not unitary (defect 1.000e+00)"),
     )
     rows = [("2", first, message) for first, message in bad_entries] + [
         # the file's n is an integer, as a state file's is: 2.0 was accepted
-        ("2.0", eye2, "unitaries file n must be an integer, got 2.0"),
-        ("true", eye2, "unitaries file n must be an integer, got True"),
+        ("2.0", eye2, "unitaries file n must be a positive integer, got 2.0"),
+        ("true", eye2, "unitaries file n must be a positive integer, got True"),
         # not worded as an inequality, as if the values differed
-        ('"2"', eye2, "unitaries file n must be an integer, got '2'"),
-        ("null", eye2, "unitaries file n must be an integer, got None"),
+        ('"2"', eye2, "unitaries file n must be a positive integer, got '2'"),
+        ("null", eye2, "unitaries file n must be a positive integer, got None"),
     ]
     for n, first, message in rows:
         upath = tmp_path / "unitaries.json"
@@ -1128,6 +1175,15 @@ BAD_STATE_FILES = (
     ('{"n": 2, "amplitudes": [{"index": 1, "re": 1.0}, '
      '{"index": 2, "re": true, "im": NaN}, {"index": 9}, {"index": 1}]}',
      "amplitudes[1].re must be a number, got True"),
+    ('{"n": 2, "amplitudes": []}', "state amplitudes must be a non-empty list"),
+    ('{"n": 0, "amplitudes": [{"index": 0, "re": 1.0}]}',
+     "state n must be a positive integer, got 0"),
+    ('{"n": 2.0, "amplitudes": [{"index": 0, "re": 1.0}]}',
+     "state n must be a positive integer, got 2.0"),
+    # not an object, or an object of another form
+    ('[{"index": 0, "re": 1.0}]',
+     'expected a JSON object {"n": ..., "amplitudes": [...]}'),
+    (json.dumps(EPR_INPUT), 'expected a JSON object {"n": ..., "amplitudes": [...]}'),
 )
 
 
@@ -1153,7 +1209,7 @@ def test_certify_rejects_bad_amplitudes(tmp_path, capsys):
          "amplitudes[0].im must be a number, got 'nan'"),
         # above the party cap: rejected before 2^n amplitudes are allocated
         ('{"n": 64, "amplitudes": [{"index": 0, "re": 1.0}]}',
-         "state n must be an integer in 1..24, got 64"),
+         "state n 64 exceeds the cap of 24 parties"),
     ))
 
 

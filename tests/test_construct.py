@@ -174,7 +174,7 @@ def test_local_phase_basis_unitary():
 
 def test_ghz_spec_validation():
     with pytest.raises(DomainError):
-        GHZSpec.from_matrices([np.eye(2), 2 * np.eye(2)])
+        GHZSpec(2, np.array([np.eye(2), 2 * np.eye(2)], dtype=complex))
     spec = GHZSpec.identity(3)
     assert np.allclose(
         spec.to_state().amplitudes, StateVector.ghz(3).amplitudes
@@ -185,7 +185,7 @@ def test_ghz_spec_rejects_non_finite_entries():
     # a NaN entry makes the unitarity defect NaN, which no bound rejects
     for value in (np.nan, np.inf, -np.inf):
         with pytest.raises(DomainError, match="not unitary"):
-            GHZSpec.from_matrices([[[value, 0], [0, 1]], np.eye(2)])
+            GHZSpec(2, np.array([[[value, 0], [0, 1]], np.eye(2)], dtype=complex))
 
 
 def test_ghz_spec_marginals(rng):
@@ -209,7 +209,7 @@ def test_stabilizing_pair_identity_spec():
 
 def test_stabilizing_pair_hadamard_spec():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    pair = stabilizing_pair_for(GHZSpec.from_matrices([h, h, h]))
+    pair = stabilizing_pair_for(GHZSpec(3, np.array([h, h, h])))
     s0 = even_indices(3)
     expected = np.zeros(8, dtype=complex)
     expected[s0] = 0.5
