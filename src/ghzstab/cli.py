@@ -2,7 +2,8 @@
 
 Inputs and outputs are JSON. An input file is an object with a positive
 integer "n" and one list, whose key names the file's form. An angle file
-(every command's input) has "angles", one direction per party:
+(the input of every command but construct, judged by its own "tol" and
+"mode") has "angles", one direction per party:
 
     {"n": 2,
      "angles": [{"theta": {"pi_num": 1, "pi_den": 2}, "phi": {"rad": 0.0}},
@@ -44,6 +45,7 @@ from .linalg import (
     subspace_distance,
 )
 from .solve import (
+    PURITY_ENV_DIM,
     character_sum_check,
     purity_security_check,
     sector_dimensions,
@@ -77,13 +79,6 @@ def _finite(value, what: str) -> float:
     return out
 
 
-def _tol(value) -> float:
-    tol = _finite(value, "tol")
-    if tol <= 0:
-        raise InputError(f"tol must be positive, got {shown(value)}")
-    return tol
-
-
 def _parse_angle(obj, what: str) -> Angle:
     if not isinstance(obj, dict):
         raise InputError(f"{what} must be an object, got {type(obj).__name__}")
@@ -115,7 +110,8 @@ def _n_and_list(data, key: str, n_name: str) -> tuple[int, list]:
     return n, data[key]
 
 
-def parse_angle_file(data) -> tuple[DirectionList, float, str | None]:
+def parse_angle_file(data) -> tuple[DirectionList, float]:
+    """The angle file's directions in its "mode", and its "tol"."""
     n, angles = _n_and_list(data, "angles", "n")
     if len(angles) != n:
         raise InputError(f"angles must be a list of length n={shown(n)}")
@@ -125,11 +121,11 @@ def parse_angle_file(data) -> tuple[DirectionList, float, str | None]:
             raise InputError(f"angles[{k}] must be an object")
         thetas.append(_parse_angle(rec.get("theta"), f"angles[{k}].theta"))
         phis.append(_parse_angle(rec.get("phi", {"rad": 0.0}), f"angles[{k}].phi"))
-    tol = _tol(data.get("tol", DEFAULT_TOL))
-    mode = data.get("mode")
-    if mode not in (None, "exact", "approx"):
-        raise InputError(f"mode must be exact or approx, got {shown(mode)}")
-    return DirectionList.of(thetas, phis), tol, mode
+    raw = data.get("tol", DEFAULT_TOL)
+    tol = _finite(raw, "tol")
+    if tol <= 0:
+        raise InputError(f"tol must be positive, got {shown(raw)}")
+    return DirectionList.of(thetas, phis).in_mode(data.get("mode")), tol
 
 
 def parse_state_file(data) -> StateVector:
@@ -362,22 +358,13 @@ def _emit(obj: dict, pretty: bool) -> None:
     sys.stdout.writelines(_pieces(obj))
 
 
-def _angle_args(args) -> tuple[DirectionList, float]:
-    """The angle file's directions in its mode, and its tol; --tol and
-    --mode win."""
-    d, tol, mode = parse_angle_file(_load_json(args.input))
-    if args.tol is not None:
-        tol = _tol(args.tol)
-    return d.in_mode(getattr(args, "mode", None) or mode), tol
-
-
 def cmd_classify(args) -> dict:
-    d, tol = _angle_args(args)
+    d, tol = parse_angle_file(_load_json(args.input))
     return classification_fields(classify(d, tol))
 
 
 def cmd_solve(args) -> dict:
-    d, tol = _angle_args(args)
+    d, tol = parse_angle_file(_load_json(args.input))
     report = solve_common_eigenspace(d, tol)
     out = classification_fields(report.classification)
     out["dimension"] = report.dimension
@@ -412,7 +399,7 @@ def cmd_construct(args) -> dict:
 def cmd_certify(args) -> dict:
     if args.input == args.state == "-":
         raise InputError("only one of the angle file and --state can be '-' (stdin)")
-    d, _, _ = parse_angle_file(_load_json(args.input))
+    d, _ = parse_angle_file(_load_json(args.input))
     state = parse_state_file(_load_json(args.state))
     cfg = CertificationConfig(
         shots=args.shots,
@@ -442,14 +429,9 @@ def cmd_certify(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    d, tol = _angle_args(args)
-    for flag, value, low in (
-        ("--trials", args.trials, 1),
-        ("--env-dim", args.env_dim, 1),
-        ("--seed", args.seed, 0),
-    ):
-        if value < low:
-            raise InputError(f"{flag} must be >= {low}, got {shown(value)}")
+    d, tol = parse_angle_file(_load_json(args.input))
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {shown(args.seed)}")
     # exact lists are decided without tol, and their oracle cuts at the gap
     if not d.all_exact:
         bound = signed_sum_error(d.theta_radians())
@@ -459,11 +441,8 @@ def cmd_verify(args) -> dict:
                 "the float error of this list's signed sums"
             )
     report = solve_common_eigenspace(d, tol)
-    # first after the solver: an oversized purification or trial count exits
-    # 2 before the oracle runs
     purity = purity_security_check(
-        report, env_dim=max(args.env_dim, report.dimension),
-        trials=args.trials, seed=args.seed,
+        report, env_dim=max(PURITY_ENV_DIM, report.dimension), seed=args.seed
     )
     bases = sector_oracle_bases(d, tol)
     # the (+,+) entries are the solver's and the oracle's dimensions
@@ -535,14 +514,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_mode=True):
+    def common(p):
         p.add_argument(
             "input", nargs="?", default="-",
             help="angle JSON file ('-' for stdin, the default)",
         )
-        p.add_argument("--tol", type=float, default=None)
-        if with_mode:
-            p.add_argument("--mode", choices=("exact", "approx"), default=None)
         p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("classify", help="classify the direction list")
@@ -565,21 +541,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("certify", help="simulate the two-setting certification")
-    p.add_argument("input", nargs="?", default="-")
+    common(p)
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--shots", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=0.999)
     p.add_argument("--a-fraction", type=float, default=0.5)
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser(
         "verify", help="cross-check solver, oracle, identities, and purity"
     )
-    common(p, with_mode=False)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--env-dim", type=int, default=8)
+    common(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
     return ap

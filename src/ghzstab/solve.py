@@ -38,6 +38,10 @@ from .observables import (
 RESIDUAL_LIMIT = 1e-8
 SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 CHARACTER_SAMPLES = 100
+# the purification audit's environment dimension (raised to the projector's
+# when that is larger) and its number of draws
+PURITY_ENV_DIM = 8
+PURITY_TRIALS = 20
 # one purification draw (dim * env_dim coefficients, 128 MiB when complex)
 # and the number of trials are each at most 2^23
 PURITY_CAP_BITS = 23
@@ -189,8 +193,8 @@ class PurityReport:
 
 def purity_security_check(
     report: StabilizerReport,
-    env_dim: int = 8,
-    trials: int = 50,
+    env_dim: int = PURITY_ENV_DIM,
+    trials: int = PURITY_TRIALS,
     seed: int = 0,
 ) -> PurityReport:
     """Sample random joint states in range(P x I_env) for the common +1
@@ -201,14 +205,15 @@ def purity_security_check(
     (zero entropy) whose reduced system state is the unique stabilized
     state; degenerate projectors admit entangled purifications.
 
-    Each draw is a standard complex Gaussian c of shape (dim, env_dim),
-    normalized: the coefficients in the solver's basis B of a Gaussian
-    (2^n, env_dim) draw projected onto range(P), which has that law when B
-    is an isometry (checked first, to 1e-12). B c then has c's norm,
-    singular values and overlaps. dim * env_dim and trials are each capped
-    at 2^PURITY_CAP_BITS. The trials are drawn in consecutive batches of at
-    most 2^PURITY_BATCH_BITS coefficients (or one draw), each read by one
-    stacked SVD.
+    Each draw is a standard complex Gaussian c of shape (dim, env_dim): the
+    coefficients in the solver's basis B of a Gaussian (2^n, env_dim) draw
+    projected onto range(P), which has that law when B is an isometry
+    (checked first, to 1e-12). B c then has c's norm, singular values and
+    overlaps; the state is B c / |c|, whose Schmidt weights are c's squared
+    singular values divided by their sum. dim * env_dim and trials are each
+    capped at 2^PURITY_CAP_BITS. The trials are drawn in consecutive batches
+    of at most 2^PURITY_BATCH_BITS coefficients (or one draw), each read by
+    one stacked SVD.
 
     Stabilization takes no check here. No unit state of range(P) misses A
     by more than the spectral norm of (A - I) B, which is at most its
@@ -251,13 +256,12 @@ def purity_security_check(
         # order, so the batches continue one stream of one real and one
         # imaginary draw per trial
         g = rng.normal(size=(min(per_batch, trials - start), 2, dim_p, env_dim))
-        c = g[:, 0] + 1j * g[:, 1]
-        c /= np.linalg.norm(c, axis=(1, 2), keepdims=True)
-        probs = np.linalg.svd(c, compute_uv=False) ** 2
-        # rounding can lift a squared singular value of a unit c just above 1
-        probs = np.minimum(probs, 1.0)
-        # with dim 1, B c's overlap with the unique state is |c|^2, c's one
-        # squared singular value
+        probs = np.linalg.svd(g[:, 0] + 1j * g[:, 1], compute_uv=False) ** 2
+        # divided by their sum, so a draw with one weight (x / x) has weight
+        # exactly 1.0: entropy 0.0 and, for a unique state, fidelity 1.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        # with dim 1, B c / |c|'s overlap with the unique state is its one
+        # Schmidt weight
         min_fidelity = min(min_fidelity, float(probs[:, 0].min()))
         # entropy in bits across the system:environment cut, one per draw
         probs = np.where(probs > 1e-15, probs, 1.0)

@@ -260,6 +260,10 @@ def test_each_setting_is_built_once_per_run(monkeypatch):
 
 
 def test_ensemble_validation():
+    with pytest.raises(DomainError, match="at least one state"):
+        Ensemble(states=(), weights=())
+    with pytest.raises(ShapeError, match="differ in length"):
+        Ensemble(states=(EPR,), weights=(0.5, 0.5))
     with pytest.raises(DomainError):
         Ensemble(states=(EPR,), weights=(0.5,))
     with pytest.raises(DomainError):

@@ -180,6 +180,8 @@ def test_schema_violations_exit_2(tmp_path, capsys):
         (_one_party({"rad": math.inf}), "angles[0].theta.rad must be finite, got inf"),
         (_one_party({"rad": 0.5}, tol=math.inf), "tol must be finite, got inf"),
         (_one_party({"rad": 0.5}, tol=math.nan), "tol must be finite, got nan"),
+        (_one_party({"rad": 0.5}, tol=0), "tol must be positive, got 0"),
+        (_one_party({"rad": 0.5}, tol=-1e-9), "tol must be positive, got -1e-09"),
         (_one_party({"pi_num": True}), integers),
         (_one_party({"pi_num": 1, "pi_den": True}), integers),
         ({"n": True, "angles": [{"theta": {"pi_num": 1}}]},
@@ -208,19 +210,13 @@ def test_schema_violations_exit_2(tmp_path, capsys):
     ]
     # beyond Python's int conversion limit json.load raises ValueError
     too_long = '{"n": 1, "angles": [{"theta": {"pi_num": 1%s}}]}' % ("0" * 5000)
-    for command in ("classify", "solve"):
+    for command in ("classify", "solve", "verify"):
         for payload, message in bad_inputs:
             code, out, err = run_cli([command], tmp_path, capsys, payload)
             assert code == 2, (command, payload)
             assert err == f"error: {message}\n" and not out, (command, payload)
         code, out, err = run_cli([command], tmp_path, capsys, too_long)
         assert code == 2 and err.startswith("error: invalid JSON in ") and not out
-        for tol in ("inf", "nan", "0", "-1e-9"):
-            code, _, err = run_cli(
-                [command, f"--tol={tol}"], tmp_path, capsys, EPR_INPUT
-            )
-            assert code == 2, (command, tol)
-            assert err
 
 
 def test_overflowing_integers_are_named_by_size(tmp_path, capsys):
@@ -239,9 +235,8 @@ def test_overflowing_integers_are_named_by_size(tmp_path, capsys):
 
 
 def test_out_of_range_integers_are_named_by_size(tmp_path, capsys):
-    # an integer past 64 bits is named by its size in every one-line error,
-    # also past the 4300 digits that str() converts
-    big, huge = "1" + "0" * 400, "1" + "0" * 4200
+    # an integer past 64 bits is named by its size in every one-line error
+    big = "1" + "0" * 400
     epr = json.dumps(EPR_INPUT)
     one = '{"n": 1, "angles": [{"theta": %s}]%s}'
     state = '{"n": 1, "amplitudes": [{"index": 0, "re": 1}]}'
@@ -280,11 +275,6 @@ def test_out_of_range_integers_are_named_by_size(tmp_path, capsys):
          "need at least 2 parties, got an integer of 401 digits"),
         (["verify", "a", "--seed=-" + big], {"a": epr},
          "--seed must be >= 0, got an integer of 401 digits"),
-        (["verify", "a", "--trials", big], {"a": epr},
-         "trials an integer of 401 digits exceeds 2^23"),
-        (["verify", "a", "--trials", huge, "--env-dim", huge], {"a": epr},
-         "one purification of dim 1 * env_dim an integer of 4201 digits = an "
-         "integer of 4201 digits coefficients exceeds 2^23"),
     ):
         for name, text in files.items():
             (tmp_path / name).write_text(text)
@@ -357,16 +347,10 @@ def test_over_long_arguments_are_named_by_size(capsys):
     long = "x" * 3000
     for argv, value in (
         (["construct", V], "1" + "0" * 5000),
-        (["classify", "--mode", V], long),
-        (["solve", "--mode", V], long),
-        (["classify", "--tol", V], long),
         (["certify", "--state", "s", "--shots", V], long),
         (["certify", "--state", "s", "--seed", V], long),
         (["certify", "--state", "s", "--threshold", V], long),
         (["certify", "--state", "s", "--a-fraction", V], long),
-        (["verify", "--tol", V], long),
-        (["verify", "--trials", V], "9" * 4400),
-        (["verify", "--env-dim", V], long),
         (["verify", "--seed", V], long),
     ):
         errs = []
@@ -390,7 +374,7 @@ def test_over_long_commands_and_extra_arguments_are_named_by_size(capsys):
         ([V], "x", "'x'", long),
         (["classify", V], "--x", "--x", "--" + long),
         (["solve", "angles.json", V], "--x", "--x", long),
-        (["verify", "--trials", "2", V], "--x", "--x", "-" + long),
+        (["verify", "--seed", "2", V], "--x", "--x", "-" + long),
     ):
         errs = []
         for arg in (short, value):
@@ -402,6 +386,18 @@ def test_over_long_commands_and_extra_arguments_are_named_by_size(capsys):
         assert errs[0].count(printed) == 1, errs[0]
         named = f"a string of {len(value)} characters"
         assert errs[1] == errs[0].replace(printed, named), argv
+    # tol and mode come from the angle file alone, and verify's purity audit
+    # has fixed sizes: their old options are extra arguments
+    for command, flag in (
+        ("classify", "--tol"), ("classify", "--mode"),
+        ("solve", "--tol"), ("solve", "--mode"),
+        ("verify", "--tol"), ("verify", "--trials"), ("verify", "--env-dim"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"{flag}=1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and not captured.out
+        assert captured.err.endswith(f"error: unrecognized arguments: {flag}=1\n")
 
 
 def test_missing_file_exits_2(capsys):
@@ -453,9 +449,7 @@ def test_verify_exits_3_when_sector_oracle_disagrees(tmp_path, capsys, monkeypat
             return tuple(bases)
 
         monkeypatch.setattr("ghzstab.cli.sector_oracle_bases", one_column_dropped)
-        code, out, err = run_cli(
-            ["verify", "--trials", "2", "--env-dim", "4"], tmp_path, capsys, EPR_INPUT
-        )
+        code, out, err = run_cli(["verify"], tmp_path, capsys, EPR_INPUT)
         assert code == 3
         assert not out
         dims = [1, 1, 1, 1]
@@ -483,9 +477,7 @@ def test_verify_runs_the_oracle_once(tmp_path, capsys, monkeypatch):
             module, "brute_force_eigenspace", None
         ) is oracle:
             monkeypatch.setattr(module, "brute_force_eigenspace", counted)
-    code, _, err = run_cli(
-        ["verify", "--trials", "2", "--env-dim", "4"], tmp_path, capsys, EPR_INPUT
-    )
+    code, _, err = run_cli(["verify"], tmp_path, capsys, EPR_INPUT)
     assert code == 0, err
     assert len(calls) == 1
 
@@ -506,80 +498,36 @@ def test_verify_solves_once(tmp_path, capsys, monkeypatch):
             module, "solve_common_eigenspace", None
         ) is solver:
             monkeypatch.setattr(module, "solve_common_eigenspace", counted)
-    code, _, err = run_cli(
-        ["verify", "--trials", "2", "--env-dim", "4"], tmp_path, capsys, EPR_INPUT
-    )
+    code, _, err = run_cli(["verify"], tmp_path, capsys, EPR_INPUT)
     assert code == 0, err
     assert len(calls) == 1
 
 
-def test_verify_bounds_the_purity_block(tmp_path, capsys, monkeypatch):
-    # one purification's dim * env_dim coefficients and the trials are each
-    # capped at 2^23; past either, verify exits 2 and names it, before any
-    # draw is allocated and before the oracle runs
-    def refuse(*args, **kwargs):
-        raise AssertionError("oracle called")
-
-    monkeypatch.setattr("ghzstab.cli.sector_oracle_bases", refuse)
-    for flags, message in (
-        (["--env-dim", "1000000000"], "one purification of dim 1 * env_dim "
-         "1000000000 = 1000000000 coefficients exceeds 2^23"),
-        (["--env-dim", "8388609"], "one purification of dim 1 * env_dim "
-         "8388609 = 8388609 coefficients exceeds 2^23"),
-        (["--trials", "1000000000"], "trials 1000000000 exceeds 2^23"),
-        (["--trials", "8388609"], "trials 8388609 exceeds 2^23"),
-    ):
-        code, out, err = run_cli(["verify", *flags], tmp_path, capsys, EPR_INPUT)
-        assert code == 2, err
-        assert not out
-        assert err == f"error: {message}\n"
-
-
-def test_verify_bounds_only_what_it_draws(tmp_path, capsys):
+def test_verify_bounds_only_what_it_draws():
     # canonical_angles(6) has one common eigenstate, so 32769 trials draw
     # 32769 * 1 * 8 coefficients, far below the cap: the bound counts what
     # is drawn, not 2^n amplitudes per trial (2^6 * 8 * 32769 > 2^24)
-    from ghzstab.cli import angle_schema
     from ghzstab.construct import canonical_angles
+    from ghzstab.solve import purity_security_check, solve_common_eigenspace
 
-    code, out, err = run_cli(
-        ["verify", "--trials", "32769"], tmp_path, capsys,
-        angle_schema(canonical_angles(6)),
-    )
-    assert code == 0, err
-    assert parse(out)["purity"]["projector_dim"] == 1
+    solved = solve_common_eigenspace(canonical_angles(6))
+    assert solved.dimension == 1
+    report = purity_security_check(solved, trials=32769)
+    assert len(report.entropies) == 32769
 
 
 def test_verify_draws_a_large_eigenspace_in_batches(tmp_path, capsys):
-    # all ten thetas 0: d = 512, so env_dim = 512 and 33 trials hold
-    # 33 * 512 * 512 coefficients, above 2^23; each draw, 2^18 coefficients,
-    # is under the cap, and they are read four at a time
+    # all ten thetas 0: d = 512, so env_dim = 512 and the 20 trials hold
+    # 20 * 512 * 512 coefficients, five batches of 2^20; each draw, 2^18
+    # coefficients, is read four at a time
     code, out, err = run_cli(
-        ["verify", "--trials", "33"], tmp_path, capsys,
+        ["verify"], tmp_path, capsys,
         {"n": 10, "angles": [{"theta": {"rad": 0.0}, "phi": {"rad": 0.0}}] * 10},
     )
     assert code == 0, err
     doc = parse(out)
     assert doc["solver_dimension"] == doc["oracle_dimension"] == 512
     assert doc["purity"]["projector_dim"] == 512
-
-
-def test_verify_rejects_trials_and_env_dim_below_one(tmp_path, capsys):
-    # on a list with no common eigenstate the purity audit draws nothing, so
-    # these exited 0 there; max(env_dim, dimension) hid a bad --env-dim on both
-    no_eigenstate = _radians_input(0.3, 1.1)
-    for payload in (EPR_INPUT, no_eigenstate):
-        for flag in ("--trials", "--env-dim"):
-            for value in ("-3", "0"):
-                code, out, err = run_cli(
-                    ["verify", flag, value], tmp_path, capsys, payload
-                )
-                assert code == 2, (payload, flag, value)
-                assert not out and f"{flag} must be >= 1, got {value}" in err
-        code, out, err = run_cli(
-            ["verify", "--trials", "1", "--env-dim", "1"], tmp_path, capsys, payload
-        )
-        assert code == 0, err
 
 
 def test_verify_builds_no_dense_operator(tmp_path, capsys, monkeypatch):
@@ -598,9 +546,7 @@ def test_verify_builds_no_dense_operator(tmp_path, capsys, monkeypatch):
             monkeypatch.setattr(module, "kron_all", refuse)
     d = canonical_angles(8)
     assert [b.shape[1] for b in sector_oracle_bases(d)] == [1, 0, 0, 1]
-    code, out, err = run_cli(
-        ["verify", "--trials", "3"], tmp_path, capsys, angle_schema(d)
-    )
+    code, out, err = run_cli(["verify"], tmp_path, capsys, angle_schema(d))
     assert code == 0, err
     assert parse(out)["oracle_dimension"] == 1
 
@@ -674,9 +620,7 @@ def test_verify_oracle_counts_exact_lists_by_the_exact_rule(tmp_path, capsys):
         (_exact_input((1, 10**10), (0,)), 0),
         (pi_thirds, 0),
     ):
-        code, out, err = run_cli(
-            ["verify", "--trials", "2", "--env-dim", "4"], tmp_path, capsys, payload
-        )
+        code, out, err = run_cli(["verify"], tmp_path, capsys, payload)
         assert code == 0, (payload, err)
         doc = parse(out)
         assert doc["solver_dimension"] == doc["oracle_dimension"] == dim
@@ -726,9 +670,7 @@ def test_user_tol_admits_near_resonant_states(tmp_path, capsys):
     validate_solve_schema(doc)
     assert doc["dimension"] == 2
     assert doc["m_set"] == ["00", "01"]
-    code, out, _ = run_cli(
-        ["verify", "--trials", "3", "--env-dim", "4"], tmp_path, capsys, payload
-    )
+    code, out, _ = run_cli(["verify"], tmp_path, capsys, payload)
     assert code == 0
     doc = parse(out)
     assert doc["solver_dimension"] == doc["oracle_dimension"] == 2
@@ -747,17 +689,18 @@ def test_verify_honours_the_file_mode(tmp_path, capsys):
     code, out, err = run_cli(["solve"], tmp_path, capsys, approx)
     assert code == 0, err
     assert parse(out)["case"] == "Degenerate" and parse(out)["dimension"] == 2
-    code, out, err = run_cli(
-        ["verify", "--trials", "3", "--env-dim", "4"], tmp_path, capsys, approx
-    )
+    code, out, err = run_cli(["verify"], tmp_path, capsys, approx)
     assert code == 0, err
     doc = parse(out)
     assert doc["case"] == "Degenerate"
     assert doc["solver_dimension"] == doc["oracle_dimension"] == 2
     # exact mode with radian thetas is rejected by every angle command
     exact = _radians_input(0.3, 0.3, mode="exact")
-    for command in ("classify", "solve", "verify"):
-        code, out, err = run_cli([command], tmp_path, capsys, exact)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"n": 2, "amplitudes": [{"index": 0, "re": 1.0}]}))
+    for command in (["classify"], ["solve"], ["verify"],
+                    ["certify", "--state", str(state)]):
+        code, out, err = run_cli(command, tmp_path, capsys, exact)
         assert code == 2, command
         assert "exact mode" in err and not out
 
@@ -774,9 +717,7 @@ def test_verify_oracle_counts_with_classify_rule(tmp_path, capsys):
         (_radians_input(math.pi, math.pi + 2.4e-9), 0),
         (_radians_input(0.3, 1.1, 2.0, tol=0.5), 1),
     ):
-        code, out, err = run_cli(
-            ["verify", "--trials", "3", "--env-dim", "4"], tmp_path, capsys, payload
-        )
+        code, out, err = run_cli(["verify"], tmp_path, capsys, payload)
         assert code == 0, err
         doc = parse(out)
         assert doc["solver_dimension"] == doc["oracle_dimension"] == dim
@@ -792,7 +733,7 @@ def test_verify_accepts_tol_of_one_and_above(tmp_path, capsys):
     ]
     for tol in (1.0, 5.0):
         code, out, err = run_cli(
-            ["verify", "--trials", "2", "--env-dim", "4"], tmp_path, capsys,
+            ["verify"], tmp_path, capsys,
             {"n": 2, "angles": angles, "tol": tol},
         )
         assert code == 0, (tol, err)
@@ -818,20 +759,20 @@ def test_verify_refuses_a_tol_below_float_resolution(tmp_path, capsys):
     # sector dims [0, 2, 2, 0] at 1e-16
     for tol in (1e-300, 1e-20, 1e-16):
         code, out, err = run_cli(
-            ["verify", "--trials", "2"], tmp_path, capsys,
+            ["verify"], tmp_path, capsys,
             dict(TINY_TOL_INPUT, tol=tol),
         )
         assert code == 2, (tol, err)
         assert not out
         assert err == f"error: tol {tol!r} is below 1.7e-13, {BOUND_MESSAGE}\n"
     code, out, err = run_cli(
-        ["verify", "--trials", "2"], tmp_path, capsys, dict(TINY_TOL_INPUT, tol=1e-12)
+        ["verify"], tmp_path, capsys, dict(TINY_TOL_INPUT, tol=1e-12)
     )
     assert code == 0, err
     assert parse(out)["sector_dims"] == [0, 2, 2, 0]
     # an exact list is decided without tol, so no tol is too small for it
     code, out, err = run_cli(
-        ["verify", "--trials", "2"], tmp_path, capsys,
+        ["verify"], tmp_path, capsys,
         _exact_input((0,), (1,), tol=1e-300),
     )
     assert code == 0, err
@@ -863,7 +804,7 @@ def test_verify_never_exits_3_on_edge_radian_lists(payload):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(json.dumps(payload))), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["verify", "--trials", "2"])
+        code = main(["verify"])
     assert code in (0, 2), (payload, err.getvalue())
     if code == 2:
         assert not out.getvalue()
@@ -895,7 +836,7 @@ def test_construct_pair_angles_reproduce_observables(tmp_path, capsys):
     doc = parse(out)
     pair = stabilizing_pair_for(GHZSpec.identity(3))
     for key, obs in (("a", pair.a), ("b", pair.b)):
-        d, _, _ = parse_angle_file(doc["pair"][key])
+        d, _ = parse_angle_file(doc["pair"][key])
         rebuilt = product_observable(d)
         assert np.max(np.abs(kron_all(rebuilt.mats) - kron_all(obs.mats))) <= 1e-9
 
@@ -1416,9 +1357,7 @@ def test_certify_prints_strict_json(tmp_path, capsys):
 
 
 def test_verify_epr(tmp_path, capsys):
-    code, out, _ = run_cli(
-        ["verify", "--trials", "5", "--env-dim", "4"], tmp_path, capsys, EPR_INPUT
-    )
+    code, out, _ = run_cli(["verify"], tmp_path, capsys, EPR_INPUT)
     assert code == 0
     doc = parse(out)
     assert doc["solver_dimension"] == doc["oracle_dimension"] == 1
@@ -1430,14 +1369,14 @@ def test_verify_epr(tmp_path, capsys):
 
 
 def test_verify_reports_a_unique_state_entropy_as_zero(tmp_path, capsys):
-    # every purification of a one-dimensional projector is a product state;
-    # a draw whose one squared singular value rounds to exactly 1 has entropy
-    # -sum p log2 p = -0.0, which this one draw printed
-    code, out, _ = run_cli(
-        ["verify", "--trials", "1", "--env-dim", "1"], tmp_path, capsys, EPR_INPUT
-    )
+    # every purification of a one-dimensional projector is a product state:
+    # each draw's one Schmidt weight is exactly 1, so its entropy is 0.0 (not
+    # -0.0, nor the 6.4e-16 that a weight of 1 - 4.4e-16 gave) and its
+    # fidelity 1.0
+    code, out, _ = run_cli(["verify"], tmp_path, capsys, EPR_INPUT)
     assert code == 0
     assert '"max_entropy": 0.0,' in out and "-0.0" not in out
+    assert parse(out)["purity"]["reduced_state_fidelity"] == 1.0
 
 
 def test_pretty_flag(tmp_path, capsys):
@@ -1465,7 +1404,7 @@ def test_pretty_output_is_the_compact_output_indented(tmp_path, capsys):
     docs = {}
     for args in (["solve", str(degenerate)], ["classify", str(degenerate)],
                  ["construct", "5"], ["certify", str(epr), "--state", str(state)],
-                 ["verify", str(degenerate), "--trials", "2"]):
+                 ["verify", str(degenerate)]):
         outs = []
         for extra in ([], ["--pretty"]):
             assert main(args + extra) == 0, args

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from ghzstab.construct import (
     ghz_states,
     pattern_phases,
 )
-from ghzstab.errors import DomainError, PreconditionError
+from ghzstab.errors import DomainError, InternalConsistencyError, PreconditionError
 from ghzstab.linalg import apply_locals, kron_all, subspace_distance
 from reference import fidelity
 
@@ -173,8 +174,14 @@ def test_local_phase_basis_unitary():
 
 
 def test_ghz_spec_validation():
-    with pytest.raises(DomainError):
-        GHZSpec(2, np.array([np.eye(2), 2 * np.eye(2)], dtype=complex))
+    for n, units, message in (
+        (2, np.array([np.eye(2), 2 * np.eye(2)], dtype=complex), "not unitary"),
+        (3, np.array([np.eye(2)] * 2, dtype=complex),
+         "expected 3 local unitaries, got 2"),
+        (2, np.zeros((2, 3, 3), dtype=complex), "local unitaries must be 2x2"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            GHZSpec(n, units)
     spec = GHZSpec.identity(3)
     assert np.allclose(
         spec.to_state().amplitudes, StateVector.ghz(3).amplitudes
@@ -215,6 +222,24 @@ def test_stabilizing_pair_hadamard_spec():
     expected[s0] = 0.5
     assert abs(np.vdot(expected, pair.target.amplitudes)) >= 1 - 1e-12
     assert brute_force_eigenspace(pair.a, pair.b)[0].shape == (8, 1)
+
+
+def test_stabilizing_pair_checks_its_recipe(monkeypatch):
+    # a recipe that leaves more than the zero pattern vanishing, or frames
+    # that miss the target, are internal faults (exit 3), not a pair
+    import ghzstab.construct as construct
+
+    phases = construct.pattern_phases
+    for name, broken, message in (
+        ("canonical_angles", lambda n: rationals(*[(0, 1)] * n),
+         "canonical angles for n=3 vanish on patterns [0, 1, 2, 3] (4 in all)"),
+        ("pattern_phases", lambda d, bits: 1j * phases(d, bits),
+         "constructed pair misses its target: residual 1.500e+00"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(construct, name, broken)
+            with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+                stabilizing_pair_for(GHZSpec.identity(3))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

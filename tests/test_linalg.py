@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -242,3 +243,13 @@ def test_apply_locals_matches_kron(rng):
 def test_normalize():
     v = StateVector.from_amplitudes([3, 4]).normalize()
     assert abs(v.norm() - 1.0) <= 1e-12
+    with pytest.raises(DomainError, match="cannot normalize the zero vector"):
+        StateVector.from_amplitudes([0, 0]).normalize()
+
+
+def test_state_vector_rejects_bad_lengths():
+    with pytest.raises(ShapeError, match=re.escape("length 2^2, got (3,)")):
+        StateVector(2, np.zeros(3, dtype=complex))
+    for size in (0, 3, 6):
+        with pytest.raises(ShapeError, match=f"dimension {size} is not a power of two"):
+            StateVector.from_amplitudes(np.zeros(size))

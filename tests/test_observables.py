@@ -7,10 +7,11 @@ from ghzstab import (
     Angle,
     DirectionList,
     StateVector,
+    brute_force_eigenspace,
     product_observable,
     sigma_z_product,
 )
-from ghzstab.errors import DomainError, PreconditionError, SizeError
+from ghzstab.errors import DomainError, PreconditionError, ShapeError, SizeError
 from ghzstab.observables import (
     IDENTITY_2,
     SIGMA_X,
@@ -100,6 +101,13 @@ def test_sigma_z_product_parity_pattern():
     assert np.allclose(
         np.diag(kron_all(sigma_z_product(3).mats)), [1, -1, -1, 1, -1, 1, 1, -1]
     )
+
+
+def test_party_counts_are_checked():
+    with pytest.raises(DomainError, match="n must be >= 1, got 0"):
+        sigma_z_product(0)
+    with pytest.raises(ShapeError, match="party counts differ: 2 vs 3"):
+        brute_force_eigenspace(sigma_z_product(2), sigma_z_product(3))
 
 
 def test_canonical_generators_n2():

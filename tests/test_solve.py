@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -754,13 +753,24 @@ def test_purity_env_too_small():
 
 
 def test_purity_draw_size_cap():
-    # one draw of 1 * (2^23 + 1) coefficients, or 2^23 + 1 trials, is
-    # refused before any draw
-    d = rationals((1, 2), (1, 2))
-    solved = solve_common_eigenspace(d)
-    env = (1 << 23) + 1
-    message = f"one purification of dim 1 * env_dim {env} = {env} coefficients"
-    with pytest.raises(SizeError, match=re.escape(message + " exceeds 2^23")):
-        purity_security_check(solved, env_dim=env, trials=1)
-    with pytest.raises(SizeError, match=re.escape(f"trials {env} exceeds 2^23")):
-        purity_security_check(solved, env_dim=1, trials=env)
+    # one draw of 1 * (2^23 + 1) coefficients, 2^23 + 1 trials, or none, is
+    # refused before any draw; a size past the 4300 digits that str()
+    # converts is named by its digit count
+    solved = solve_common_eigenspace(rationals((1, 2), (1, 2)))
+    env, huge = (1 << 23) + 1, 10**4200
+    digits = "an integer of 4201 digits"
+    for kwargs, error, message in (
+        ({"env_dim": env, "trials": 1}, SizeError,
+         f"one purification of dim 1 * env_dim {env} = {env} coefficients "
+         "exceeds 2^23"),
+        ({"env_dim": 1, "trials": env}, SizeError, f"trials {env} exceeds 2^23"),
+        ({"env_dim": huge, "trials": huge}, SizeError,
+         f"one purification of dim 1 * env_dim {digits} = {digits} coefficients "
+         "exceeds 2^23"),
+        ({"trials": 10**400}, SizeError,
+         "trials an integer of 401 digits exceeds 2^23"),
+        ({"trials": 0}, DomainError, "trials must be >= 1, got 0"),
+    ):
+        with pytest.raises(error) as exc:
+            purity_security_check(solved, **kwargs)
+        assert str(exc.value) == message
