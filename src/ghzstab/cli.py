@@ -15,7 +15,9 @@ records of a state of at most MAX_PARTIES parties. A unitaries file
 (construct --unitaries) has "unitaries", one 2x2 matrix of [re, im] pairs
 per party, and construct's n as its "n".
 
-Exit codes: 0 success, 2 malformed input, 3 internal consistency failure.
+Exit codes: 0 success, 1 stdout closed before the output was written (a
+pipe whose reader quit, as in `ghzstab classify big.json | head`; nothing
+is printed), 2 malformed input, 3 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -48,7 +51,6 @@ from .solve import (
     PURITY_ENV_DIM,
     character_sum_check,
     purity_security_check,
-    sector_dimensions,
     sector_oracle_bases,
     solve_common_eigenspace,
     trig_parity_identity_residuals,
@@ -248,6 +250,9 @@ class JsonText:
 
 
 _RECORD = '{"im": %r, "index": %d, "label": "%s", "re": %r}'
+_SIGNS = ("", "-")
+# basis entries read at a time by amplitude_json (4 MiB of complex values)
+BLOCK_ENTRIES = 1 << 18
 # _JSON.encode(o) is json.dumps(o, sort_keys=True), without a new encoder per call
 _JSON = json.JSONEncoder(sort_keys=True)
 
@@ -259,32 +264,18 @@ def amplitude_json(amps: np.ndarray) -> Iterator[str]:
     AMPLITUDE_CUTOFF, in index order. It comes in pieces: one list's text,
     or '[', each column's list with ', ' between them, and ']'.
 
-    Each distinct record, keyed by its index and the exact bits of re and im
-    (so 0.0 and -0.0 stay apart), is formatted once: the solver's states
-    repeat the same records up to sign."""
+    One state's records are formatted directly. A basis of several states
+    takes its records from a table (_basis_lists): the solver's states
+    repeat column 0's records up to sign."""
     cols = amps.reshape(amps.shape[0], -1)
     n = cols.shape[0].bit_length() - 1
-    col, idx = np.nonzero(np.abs(cols.T) > AMPLITUDE_CUTOFF)  # column by column
-    vals = cols[idx, col]
-    where = range(idx.size)
-    if cols.shape[1] > 1:  # one state's records are distinct, one per index
-        keys = np.column_stack(
-            [idx, vals.real.view(np.int64), vals.imag.view(np.int64)]
-        ).view(np.dtype((np.void, 24)))  # one 24-byte key per entry
-        _, first, where = np.unique(
-            keys.ravel(), return_index=True, return_inverse=True
-        )
-        idx, vals, where = idx[first], vals[first], where.tolist()
-    records = [
-        _RECORD % rec
-        for rec in zip(
-            vals.imag.tolist(), idx.tolist(), bit_labels(idx, n), vals.real.tolist()
-        )
-    ]
-    pieces = [records[k] for k in where]
-    counts = np.bincount(col, minlength=cols.shape[1]).tolist()
-    ends = list(itertools.accumulate(counts))
-    lists = ("[" + ", ".join(pieces[a:b]) + "]" for a, b in zip([0] + ends, ends))
+    if cols.shape[1] > 1:
+        lists = _basis_lists(cols, n)
+    else:  # zero or one state, whose records are distinct, one per index
+        lists = []
+        for col in cols.T:
+            (idx,) = np.nonzero(np.abs(col) > AMPLITUDE_CUTOFF)
+            lists.append(_list_text(_records(col[idx], idx, n)))
     if amps.ndim == 1:
         yield from lists
         return
@@ -294,6 +285,81 @@ def amplitude_json(amps: np.ndarray) -> Iterator[str]:
             yield ", "
         yield text
     yield "]"
+
+
+def _list_text(records: list[str]) -> str:
+    return "[" + ", ".join(records) + "]"
+
+
+def _records(vals: np.ndarray, idx: np.ndarray, n: int) -> list[str]:
+    """The record of each value vals[k] at index idx[k]."""
+    return [
+        _RECORD % rec
+        for rec in zip(
+            vals.imag.tolist(), idx.tolist(), bit_labels(idx, n), vals.real.tolist()
+        )
+    ]
+
+
+def _basis_lists(cols: np.ndarray, n: int) -> Iterator[str]:
+    """Each column's list text, for a basis of two or more columns, read in
+    blocks of about BLOCK_ENTRIES entries.
+
+    An entry at index j whose real and imaginary magnitudes are column 0's
+    at j takes the record of table slot 4 j + 2 [re signbit] + [im signbit],
+    one of j's four sign variants of column 0's record, chosen by the
+    entry's own sign bits (so -0.0 stays -0.0); each slot is formatted once,
+    when first met. Any other entry is formatted on its own."""
+    mag_re = np.abs(cols[:, 0].real)
+    mag_im = np.abs(cols[:, 0].imag)
+    rank = np.full(4 * cols.shape[0], -1)  # slot -> its record's place in table
+    table: list[str] = []
+    step = max(1, BLOCK_ENTRIES // cols.shape[0])
+    for start in range(0, cols.shape[1], step):
+        block = cols[:, start : start + step]
+        col, idx = np.nonzero(np.abs(block.T) > AMPLITUDE_CUTOFF)  # column by column
+        vals = block[idx, col]
+        shared = (np.abs(vals.real) == mag_re[idx]) & (np.abs(vals.imag) == mag_im[idx])
+        slot = 4 * idx + 2 * np.signbit(vals.real) + np.signbit(vals.imag)
+        fresh = np.zeros(rank.size, dtype=bool)
+        fresh[slot[shared]] = True
+        new = np.flatnonzero(fresh & (rank < 0))
+        rank[new] = np.arange(len(table), len(table) + new.size)
+        table += _signed_records(new, mag_re, mag_im, n)
+        where = rank[slot]
+        lookup = table
+        own = np.flatnonzero(~shared)
+        if own.size:
+            where[own] = np.arange(len(table), len(table) + own.size)
+            lookup = table + _records(vals[own], idx[own], n)
+        pieces = list(map(lookup.__getitem__, where.tolist()))
+        ends = itertools.accumulate(np.bincount(col, minlength=block.shape[1]).tolist())
+        begin = 0
+        for end in ends:
+            yield _list_text(pieces[begin:end])
+            begin = end
+
+
+def _signed_records(slots: np.ndarray, mag_re, mag_im, n: int) -> list[str]:
+    """The record of each ascending slot 4 j + 2 s_re + s_im: index j with
+    the magnitudes mag_re[j] and mag_im[j], negated where s is 1. Each
+    index's magnitudes go through repr once for all of its slots here."""
+    j = slots >> 2
+    first = np.ones(j.size, dtype=bool)
+    first[1:] = j[1:] != j[:-1]
+    distinct = j[first]
+    res = list(map(repr, mag_re[distinct].tolist()))
+    ims = list(map(repr, mag_im[distinct].tolist()))
+    labels = bit_labels(distinct, n)
+    # an f-string, which formats these str and int parts about twice as fast
+    # as _RECORD's % would
+    return [
+        f'{{"im": {_SIGNS[s & 1]}{ims[k]}, "index": {index}, '
+        f'"label": "{labels[k]}", "re": {_SIGNS[s >> 1]}{res[k]}}}'
+        for s, k, index in zip(
+            (slots & 3).tolist(), (np.cumsum(first) - 1).tolist(), j.tolist()
+        )
+    ]
 
 
 def classification_fields(report: ClassificationReport) -> dict:
@@ -370,7 +436,7 @@ def cmd_solve(args) -> dict:
     out["dimension"] = report.dimension
     out["states"] = JsonText(amplitude_json(report.basis))
     out["residuals"] = report.residual
-    out["sector_dims"] = list(sector_dimensions(d, report.classification))
+    out["sector_dims"] = list(report.sector_dims)
     return out
 
 
@@ -446,7 +512,7 @@ def cmd_verify(args) -> dict:
     )
     bases = sector_oracle_bases(d, tol)
     # the (+,+) entries are the solver's and the oracle's dimensions
-    sector_dims = sector_dimensions(d, report.classification)
+    sector_dims = report.sector_dims
     oracle_sector_dims = tuple(b.shape[1] for b in bases)
     if sector_dims != oracle_sector_dims:
         raise InternalConsistencyError(
@@ -568,7 +634,16 @@ def main(argv=None) -> int:
     except GhzstabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(result, args.pretty)
+    try:
+        _emit(result, args.pretty)
+        sys.stdout.flush()  # so a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout: point it at os.devnull so the
+        # interpreter's final flush stays quiet, and exit 1 as Python does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

@@ -8,7 +8,9 @@ states span the common +1 eigenspace. Two of them with patterns m != m'
 overlap by the sum over even-parity j of (-1)^{(m xor m') . j} / 2^{n-1},
 a character sum that vanishes because m xor m' is neither zero nor the
 all-ones string (its first bit is 0). So the basis is orthonormal by
-construction.
+construction. The solver also returns the dimensions of the four sign
+sectors of (sA, sB) (sector_dimensions): two of them count the list with
+theta_1 flipped to pi - theta_1, from the same classify run.
 
 The brute-force route (one SVD of the block of A that maps B's +1
 eigenspace into its -1 eigenspace, which gives all four sign sectors) is
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .angles import PI, DirectionList
-from .classify import ClassificationReport, StabilizerCase, classify
+from .angles import DirectionList
+from .classify import ClassificationReport, StabilizerCase, classify_sectors
 from .construct import ghz_states
 from .errors import DomainError, InternalConsistencyError, SizeError, shown
 from .linalg import DEFAULT_TOL, check_dense
@@ -57,6 +59,7 @@ class StabilizerReport:
     dimension: int
     basis: np.ndarray  # (2^n, dimension), orthonormal columns
     residual: float
+    sector_dims: tuple[int, int, int, int]  # in the order of SECTORS
 
 
 def stabilization_limit(tol: float) -> float:
@@ -74,7 +77,8 @@ def solve_common_eigenspace(
     d: DirectionList, tol: float = DEFAULT_TOL
 ) -> StabilizerReport:
     """Orthonormal basis of the common +1 eigenspace: one GHZ-class state per
-    vanishing sign pattern.
+    vanishing sign pattern, and the eigenspace dimensions of the four sign
+    sectors (sector_dimensions).
 
     Each state is checked matrix-free against the product observable (the
     all-Z observable fixes every even-parity vector exactly); a residual
@@ -82,7 +86,7 @@ def solve_common_eigenspace(
     """
     n = d.n_parties
     check_dense(n)  # the (2^n, dim) basis
-    classification = classify(d, tol)
+    classification, sector_dims = sector_dimensions(d, tol)
     basis = ghz_states(d, classification.patterns.bits)
     image = product_observable(d).apply(basis)
     residual = float(np.linalg.norm(image - basis, axis=0).max(initial=0.0))
@@ -95,27 +99,27 @@ def solve_common_eigenspace(
         dimension=basis.shape[1],
         basis=basis,
         residual=residual,
+        sector_dims=sector_dims,
     )
 
 
 def sector_dimensions(
-    d: DirectionList, classification: ClassificationReport
-) -> tuple[int, int, int, int]:
-    """Common eigenspace dimensions of (sA, sB) for the four sign sectors
-    (+,+), (+,-), (-,+), (-,-): the vanishing-pattern count of each sector's
-    angles, given classify's report for d (the solver's classification).
+    d: DirectionList, tol: float = DEFAULT_TOL
+) -> tuple[ClassificationReport, tuple[int, int, int, int]]:
+    """classify's report for d, and the common eigenspace dimensions of
+    (sA, sB) for the four sign sectors (+,+), (+,-), (-,+), (-,-): the
+    vanishing-pattern count of each sector's angles.
 
     Negating A sends (theta_1, phi_1) to (pi - theta_1, phi_1 + pi), and
     conjugating party 1 by sigma_X, which negates Z^N, sends it to
-    (pi - theta_1, -phi_1). classify reads no phi, so (+,-) and (-,+) both
-    count d with theta_1 flipped to pi - theta_1, one more classify run at
-    the report's tol, and (-,-), which flips it twice, counts the report's
-    patterns.
+    (pi - theta_1, -phi_1). Counting reads no phi, so (+,-) and (-,+) both
+    count d with theta_1 flipped to pi - theta_1, which classify_sectors
+    reads from the ring of low half-sums that d's own members were met in,
+    and (-,-), which flips it twice, counts the report's patterns.
     """
+    classification, flipped = classify_sectors(d, tol)
     same = len(classification.patterns)
-    flipped = DirectionList.of((PI - d.thetas[0],) + d.thetas[1:], d.phis)
-    count = len(classify(flipped, classification.tol).patterns)
-    return (same, count, count, same)
+    return classification, (same, flipped, flipped, same)
 
 
 def sector_oracle_bases(

@@ -147,9 +147,7 @@ def test_criterion_3_classification_trichotomy():
         for inst in picked:
             oracle = sector_oracle_bases(inst.directions)
             assert tuple(b.shape[1] for b in oracle) == (0, 0, 0, 0)
-            assert sector_dimensions(
-                inst.directions, classify(inst.directions)
-            ) == (0, 0, 0, 0)
+            assert sector_dimensions(inst.directions)[1] == (0, 0, 0, 0)
             checked += 1
     report_line(
         3,

@@ -15,7 +15,8 @@ from ghzstab import (
     sigma_z_product,
 )
 from ghzstab.bitstrings import bit_labels
-from ghzstab.classify import sign_pattern_set
+from ghzstab.angles import PI
+from ghzstab.classify import classify_sectors, sign_pattern_set
 from ghzstab.errors import DomainError
 from reference import pattern_condition, signed_angle_sum
 from sampling import uniform_directions
@@ -340,3 +341,37 @@ def test_fragile_flag():
     assert report.warnings
     clean = classify(DirectionList.from_radians([math.pi / 2, math.pi / 2 + 0.3]))
     assert not clean.patterns.fragile and not clean.warnings
+
+
+@st.composite
+def sector_lists(draw):
+    """Exact, radian and mixed lists of 1 to 12 parties (the int64 and the
+    bigint lane among the exact ones, multiples of pi / q and the flip's
+    edges among the radians) at the tols where scores tie or nearly tie."""
+    n = draw(st.integers(1, 12))
+    den = draw(st.integers(1, 12) | st.just((1 << 61) + 1))
+    q = draw(st.integers(1, 12))
+    exact = st.builds(Angle.exact, st.integers(-4 * den, 4 * den), st.just(den))
+    radian = st.builds(
+        Angle.radians,
+        st.sampled_from([0.0, math.pi, -math.pi, math.pi / 2, 4 * math.pi, 5e-324])
+        | st.builds(lambda k: k * math.pi / q, st.integers(-4 * q, 4 * q))
+        | st.floats(-4 * math.pi, 4 * math.pi),
+    )
+    form = draw(st.sampled_from([exact, radian, exact | radian]))
+    thetas = draw(st.lists(form, min_size=n, max_size=n))
+    tol = draw(st.sampled_from([1e-300, 1e-15, 1e-9, 0.5, 1 / math.sqrt(2), 1.0]))
+    return DirectionList.of(thetas), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(sector_lists())
+def test_flipped_count_is_the_count_of_the_flipped_list(case):
+    # the count read from the shared ring is the one classify gives on the
+    # list with theta_1 flipped, bit for bit even where a score ties tol
+    d, tol = case
+    report, flipped = classify_sectors(d, tol)
+    moved = DirectionList.of((PI - d.thetas[0],) + d.thetas[1:], d.phis)
+    assert flipped == len(classify(moved, tol).patterns)
+    assert report.patterns.bits.tolist() == classify(d, tol).patterns.bits.tolist()
+

@@ -24,6 +24,7 @@ from ghzstab.cli import (
     parse_state_file,
 )
 from ghzstab.errors import DomainError
+from ghzstab.solve import solve_common_eigenspace
 from reference import parse_state_records
 
 EPR_INPUT = {
@@ -458,6 +459,44 @@ def test_verify_exits_3_when_sector_oracle_disagrees(tmp_path, capsys, monkeypat
             "internal consistency error: sector dims [1, 1, 1, 1] != oracle "
             f"sector dims {dims}\n"
         )
+
+
+# the two lists of ROADMAP item 7, where the flipped list's score ties tol
+# in classify but not in the oracle; verify still exits 3 on both
+SCORE_TIES = (
+    (
+        {"n": 1, "angles": [{"theta": {"rad": 2 * math.pi / 3}}], "tol": 0.5},
+        [0, 1, 1, 0],
+        [0, 0, 0, 0],
+    ),
+    (
+        {
+            "n": 4,
+            "angles": [
+                {"theta": {"pi_num": 10, "pi_den": 5}, "phi": {"pi_num": 7, "pi_den": 2}},
+                {"theta": {"rad": 4.1887902047863905}, "phi": {"rad": 5.235987755982989}},
+                {"theta": {"pi_num": -4, "pi_den": 1}, "phi": {"pi_num": -1, "pi_den": 2}},
+                {"theta": {"rad": 6.806784082777885}, "phi": {"rad": -7.330382858376184}},
+            ],
+            "tol": 0.7071067811865476,
+        },
+        [0, 8, 8, 0],
+        [2, 8, 7, 1],
+    ),
+)
+
+
+@pytest.mark.parametrize("payload, dims, oracle_dims", SCORE_TIES, ids=["n1", "n4"])
+def test_score_ties_keep_their_sector_dims(payload, dims, oracle_dims, tmp_path, capsys):
+    code, out, err = run_cli(["solve"], tmp_path, capsys, payload)
+    assert code == 0, err
+    assert parse(out)["sector_dims"] == dims
+    code, out, err = run_cli(["verify"], tmp_path, capsys, payload)
+    assert code == 3 and not out
+    assert err == (
+        f"internal consistency error: sector dims {dims} != oracle sector dims "
+        f"{oracle_dims}\n"
+    )
 
 
 def test_verify_runs_the_oracle_once(tmp_path, capsys, monkeypatch):
@@ -1022,6 +1061,53 @@ def test_amplitude_json_matches_per_entry_records_on_bases(basis):
     assert "".join(amplitude_json(basis)) == json.dumps(expected, sort_keys=True)
 
 
+def _zero_theta_basis(n, q, exact):
+    """The solver's basis for n thetas 0 and every phi q pi / 2: every
+    pattern vanishes, and each part is +-c or a signed zero."""
+    if exact:
+        d = DirectionList.from_rationals([(0, 1)] * n, [(q, 2)] * n)
+    else:
+        d = DirectionList.from_radians([0.0] * n, [q * math.pi / 2] * n)
+    return solve_common_eigenspace(d).basis
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "radian"])
+@pytest.mark.parametrize("q", range(4))
+def test_amplitude_json_matches_per_entry_records_on_solver_bases(q, exact):
+    # a column's records are column 0's up to sign, but where a part is
+    # zero its sign bit need not flip with the other part's: negating
+    # column 0's record would print -0.0 for some 0.0
+    for n in range(1, 10):
+        basis = _zero_theta_basis(n, q, exact)
+        expected = [per_entry(basis[:, k]) for k in range(basis.shape[1])]
+        assert "".join(amplitude_json(basis)) == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "block", [1 << 18, 16, 1], ids=["one-block", "4-columns", "1-column"]
+)
+def test_amplitude_json_formats_entries_off_column_0_on_their_own(block, monkeypatch):
+    # column 2 shares no magnitude with column 0, and column 3 has an entry
+    # where column 0 is zero; in small blocks the table and its ranks carry
+    # over from block to block
+    monkeypatch.setattr("ghzstab.cli.BLOCK_ENTRIES", block)
+    basis = _zero_theta_basis(4, 1, True)[:, :6].copy()
+    basis[:, 2] *= np.exp(0.3j)
+    basis[1, 3] = -0.0 + 0.25j
+    basis[0, 4] = -basis[0, 4].conjugate()
+    expected = [per_entry(basis[:, k]) for k in range(basis.shape[1])]
+    assert "".join(amplitude_json(basis)) == json.dumps(expected, sort_keys=True)
+    for q in range(4):
+        basis = _zero_theta_basis(5, q, False)
+        expected = [per_entry(basis[:, k]) for k in range(basis.shape[1])]
+        assert "".join(amplitude_json(basis)) == json.dumps(expected, sort_keys=True)
+
+
+def test_amplitude_json_of_a_basis_with_no_columns():
+    for n in (1, 3):
+        assert "".join(amplitude_json(np.zeros((1 << n, 0), dtype=np.complex128))) == "[]"
+
+
 def test_construct_rejects_parties_above_dense_cap(capsys):
     # rejected before the 2^n target state is built
     for n in ("13", "14", "15", "64", str(10**12)):
@@ -1447,20 +1533,41 @@ def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
     assert not built
 
 
-def test_entry_point_subprocess(tmp_path):
+def _cli_env():
     # the child imports the package under test, which pytest may have found
     # through its own pythonpath setting rather than PYTHONPATH
     import ghzstab
 
     src = str(pathlib.Path(ghzstab.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    )}
+
+
+def test_entry_point_subprocess(tmp_path):
     path = tmp_path / "angles.json"
     path.write_text(json.dumps(EPR_INPUT))
     proc = subprocess.run(
         [sys.executable, "-m", "ghzstab", "classify", str(path)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))
-        )},
+        capture_output=True, text=True, timeout=120, env=_cli_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["case"] == "UniqueGHZ"
+
+
+def test_closed_stdout_exits_1_quietly(tmp_path):
+    # 18 thetas 0 give 2^17 members, 2.9 MB of text, far past a pipe's
+    # buffer: the write meets the closed pipe, and the rest goes to
+    # os.devnull with nothing on stderr
+    path = tmp_path / "zeros18.json"
+    path.write_text(json.dumps({"n": 18, "angles": [{"theta": {"pi_num": 0, "pi_den": 1}}] * 18}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ghzstab", "classify", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+    )
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
