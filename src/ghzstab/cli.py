@@ -249,7 +249,6 @@ class JsonText:
     pieces: Iterable[str]
 
 
-_RECORD = '{"im": %r, "index": %d, "label": "%s", "re": %r}'
 _SIGNS = ("", "-")
 # basis entries read at a time by amplitude_json (4 MiB of complex values)
 BLOCK_ENTRIES = 1 << 18
@@ -294,8 +293,8 @@ def _list_text(records: list[str]) -> str:
 def _records(vals: np.ndarray, idx: np.ndarray, n: int) -> list[str]:
     """The record of each value vals[k] at index idx[k]."""
     return [
-        _RECORD % rec
-        for rec in zip(
+        f'{{"im": {im!r}, "index": {index}, "label": "{label}", "re": {re!r}}}'
+        for im, index, label, re in zip(
             vals.imag.tolist(), idx.tolist(), bit_labels(idx, n), vals.real.tolist()
         )
     ]
@@ -351,8 +350,8 @@ def _signed_records(slots: np.ndarray, mag_re, mag_im, n: int) -> list[str]:
     res = list(map(repr, mag_re[distinct].tolist()))
     ims = list(map(repr, mag_im[distinct].tolist()))
     labels = bit_labels(distinct, n)
-    # an f-string, which formats these str and int parts about twice as fast
-    # as _RECORD's % would
+    # an f-string, as in _records, formats these str and int parts about
+    # twice as fast as % would
     return [
         f'{{"im": {_SIGNS[s & 1]}{ims[k]}, "index": {index}, '
         f'"label": "{labels[k]}", "re": {_SIGNS[s >> 1]}{res[k]}}}'
@@ -386,19 +385,16 @@ def angle_schema(d: DirectionList) -> dict:
     return {"n": d.n_parties, "angles": angles}
 
 
-def observable_angles(obs) -> DirectionList:
-    """Recover (theta, phi) per party from the Bloch vector of each local
-    factor."""
-    thetas, phis = [], []
-    for m in obs.mats:
-        vz = float(m[0, 0].real)
-        vx = float(m[1, 0].real)
-        vy = float(m[1, 0].imag)
-        theta = float(np.arctan2(np.hypot(vx, vy), vz))
-        phi = float(np.arctan2(vy, vx)) if np.hypot(vx, vy) > 1e-14 else 0.0
-        thetas.append(Angle.radians(theta))
-        phis.append(Angle.radians(phi))
-    return DirectionList.of(thetas, phis)
+def bloch_schema(obs) -> dict:
+    """angle_schema of the radian (theta, phi) per party read off the Bloch
+    vector of each local factor; phi is 0.0 where the vector is within
+    1e-14 of the z axis."""
+    vz, v = obs.mats[:, 0, 0].real, obs.mats[:, 1, 0]
+    r = np.hypot(v.real, v.imag)
+    thetas = np.arctan2(r, vz).tolist()
+    phis = np.where(r > 1e-14, np.arctan2(v.imag, v.real), 0.0).tolist()
+    angles = [{"theta": {"rad": t}, "phi": {"rad": p}} for t, p in zip(thetas, phis)]
+    return {"n": len(thetas), "angles": angles}
 
 
 def _pieces(obj: dict) -> Iterator[str]:
@@ -452,8 +448,8 @@ def cmd_construct(args) -> dict:
         "case": "UniqueGHZ",
         "n": n,
         "pair": {
-            "a": angle_schema(observable_angles(pair.a)),
-            "b": angle_schema(observable_angles(pair.b)),
+            "a": bloch_schema(pair.a),
+            "b": bloch_schema(pair.b),
         },
         "canonical_angles": angle_schema(pair.directions),
         "target_state": JsonText(amplitude_json(pair.target.amplitudes)),

@@ -64,7 +64,8 @@ def ghz_states(d: DirectionList, bits: np.ndarray) -> np.ndarray:
     for l in range(n):
         bit = ((s0 >> (n - 1 - l)) & 1)[:, None]
         vals = vals * np.where(bit == 1, phases[l], 1.0)
-    amps[s0] = vals / math.sqrt(s0.size)
+    vals /= math.sqrt(s0.size)
+    amps[s0] = vals
     return amps
 
 

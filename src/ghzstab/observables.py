@@ -24,11 +24,16 @@ def local_observable(theta: Angle, phi: Angle) -> np.ndarray:
     The matrix is [[cos t, e^{-ip} sin t], [e^{ip} sin t, -cos t]]: Hermitian,
     traceless, and squares to the identity for any angles.
     """
+    return np.array(_spin_rows(theta, phi), dtype=np.complex128)
+
+
+def _spin_rows(theta: Angle, phi: Angle) -> list:
+    """local_observable's matrix as two rows of Python numbers."""
     t = theta.to_radians()
     p = phi.to_radians()
     c, s = math.cos(t), math.sin(t)
     e = complex(math.cos(p), math.sin(p))
-    return np.array([[c, s * e.conjugate()], [s * e, -c]], dtype=np.complex128)
+    return [[c, s * e.conjugate()], [s * e, -c]]
 
 
 class ProductObservable:
@@ -61,10 +66,9 @@ class ProductObservable:
 
 
 def product_observable(d: DirectionList) -> ProductObservable:
-    """Tensor product of the per-party spin observables of d."""
-    return ProductObservable(
-        [local_observable(t, p) for t, p in zip(d.thetas, d.phis)]
-    )
+    """Tensor product of the per-party spin observables of d, whose factors
+    become one array in a single conversion."""
+    return ProductObservable(list(map(_spin_rows, d.thetas, d.phis)))
 
 
 def sigma_z_product(n: int) -> ProductObservable:

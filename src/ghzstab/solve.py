@@ -89,7 +89,8 @@ def solve_common_eigenspace(
     classification, sector_dims = sector_dimensions(d, tol)
     basis = ghz_states(d, classification.patterns.bits)
     image = product_observable(d).apply(basis)
-    residual = float(np.linalg.norm(image - basis, axis=0).max(initial=0.0))
+    image -= basis  # in place: at the dense cap image is as large as basis
+    residual = float(np.linalg.norm(image, axis=0).max(initial=0.0))
     if residual > stabilization_limit(tol):
         raise InternalConsistencyError(
             f"solver basis fails stabilization check: residual {residual:.3e}"

@@ -4,12 +4,14 @@
   of a stacked matrix (the oracle tests);
 - the signed angle sum and vanishing condition of one sign pattern (the
   enumeration tests);
-- the spin eigenframes, and the joint-outcome Born probabilities computed
-  directly and by party-by-party collapse (the certification tests);
+- the spin eigenframes, the joint-outcome Born probabilities computed
+  directly and by party-by-party collapse, and a certification run that
+  applies sigma_z_product(n) for <Z^N> (the certification tests);
 - the commuting stabilizer generators of the GHZ state and the dimension of
   their common +1 eigenspace (acceptance criterion 6);
 - the fidelity of two pure states;
-- the amplitudes of a state file, parsed record by record (the CLI tests).
+- the amplitudes of a state file, parsed record by record, and the angle
+  schema of an observable's factors, read party by party (the CLI tests).
 
 Dense operators are built with ghzstab.linalg.kron_all, which keeps the
 dense size cap.
@@ -22,9 +24,23 @@ import math
 import numpy as np
 
 from ghzstab.angles import Angle, DirectionList
+from ghzstab.certify import (
+    CertificationConfig,
+    CertReport,
+    Ensemble,
+    expectation,
+)
+from ghzstab.cli import angle_schema
 from ghzstab.errors import DomainError, PreconditionError, ShapeError
 from ghzstab.linalg import DEFAULT_TOL, StateVector, apply_locals, kron_all
-from ghzstab.observables import IDENTITY_2, SIGMA_X, SIGMA_Z, ProductObservable
+from ghzstab.observables import (
+    IDENTITY_2,
+    SIGMA_X,
+    SIGMA_Z,
+    ProductObservable,
+    product_observable,
+    sigma_z_product,
+)
 
 
 def null_space(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -66,6 +82,22 @@ def parse_state_records(data: dict) -> np.ndarray:
     parts = vec.view(np.float64)
     parts /= np.abs(parts).max()
     return vec / np.linalg.norm(vec)
+
+
+def scalar_bloch_schema(obs: ProductObservable) -> dict:
+    """The angle schema of the radian (theta, phi) of each local factor's
+    Bloch vector, read party by party with scalar numpy calls; phi is 0.0
+    within 1e-14 of the z axis."""
+    thetas, phis = [], []
+    for m in obs.mats:
+        vz = float(m[0, 0].real)
+        vx = float(m[1, 0].real)
+        vy = float(m[1, 0].imag)
+        theta = float(np.arctan2(np.hypot(vx, vy), vz))
+        phi = float(np.arctan2(vy, vx)) if np.hypot(vx, vy) > 1e-14 else 0.0
+        thetas.append(Angle.radians(theta))
+        phis.append(Angle.radians(phi))
+    return angle_schema(DirectionList.of(thetas, phis))
 
 
 def signed_angle_sum(d: DirectionList, m: int) -> Angle:
@@ -138,6 +170,57 @@ def sequential_outcome_probabilities(
 
     walk(state.amplitudes, 1.0, 0, 0)
     return probs
+
+
+def certification_by_two_applies(
+    state: StateVector | Ensemble,
+    d: DirectionList,
+    cfg: CertificationConfig = CertificationConfig(),
+) -> CertReport:
+    """run_certification's report, with <Z^N> of each component taken as a
+    second matrix-free apply, of sigma_z_product(n)."""
+    n = d.n_parties
+    if isinstance(state, StateVector):
+        state = Ensemble(states=(state,), weights=(1.0,))
+    rng = np.random.default_rng(cfg.seed)
+    k = len(state.states)
+    if state.sampling == "cycle":
+        rounds = cfg.shots // k + (np.arange(k) < cfg.shots % k)
+    else:
+        weights = np.asarray(state.weights)
+        rounds = rng.multinomial(cfg.shots, weights / weights.sum())
+    rounds_a = rng.binomial(rounds, cfg.a_fraction)
+
+    def stats(counts, obs):
+        e = np.array([expectation(s, obs) for s in state.states])
+        p_plus = np.clip((1.0 + e) / 2.0, 0.0, 1.0)
+        plus = int(rng.binomial(counts, p_plus).sum())
+        count = int(counts.sum())
+        if count == 0:
+            return count, math.nan, math.nan
+        mean = (2 * plus - count) / count
+        if count == 1:
+            return count, mean, math.nan
+        return count, mean, math.sqrt((1.0 - mean * mean) / (count - 1))
+
+    count_a, mean_a, stderr_a = stats(rounds_a, product_observable(d))
+    count_b, mean_b, stderr_b = stats(rounds - rounds_a, sigma_z_product(n))
+    passed = (
+        count_a > 0
+        and count_b > 0
+        and mean_a >= cfg.pass_threshold
+        and mean_b >= cfg.pass_threshold
+    )
+    return CertReport(
+        mean_a=mean_a,
+        mean_b=mean_b,
+        count_a=count_a,
+        count_b=count_b,
+        stderr_a=stderr_a,
+        stderr_b=stderr_b,
+        passed=passed,
+        shots=cfg.shots,
+    )
 
 
 def canonical_stabilizer_generators(n: int) -> list[ProductObservable]:

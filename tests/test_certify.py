@@ -15,11 +15,16 @@ from ghzstab import (
 )
 from ghzstab import certify as certify_module
 from ghzstab.bitstrings import parity_of
-from ghzstab.certify import Ensemble, expectation
-from ghzstab.observables import product_observable
+from ghzstab import observables as observables_module
+from ghzstab.certify import Ensemble, expectation, parity_expectation
+from ghzstab.observables import product_observable, sigma_z_product
 from ghzstab.construct import canonical_angles, ghz_from_pattern
 from ghzstab.errors import DomainError, ShapeError
-from reference import joint_outcome_probabilities, sequential_outcome_probabilities
+from reference import (
+    certification_by_two_applies,
+    joint_outcome_probabilities,
+    sequential_outcome_probabilities,
+)
 from sampling import uniform_directions
 
 
@@ -242,21 +247,99 @@ def test_pure_state_is_a_one_component_ensemble(rng):
 
 
 def test_each_setting_is_built_once_per_run(monkeypatch):
-    # the two settings' observables serve every component of a mixture
-    calls = {"product_observable": 0, "sigma_z_product": 0}
-    for name in calls:
-        built = getattr(certify_module, name)
+    # setting A's observable serves every component of a mixture, and <Z^N>
+    # is read off the Born probabilities, so no Z^N operator is built
+    calls = {"product_observable": 0, "sigma_z_product": 0, "ProductObservable": 0}
+    for module, name in (
+        (certify_module, "product_observable"),
+        (observables_module, "sigma_z_product"),
+        (observables_module, "ProductObservable"),
+    ):
+        built = getattr(module, name)
 
         def counted(*args, name=name, built=built):
             calls[name] += 1
             return built(*args)
 
-        monkeypatch.setattr(certify_module, name, counted)
+        monkeypatch.setattr(module, name, counted)
+    assert not hasattr(certify_module, "sigma_z_product")
     ens = Ensemble(
         states=(EPR, StateVector.basis_state(2, 0)), weights=(0.5, 0.5)
     )
     run_certification(ens, EPR_DIRECTIONS, CertificationConfig(shots=100, seed=1))
-    assert calls == {"product_observable": 1, "sigma_z_product": 1}
+    assert calls == {"product_observable": 1, "sigma_z_product": 0, "ProductObservable": 1}
+
+
+def planted_ghz(n, rng):
+    """An exact list on which a random pattern m (m_1 = 0) vanishes, with
+    random phis, and its GHZ-class state ghz_from_pattern(d, m)."""
+    q = int(rng.integers(1, 13))
+    m = int(rng.integers(1 << (n - 1)))
+    signs = 1 - 2 * ((m >> np.arange(n - 1, -1, -1)) & 1)
+    nums = [int(v) for v in rng.integers(-4 * q, 4 * q + 1, size=n)]
+    partial = sum(int(s) * v for s, v in zip(signs[:-1], nums))
+    nums[-1] = (-int(signs[-1]) * partial) % (2 * q)
+    phis = rng.uniform(-math.pi, math.pi, size=n)
+    d = DirectionList.of(
+        [Angle.exact(v, q) for v in nums], [Angle.radians(p) for p in phis]
+    )
+    return d, ghz_from_pattern(d, m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.sampled_from(["random", "basis", "ghz"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_parity_expectation_is_the_z_product_expectation(n, kind, seed):
+    # the n halvings of |psi|^2 give <Z^N> without building Z^N
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = StateVector.from_amplitudes(amps).normalize()
+    elif kind == "basis":
+        j = int(rng.integers(1 << n))
+        state = StateVector.basis_state(n, j)
+    else:
+        d, state = planted_ghz(n, rng)
+    z = parity_expectation(state)
+    assert abs(z - expectation(state, sigma_z_product(n))) <= 1e-12
+    if kind == "basis":
+        assert z == (-1.0) ** int(parity_of(np.array([j]))[0])
+    elif kind == "ghz":
+        # an even-parity state: within ulps of 1, and both means stay 1
+        assert abs(z - 1.0) <= 1e-15
+        report = run_certification(state, d, CertificationConfig(shots=2000, seed=seed))
+        assert report.mean_a == report.mean_b == 1.0, (d, report)
+
+
+def test_report_equals_the_two_apply_route(rng):
+    # <Z^N> from the halvings gives the parent route's report field for
+    # field, on pure states and on mixtures under both samplings
+    for n in (1, 2, 3, 5, 8):
+        d = uniform_directions(n, rng)
+        _, ghz = planted_ghz(n, rng)
+        states = [
+            StateVector.from_amplitudes(
+                rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            ).normalize(),
+            StateVector.basis_state(n, int(rng.integers(1 << n))),
+            ghz,
+        ]
+        inputs = list(states)
+        for k in (2, 3):
+            weights = rng.dirichlet(np.ones(k))
+            for sampling in ("random", "cycle"):
+                inputs.append(
+                    Ensemble(tuple(states[:k]), tuple(weights.tolist()), sampling)
+                )
+        for state in inputs:
+            for shots, seed in ((1, 0), (7, 3), (2000, 11), (10**5, 42)):
+                cfg = CertificationConfig(shots=shots, seed=seed)
+                got = run_certification(state, d, cfg)
+                want = certification_by_two_applies(state, d, cfg)
+                assert repr(got) == repr(want), (n, state, shots, seed)
 
 
 def test_ensemble_validation():

@@ -880,6 +880,42 @@ def test_construct_pair_angles_reproduce_observables(tmp_path, capsys):
         assert np.max(np.abs(kron_all(rebuilt.mats) - kron_all(obs.mats))) <= 1e-9
 
 
+def test_construct_pair_radians_are_the_scalar_read_out(tmp_path, capsys, rng):
+    # the vectorized Bloch read-out writes the bits of the party-by-party
+    # one: identity specs, Haar unitaries, and unitaries D_l H (D_l
+    # diagonal), which make pair.b diagonal: its factors sit at the poles,
+    # theta 0 or pi, and phi is written as 0.0
+    from ghzstab.construct import HADAMARD, GHZSpec, stabilizing_pair_for
+    from reference import scalar_bloch_schema
+
+    for n in range(2, 11):
+        phases = np.exp(1j * rng.uniform(-4, 4, (n, 2)))
+        diagonal = phases[:, :, None] * HADAMARD
+        for spec in (GHZSpec.identity(n), GHZSpec.random(n, rng), GHZSpec(n, diagonal)):
+            pair = stabilizing_pair_for(spec)
+            upath = tmp_path / "unitaries.json"
+            u = spec.local_unitaries
+            upath.write_text(json.dumps(
+                {"n": n, "unitaries": np.stack([u.real, u.imag], axis=-1).tolist()}
+            ))
+            code, out, _ = run_cli(
+                ["construct", str(n), "--unitaries", str(upath)], tmp_path, capsys
+            )
+            doc = parse(out)
+            for key, obs in (("a", pair.a), ("b", pair.b)):
+                want = json.dumps(scalar_bloch_schema(obs), sort_keys=True)
+                # json writes each float's repr, which tells -0.0 from 0.0
+                assert json.dumps(doc["pair"][key], sort_keys=True) == want, (n, key)
+            if spec.local_unitaries is diagonal:
+                for rec in doc["pair"]["b"]["angles"]:
+                    assert min(rec["theta"]["rad"], math.pi - rec["theta"]["rad"]) <= 1e-14
+                    assert repr(rec["phi"]["rad"]) == "0.0", rec
+            # a Haar target's records render as json.dumps writes them
+            text = out[out.index('"target_state": ') + len('"target_state": '):]
+            records = doc["target_state"]
+            assert text.startswith(json.dumps(records) + ", "), n
+
+
 def test_construct_with_unitaries(tmp_path, capsys):
     h = 1 / math.sqrt(2)
     unitaries = {
