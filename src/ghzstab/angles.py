@@ -90,19 +90,6 @@ class DirectionList:
             phis = tuple(ZERO_ANGLE for _ in thetas)
         return cls(n_parties=len(thetas), thetas=thetas, phis=tuple(phis))
 
-    @classmethod
-    def from_radians(cls, thetas, phis=None) -> "DirectionList":
-        th = tuple(Angle.radians(t) for t in thetas)
-        ph = None if phis is None else tuple(Angle.radians(p) for p in phis)
-        return cls.of(th, ph)
-
-    @classmethod
-    def from_rationals(cls, thetas, phis=None) -> "DirectionList":
-        """Angles given as (num, den) pairs meaning (num/den)*pi."""
-        th = tuple(Angle.exact(p, q) for p, q in thetas)
-        ph = None if phis is None else tuple(Angle.exact(p, q) for p, q in phis)
-        return cls.of(th, ph)
-
     @property
     def all_exact(self) -> bool:
         """True when every theta is an exact rational multiple of pi."""

@@ -1,9 +1,10 @@
 """Dense complex linear algebra on 2^n-dimensional Hilbert space.
 
-State vectors, tensor products of square factors, matrix-free products of
-local factors and subspace comparison, in double precision. The size table
-lives here: MAX_PARTIES bounds 2^n-amplitude vectors and MAX_DENSE_PARTIES
-bounds 2^n x 2^n matrices.
+State vectors (a validated (n_qubits, amplitudes) pair, plus the GHZ
+state), tensor products of square factors, matrix-free products of local
+factors and subspace comparison, in double precision. The size table lives
+here: MAX_PARTIES bounds 2^n-amplitude vectors and MAX_DENSE_PARTIES bounds
+2^n x 2^n matrices.
 """
 
 from __future__ import annotations
@@ -50,36 +51,11 @@ class StateVector:
             )
 
     @classmethod
-    def from_amplitudes(cls, amps) -> "StateVector":
-        amps = np.asarray(amps, dtype=np.complex128)
-        n = _check_power_of_two(amps.size)
-        return cls(n_qubits=n, amplitudes=amps)
-
-    @classmethod
-    def basis_state(cls, n_qubits: int, index: int) -> "StateVector":
-        amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-        amps[index] = 1.0
-        return cls(n_qubits=n_qubits, amplitudes=amps)
-
-    @classmethod
     def ghz(cls, n_qubits: int) -> "StateVector":
         """(|0..0> + |1..1>) / sqrt(2)."""
         amps = np.zeros(1 << n_qubits, dtype=np.complex128)
         amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
         return cls(n_qubits=n_qubits, amplitudes=amps)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalize(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise DomainError("cannot normalize the zero vector")
-        return StateVector(self.n_qubits, self.amplitudes / n)
 
 
 def kron_all(mats) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Local spin observables, their tensor products, and the brute-force
-common-eigenspace oracle."""
+"""Product spin observables (product_observable builds each party's 2x2
+factor from its angles), and the brute-force common-eigenspace oracle."""
 
 from __future__ import annotations
 
@@ -12,23 +12,17 @@ from .bitstrings import parity_of
 from .errors import DomainError, ShapeError
 from .linalg import DEFAULT_TOL, apply_locals, check_dense
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
 
 
-def local_observable(theta: Angle, phi: Angle) -> np.ndarray:
-    """Spin observable along (sin t cos p, sin t sin p, cos t).
+def _spin_rows(theta: Angle, phi: Angle) -> list:
+    """The spin observable along (sin t cos p, sin t sin p, cos t) as two rows
+    of Python numbers.
 
     The matrix is [[cos t, e^{-ip} sin t], [e^{ip} sin t, -cos t]]: Hermitian,
     traceless, and squares to the identity for any angles.
     """
-    return np.array(_spin_rows(theta, phi), dtype=np.complex128)
-
-
-def _spin_rows(theta: Angle, phi: Angle) -> list:
-    """local_observable's matrix as two rows of Python numbers."""
     t = theta.to_radians()
     p = phi.to_radians()
     c, s = math.cos(t), math.sin(t)

@@ -1,5 +1,6 @@
 """Dense and per-pattern references that only the tests call.
 
+- the Pauli matrices SIGMA_X and SIGMA_Y (SIGMA_Z is the package's);
 - a rank-revealing null space, and the common eigenspace as the null space
   of a stacked matrix (the oracle tests);
 - the signed angle sum and vanishing condition of one sign pattern (the
@@ -35,12 +36,14 @@ from ghzstab.errors import DomainError, PreconditionError, ShapeError
 from ghzstab.linalg import DEFAULT_TOL, StateVector, apply_locals, kron_all
 from ghzstab.observables import (
     IDENTITY_2,
-    SIGMA_X,
     SIGMA_Z,
     ProductObservable,
     product_observable,
     sigma_z_product,
 )
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 
 
 def null_space(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -123,9 +126,9 @@ def pattern_condition(d: DirectionList, m: int, tol: float = DEFAULT_TOL) -> boo
 
 
 def spin_frames(d: DirectionList) -> np.ndarray:
-    """(n, 2, 2) array of per-party eigenframes of local_observable: party
-    l's columns are the +1 eigenvector (cos(t/2), e^{ip} sin(t/2)) and the
-    -1 eigenvector (-sin(t/2), e^{ip} cos(t/2))."""
+    """(n, 2, 2) array of per-party eigenframes of product_observable(d)'s
+    factors: party l's columns are the +1 eigenvector (cos(t/2), e^{ip}
+    sin(t/2)) and the -1 eigenvector (-sin(t/2), e^{ip} cos(t/2))."""
     t = np.array(d.theta_radians()) / 2.0
     p = np.array(d.phi_radians())
     c, s = np.cos(t), np.sin(t)
@@ -264,6 +267,7 @@ def stabilizer_dimension(
 
 def fidelity(u: StateVector, v: StateVector) -> float:
     """|<u|v>| for normalized states."""
-    if u.dim != v.dim:
-        raise ShapeError(f"dimension mismatch: {u.dim} vs {v.dim}")
+    a, b = u.amplitudes.size, v.amplitudes.size
+    if a != b:
+        raise ShapeError(f"dimension mismatch: {a} vs {b}")
     return float(abs(np.vdot(u.amplitudes, v.amplitudes)))

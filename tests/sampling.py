@@ -1,4 +1,8 @@
-"""Random direction-list generators used for cross-validation sweeps.
+"""Builders the tests share, and random direction-list generators used for
+cross-validation sweeps.
+
+rationals and radians build direction lists from plain numbers; basis_state
+and normalized build state vectors.
 
 Uniform continuous angles almost surely admit no vanishing sign pattern, so
 the stratified sampler also builds exact-rational lists engineered to have
@@ -14,6 +18,36 @@ import numpy as np
 
 from ghzstab.angles import Angle, DirectionList
 from ghzstab.errors import DomainError
+from ghzstab.linalg import StateVector
+
+
+def rationals(thetas, phis=None) -> DirectionList:
+    """Directions from (num, den) pairs meaning (num/den)*pi; phis default
+    to exact zero."""
+    th = [Angle.exact(p, q) for p, q in thetas]
+    ph = None if phis is None else [Angle.exact(p, q) for p, q in phis]
+    return DirectionList.of(th, ph)
+
+
+def radians(thetas, phis=None) -> DirectionList:
+    """Directions from floats in radians; phis default to exact zero."""
+    th = [Angle.radians(t) for t in thetas]
+    ph = None if phis is None else [Angle.radians(p) for p in phis]
+    return DirectionList.of(th, ph)
+
+
+def basis_state(n: int, j: int) -> StateVector:
+    """The computational basis state |j> of n qubits."""
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[j] = 1.0
+    return StateVector(n, amps)
+
+
+def normalized(amps) -> StateVector:
+    """The state of a nonzero amplitude array of length 2^n, scaled to unit
+    norm."""
+    amps = np.asarray(amps, dtype=np.complex128)
+    return StateVector(amps.size.bit_length() - 1, amps / np.linalg.norm(amps))
 
 
 def uniform_directions(n: int, rng) -> DirectionList:

@@ -36,7 +36,7 @@ from ghzstab.solve import (
     trig_parity_identity_residuals,
 )
 from reference import canonical_stabilizer_generators, fidelity, stabilizer_dimension
-from sampling import stratified_sample
+from sampling import basis_state, radians, rationals, stratified_sample
 
 SAMPLE_SEED = 20260808
 SAMPLE_COUNT = 200
@@ -89,7 +89,7 @@ def report_line(num, text):
 
 def test_criterion_1_epr_reproduction():
     start = time.perf_counter()
-    d = DirectionList.from_rationals([(1, 2), (1, 2)])
+    d = rationals([(1, 2), (1, 2)])
     report = classify(d)
     assert report.case is StabilizerCase.UNIQUE_GHZ
     solved = solve_common_eigenspace(d)
@@ -190,7 +190,7 @@ def test_criterion_5_identity_suite():
     worst = 0.0
     for n in range(1, 17):
         for _ in range(100):
-            d = DirectionList.from_radians(rng.uniform(0, 2 * math.pi, size=n))
+            d = radians(rng.uniform(0, 2 * math.pi, size=n))
             odd, even = trig_parity_identity_residuals(d)
             worst = max(worst, odd, even)
             assert odd <= 1e-10 and even <= 1e-10
@@ -214,7 +214,7 @@ def test_criterion_6_stabilizer_dimension_formula():
 
 def test_criterion_7_security_property():
     unique_solved = solve_common_eigenspace(
-        DirectionList.from_rationals([(1, 2), (1, 2)])
+        rationals([(1, 2), (1, 2)])
     )
     unique = purity_security_check(
         unique_solved, env_dim=8, trials=50, seed=SAMPLE_SEED,
@@ -222,7 +222,7 @@ def test_criterion_7_security_property():
     assert unique_solved.classification.case is StabilizerCase.UNIQUE_GHZ
     assert unique.entropies.max() <= 1e-8
     degenerate_solved = solve_common_eigenspace(
-        DirectionList.from_rationals([(1, 1), (1, 1), (0, 1)])
+        rationals([(1, 1), (1, 1), (0, 1)])
     )
     degenerate = purity_security_check(
         degenerate_solved, env_dim=8, trials=50, seed=SAMPLE_SEED,
@@ -237,7 +237,7 @@ def test_criterion_7_security_property():
 
 
 def test_criterion_8_certification_statistics():
-    d = DirectionList.from_rationals([(1, 2), (1, 2)])
+    d = rationals([(1, 2), (1, 2)])
     state = StateVector(2, solve_common_eigenspace(d).basis[:, 0])
     cfg = CertificationConfig(shots=10_000, seed=SAMPLE_SEED)
     good = run_certification(state, d, cfg)
@@ -245,7 +245,7 @@ def test_criterion_8_certification_statistics():
     assert good.passed
 
     d3 = canonical_angles(3)
-    zero = StateVector.basis_state(3, 0)
+    zero = basis_state(3, 0)
     bad = run_certification(zero, d3, cfg)
     assert not bad.passed
     assert bad.mean_b == 1.0

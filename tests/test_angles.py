@@ -6,6 +6,7 @@ import pytest
 from ghzstab import Angle, DirectionList, classify
 from ghzstab.angles import PI
 from ghzstab.errors import DomainError, ShapeError
+from sampling import radians, rationals
 
 
 def test_exact_lowest_terms():
@@ -47,9 +48,9 @@ def test_non_finite_radians_are_rejected():
         with pytest.raises(DomainError, match="finite"):
             Angle.radians(value)
         with pytest.raises(DomainError, match="finite"):
-            classify(DirectionList.from_radians([value, 1.0]))
+            classify(radians([value, 1.0]))
         with pytest.raises(DomainError, match="finite"):
-            DirectionList.from_radians([1.0, 1.0], [0.0, value])
+            radians([1.0, 1.0], [0.0, value])
 
 
 def test_direction_list_validation():
@@ -60,10 +61,10 @@ def test_direction_list_validation():
 
 
 def test_direction_list_builders():
-    d = DirectionList.from_rationals([(1, 2), (1, 3)])
+    d = rationals([(1, 2), (1, 3)])
     assert d.n_parties == 2
     assert d.all_exact
     assert all(p.pi_multiple == 0 for p in d.phis)
-    d2 = DirectionList.from_radians([0.1, 0.2], [0.3, 0.4])
+    d2 = radians([0.1, 0.2], [0.3, 0.4])
     assert not d2.all_exact
     assert d2.phi_radians() == [0.3, 0.4]

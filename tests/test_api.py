@@ -1,13 +1,16 @@
 """The public API: the README tour runs as written, the package exports
-exactly what the tour imports, every exported name resolves, and every name
-the benchmark traces still exists."""
+exactly what the tour imports, every exported name resolves, every name
+the benchmark traces still exists, and the benchmark's library calls run."""
 
 import ast
 import importlib
 import pathlib
 import re
+import sys
+import types
 
 import ghzstab
+from ghzstab import angles, certify, cli, linalg
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -60,3 +63,23 @@ def test_benchmark_span_targets_resolve():
         if not callable(fn):
             missing.add(f"ghzstab.{module}.{attr}")
     assert missing <= STALE_SPAN_TARGETS
+
+
+def test_benchmark_library_calls_run(monkeypatch, tmp_path):
+    # perfbench's mixture call builds its inputs with the package's
+    # constructors (DirectionList.of, Angle.exact and radians, StateVector,
+    # Ensemble with sampling=, CertificationConfig with shots= and seed=);
+    # losing one would otherwise fail only the benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no .pyc in perfbench/
+    program = types.SimpleNamespace(cli=cli, angles=angles, linalg=linalg, certify=certify)
+    try:
+        workload = importlib.import_module("workloads").WORKLOADS["certify_protocol"]
+        for seed in (1, 2):
+            calls = [c for c in workload.calls(seed, 0, tmp_path) if c.library]
+            assert calls
+            for call in calls:
+                call.check(call.library(program)())
+    finally:
+        for name in ("workloads", "checks", "inputs"):
+            sys.modules.pop(name, None)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzstab import DirectionList
 from ghzstab.bitstrings import (
     LABEL_CHUNK,
     bit_labels,
@@ -14,14 +13,15 @@ from ghzstab.bitstrings import (
     parity_of,
 )
 from ghzstab.linalg import MAX_PARTIES
-from reference import signed_angle_sum
 from ghzstab.errors import SizeError
+from reference import signed_angle_sum
+from sampling import rationals
 
 
 def test_party_one_is_most_significant():
     assert bit_labels(np.array([0b100]), 3) == ["100"]
     # pattern index 0b100 negates theta_1 alone, 0b001 theta_3 alone
-    d = DirectionList.from_rationals([(1, 2), (1, 3), (1, 6)])
+    d = rationals([(1, 2), (1, 3), (1, 6)])
     assert signed_angle_sum(d, 0b100).pi_multiple == 0
     assert signed_angle_sum(d, 0b001).pi_multiple * 3 == 2
 

@@ -25,14 +25,10 @@ from reference import (
     joint_outcome_probabilities,
     sequential_outcome_probabilities,
 )
-from sampling import uniform_directions
+from sampling import basis_state, normalized, rationals, uniform_directions
 
 
-def rationals(*pairs):
-    return DirectionList.from_rationals(list(pairs))
-
-
-EPR_DIRECTIONS = rationals((1, 2), (1, 2))
+EPR_DIRECTIONS = rationals([(1, 2), (1, 2)])
 EPR = StateVector.ghz(2)
 
 
@@ -52,15 +48,15 @@ def test_measure_round_eigenstate_always_plus_one():
 
 def test_measure_round_zero_expectation_state():
     # |00> under XX: product is +-1 with equal probability
-    state = StateVector.basis_state(2, 0)
+    state = basis_state(2, 0)
     probs = joint_outcome_probabilities(state, EPR_DIRECTIONS)
     assert abs(odd_weight(probs) - 0.5) <= 1e-12
 
 
 def test_measure_round_z_eigenstate():
     # |00> measured along z on both parties: outcome (+1, +1) always
-    d = rationals((0, 1), (0, 1))
-    state = StateVector.basis_state(2, 0)
+    d = rationals([(0, 1), (0, 1)])
+    state = basis_state(2, 0)
     probs = joint_outcome_probabilities(state, d)
     assert abs(probs[0b00] - 1.0) <= 1e-12
 
@@ -72,7 +68,7 @@ def test_product_mean_of_born_probabilities_is_the_expectation(rng):
         for _ in range(5):
             d = uniform_directions(n, rng)
             amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-            state = StateVector.from_amplitudes(amps).normalize()
+            state = normalized(amps)
             probs = joint_outcome_probabilities(state, d)
             mean = 1.0 - 2.0 * odd_weight(probs)
             assert abs(mean - expectation(state, product_observable(d))) <= 1e-12
@@ -83,7 +79,7 @@ def test_sequential_matches_joint_probabilities(rng):
     for n in [1, 2, 3, 4]:
         d = uniform_directions(n, rng)
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        state = StateVector.from_amplitudes(amps).normalize()
+        state = normalized(amps)
         seq = sequential_outcome_probabilities(state, d)
         joint = joint_outcome_probabilities(state, d)
         assert np.max(np.abs(seq - joint)) <= 1e-12
@@ -97,7 +93,7 @@ def test_empirical_matches_analytic_expectation(rng):
         for n in [2, 3]:
             d = uniform_directions(n, np.random.default_rng(seed))
             amps = np.random.default_rng(seed + 1).normal(size=1 << n) + 0j
-            state = StateVector.from_amplitudes(amps).normalize()
+            state = normalized(amps)
             cfg = CertificationConfig(shots=shots, a_fraction=0.99, seed=seed)
             report = run_certification(state, d, cfg)
             expected = expectation(state, product_observable(d))
@@ -175,7 +171,7 @@ def test_born_probability_is_clipped():
 def test_all_zero_state_fails_with_known_mean():
     # canonical triple: <000|A|000> = prod cos(2pi/3) = -1/8
     d = canonical_angles(3)
-    state = StateVector.basis_state(3, 0)
+    state = basis_state(3, 0)
     report = run_certification(
         state, d, CertificationConfig(shots=10_000, seed=2)
     )
@@ -188,7 +184,7 @@ def test_ensemble_uniform_basis_traceless_mean():
     # equal-frequency computational basis states: mean_a tracks tr(A)/2^n = 0
     d = EPR_DIRECTIONS
     ens = Ensemble(
-        states=tuple(StateVector.basis_state(2, i) for i in range(4)),
+        states=tuple(basis_state(2, i) for i in range(4)),
         weights=(0.25,) * 4,
         sampling="cycle",
     )
@@ -200,10 +196,10 @@ def test_ensemble_uniform_basis_traceless_mean():
 def test_ensemble_cycle_counts_are_exact():
     # |0>, |1>, |1> measured along z give products +1, -1, -1 in both
     # settings; 3k + 2 shots cycle k + 1, k + 1 and k rounds through them
-    zero, one = StateVector.basis_state(1, 0), StateVector.basis_state(1, 1)
+    zero, one = basis_state(1, 0), basis_state(1, 1)
     ens = Ensemble(states=(zero, one, one), weights=(0.5, 0.25, 0.25),
                    sampling="cycle")
-    d = rationals((0, 1))
+    d = rationals([(0, 1)])
     for k in (0, 1, 333):
         report = run_certification(
             ens, d, CertificationConfig(shots=3 * k + 2, seed=k)
@@ -220,10 +216,10 @@ def test_ensemble_cycle_counts_are_exact():
 
 def test_ensemble_random_sampling():
     ens = Ensemble(
-        states=(StateVector.basis_state(1, 0), StateVector.basis_state(1, 1)),
+        states=(basis_state(1, 0), basis_state(1, 1)),
         weights=(0.5, 0.5),
     )
-    d = rationals((0, 1))
+    d = rationals([(0, 1)])
     report = run_certification(ens, d, CertificationConfig(shots=4000, seed=4))
     # z-measurement of an even mixture of |0> and |1>: mean near 0
     assert abs(report.mean_a) <= 5 * report.stderr_a
@@ -234,7 +230,7 @@ def test_pure_state_is_a_one_component_ensemble(rng):
     # pure route, its random ensemble and its cycled ensemble read one stream
     d = canonical_angles(3)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    state = StateVector.from_amplitudes(amps).normalize()
+    state = normalized(amps)
     for shots in (1, 2, 7, 10**4):
         for seed in (0, 1, 3, 42):
             cfg = CertificationConfig(shots=shots, seed=seed)
@@ -264,7 +260,7 @@ def test_each_setting_is_built_once_per_run(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     assert not hasattr(certify_module, "sigma_z_product")
     ens = Ensemble(
-        states=(EPR, StateVector.basis_state(2, 0)), weights=(0.5, 0.5)
+        states=(EPR, basis_state(2, 0)), weights=(0.5, 0.5)
     )
     run_certification(ens, EPR_DIRECTIONS, CertificationConfig(shots=100, seed=1))
     assert calls == {"product_observable": 1, "sigma_z_product": 0, "ProductObservable": 1}
@@ -297,10 +293,10 @@ def test_parity_expectation_is_the_z_product_expectation(n, kind, seed):
     rng = np.random.default_rng(seed)
     if kind == "random":
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        state = StateVector.from_amplitudes(amps).normalize()
+        state = normalized(amps)
     elif kind == "basis":
         j = int(rng.integers(1 << n))
-        state = StateVector.basis_state(n, j)
+        state = basis_state(n, j)
     else:
         d, state = planted_ghz(n, rng)
     z = parity_expectation(state)
@@ -321,10 +317,8 @@ def test_report_equals_the_two_apply_route(rng):
         d = uniform_directions(n, rng)
         _, ghz = planted_ghz(n, rng)
         states = [
-            StateVector.from_amplitudes(
-                rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-            ).normalize(),
-            StateVector.basis_state(n, int(rng.integers(1 << n))),
+            normalized(rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)),
+            basis_state(n, int(rng.integers(1 << n))),
             ghz,
         ]
         inputs = list(states)
@@ -383,7 +377,7 @@ def test_local_marginals_unbiased_product_certain():
     # product is +1 in every round for both settings
     d = EPR_DIRECTIONS
     state = StateVector(2, solve_common_eigenspace(d).basis[:, 0])
-    z_axis = rationals((0, 1), (0, 1))
+    z_axis = rationals([(0, 1), (0, 1)])
     for setting in (d, z_axis):
         probs = joint_outcome_probabilities(state, setting).reshape(2, 2)
         assert odd_weight(probs.ravel()) <= 1e-12

@@ -19,24 +19,20 @@ from ghzstab.angles import PI
 from ghzstab.classify import classify_sectors, sign_pattern_set
 from ghzstab.errors import DomainError
 from reference import pattern_condition, signed_angle_sum
-from sampling import uniform_directions
-
-
-def rationals(*pairs):
-    return DirectionList.from_rationals(list(pairs))
+from sampling import radians, rationals, uniform_directions
 
 
 def test_signed_angle_sum_examples():
-    d = rationals((1, 2), (1, 2))
+    d = rationals([(1, 2), (1, 2)])
     assert signed_angle_sum(d, 0b01).pi_multiple == 0
     assert signed_angle_sum(d, 0b00).pi_multiple == 1
-    d3 = rationals((2, 3), (2, 3), (2, 3))
+    d3 = rationals([(2, 3), (2, 3), (2, 3)])
     assert signed_angle_sum(d3, 0b000).pi_multiple == 2
 
 
 def test_signed_angle_sum_range_error():
     # a pattern index has one bit per party: 0 <= m < 2^n
-    d = rationals((1, 2))
+    d = rationals([(1, 2)])
     for m in (-1, 2):
         with pytest.raises(DomainError):
             signed_angle_sum(d, m)
@@ -46,7 +42,7 @@ def test_signed_angle_sum_range_error():
 
 
 def test_sign_pattern_set_epr():
-    d = rationals((1, 2), (1, 2))
+    d = rationals([(1, 2), (1, 2)])
     patterns = sign_pattern_set(d)
     assert bit_labels(patterns.bits, 2) == ["01"]
     assert signed_angle_sum(d, int(patterns.bits[0])).pi_multiple == 0
@@ -54,7 +50,7 @@ def test_sign_pattern_set_epr():
 
 
 def test_sign_pattern_set_canonical_triple():
-    d = rationals((2, 3), (2, 3), (2, 3))
+    d = rationals([(2, 3), (2, 3), (2, 3)])
     patterns = sign_pattern_set(d)
     assert bit_labels(patterns.bits, 3) == ["000"]
     assert signed_angle_sum(d, int(patterns.bits[0])).pi_multiple == 2
@@ -63,7 +59,7 @@ def test_sign_pattern_set_canonical_triple():
 def test_sign_pattern_set_degenerate_triple():
     # theta = (pi, pi, 0): every pattern with m_1 = 0 has sum 2*pi or 0,
     # matching the brute-force eigenspace dimension of 4
-    d = rationals((1, 1), (1, 1), (0, 1))
+    d = rationals([(1, 1), (1, 1), (0, 1)])
     patterns = sign_pattern_set(d)
     assert bit_labels(patterns.bits, 3) == ["000", "001", "010", "011"]
     sums = sorted(signed_angle_sum(d, m).pi_multiple for m in patterns.bits.tolist())
@@ -82,26 +78,26 @@ def test_members_have_leading_zero(rng):
 
 def test_classify_trichotomy():
     # oracle dimensions computed first: 0, 1, 4
-    no = rationals((1, 2), (1, 3))
+    no = rationals([(1, 2), (1, 3)])
     assert (
         brute_force_eigenspace(product_observable(no), sigma_z_product(2))[0].shape[1]
         == 0
     )
     assert classify(no).case is StabilizerCase.NO_COMMON_EIGENSTATE
 
-    unique = rationals((1, 2), (1, 2))
+    unique = rationals([(1, 2), (1, 2)])
     assert (
         brute_force_eigenspace(product_observable(unique), sigma_z_product(2))[0].shape[1]
         == 1
     )
     assert classify(unique).case is StabilizerCase.UNIQUE_GHZ
 
-    deg = rationals((1, 1), (1, 1), (0, 1))
+    deg = rationals([(1, 1), (1, 1), (0, 1)])
     assert classify(deg).case is StabilizerCase.DEGENERATE
 
 
 def test_classify_mode_flags():
-    exact = rationals((1, 2), (1, 2))
+    exact = rationals([(1, 2), (1, 2)])
     assert classify(exact).mode == "exact"
     assert classify(exact.in_mode("approx")).mode == "approx"
     mixed = DirectionList.of([Angle.exact(1, 2), Angle.radians(1.0)])
@@ -115,7 +111,7 @@ def test_exact_vs_approx_agreement(rng):
         n = int(rng.integers(2, 7))
         nums = rng.integers(0, 12, size=n)
         dens = rng.integers(1, 7, size=n)
-        d = DirectionList.from_rationals(
+        d = rationals(
             [(int(p), int(q)) for p, q in zip(nums, dens)]
         )
         exact_members = sign_pattern_set(d).bits.tolist()
@@ -141,7 +137,7 @@ def test_condition_matches_membership(rng):
     for _ in range(20):
         n = int(rng.integers(2, 6))
         nums = rng.integers(0, 8, size=n)
-        d = DirectionList.from_rationals([(int(p), 4) for p in nums])
+        d = rationals([(int(p), 4) for p in nums])
         members = set(sign_pattern_set(d).bits.tolist())
         for bits in range(1 << (n - 1)):
             held = pattern_condition(d, bits)
@@ -170,7 +166,7 @@ def test_bigint_path_matches_pattern_condition(rng, monkeypatch):
         partial = sum(s * v for s, v in zip(signs[:-1], nums))
         near_miss = k % 3 == 2
         nums[-1] = (-signs[-1] * partial) % (2 * den) + near_miss
-        d = DirectionList.from_rationals([(v, den) for v in nums])
+        d = rationals([(v, den) for v in nums])
         members = set(sign_pattern_set(d).bits.tolist())
         admitted = {
             bits for bits in range(1 << (n - 1)) if pattern_condition(d, bits)
@@ -207,7 +203,7 @@ def exact_int64_lists(draw):
     n = draw(st.integers(1, 16))
     q = draw(st.integers(1, 40))
     nums = draw(st.lists(st.integers(-4 * q, 4 * q), min_size=n, max_size=n))
-    return DirectionList.from_rationals([(v, q) for v in nums])
+    return rationals([(v, q) for v in nums])
 
 
 @st.composite
@@ -224,7 +220,7 @@ def bigint_lists(draw):
     partial = sum(s * v for s, v in zip(signs[:-1], nums))
     if n > 1:
         nums[-1] = (-signs[-1] * partial) % (2 * den) + draw(st.sampled_from([0, 1]))
-    return DirectionList.from_rationals([(v, den) for v in nums])
+    return rationals([(v, den) for v in nums])
 
 
 FLOAT_TOLS = (1e-9, 1e-6, 1e-3, 0.2, 1.5)
@@ -239,7 +235,7 @@ def float_lists(draw):
     if draw(st.booleans()):
         q = draw(st.integers(1, 31))
         ks = draw(st.lists(st.integers(-4 * q, 4 * q), min_size=n, max_size=n))
-        return DirectionList.from_radians([k * math.pi / q for k in ks]), tol
+        return radians([k * math.pi / q for k in ks]), tol
     angle = st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False)
     thetas = draw(st.lists(angle, min_size=n, max_size=n))
     if n > 1:
@@ -249,7 +245,7 @@ def float_lists(draw):
         turns = 2 * math.pi * draw(st.integers(-2, 2))
         partial = sum(s * t for s, t in zip(signs[:-1], thetas))
         thetas[-1] = signs[-1] * (turns + delta - partial)
-    return DirectionList.from_radians(thetas), tol
+    return radians(thetas), tol
 
 
 def _assert_matches_enumeration(d, tol):
@@ -285,7 +281,7 @@ def _wide_lists():
     rng = np.random.default_rng(18)
     for n in (18, 20):
         for tol in (0.1, 0.2, 1.5):
-            d = DirectionList.from_radians(rng.uniform(-4 * math.pi, 4 * math.pi, n))
+            d = radians(rng.uniform(-4 * math.pi, 4 * math.pi, n))
             yield pytest.param(d, tol, id=f"radians-n{n}-tol{tol}")
     for n, den, lane in ((20, 12, "int64"), (18, (1 << 61) + 1, "bigint")):
         nums = [int(v) % (4 * den) for v in rng.integers(0, 1 << 62, n)]
@@ -293,7 +289,7 @@ def _wide_lists():
         signs = [1] + [int(s) for s in rng.choice([-1, 1], size=n - 1)]
         partial = sum(s * v for s, v in zip(signs[:-1], nums))
         nums[-1] = (-signs[-1] * partial) % (2 * den)
-        d = DirectionList.from_rationals([(v, den) for v in nums])
+        d = rationals([(v, den) for v in nums])
         yield pytest.param(d, 1e-9, id=f"{lane}-n{n}")
 
 
@@ -314,10 +310,10 @@ def test_half_sums_pass_at_most_half_the_parties_to_a_kernel(rng, monkeypatch):
         )
     for n in range(1, 21):
         lists = (
-            DirectionList.from_rationals([(int(v), 7) for v in rng.integers(0, 28, n)]),
-            DirectionList.from_rationals([(1 << 62, (1 << 61) + 1)] * n),
-            DirectionList.from_radians(rng.uniform(0, 2 * math.pi, n)),
-            DirectionList.from_radians(rng.uniform(0, 2 * math.pi, n)),
+            rationals([(int(v), 7) for v in rng.integers(0, 28, n)]),
+            rationals([(1 << 62, (1 << 61) + 1)] * n),
+            radians(rng.uniform(0, 2 * math.pi, n)),
+            radians(rng.uniform(0, 2 * math.pi, n)),
         )
         for d, tol in zip(lists, (1e-9, 1e-9, 1e-9, 1e-3)):
             lengths.clear()
@@ -328,18 +324,18 @@ def test_half_sums_pass_at_most_half_the_parties_to_a_kernel(rng, monkeypatch):
 def test_pattern_set_party_cap():
     from ghzstab.errors import SizeError
 
-    d = DirectionList.from_rationals([(1, 2)] * 25)
+    d = rationals([(1, 2)] * 25)
     with pytest.raises(SizeError):
         sign_pattern_set(d)
 
 
 def test_fragile_flag():
     eps = 5e-9  # sin(eps/2) between tol and 10*tol
-    d = DirectionList.from_radians([math.pi / 2, math.pi / 2 + eps])
+    d = radians([math.pi / 2, math.pi / 2 + eps])
     report = classify(d, tol=1e-9)
     assert report.patterns.fragile
     assert report.warnings
-    clean = classify(DirectionList.from_radians([math.pi / 2, math.pi / 2 + 0.3]))
+    clean = classify(radians([math.pi / 2, math.pi / 2 + 0.3]))
     assert not clean.patterns.fragile and not clean.warnings
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ghzstab import DirectionList, StateVector
+from ghzstab import StateVector
 from ghzstab.certify import Ensemble
 from ghzstab.cli import (
     InputError,
@@ -26,6 +26,7 @@ from ghzstab.cli import (
 from ghzstab.errors import DomainError
 from ghzstab.solve import solve_common_eigenspace
 from reference import parse_state_records
+from sampling import radians, rationals
 
 EPR_INPUT = {
     "n": 2,
@@ -329,7 +330,7 @@ def test_long_values_are_named_by_size(tmp_path, capsys):
         assert captured.err == f"error: {message}\n" and not captured.out
     # the library's own checks of the same values
     for build, message in (
-        (lambda: DirectionList.from_rationals([(1, 2)]).in_mode("x" * 3000),
+        (lambda: rationals([(1, 2)]).in_mode("x" * 3000),
          "mode must be exact or approx, got a string of 3000 characters"),
         (lambda: Ensemble((StateVector.ghz(2),), (1.0,), sampling=["c"] * 2000),
          "unknown sampling a list of 2000 items"),
@@ -1101,9 +1102,9 @@ def _zero_theta_basis(n, q, exact):
     """The solver's basis for n thetas 0 and every phi q pi / 2: every
     pattern vanishes, and each part is +-c or a signed zero."""
     if exact:
-        d = DirectionList.from_rationals([(0, 1)] * n, [(q, 2)] * n)
+        d = rationals([(0, 1)] * n, [(q, 2)] * n)
     else:
-        d = DirectionList.from_radians([0.0] * n, [q * math.pi / 2] * n)
+        d = radians([0.0] * n, [q * math.pi / 2] * n)
     return solve_common_eigenspace(d).basis
 
 

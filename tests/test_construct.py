@@ -28,10 +28,7 @@ from ghzstab.construct import (
 from ghzstab.errors import DomainError, InternalConsistencyError, PreconditionError
 from ghzstab.linalg import apply_locals, kron_all, subspace_distance
 from reference import fidelity
-
-
-def rationals(*pairs):
-    return DirectionList.from_rationals(list(pairs))
+from sampling import rationals
 
 
 def single_party_reduced(state: StateVector, party: int) -> np.ndarray:
@@ -79,7 +76,7 @@ def test_bitstring_phase_examples():
 
 
 def test_ghz_from_pattern_epr():
-    d = rationals((1, 2), (1, 2))
+    d = rationals([(1, 2), (1, 2)])
     state = ghz_from_pattern(d, 0b01)
     epr = np.zeros(4, dtype=complex)
     epr[0] = epr[3] = 1 / math.sqrt(2)
@@ -87,7 +84,7 @@ def test_ghz_from_pattern_epr():
 
 
 def test_ghz_from_pattern_minus():
-    d = rationals((1, 2), (1, 2))
+    d = rationals([(1, 2), (1, 2)])
     state = ghz_from_pattern(d, 0b00)
     expected = np.zeros(4, dtype=complex)
     expected[0], expected[3] = 1 / math.sqrt(2), -1 / math.sqrt(2)
@@ -95,7 +92,7 @@ def test_ghz_from_pattern_minus():
 
 
 def test_ghz_from_pattern_requires_leading_zero():
-    d = rationals((1, 2), (1, 2))
+    d = rationals([(1, 2), (1, 2)])
     with pytest.raises(PreconditionError):
         ghz_from_pattern(d, 0b10)
     for m in (-1, 4):
@@ -166,7 +163,7 @@ def test_parity_rotation_identity():
 
 
 def test_local_phase_basis_unitary():
-    d = rationals((2, 3), (2, 3), (2, 3))
+    d = rationals([(2, 3), (2, 3), (2, 3)])
     for phase in pattern_phases(d, 0):
         u = np.diag([1.0, phase])
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
@@ -231,7 +228,7 @@ def test_stabilizing_pair_checks_its_recipe(monkeypatch):
 
     phases = construct.pattern_phases
     for name, broken, message in (
-        ("canonical_angles", lambda n: rationals(*[(0, 1)] * n),
+        ("canonical_angles", lambda n: rationals([(0, 1)] * n),
          "canonical angles for n=3 vanish on patterns [0, 1, 2, 3] (4 in all)"),
         ("pattern_phases", lambda d, bits: 1j * phases(d, bits),
          "constructed pair misses its target: residual 1.500e+00"),
@@ -269,7 +266,7 @@ def test_lu_covariance(rng):
     from ghzstab.linalg import apply_locals
     from ghzstab.observables import ProductObservable
 
-    d = rationals((1, 2), (1, 2))
+    d = rationals([(1, 2), (1, 2)])
     base_a = product_observable(d)
     base_b = sigma_z_product(2)
     for _ in range(5):

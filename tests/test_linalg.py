@@ -7,8 +7,9 @@ import pytest
 from ghzstab import StateVector
 from ghzstab.errors import DomainError, ShapeError, SizeError
 from ghzstab.linalg import apply_locals, kron_all, subspace_distance
-from ghzstab.observables import SIGMA_X, SIGMA_Z
-from reference import fidelity, null_space
+from ghzstab.observables import SIGMA_Z
+from reference import SIGMA_X, fidelity, null_space
+from sampling import basis_state, normalized
 
 
 def _random_matrix(rng, dim):
@@ -49,6 +50,9 @@ def test_kron_size_cap(monkeypatch):
     assert kron_all([np.eye(4), np.eye(2)]).shape == (8, 8)
     with pytest.raises(DomainError):
         kron_all([])
+    for size in (0, 3, 6):
+        with pytest.raises(ShapeError, match=f"dimension {size} is not a power of two"):
+            kron_all([np.eye(2), np.zeros((size, size))])
 
 
 def test_kron_mixed_product_rule(rng):
@@ -131,9 +135,9 @@ def test_rank_nullity(rng):
 
 
 def test_fidelity_basics():
-    zero = StateVector.basis_state(1, 0)
-    one = StateVector.basis_state(1, 1)
-    plus = StateVector.from_amplitudes([1, 1]).normalize()
+    zero = basis_state(1, 0)
+    one = basis_state(1, 1)
+    plus = normalized([1, 1])
     assert fidelity(zero, zero) == pytest.approx(1.0)
     assert fidelity(zero, one) == pytest.approx(0.0)
     assert fidelity(zero, plus) == pytest.approx(1 / math.sqrt(2))
@@ -141,20 +145,16 @@ def test_fidelity_basics():
 
 def test_fidelity_symmetry_and_phase(rng):
     for _ in range(20):
-        u = StateVector.from_amplitudes(
-            rng.normal(size=4) + 1j * rng.normal(size=4)
-        ).normalize()
-        v = StateVector.from_amplitudes(
-            rng.normal(size=4) + 1j * rng.normal(size=4)
-        ).normalize()
+        u = normalized(rng.normal(size=4) + 1j * rng.normal(size=4))
+        v = normalized(rng.normal(size=4) + 1j * rng.normal(size=4))
         assert fidelity(u, v) == pytest.approx(fidelity(v, u))
-        phased = StateVector.from_amplitudes(u.amplitudes * np.exp(0.7j))
+        phased = StateVector(2, u.amplitudes * np.exp(0.7j))
         assert fidelity(phased, v) == pytest.approx(fidelity(u, v))
 
 
 def test_fidelity_shape_error():
     with pytest.raises(ShapeError):
-        fidelity(StateVector.basis_state(1, 0), StateVector.basis_state(2, 0))
+        fidelity(basis_state(1, 0), basis_state(2, 0))
 
 
 def _span(*vectors):
@@ -172,7 +172,7 @@ def test_subspace_distance_oblique():
     # projector difference between span{|0>} and span{(|0>+|1>)/sqrt 2}
     # has eigenvalues +-1/sqrt(2): trace 0, det -1/2
     e0 = _span([1, 0])
-    plus = _span(StateVector.from_amplitudes([1, 1]).normalize().amplitudes)
+    plus = _span(normalized([1, 1]).amplitudes)
     assert subspace_distance(e0, plus) == pytest.approx(1 / math.sqrt(2))
 
 
@@ -240,16 +240,6 @@ def test_apply_locals_matches_kron(rng):
             assert got.flags.c_contiguous and not np.shares_memory(got, amps)
 
 
-def test_normalize():
-    v = StateVector.from_amplitudes([3, 4]).normalize()
-    assert abs(v.norm() - 1.0) <= 1e-12
-    with pytest.raises(DomainError, match="cannot normalize the zero vector"):
-        StateVector.from_amplitudes([0, 0]).normalize()
-
-
 def test_state_vector_rejects_bad_lengths():
     with pytest.raises(ShapeError, match=re.escape("length 2^2, got (3,)")):
         StateVector(2, np.zeros(3, dtype=complex))
-    for size in (0, 3, 6):
-        with pytest.raises(ShapeError, match=f"dimension {size} is not a power of two"):
-            StateVector.from_amplitudes(np.zeros(size))

@@ -12,27 +12,32 @@ from ghzstab import (
     sigma_z_product,
 )
 from ghzstab.errors import DomainError, PreconditionError, ShapeError, SizeError
-from ghzstab.observables import (
-    IDENTITY_2,
+from ghzstab.observables import IDENTITY_2, SIGMA_Z, ProductObservable
+from ghzstab.linalg import kron_all
+from reference import (
     SIGMA_X,
     SIGMA_Y,
-    SIGMA_Z,
-    ProductObservable,
-    local_observable,
+    canonical_stabilizer_generators,
+    spin_frames,
+    stabilizer_dimension,
 )
-from ghzstab.linalg import kron_all
-from reference import canonical_stabilizer_generators, spin_frames, stabilizer_dimension
+from sampling import rationals
 
 
 HALF_PI = Angle.exact(1, 2)
 ZERO = Angle.exact(0)
 
 
+def spin_factor(theta: Angle, phi: Angle) -> np.ndarray:
+    """The one-party spin observable, as product_observable builds it."""
+    return product_observable(DirectionList.of([theta], [phi])).mats[0]
+
+
 def test_local_observable_pauli_axes():
-    assert np.allclose(local_observable(HALF_PI, ZERO), SIGMA_X, atol=1e-15)
-    assert np.allclose(local_observable(ZERO, Angle.radians(1.3)), SIGMA_Z,
+    assert np.allclose(spin_factor(HALF_PI, ZERO), SIGMA_X, atol=1e-15)
+    assert np.allclose(spin_factor(ZERO, Angle.radians(1.3)), SIGMA_Z,
                        atol=1e-15)
-    assert np.allclose(local_observable(HALF_PI, HALF_PI), SIGMA_Y,
+    assert np.allclose(spin_factor(HALF_PI, HALF_PI), SIGMA_Y,
                        atol=1e-15)
 
 
@@ -40,7 +45,7 @@ def test_local_observable_properties(rng):
     for _ in range(50):
         theta = Angle.radians(rng.uniform(0, 2 * math.pi))
         phi = Angle.radians(rng.uniform(0, 2 * math.pi))
-        op = local_observable(theta, phi)
+        op = spin_factor(theta, phi)
         assert op.shape == (2, 2)
         assert np.max(np.abs(op - op.conj().T)) <= 1e-12
         assert np.max(np.abs(op @ op - np.eye(2))) <= 1e-12
@@ -55,8 +60,7 @@ def test_spin_eigenvectors(rng):
     )
     frames = spin_frames(d)
     assert frames.shape == (50, 2, 2) and frames.dtype == np.complex128
-    for frame, theta, phi in zip(frames, d.thetas, d.phis):
-        op = local_observable(theta, phi)
+    for frame, op in zip(frames, product_observable(d).mats):
         assert np.max(np.abs(op @ frame - frame * [1, -1])) <= 1e-12
         assert np.max(np.abs(frame.conj().T @ frame - np.eye(2))) <= 1e-12
 
@@ -80,7 +84,7 @@ def test_product_observable_single_party():
 
 
 def test_product_observable_involution():
-    d = DirectionList.from_rationals([(2, 3)] * 3)
+    d = rationals([(2, 3)] * 3)
     full = kron_all(product_observable(d).mats)
     assert np.max(np.abs(full @ full - np.eye(8))) <= 1e-12
     assert np.max(np.abs(full - full.conj().T)) <= 1e-12

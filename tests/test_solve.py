@@ -22,7 +22,7 @@ from ghzstab.bitstrings import even_indices
 from ghzstab.cli import main
 from ghzstab.errors import DomainError, InternalConsistencyError, SizeError
 from ghzstab.linalg import kron_all, subspace_distance
-from ghzstab.observables import IDENTITY_2, SIGMA_X, SIGMA_Z, ProductObservable
+from ghzstab.observables import IDENTITY_2, SIGMA_Z, ProductObservable
 from ghzstab.construct import GHZSpec, stabilizing_pair_for
 import ghzstab.observables as observables_module
 import ghzstab.solve as solve_module
@@ -35,17 +35,15 @@ from ghzstab.solve import (
     stabilization_limit,
     trig_parity_identity_residuals,
 )
-from reference import stacked_reference
+from reference import SIGMA_X, stacked_reference
 from sampling import (
     degenerate_directions,
+    radians,
+    rationals,
     resonant_directions,
     stratified_sample,
     uniform_directions,
 )
-
-
-def rationals(*pairs):
-    return DirectionList.from_rationals(list(pairs))
 
 
 def oracle_dims(d, tol=1e-9):
@@ -54,13 +52,13 @@ def oracle_dims(d, tol=1e-9):
 
 def test_solver_size_cap():
     with pytest.raises(SizeError):
-        solve_common_eigenspace(rationals(*[(1, 2)] * 13))
+        solve_common_eigenspace(rationals([(1, 2)] * 13))
     with pytest.raises(SizeError, match="^13 parties exceed the dense cap of 12$"):
         character_sum_check(13)
 
 
 def test_solve_epr():
-    report = solve_common_eigenspace(rationals((1, 2), (1, 2)))
+    report = solve_common_eigenspace(rationals([(1, 2), (1, 2)]))
     assert report.dimension == 1
     assert report.classification.case is StabilizerCase.UNIQUE_GHZ
     v = report.basis[:, 0]
@@ -71,13 +69,13 @@ def test_solve_epr():
 
 
 def test_solve_no_eigenstate():
-    report = solve_common_eigenspace(rationals((1, 2), (1, 3)))
+    report = solve_common_eigenspace(rationals([(1, 2), (1, 3)]))
     assert report.dimension == 0
     assert report.basis.shape == (4, 0)
 
 
 def test_solve_degenerate_all_z():
-    report = solve_common_eigenspace(rationals((1, 1), (1, 1), (0, 1)))
+    report = solve_common_eigenspace(rationals([(1, 1), (1, 1), (0, 1)]))
     assert report.dimension == 4
     # every basis vector lives on even-parity indices
     odd_rows = np.delete(report.basis, even_indices(3), axis=0)
@@ -87,10 +85,10 @@ def test_solve_degenerate_all_z():
 @pytest.mark.parametrize(
     "d, dim",
     [
-        pytest.param(rationals((1, 1), (1, 1), (0, 1)), 4, id="all_z"),
-        pytest.param(rationals((2, 3), (2, 3), (2, 3), (0, 1)), 2, id="two_patterns"),
-        pytest.param(rationals(*[(1, 1)] * 4), 8, id="all_pi_four_parties"),
-        pytest.param(rationals((0, 1), (0, 1)), 2, id="pair_of_equal_observables"),
+        pytest.param(rationals([(1, 1), (1, 1), (0, 1)]), 4, id="all_z"),
+        pytest.param(rationals([(2, 3), (2, 3), (2, 3), (0, 1)]), 2, id="two_patterns"),
+        pytest.param(rationals([(1, 1)] * 4), 8, id="all_pi_four_parties"),
+        pytest.param(rationals([(0, 1), (0, 1)]), 2, id="pair_of_equal_observables"),
         # the oracle sees the phis only through the phase that makes A's
         # rotated factors real
         pytest.param(
@@ -118,7 +116,7 @@ def test_solver_spans_oracle_on_degenerate_inputs(d, dim):
 def test_solver_limit_follows_tol():
     # both patterns score |sin(S/2)| = 5e-7 <= tol, so both states are
     # admitted with residual 1e-6, above the fixed floor of the limit
-    d = DirectionList.from_radians([math.pi, math.pi + 1e-6])
+    d = radians([math.pi, math.pi + 1e-6])
     report = solve_common_eigenspace(d, tol=1e-6)
     assert report.dimension == 2
     assert abs(report.residual - 1e-6) <= 1e-12
@@ -268,28 +266,28 @@ def test_solver_basis_even_support_and_residuals(rng):
 
 
 def test_sector_dimensions_single_qubit():
-    d = rationals((0, 1))
+    d = rationals([(0, 1)])
     assert sector_dimensions(d)[1] == oracle_dims(d) == (1, 0, 0, 1)
 
 
 def test_sector_dimensions_bell():
     # the four Bell states, one per sector
-    d = rationals((1, 2), (1, 2))
+    d = rationals([(1, 2), (1, 2)])
     assert sector_dimensions(d)[1] == oracle_dims(d) == (1, 1, 1, 1)
 
 
 def test_sector_dimensions_empty_everywhere():
-    d = rationals((1, 2), (1, 3))
+    d = rationals([(1, 2), (1, 3)])
     assert sector_dimensions(d)[1] == oracle_dims(d) == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize(
     "d",
     [
-        DirectionList.from_rationals(
+        rationals(
             [(1, 3), (-2, 5), (7, 4)], [(1, 6), (3, 2), (-1, 5)]
         ),
-        DirectionList.from_radians([0.7, -1.9, 2.4], [0.3, 4.1, -0.8]),
+        radians([0.7, -1.9, 2.4], [0.3, 4.1, -0.8]),
     ],
     ids=["exact", "radians"],
 )
@@ -330,7 +328,7 @@ def exact_lists(draw):
     den = draw(st.integers(1, 12))
     nums = draw(st.lists(st.integers(-2 * den, 2 * den), min_size=n, max_size=n))
     phis = draw(st.lists(st.integers(0, 2 * den - 1), min_size=n, max_size=n))
-    return DirectionList.from_rationals(
+    return rationals(
         [(p, den) for p in nums], [(p, den) for p in phis]
     )
 
@@ -338,11 +336,11 @@ def exact_lists(draw):
 # theta_1 at the flip's edges: 0, its fixed point pi/2, pi, -pi and 4 pi
 @settings(max_examples=60, deadline=None)
 @given(exact_lists())
-@example(DirectionList.from_rationals([(0, 1), (1, 3), (1, 3)]))
-@example(DirectionList.from_rationals([(1, 2), (1, 3), (1, 3)]))
-@example(DirectionList.from_rationals([(1, 1), (1, 3), (1, 3)]))
-@example(DirectionList.from_rationals([(-1, 1), (1, 3), (1, 3)]))
-@example(DirectionList.from_rationals([(4, 1), (1, 3), (1, 3)]))
+@example(rationals([(0, 1), (1, 3), (1, 3)]))
+@example(rationals([(1, 2), (1, 3), (1, 3)]))
+@example(rationals([(1, 1), (1, 3), (1, 3)]))
+@example(rationals([(-1, 1), (1, 3), (1, 3)]))
+@example(rationals([(4, 1), (1, 3), (1, 3)]))
 def test_solver_matches_oracles_on_exact_lists(d):
     # the theorem as a property: dimension = vanishing-pattern count = oracle
     # dimension, with the same span, in every sign sector
@@ -358,9 +356,9 @@ def test_solver_matches_oracles_on_exact_lists(d):
 
 @settings(max_examples=60, deadline=None)
 @given(exact_lists())
-@example(DirectionList.from_radians([0.0, math.pi / 3, math.pi / 3]))
-@example(DirectionList.from_radians([math.pi, math.pi / 3, math.pi / 3]))
-@example(DirectionList.from_radians([-math.pi, math.pi / 3, math.pi / 3]))
+@example(radians([0.0, math.pi / 3, math.pi / 3]))
+@example(radians([math.pi, math.pi / 3, math.pi / 3]))
+@example(radians([-math.pi, math.pi / 3, math.pi / 3]))
 def test_sector_dimensions_match_oracles_on_radian_lists(d):
     # sector symmetry for radian thetas, away from the cut: as radians each
     # signed sum is k pi / den (den <= 12) up to rounding, so every score
@@ -379,7 +377,7 @@ def near_threshold_lists(draw):
     eps = 10.0 ** draw(st.floats(-8.0, 0.0))
     k = draw(st.integers(-1, 1))
     signed = sum(-t if (m >> (n - 2 - l)) & 1 else t for l, t in enumerate(rest))
-    d = DirectionList.from_radians([2 * math.pi * k + eps - signed] + rest)
+    d = radians([2 * math.pi * k + eps - signed] + rest)
     factor = draw(st.one_of(st.floats(0.5, 0.999), st.floats(1.001, 2.0)))
     return d, min(math.sin(eps / 2) * factor, 0.9)
 
@@ -399,7 +397,7 @@ def test_oracle_keeps_blocks_at_the_largest_singular_value():
     # theta_1 - theta_2 = -pi/2 gives a block with |sin S| = 1, which the SVD
     # returns as 1 + 2e-16 here; from tol = 1/sqrt(2) on every block counts,
     # so no cut at 1 may drop it
-    d = DirectionList.from_radians([math.pi / 4, 3 * math.pi / 4])
+    d = radians([math.pi / 4, 3 * math.pi / 4])
     for tol in (0.75, 1.0, 5.0):
         assert oracle_dims(d, tol) == sector_dimensions(d, tol)[1]
 
@@ -411,7 +409,7 @@ def radian_lists_at_any_tol(draw):
     thetas = draw(st.lists(angle, min_size=n, max_size=n))
     phis = draw(st.lists(angle, min_size=n, max_size=n))
     tol = draw(st.floats(0.0, 5.0, exclude_min=True))
-    return DirectionList.from_radians(thetas, phis), tol
+    return radians(thetas, phis), tol
 
 
 @settings(max_examples=60, deadline=None)
@@ -485,28 +483,28 @@ def test_oracle_sectors_are_orthonormal_and_stabilized_on_general_pairs(pair):
 
 
 def test_identity_residual_single_party():
-    d = rationals((1, 3))
+    d = rationals([(1, 3)])
     odd, even = trig_parity_identity_residuals(d)
     assert odd <= 1e-15 and even <= 1e-15
 
 
 def test_identity_even_sum_value():
     # N = 2, theta = (pi/2, pi/2): even-parity sum is (-i)^2 = -1 = cos(pi)
-    d = rationals((1, 2), (1, 2))
+    d = rationals([(1, 2), (1, 2)])
     odd, even = trig_parity_identity_residuals(d)
     assert even <= 1e-12 and odd <= 1e-12
 
 
 def test_identity_residuals_random(rng):
     for n in [1, 2, 5, 10, 16]:
-        d = DirectionList.from_radians(rng.uniform(0, 2 * math.pi, size=n))
+        d = radians(rng.uniform(0, 2 * math.pi, size=n))
         odd, even = trig_parity_identity_residuals(d)
         assert odd <= 1e-10 and even <= 1e-10
 
 
 def test_identity_survives_half_pi():
     # cos(theta) = 0 is fine: products are evaluated in sin/cos form
-    d = rationals((1, 2), (1, 2), (1, 2))
+    d = rationals([(1, 2), (1, 2), (1, 2)])
     odd, even = trig_parity_identity_residuals(d)
     assert odd <= 1e-12 and even <= 1e-12
 
@@ -518,7 +516,7 @@ def test_character_sum_check_zero_deviation(n):
 
 def test_audits_reject_negative_seed():
     # numpy would raise its own ValueError for the seed
-    d = rationals((1, 2), (1, 2))
+    d = rationals([(1, 2), (1, 2)])
     with pytest.raises(DomainError, match="seed"):
         character_sum_check(3, seed=-1)
     with pytest.raises(DomainError, match="seed"):
@@ -530,7 +528,7 @@ def test_audits_reject_negative_seed():
 
 
 def test_purity_unique_case():
-    d = rationals((1, 2), (1, 2))
+    d = rationals([(1, 2), (1, 2)])
     solved = solve_common_eigenspace(d)
     report = purity_security_check(solved, env_dim=4, trials=20, seed=5)
     assert solved.classification.case is StabilizerCase.UNIQUE_GHZ
@@ -539,7 +537,7 @@ def test_purity_unique_case():
 
 
 def test_purity_degenerate_case():
-    d = rationals((1, 1), (1, 1), (0, 1))
+    d = rationals([(1, 1), (1, 1), (0, 1)])
     solved = solve_common_eigenspace(d)
     report = purity_security_check(solved, env_dim=4, trials=20, seed=5)
     assert solved.dimension == 4
@@ -548,7 +546,7 @@ def test_purity_degenerate_case():
 
 
 def test_purity_empty_case():
-    d = rationals((1, 2), (1, 3))
+    d = rationals([(1, 2), (1, 3)])
     solved = solve_common_eigenspace(d)
     report = purity_security_check(solved, env_dim=4, trials=5)
     assert solved.dimension == 0
@@ -559,13 +557,13 @@ def test_purity_empty_case():
 @pytest.mark.parametrize(
     "d, env_dim",
     [
-        (rationals((1, 2), (1, 2)), 4),
-        (rationals((1, 1), (1, 1), (0, 1)), 4),
+        (rationals([(1, 2), (1, 2)]), 4),
+        (rationals([(1, 1), (1, 1), (0, 1)]), 4),
         (
-            DirectionList.from_radians([0.4, 1.3, 2.2, 0.4 + 1.3 + 2.2 - 2 * math.pi]),
+            radians([0.4, 1.3, 2.2, 0.4 + 1.3 + 2.2 - 2 * math.pi]),
             4,
         ),
-        (rationals(*[(1, 3)] * 6), 11),  # 11 patterns vanish: env_dim = d
+        (rationals([(1, 3)] * 6), 11),  # 11 patterns vanish: env_dim = d
     ],
     ids=["unique", "degenerate", "unique_radians", "degenerate_n6"],
 )
@@ -619,9 +617,9 @@ def record_draw_sizes(monkeypatch):
 @pytest.mark.parametrize(
     "d, bits, per_batch",
     [
-        (rationals((1, 2), (1, 2)), 3, 2),
-        (rationals((1, 1), (1, 1), (0, 1)), 5, 2),
-        (rationals((1, 1), (1, 1), (0, 1)), 3, 1),  # a draw exceeds the batch
+        (rationals([(1, 2), (1, 2)]), 3, 2),
+        (rationals([(1, 1), (1, 1), (0, 1)]), 5, 2),
+        (rationals([(1, 1), (1, 1), (0, 1)]), 3, 1),  # a draw exceeds the batch
     ],
     ids=["unique", "degenerate", "degenerate_one_per_batch"],
 )
@@ -642,7 +640,7 @@ def test_purity_batches_continue_one_stream(d, bits, per_batch, monkeypatch):
 def test_purity_rejects_a_basis_that_is_not_orthonormal():
     # the audit reads each draw from its coefficients in the basis, which
     # stands for the projected draw only when the basis is an isometry
-    d = rationals((1, 1), (1, 1), (0, 1))
+    d = rationals([(1, 1), (1, 1), (0, 1)])
     solved = solve_common_eigenspace(d)
     basis = solved.basis.copy()
     basis[:, 1] *= 1.01
@@ -658,7 +656,7 @@ def test_solver_rejects_an_eigenspace_that_is_not_stabilized(
     # = 1.2e-8, while the columns stay orthonormal. solve's own per-state
     # check, the only stabilization check on the CLI's routes, refuses it,
     # and solve and verify exit 3
-    d = rationals((1, 1), (1, 1), (0, 1))
+    d = rationals([(1, 1), (1, 1), (0, 1)])
     solved = solve_common_eigenspace(d)
     assert solved.dimension == 4
     assert stabilization_limit(solved.classification.tol) == pytest.approx(1.2e-8)
@@ -691,9 +689,9 @@ def test_solver_rejects_an_eigenspace_that_is_not_stabilized(
 @pytest.mark.parametrize(
     "d, env_dim",
     [
-        (rationals((1, 2), (1, 2)), 4),
-        (rationals((1, 1), (1, 1), (0, 1)), 8),
-        (rationals(*[(1, 3)] * 6), 11),
+        (rationals([(1, 2), (1, 2)]), 4),
+        (rationals([(1, 1), (1, 1), (0, 1)]), 8),
+        (rationals([(1, 3)] * 6), 11),
     ],
     ids=["unique", "degenerate", "degenerate_n6"],
 )
@@ -748,7 +746,7 @@ def test_purity_report_invariants(d, extra_env, seed):
 
 def test_purity_env_too_small():
     with pytest.raises(DomainError):
-        d = rationals((1, 1), (1, 1), (0, 1))
+        d = rationals([(1, 1), (1, 1), (0, 1)])
         purity_security_check(solve_common_eigenspace(d), env_dim=2, trials=5)
 
 
@@ -756,7 +754,7 @@ def test_purity_draw_size_cap():
     # one draw of 1 * (2^23 + 1) coefficients, 2^23 + 1 trials, or none, is
     # refused before any draw; a size past the 4300 digits that str()
     # converts is named by its digit count
-    solved = solve_common_eigenspace(rationals((1, 2), (1, 2)))
+    solved = solve_common_eigenspace(rationals([(1, 2), (1, 2)]))
     env, huge = (1 << 23) + 1, 10**4200
     digits = "an integer of 4201 digits"
     for kwargs, error, message in (
