@@ -9,7 +9,7 @@ import numpy as np
 
 from .angles import Angle, DirectionList
 from .bitstrings import parity_of
-from .errors import DomainError, ShapeError
+from .errors import DomainError, InternalConsistencyError, ShapeError
 from .linalg import DEFAULT_TOL, apply_locals, check_dense
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
@@ -77,86 +77,87 @@ def brute_force_eigenspace(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Oracle: the common eigenspaces of A and B in the four sign sectors
     (+,+), (+,-), (-,+), (-,-) (A's sign first), each an orthonormal
-    (2^n, k) array, from one SVD.
+    (2^n, k) array, from one symmetric eigensolve of the flipped block.
 
-    Each local factor of B is an involution, so its 2x2 eigenbasis F_l (+1
-    eigenvector first) makes B' = F^H B F diagonal with entries +-1, and
-    A' = F^H A F is still a product of 2x2 factors. Each factor is Hermitian,
-    and the diagonal phase diag(1, e^{-i arg beta_l}) on F_l's second vector
-    (beta_l the factor's off-diagonal entry) makes it real while B' stays
-    diagonal, so everything below runs in float64 up to the final map back
-    through the frames. Taking the real part drops only the factors'
-    anti-Hermitian part, at most the 1e-12 that ProductObservable's
-    Hermitian check admits. Split the indices into P (B' = +1) and M
-    (B' = -1). Two involutions split the space into invariant blocks of
-    dimension at most 2 (Jordan's lemma). On a 2-dimensional block, A' acts
-    on its P and M vectors p and m as [[cos S, sin S], [sin S, -cos S]] up
-    to a sign, so the block of A' mapping P into M, C = A'[M, P], has
-    singular value |sin S| there, with right singular vector p and left
-    singular vector m. A 1-dimensional block is a vector of P or M that A'
-    fixes up to sign, and C or C^T sends it to 0.
+    B's local factors are involutions, so their 2x2 eigenbases F_l (+1
+    eigenvector first) make B' = F^H B F diagonal with entries +-1, and
+    A' = F^H A F a product of 2x2 factors, real once a phase multiplies each
+    F_l's second vector (dropping at most the 1e-12 anti-Hermitian part that
+    ProductObservable admits), so all below is float64 up to the map back
+    through the frames. Split the indices into P (B' = +1) and M (B' = -1).
+    By Jordan's lemma the two involutions split the space into invariant
+    blocks of dimension at most 2. On a 2-dimensional block A' acts on its P
+    and M vectors p and m as +-[[cos S, sin S], [sin S, -cos S]], so
+    C = A'[M, P] has singular value |sin S| with singular vectors p and m;
+    C or C^T sends a 1-dimensional block to 0.
 
-    In sector (+,+) a block counts when |sin(S/2)| <= tol, classify's rule
-    for a product spin observable and the all-Z one (S/2 is the angle
-    between p and A's +1 eigenvector); in (-,+) when |cos(S/2)| <= tol.
-    |sin S| = 2 |sin(S/2)| |cos(S/2)| grows with the smaller of the two
-    factors while that is below 1/sqrt(2), so for tol < 1/sqrt(2) a block
-    meets one of the two rules exactly when |sin S| <= 2 tol sqrt(1 - tol^2),
-    the cut. The right singular vectors at or below the cut span P's side of
-    those blocks and the left ones M's side. Each side splits by the
-    eigenvalues lambda of its compression of A' (cos S on P's side, -cos S
-    on M's): the + sector takes lambda > 0 or (1 - lambda)/2 <= tol^2, the
-    - sector lambda < 0 or (1 + lambda)/2 <= tol^2. The cut resolves sin S
-    to float precision near 0 and pi, where (1 -+ lambda)/2 cannot. From
-    tol = 1/sqrt(2) on, every vector is kept, the lambda rule alone
+    Let K be J = [[0, -1], [1, 0]] on a party l whose B' factor is not
+    scalar, so that K swaps P and M. J R J^T = -R for every real traceless
+    symmetric R, so when A'_l is traceless K anticommutes with A' and B',
+    D = K[M, P]^T C is symmetric, and its eigenpairs (lambda, v) give C's
+    singular values |lambda| and singular vectors v and K v. If no such
+    A'_l is traceless, A' commutes with B' and C = 0.
+
+    A block counts in (+,+) when |sin(S/2)| <= tol, classify's rule (S/2 is
+    the angle between p and A's +1 eigenvector), and in (-,+) when
+    |cos(S/2)| <= tol. For tol < 1/sqrt(2) either holds exactly when
+    |sin S| = 2 |sin(S/2) cos(S/2)| <= 2 tol sqrt(1 - tol^2), the cut, which
+    resolves sin S to float precision near 0 and pi. The v within it split
+    by the eigenvalues lambda of their compression of A' (cos S): + takes
+    lambda > 0 or (1 - lambda)/2 <= tol^2, - lambda < 0 or
+    (1 + lambda)/2 <= tol^2. As K^T A' K = -A' (A' when they commute),
+    (+,-) and (-,-) are K times (-,+) and (+,+) (or (+,+) and (-,+)). All
+    is kept when B is scalar or tol >= 1/sqrt(2); then the lambda rule alone
     decides, and a block may count in two sectors, as in classify. No sign
     pattern enters the computation.
     """
     n = b.n_parties
     if a.n_parties != n:
         raise ShapeError(f"party counts differ: {a.n_parties} vs {n}")
-    check_dense(n)  # A' applied to the P columns is 2^n x |P|
+    check_dense(n)  # A' applied to one side's columns is 2^n x 2^(n-1)
     values, frames = np.linalg.eigh(b.mats)
     values, frames = values[:, ::-1], frames[:, :, ::-1]  # +1 eigenvector first
     rotated = frames.conj().transpose(0, 2, 1) @ a.mats @ frames
-    # e^{-i arg beta} on each frame's second vector turns beta into |beta|
-    # and its conjugate below the diagonal too; np.angle(0) is 0, and
-    # nothing divides by |beta|
-    phase = np.exp(-1j * np.angle(rotated[:, 0, 1]))
-    frames[:, :, 1] *= phase[:, None]
-    rotated[:, 0, 1] *= phase
-    rotated[:, 1, 0] *= phase.conj()
-    rotated = rotated.real
+    # e^{-i arg beta} on each frame's second vector turns beta and its mirror
+    # entry into |beta|, with no division (np.angle(0) is 0)
+    frames[:, :, 1] *= np.exp(-1j * np.angle(rotated[:, 0, 1]))[:, None]
+    rotated = (frames.conj().transpose(0, 2, 1) @ a.mats @ frames).real
     # B' at index j is the product of values[l, bit l of j], so its sign
     # flips with each set bit of a party whose two eigenvalues differ
     neg = values < 0
-    mask = sum(1 << (n - 1 - l) for l in np.flatnonzero(neg[:, 0] != neg[:, 1]))
+    flips = np.flatnonzero(neg[:, 0] != neg[:, 1])
+    mask = sum(1 << (n - 1 - l) for l in flips)
     odd = parity_of(np.arange(b.dim) & mask) ^ (np.count_nonzero(neg[:, 0]) & 1)
-    p_idx, m_idx = np.flatnonzero(odd == 0), np.flatnonzero(odd)
-    cols = np.zeros((b.dim, p_idx.size))
-    cols[p_idx, np.arange(p_idx.size)] = 1.0
-    c = apply_locals(rotated, cols)[m_idx]
-    del cols  # 2^n x |P|, as large as U and Vh together: free it before the SVD
-    u, s, vh = np.linalg.svd(c, full_matrices=True)
-    # at tol >= 1/sqrt(2) the cut would be 1, the largest sigma, and float
-    # noise must not drop a block there
-    cut = 2.0 * tol * math.sqrt(1.0 - tol * tol) if tol < math.sqrt(0.5) else math.inf
-    sides = []  # the kept vectors of P and of M, embedded in 2^n rows
-    for idx, vecs in ((p_idx, vh.T), (m_idx, u)):
-        keep = np.ones(idx.size, dtype=bool)  # vectors past s have sigma 0
-        keep[: s.size] = s <= cut
-        side = np.zeros((b.dim, np.count_nonzero(keep)))
-        side[idx] = vecs[:, keep]
-        sides.append(side)
-    images = apply_locals(rotated, np.hstack(sides))
-    plus, minus = [], []
-    for side, image in zip(sides, np.split(images, [sides[0].shape[1]], axis=1)):
-        lam, vecs = np.linalg.eigh(side.T @ image)
-        lam = np.clip(lam, -1.0, 1.0)
-        side = side @ vecs
-        plus.append(side[:, (lam > 0) | ((1.0 - lam) / 2.0 <= tol * tol)])
-        minus.append(side[:, (lam < 0) | ((1.0 + lam) / 2.0 <= tol * tol)])
-    parts = plus + minus  # (+,+), (+,-), (-,+), (-,-)
+    side = np.flatnonzero(odd == odd.min())  # P, or M when B = -I leaves P empty
+    block = apply_locals(rotated, (np.arange(b.dim)[:, None] == side) * 1.0)
+    compressed = block[side]  # A'[side, side]; a scalar B keeps its side whole
+    if flips.size:
+        # an admitted A'_l has trace within 2e-10 of 0 or of +-2
+        traceless = np.abs(rotated[flips, 0, 0] + rotated[flips, 1, 1]) < 1.0
+        bit = 1 << (n - 1 - flips[np.argmax(traceless)])
+        sign = np.where(side & bit, -1.0, 1.0)
+        flipped = sign[:, None] * block[side ^ bit]  # D
+        # D - D^T: tr(A'_l) J times the rest, A'_l J times their asymmetry
+        asymmetry = float(np.abs(flipped - flipped.T).max())
+        if asymmetry > 2e-10 + 4e-12 * (n + 1):
+            raise InternalConsistencyError(f"max|D - D^T| is {asymmetry:.3e}")
+        lam, vecs = np.linalg.eigh(flipped)
+        if tol < math.sqrt(0.5):  # past it float noise must not drop |lambda| ~ 1
+            vecs = vecs[:, np.abs(lam) <= 2.0 * tol * math.sqrt(1.0 - tol * tol)]
+        compressed = vecs.T @ compressed @ vecs
+    lam, rot = np.linalg.eigh(compressed)
+    lam, vecs = np.clip(lam, -1.0, 1.0), vecs @ rot if flips.size else rot
+    plus = (lam > 0) | ((1.0 - lam) / 2.0 <= tol * tol)
+    minus = (lam < 0) | ((1.0 + lam) / 2.0 <= tol * tol)
+    own, image = np.zeros((b.dim, lam.size)), np.zeros((b.dim, lam.size))
+    own[side] = vecs
+    sb = -1 if odd.min() else 1
+    found = {(1, sb): own[:, plus], (-1, sb): own[:, minus]}
+    if flips.size:
+        image[side ^ bit] = sign[:, None] * vecs
+        sa = -1 if traceless.any() else 1  # K^T A' K = sa A'
+        found[sa, -1], found[-sa, -1] = image[:, plus], image[:, minus]
+    parts = [found.get(s, own[:, :0]) for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
     bases = apply_locals(frames, np.hstack(parts))
     bounds = np.cumsum([part.shape[1] for part in parts])[:-1]
     return tuple(np.ascontiguousarray(x) for x in np.split(bases, bounds, axis=1))

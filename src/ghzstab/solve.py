@@ -12,10 +12,9 @@ construction. The solver also returns the dimensions of the four sign
 sectors of (sA, sB) (sector_dimensions): two of them count the list with
 theta_1 flipped to pi - theta_1, from the same classify run.
 
-The brute-force route (one SVD of the block of A that maps B's +1
-eigenspace into its -1 eigenspace, which gives all four sign sectors) is
-kept as an independent oracle for tests and ``ghzstab verify``; the
-production routes never run it.
+The brute-force route (one symmetric eigensolve of the flipped block of A,
+which gives all four sign sectors) is kept as an independent oracle for
+tests and ``ghzstab verify``; the production routes never run it.
 """
 
 from __future__ import annotations
@@ -126,9 +125,9 @@ def sector_dimensions(
 def sector_oracle_bases(
     d: DirectionList, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Oracle for sector_dimensions: the brute-force common eigenspaces of
-    (sA, sB) in the four sign sectors, in the order of SECTORS, each a
-    (2^n, k) array, from one run of brute_force_eigenspace.
+    """Oracle for sector_dimensions: the common eigenspaces of (sA, sB) in
+    the four sign sectors, in the order of SECTORS, each a (2^n, k) array,
+    from brute_force_eigenspace's one symmetric eigensolve of the flipped block.
 
     classify decides exact thetas without tol, so for them the cut is
     half the smallest score a non-vanishing pattern can have, whatever tol

@@ -1,8 +1,10 @@
 """Dense and per-pattern references that only the tests call.
 
 - the Pauli matrices SIGMA_X and SIGMA_Y (SIGMA_Z is the package's);
-- a rank-revealing null space, and the common eigenspace as the null space
-  of a stacked matrix (the oracle tests);
+- a rank-revealing null space, the common eigenspace as the null space
+  of a stacked matrix, and the four sign sectors from a full SVD of the
+  block of A that maps B's +1 eigenspace into its -1 eigenspace (the
+  oracle tests);
 - the signed angle sum and vanishing condition of one sign pattern (the
   enumeration tests);
 - the spin eigenframes, the joint-outcome Born probabilities computed
@@ -25,6 +27,7 @@ import math
 import numpy as np
 
 from ghzstab.angles import Angle, DirectionList
+from ghzstab.bitstrings import parity_of
 from ghzstab.certify import (
     CertificationConfig,
     CertReport,
@@ -73,6 +76,50 @@ def stacked_reference(a_full, b_full, tol=1e-9):
     eye = np.eye(a_full.shape[0])
     cut = 2.0 * math.sqrt(2.0) * math.sin(math.asin(min(tol, 1.0)) / 2.0)
     return null_space(np.vstack([a_full - eye, b_full - eye]), cut)
+
+
+def sector_bases_by_svd(a: ProductObservable, b: ProductObservable, tol=DEFAULT_TOL):
+    """brute_force_eigenspace's four sign sectors, from a full SVD of
+    C = A'[M, P] in B's rephased eigenframes: the right singular vectors at
+    or below the cut span P's side of the admitted blocks and the left ones
+    M's side, and each side splits by the eigenvalues of its own
+    compression of A', by the oracle's lambda rules."""
+    n = b.n_parties
+    values, frames = np.linalg.eigh(b.mats)
+    values, frames = values[:, ::-1], frames[:, :, ::-1]
+    rotated = frames.conj().transpose(0, 2, 1) @ a.mats @ frames
+    phase = np.exp(-1j * np.angle(rotated[:, 0, 1]))
+    frames[:, :, 1] *= phase[:, None]
+    rotated[:, 0, 1] *= phase
+    rotated[:, 1, 0] *= phase.conj()
+    rotated = rotated.real
+    neg = values < 0
+    mask = sum(1 << (n - 1 - l) for l in np.flatnonzero(neg[:, 0] != neg[:, 1]))
+    odd = parity_of(np.arange(b.dim) & mask) ^ (np.count_nonzero(neg[:, 0]) & 1)
+    p_idx, m_idx = np.flatnonzero(odd == 0), np.flatnonzero(odd)
+    cols = np.zeros((b.dim, p_idx.size))
+    cols[p_idx, np.arange(p_idx.size)] = 1.0
+    u, s, vh = np.linalg.svd(apply_locals(rotated, cols)[m_idx], full_matrices=True)
+    cut = 2.0 * tol * math.sqrt(1.0 - tol * tol) if tol < math.sqrt(0.5) else math.inf
+    sides = []
+    for idx, vecs in ((p_idx, vh.T), (m_idx, u)):
+        keep = np.ones(idx.size, dtype=bool)  # vectors past s have sigma 0
+        keep[: s.size] = s <= cut
+        side = np.zeros((b.dim, np.count_nonzero(keep)))
+        side[idx] = vecs[:, keep]
+        sides.append(side)
+    images = apply_locals(rotated, np.hstack(sides))
+    plus, minus = [], []
+    for side, image in zip(sides, np.split(images, [sides[0].shape[1]], axis=1)):
+        lam, vecs = np.linalg.eigh(side.T @ image)
+        lam = np.clip(lam, -1.0, 1.0)
+        side = side @ vecs
+        plus.append(side[:, (lam > 0) | ((1.0 - lam) / 2.0 <= tol * tol)])
+        minus.append(side[:, (lam < 0) | ((1.0 + lam) / 2.0 <= tol * tol)])
+    parts = plus + minus  # (+,+), (+,-), (-,+), (-,-)
+    bases = apply_locals(frames, np.hstack(parts))
+    bounds = np.cumsum([part.shape[1] for part in parts])[:-1]
+    return tuple(np.split(bases, bounds, axis=1))
 
 
 def parse_state_records(data: dict) -> np.ndarray:

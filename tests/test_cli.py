@@ -482,7 +482,7 @@ SCORE_TIES = (
             "tol": 0.7071067811865476,
         },
         [0, 8, 8, 0],
-        [2, 8, 7, 1],
+        [1, 8, 8, 1],
     ),
 )
 

@@ -35,7 +35,7 @@ from ghzstab.solve import (
     stabilization_limit,
     trig_parity_identity_residuals,
 )
-from reference import SIGMA_X, stacked_reference
+from reference import SIGMA_X, sector_bases_by_svd, stacked_reference
 from sampling import (
     degenerate_directions,
     radians,
@@ -454,21 +454,29 @@ def product_pairs(draw):
 @settings(max_examples=150, deadline=None)
 @given(product_pairs())
 def test_oracle_sectors_are_orthonormal_and_stabilized_on_general_pairs(pair):
-    # the oracle rephases B's frames so that A's factors are real, and its
-    # SVD sees only float64; each sector's basis is orthonormal and fixed by
+    # the oracle rephases B's frames so that A's factors are real: besides
+    # the batch of B's 2x2 factors, its eigh sees the flipped block (when B
+    # has a non-scalar factor) and the compression, both float64, and it
+    # never calls svd; each sector's basis is orthonormal and fixed by
     # (sA A, sB B) up to the residual an admitted block may have
     a, b = pair
-    svd = np.linalg.svd
+    eigh = np.linalg.eigh
     seen = []
 
     def recording(x, *args, **kwargs):
-        seen.append(x.dtype)
-        return svd(x, *args, **kwargs)
+        seen.append(x)
+        return eigh(x, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the oracle called svd")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(observables_module.np.linalg, "svd", recording)
+        patch.setattr(observables_module.np.linalg, "eigh", recording)
+        patch.setattr(observables_module.np.linalg, "svd", refused)
         bases = brute_force_eigenspace(a, b)
-    assert seen == [np.float64]
+    flips = np.abs(np.trace(b.mats, axis1=1, axis2=2)) < 1.0
+    assert [x.shape for x in seen[:1]] == [b.mats.shape]
+    assert [x.dtype for x in seen[1:]] == [np.float64] * (1 + flips.any())
     limit = stabilization_limit(1e-9)
     for (sa, sb), basis in zip(SECTORS, bases):
         k = basis.shape[1]
@@ -476,6 +484,32 @@ def test_oracle_sectors_are_orthonormal_and_stabilized_on_general_pairs(pair):
         for sign, op in ((sa, a), (sb, b)):
             residual = sign * op.apply(basis) - basis
             assert np.linalg.norm(residual, axis=0).max(initial=0.0) <= limit
+
+
+@SECTOR_TOLS
+@settings(max_examples=100, deadline=None)
+@given(pair=product_pairs())
+def test_oracle_matches_the_svd_route_on_general_pairs(tol, pair):
+    # the flipped block's eigensolve and a full SVD of C give the same four
+    # sectors; a score within a factor 1e-6 of the cut or of a lambda rule's
+    # bound may fall either way, so draws whose SVD dims move with tol skip
+    a, b = pair
+    reference = sector_bases_by_svd(a, b, tol)
+    dims = [x.shape[1] for x in reference]
+    for nearby in (tol * (1 - 1e-6), tol * (1 + 1e-6)):
+        assume([x.shape[1] for x in sector_bases_by_svd(a, b, nearby)] == dims)
+    for basis, expected in zip(brute_force_eigenspace(a, b, tol), reference):
+        assert_same_space(basis, expected)
+
+
+def test_oracle_refuses_an_asymmetric_flipped_block():
+    # a factor with trace 0.5 past ProductObservable's admission breaks
+    # K A' K^T = -A', so D = K[M, P]^T C is not symmetric
+    a, b = product_observable(radians([0.4, 1.1])), sigma_z_product(2)
+    a.mats = a.mats.copy()
+    a.mats[0] = [[0.75, 0.5], [0.5, -0.25]]
+    with pytest.raises(InternalConsistencyError, match=r"^max\|D - D\^T\| is "):
+        brute_force_eigenspace(a, b)
 
 
 # ---------------------------------------------------------------------------
