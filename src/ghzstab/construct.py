@@ -24,15 +24,15 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
 
 
 def canonical_angles(n: int) -> DirectionList:
-    """Exact angle recipe with a single vanishing sign pattern (the zero
-    string): all thetas 2pi/n for odd n; theta_1 = 4pi/(n+1) and the rest
-    2pi/(n+1) for even n. All phis zero."""
+    """Exact angle recipe with one vanishing sign pattern (the zero string)
+    and the pigeonhole gap s_min = sin(pi/n): all thetas 2pi/n for odd n;
+    pi/n for parties 1..n-1 and (n+1)pi/n for party n at even n; phis 0."""
     if n < 2:
         raise DomainError(f"need at least 2 parties, got {shown(n)}")
     if n % 2 == 1:
         thetas = [Angle.exact(2, n)] * n
     else:
-        thetas = [Angle.exact(4, n + 1)] + [Angle.exact(2, n + 1)] * (n - 1)
+        thetas = [Angle.exact(1, n)] * (n - 1) + [Angle.exact(n + 1, n)]
     return DirectionList.of(thetas)
 
 

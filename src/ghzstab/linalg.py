@@ -73,9 +73,9 @@ def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
     column spans of two orthonormal (dim, k) bases.
 
     For equal counts this is the sine of the largest principal angle,
-    ||b - a (a^H b)||_2, a 2^n x k problem; projectors of different rank are
-    at distance 1. The cosine form sqrt(1 - sigma_min^2) would lose
-    precision to sqrt(eps) near 0.
+    ||R||_2 = sqrt(lambda_max(R^H R)) for R = b - a (a^H b): the residual's
+    k x k Gram keeps precision near 0, where the cosine form
+    sqrt(1 - sigma_min^2) loses it to sqrt(eps). Ranks that differ give 1.
     """
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"ambient dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
@@ -83,7 +83,8 @@ def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
         return 1.0
     if a.shape[1] == 0:
         return 0.0
-    return float(np.linalg.norm(b - a @ (a.conj().T @ b), 2))
+    r = b - a @ (a.conj().T @ b)
+    return float(np.sqrt(max(np.linalg.eigvalsh(r.conj().T @ r)[-1], 0.0)))
 
 
 def apply_locals(mats: np.ndarray, amps: np.ndarray) -> np.ndarray:

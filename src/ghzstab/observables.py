@@ -108,8 +108,8 @@ def brute_force_eigenspace(
     (1 + lambda)/2 <= tol^2. As K^T A' K = -A' (A' when they commute),
     (+,-) and (-,-) are K times (-,+) and (+,+) (or (+,+) and (-,+)). All
     is kept when B is scalar or tol >= 1/sqrt(2); then the lambda rule alone
-    decides, and a block may count in two sectors, as in classify. No sign
-    pattern enters the computation.
+    decides, and a block may count in two sectors, as in classify. One
+    apply_locals maps v and K v back. No sign pattern enters the computation.
     """
     n = b.n_parties
     if a.n_parties != n:
@@ -147,17 +147,17 @@ def brute_force_eigenspace(
         compressed = vecs.T @ compressed @ vecs
     lam, rot = np.linalg.eigh(compressed)
     lam, vecs = np.clip(lam, -1.0, 1.0), vecs @ rot if flips.size else rot
-    plus = (lam > 0) | ((1.0 - lam) / 2.0 <= tol * tol)
-    minus = (lam < 0) | ((1.0 + lam) / 2.0 <= tol * tol)
-    own, image = np.zeros((b.dim, lam.size)), np.zeros((b.dim, lam.size))
-    own[side] = vecs
+    plus = np.flatnonzero((lam > 0) | ((1.0 - lam) / 2.0 <= tol * tol))
+    minus = np.flatnonzero((lam < 0) | ((1.0 + lam) / 2.0 <= tol * tol))
     sb = -1 if odd.min() else 1
-    found = {(1, sb): own[:, plus], (-1, sb): own[:, minus]}
+    cols = {(1, sb): plus, (-1, sb): minus}
+    k = lam.size  # the kept v, then their images K v when B flips
+    kept = np.zeros((b.dim, 2 * k if flips.size else k))
+    kept[side, :k] = vecs
     if flips.size:
-        image[side ^ bit] = sign[:, None] * vecs
+        kept[side ^ bit, k:] = sign[:, None] * vecs
         sa = -1 if traceless.any() else 1  # K^T A' K = sa A'
-        found[sa, -1], found[-sa, -1] = image[:, plus], image[:, minus]
-    parts = [found.get(s, own[:, :0]) for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    bases = apply_locals(frames, np.hstack(parts))
-    bounds = np.cumsum([part.shape[1] for part in parts])[:-1]
-    return tuple(np.ascontiguousarray(x) for x in np.split(bases, bounds, axis=1))
+        cols[sa, -1], cols[-sa, -1] = k + plus, k + minus
+    bases = apply_locals(frames, kept)
+    sectors = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    return tuple(np.take(bases, cols.get(s, plus[:0]), axis=1) for s in sectors)

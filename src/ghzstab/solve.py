@@ -47,8 +47,8 @@ PURITY_TRIALS = 20
 # and the number of trials are each at most 2^23
 PURITY_CAP_BITS = 23
 # the draws are read in batches of at most 2^20 coefficients (16 MiB), or
-# one draw when it is larger: enough to share one stacked SVD among many
-# small draws
+# one draw when it is larger: enough to share one stacked Gram eigensolve
+# among many small draws
 PURITY_BATCH_BITS = 20
 
 
@@ -195,6 +195,14 @@ class PurityReport:
     reduced_state_fidelity: float | None
 
 
+def schmidt_weights(c: np.ndarray) -> np.ndarray:
+    """Schmidt weights of each (dim, env_dim) draw c / |c| of a stack, largest
+    first: the eigenvalues of the Gram c c^H (dim <= env_dim), clipped at 0,
+    over their sum, so one weight (x / x) is exactly 1.0: entropy 0.0."""
+    probs = np.maximum(np.linalg.eigvalsh(c @ c.conj().mT)[:, ::-1], 0.0)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
 def purity_security_check(
     report: StabilizerReport,
     env_dim: int = PURITY_ENV_DIM,
@@ -213,11 +221,11 @@ def purity_security_check(
     coefficients in the solver's basis B of a Gaussian (2^n, env_dim) draw
     projected onto range(P), which has that law when B is an isometry
     (checked first, to 1e-12). B c then has c's norm, singular values and
-    overlaps; the state is B c / |c|, whose Schmidt weights are c's squared
-    singular values divided by their sum. dim * env_dim and trials are each
-    capped at 2^PURITY_CAP_BITS. The trials are drawn in consecutive batches
-    of at most 2^PURITY_BATCH_BITS coefficients (or one draw), each read by
-    one stacked SVD.
+    overlaps; the state is B c / |c|, whose Schmidt weights are those of
+    c / |c| (schmidt_weights). dim * env_dim and trials are each capped at
+    2^PURITY_CAP_BITS. The trials are drawn in consecutive batches of at
+    most 2^PURITY_BATCH_BITS coefficients (or one draw), each read by one
+    stacked eigensolve.
 
     Stabilization takes no check here. No unit state of range(P) misses A
     by more than the spectral norm of (A - I) B, which is at most its
@@ -260,10 +268,7 @@ def purity_security_check(
         # order, so the batches continue one stream of one real and one
         # imaginary draw per trial
         g = rng.normal(size=(min(per_batch, trials - start), 2, dim_p, env_dim))
-        probs = np.linalg.svd(g[:, 0] + 1j * g[:, 1], compute_uv=False) ** 2
-        # divided by their sum, so a draw with one weight (x / x) has weight
-        # exactly 1.0: entropy 0.0 and, for a unique state, fidelity 1.0
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs = schmidt_weights(g[:, 0] + 1j * g[:, 1])
         # with dim 1, B c / |c|'s overlap with the unique state is its one
         # Schmidt weight
         min_fidelity = min(min_fidelity, float(probs[:, 0].min()))

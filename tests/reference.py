@@ -5,6 +5,8 @@
   of a stacked matrix, and the four sign sectors from a full SVD of the
   block of A that maps B's +1 eigenspace into its -1 eigenspace (the
   oracle tests);
+- purification Schmidt weights from singular values, and the spectral-norm
+  distance of two subspaces from an SVD of the residual (the audit tests);
 - the signed angle sum and vanishing condition of one sign pattern (the
   enumeration tests);
 - the spin eigenframes, the joint-outcome Born probabilities computed
@@ -120,6 +122,19 @@ def sector_bases_by_svd(a: ProductObservable, b: ProductObservable, tol=DEFAULT_
     bases = apply_locals(frames, np.hstack(parts))
     bounds = np.cumsum([part.shape[1] for part in parts])[:-1]
     return tuple(np.split(bases, bounds, axis=1))
+
+
+def schmidt_weights_by_svd(c: np.ndarray) -> np.ndarray:
+    """solve.schmidt_weights from the squared singular values of each draw
+    of the stack, largest first, over their sum."""
+    probs = np.linalg.svd(c, compute_uv=False) ** 2
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def subspace_distance_by_svd(a: np.ndarray, b: np.ndarray) -> float:
+    """linalg.subspace_distance for two orthonormal bases of equal count, as
+    the spectral norm ||b - a (a^H b)||_2 from an SVD of the residual."""
+    return float(np.linalg.norm(b - a @ (a.conj().T @ b), 2))
 
 
 def parse_state_records(data: dict) -> np.ndarray:

@@ -585,7 +585,8 @@ def test_verify_builds_no_dense_operator(tmp_path, capsys, monkeypatch):
         if name.startswith("ghzstab") and getattr(module, "kron_all", None) is kron_all:
             monkeypatch.setattr(module, "kron_all", refuse)
     d = canonical_angles(8)
-    assert [b.shape[1] for b in sector_oracle_bases(d)] == [1, 0, 0, 1]
+    # with theta_1 flipped to 7 pi/8, 35 patterns vanish: (+,-) and (-,+)
+    assert [b.shape[1] for b in sector_oracle_bases(d)] == [1, 35, 35, 1]
     code, out, err = run_cli(["verify"], tmp_path, capsys, angle_schema(d))
     assert code == 0, err
     assert parse(out)["oracle_dimension"] == 1
@@ -1500,6 +1501,27 @@ def test_verify_reports_a_unique_state_entropy_as_zero(tmp_path, capsys):
     assert code == 0
     assert '"max_entropy": 0.0,' in out and "-0.0" not in out
     assert parse(out)["purity"]["reduced_state_fidelity"] == 1.0
+
+
+def test_verify_takes_no_svd(tmp_path, capsys, monkeypatch):
+    # the purity audit reads Gram eigenvalues, subspace_distance the top
+    # eigenvalue of the residual's Gram, and the oracle one eigh of the
+    # flipped block; on seven thetas 0 the projector and the environment are
+    # both 64, so every draw's Gram is square
+    def refused(*args, **kwargs):
+        raise AssertionError("verify called svd")
+
+    # np.linalg.norm(x, 2) calls the svd of numpy's private module
+    for module in (np.linalg, np.linalg._linalg):
+        monkeypatch.setattr(module, "svd", refused)
+    zeros = {"n": 7, "angles": [{"theta": {"pi_num": 0, "pi_den": 1}}] * 7}
+    code, out, err = run_cli(["verify"], tmp_path, capsys, zeros)
+    assert code == 0, err
+    doc = parse(out)
+    assert doc["case"] == "Degenerate" and doc["sector_dims"] == [64, 0, 0, 64]
+    assert doc["purity"]["projector_dim"] == 64
+    assert 0 < doc["purity"]["max_entropy"] <= 6
+    assert doc["subspace_distance"] <= 1e-10
 
 
 def test_pretty_flag(tmp_path, capsys):

@@ -43,10 +43,32 @@ def test_canonical_angles_recipes():
     assert [t.pi_multiple for t in d3.thetas] == [Fraction(2, 3)] * 3
     d4 = canonical_angles(4)
     assert [t.pi_multiple for t in d4.thetas] == [
-        Fraction(4, 5), Fraction(2, 5), Fraction(2, 5), Fraction(2, 5),
+        Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(5, 4),
     ]
     with pytest.raises(DomainError):
         canonical_angles(1)
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_canonical_angles_meet_the_pigeonhole_gap(n):
+    # with theta_l = k_l pi / q, a pattern's signed sum is r pi / q and its
+    # score |sin(r pi / 2q)|; counting patterns by r mod 2q in integers
+    # shows exactly one vanishing pattern, the zero string, and a smallest
+    # nonzero score of sin(pi/n), the pigeonhole bound on the prefix sums
+    fracs = [t.pi_multiple for t in canonical_angles(n).thetas]
+    q = math.lcm(*(f.denominator for f in fracs))
+    ks = [int(f * q) for f in fracs]
+    counts = [0] * (2 * q)
+    counts[ks[0] % (2 * q)] = 1  # party 1 takes the + sign
+    for k in ks[1:]:
+        counts = [
+            counts[(r - k) % (2 * q)] + counts[(r + k) % (2 * q)]
+            for r in range(2 * q)
+        ]
+    assert sum(counts) == 1 << (n - 1)
+    assert counts[0] == 1 and sum(ks) % (2 * q) == 0
+    gap = min(min(r, 2 * q - r) for r in range(1, 2 * q) if counts[r])
+    assert Fraction(gap, 2 * q) == Fraction(1, n)
 
 
 @pytest.mark.parametrize("n", range(2, 13))

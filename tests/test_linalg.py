@@ -3,12 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzstab import StateVector
 from ghzstab.errors import DomainError, ShapeError, SizeError
 from ghzstab.linalg import apply_locals, kron_all, subspace_distance
 from ghzstab.observables import SIGMA_Z
-from reference import SIGMA_X, fidelity, null_space
+from reference import SIGMA_X, fidelity, null_space, subspace_distance_by_svd
 from sampling import basis_state, normalized
 
 
@@ -209,6 +211,34 @@ def test_subspace_distance_matches_projector_norm(rng):
         a, b = _random_basis(rng, dim, ca), _random_basis(rng, dim, cb)
         assert subspace_distance(a, b) == 1.0
         assert subspace_distance(b, a) == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.integers(1, 64),
+    st.sampled_from(["random", "equal", "rotated"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_subspace_distance_matches_the_svd_route(dim, count, kind, seed):
+    # the top eigenvalue of the residual's Gram against the residual's
+    # spectral norm by SVD, on unrelated bases (distance near 1), equal
+    # ones (near 0) and one rotated by 1e-8 (about 1e-8)
+    rng = np.random.default_rng(seed)
+    count = min(count, dim)
+    a = _random_basis(rng, dim, count)
+    if kind == "random":
+        b = _random_basis(rng, dim, count)
+    elif kind == "equal":
+        b = a.copy()
+    else:  # the Cayley transform of k, anti-Hermitian with norm 1e-8
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        k = 1e-8 * (g - g.conj().T) / np.linalg.norm(g - g.conj().T, 2)
+        b = np.linalg.solve(np.eye(dim) - k, (np.eye(dim) + k) @ a)
+        assert subspace_distance_by_svd(a, b) <= 3e-8
+    assert abs(subspace_distance(a, b) - subspace_distance_by_svd(a, b)) <= 1e-14
+    assert subspace_distance(a, b[:, 1:]) == subspace_distance(a[:, 1:], b) == 1.0
+    assert subspace_distance(a[:, :0], b[:, :0]) == 0.0
 
 
 def test_apply_locals_matches_kron(rng):

@@ -30,12 +30,18 @@ from ghzstab.solve import (
     SECTORS,
     character_sum_check,
     purity_security_check,
+    schmidt_weights,
     sector_dimensions,
     sector_oracle_bases,
     stabilization_limit,
     trig_parity_identity_residuals,
 )
-from reference import SIGMA_X, sector_bases_by_svd, stacked_reference
+from reference import (
+    SIGMA_X,
+    schmidt_weights_by_svd,
+    sector_bases_by_svd,
+    stacked_reference,
+)
 from sampling import (
     degenerate_directions,
     radians,
@@ -480,6 +486,7 @@ def test_oracle_sectors_are_orthonormal_and_stabilized_on_general_pairs(pair):
     limit = stabilization_limit(1e-9)
     for (sa, sb), basis in zip(SECTORS, bases):
         k = basis.shape[1]
+        assert basis.flags.c_contiguous
         assert np.abs(basis.conj().T @ basis - np.eye(k)).max(initial=0.0) <= 1e-12
         for sign, op in ((sa, a), (sb, b)):
             residual = sign * op.apply(basis) - basis
@@ -626,6 +633,29 @@ def test_purity_batch_matches_per_draw_loop(d, env_dim):
     else:
         assert report.reduced_state_fidelity is None
         assert report.entropies.max() > 0.1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 16),
+    st.integers(0, 8),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_schmidt_weights_match_the_svd_route(dim, extra_env, draws, seed):
+    # the Gram's eigenvalues against the squared singular values, on square
+    # draws (whose smallest weights are near 0) and wider ones; dim 1 has
+    # the one weight 1.0 exactly
+    rng = np.random.default_rng(seed)
+    shape = (draws, dim, dim + extra_env)
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    weights = schmidt_weights(c)
+    assert weights.shape == (draws, dim) and (weights >= 0.0).all()
+    assert (np.diff(weights, axis=1) <= 0.0).all()
+    error = np.abs(weights - schmidt_weights_by_svd(c)).max(axis=1)
+    assert (error <= 1e-12 * weights[:, 0]).all()
+    if dim == 1:
+        assert weights.tolist() == [[1.0]] * draws
 
 
 def record_draw_sizes(monkeypatch):
