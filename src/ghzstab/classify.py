@@ -231,19 +231,22 @@ def classify(d: DirectionList, tol: float = DEFAULT_TOL) -> ClassificationReport
     )
 
 
-def classify_sectors(
+def sector_dimensions(
     d: DirectionList, tol: float = DEFAULT_TOL
-) -> tuple[ClassificationReport, int]:
-    """classify(d, tol), and the member count of d with theta_1 flipped to
-    pi - theta_1, counted in the ring of low half-sums that d's own members
-    were met in: the flip moves only the high half-sums.
+) -> tuple[ClassificationReport, tuple[int, int, int, int]]:
+    """classify's report for d, and the common eigenspace dimensions of
+    (sA, sB) in the four sign sectors, in the order of observables.SECTORS.
 
-    Exact lists shift the high residues by pi - 2 theta_1 and count the
-    low residues equal to minus each. Radian lists build the flipped list's
-    high half-sums, windows and sequential rescoring as classify does on
-    the flipped list, so the count is the one it gives.
+    Negating A sends (theta_1, phi_1) to (pi - theta_1, phi_1 + pi), and
+    conjugating party 1 by sigma_X, which negates Z^N, to (pi - theta_1,
+    -phi_1). Counting reads no phi, so (+,-) and (-,+) both count d with
+    theta_1 flipped to pi - theta_1, and (-,-), flipped twice, counts d.
+    The flip moves only the high half-sums, so the flipped list meets the
+    ring of d's low half-sums: exact high residues shift by pi - 2 theta_1,
+    and radian lists rescore as classify does on the flipped list.
     """
     report = classify(d, tol)
+    same = len(report.patterns)
     ring = report.patterns.ring
     n = d.n_parties
     h = (n + 1) // 2
@@ -252,8 +255,10 @@ def classify_sectors(
         # pi - theta_1 = (den - nums[0]) pi / den
         nums[0] = (mod // 2 - nums[0]) % mod
         _, counts = ring.windows(_exact_sums(nums[:h], n, mod), 0)
-        return report, int(counts.sum())
-    theta = np.asarray(d.theta_radians(), dtype=np.float64)
-    theta[0] = (PI - d.thetas[0]).to_radians()
-    patterns, score = _float_candidates(theta, h, tol, ring)
-    return report, _distinct(patterns[score <= tol]).size
+        flipped = int(counts.sum())
+    else:
+        theta = np.asarray(d.theta_radians(), dtype=np.float64)
+        theta[0] = (PI - d.thetas[0]).to_radians()
+        patterns, score = _float_candidates(theta, h, tol, ring)
+        flipped = _distinct(patterns[score <= tol]).size
+    return report, (same, flipped, flipped, same)

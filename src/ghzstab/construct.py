@@ -20,7 +20,8 @@ from .errors import DomainError, InternalConsistencyError, PreconditionError, sh
 from .linalg import StateVector, apply_locals, check_dense
 from .observables import SIGMA_Z, ProductObservable, product_observable
 
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
+# every party's frame of canonical_angles' member (pattern 0, each phi 0)
+GHZ_FRAME = np.array([[1, 1], [1j, -1j]], dtype=np.complex128) / math.sqrt(2.0)
 
 
 def canonical_angles(n: int) -> DirectionList:
@@ -150,12 +151,8 @@ def stabilizing_pair_for(spec: GHZSpec) -> StabilizingPair:
     n = spec.n
     check_dense(n)
     d = canonical_angles(n)
-    phases = pattern_phases(d, 0)
     target = spec.to_state()
-    # party l's frame is diag(1, phase_l) @ HADAMARD
-    frames = np.stack([np.broadcast_to(HADAMARD[0], (n, 2)),
-                       phases[:, None] * HADAMARD[1]], axis=1)
-    v = spec.local_unitaries @ frames.conj().transpose(0, 2, 1)
+    v = spec.local_unitaries @ GHZ_FRAME.conj().T
     v_h = v.conj().transpose(0, 2, 1)
     a = ProductObservable(v @ product_observable(d).mats @ v_h)
     b = ProductObservable(v @ SIGMA_Z @ v_h)

@@ -14,6 +14,8 @@ from .linalg import DEFAULT_TOL, apply_locals, check_dense
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
+# the sign sectors (sA, sB), in the order every four-sector result takes
+SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def _spin_rows(theta: Angle, phi: Angle) -> list:
@@ -159,5 +161,4 @@ def brute_force_eigenspace(
         sa = -1 if traceless.any() else 1  # K^T A' K = sa A'
         cols[sa, -1], cols[-sa, -1] = k + plus, k + minus
     bases = apply_locals(frames, kept)
-    sectors = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    return tuple(np.take(bases, cols.get(s, plus[:0]), axis=1) for s in sectors)
+    return tuple(np.take(bases, cols.get(s, plus[:0]), axis=1) for s in SECTORS)

@@ -9,8 +9,8 @@ overlap by the sum over even-parity j of (-1)^{(m xor m') . j} / 2^{n-1},
 a character sum that vanishes because m xor m' is neither zero nor the
 all-ones string (its first bit is 0). So the basis is orthonormal by
 construction. The solver also returns the dimensions of the four sign
-sectors of (sA, sB) (sector_dimensions): two of them count the list with
-theta_1 flipped to pi - theta_1, from the same classify run.
+sectors of (sA, sB) from the same classify run (classify.sector_dimensions):
+two of them count the list with theta_1 flipped to pi - theta_1.
 
 The brute-force route (one symmetric eigensolve of the flipped block of A,
 which gives all four sign sectors) is kept as an independent oracle for
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .angles import DirectionList
-from .classify import ClassificationReport, StabilizerCase, classify_sectors
+from .classify import ClassificationReport, StabilizerCase, sector_dimensions
 from .construct import ghz_states
 from .errors import DomainError, InternalConsistencyError, SizeError, shown
 from .linalg import DEFAULT_TOL, check_dense
@@ -37,7 +37,6 @@ from .observables import (
 )
 
 RESIDUAL_LIMIT = 1e-8
-SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 CHARACTER_SAMPLES = 100
 # the purification audit's environment dimension (raised to the projector's
 # when that is larger) and its number of draws
@@ -58,7 +57,7 @@ class StabilizerReport:
     dimension: int
     basis: np.ndarray  # (2^n, dimension), orthonormal columns
     residual: float
-    sector_dims: tuple[int, int, int, int]  # in the order of SECTORS
+    sector_dims: tuple[int, int, int, int]  # in the order of observables.SECTORS
 
 
 def stabilization_limit(tol: float) -> float:
@@ -103,31 +102,13 @@ def solve_common_eigenspace(
     )
 
 
-def sector_dimensions(
-    d: DirectionList, tol: float = DEFAULT_TOL
-) -> tuple[ClassificationReport, tuple[int, int, int, int]]:
-    """classify's report for d, and the common eigenspace dimensions of
-    (sA, sB) for the four sign sectors (+,+), (+,-), (-,+), (-,-): the
-    vanishing-pattern count of each sector's angles.
-
-    Negating A sends (theta_1, phi_1) to (pi - theta_1, phi_1 + pi), and
-    conjugating party 1 by sigma_X, which negates Z^N, sends it to
-    (pi - theta_1, -phi_1). Counting reads no phi, so (+,-) and (-,+) both
-    count d with theta_1 flipped to pi - theta_1, which classify_sectors
-    reads from the ring of low half-sums that d's own members were met in,
-    and (-,-), which flips it twice, counts the report's patterns.
-    """
-    classification, flipped = classify_sectors(d, tol)
-    same = len(classification.patterns)
-    return classification, (same, flipped, flipped, same)
-
-
 def sector_oracle_bases(
     d: DirectionList, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Oracle for sector_dimensions: the common eigenspaces of (sA, sB) in
-    the four sign sectors, in the order of SECTORS, each a (2^n, k) array,
-    from brute_force_eigenspace's one symmetric eigensolve of the flipped block.
+    the four sign sectors, in the order of observables.SECTORS, each a
+    (2^n, k) array, from brute_force_eigenspace's one symmetric eigensolve
+    of the flipped block.
 
     classify decides exact thetas without tol, so for them the cut is
     half the smallest score a non-vanishing pattern can have, whatever tol

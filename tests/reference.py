@@ -49,6 +49,7 @@ from ghzstab.observables import (
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
 
 
 def null_space(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -16,7 +16,7 @@ from ghzstab import (
 )
 from ghzstab.bitstrings import bit_labels
 from ghzstab.angles import PI
-from ghzstab.classify import classify_sectors, sign_pattern_set
+from ghzstab.classify import sector_dimensions, sign_pattern_set
 from ghzstab.errors import DomainError
 from reference import pattern_condition, signed_angle_sum
 from sampling import radians, rationals, uniform_directions
@@ -364,10 +364,13 @@ def sector_lists(draw):
 @given(sector_lists())
 def test_flipped_count_is_the_count_of_the_flipped_list(case):
     # the count read from the shared ring is the one classify gives on the
-    # list with theta_1 flipped, bit for bit even where a score ties tol
+    # list with theta_1 flipped, bit for bit even where a score ties tol,
+    # and the symmetric sectors repeat the two counts
     d, tol = case
-    report, flipped = classify_sectors(d, tol)
+    report, (same, flipped, flipped_again, same_again) = sector_dimensions(d, tol)
     moved = DirectionList.of((PI - d.thetas[0],) + d.thetas[1:], d.phis)
+    assert same == len(classify(d, tol).patterns)
     assert flipped == len(classify(moved, tol).patterns)
+    assert (flipped_again, same_again) == (flipped, same)
     assert report.patterns.bits.tolist() == classify(d, tol).patterns.bits.tolist()
 

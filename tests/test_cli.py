@@ -887,8 +887,8 @@ def test_construct_pair_radians_are_the_scalar_read_out(tmp_path, capsys, rng):
     # one: identity specs, Haar unitaries, and unitaries D_l H (D_l
     # diagonal), which make pair.b diagonal: its factors sit at the poles,
     # theta 0 or pi, and phi is written as 0.0
-    from ghzstab.construct import HADAMARD, GHZSpec, stabilizing_pair_for
-    from reference import scalar_bloch_schema
+    from ghzstab.construct import GHZSpec, stabilizing_pair_for
+    from reference import HADAMARD, scalar_bloch_schema
 
     for n in range(2, 11):
         phases = np.exp(1j * rng.uniform(-4, 4, (n, 2)))

@@ -69,6 +69,11 @@ def test_canonical_angles_meet_the_pigeonhole_gap(n):
     assert counts[0] == 1 and sum(ks) % (2 * q) == 0
     gap = min(min(r, 2 * q - r) for r in range(1, 2 * q) if counts[r])
     assert Fraction(gap, 2 * q) == Fraction(1, n)
+    # stabilizing_pair_for's one GHZ_FRAME rests on phis of exactly 0, so
+    # that pattern 0's phase is exactly i on every party
+    d = canonical_angles(n)
+    assert [p.pi_multiple for p in d.phis] == [0] * n
+    assert np.array_equal(pattern_phases(d, 0), np.full(n, 1j))
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -248,11 +253,11 @@ def test_stabilizing_pair_checks_its_recipe(monkeypatch):
     # that miss the target, are internal faults (exit 3), not a pair
     import ghzstab.construct as construct
 
-    phases = construct.pattern_phases
     for name, broken, message in (
         ("canonical_angles", lambda n: rationals([(0, 1)] * n),
          "canonical angles for n=3 vanish on patterns [0, 1, 2, 3] (4 in all)"),
-        ("pattern_phases", lambda d, bits: 1j * phases(d, bits),
+        # the frame of phase -1 instead of i on every party
+        ("GHZ_FRAME", np.array([[1, 1], [-1, 1]]) / math.sqrt(2.0),
          "constructed pair misses its target: residual 1.500e+00"),
     ):
         with monkeypatch.context() as patch:

@@ -22,16 +22,15 @@ from ghzstab.bitstrings import even_indices
 from ghzstab.cli import main
 from ghzstab.errors import DomainError, InternalConsistencyError, SizeError
 from ghzstab.linalg import kron_all, subspace_distance
-from ghzstab.observables import IDENTITY_2, SIGMA_Z, ProductObservable
+from ghzstab.classify import sector_dimensions
+from ghzstab.observables import IDENTITY_2, SECTORS, SIGMA_Z, ProductObservable
 from ghzstab.construct import GHZSpec, stabilizing_pair_for
 import ghzstab.observables as observables_module
 import ghzstab.solve as solve_module
 from ghzstab.solve import (
-    SECTORS,
     character_sum_check,
     purity_security_check,
     schmidt_weights,
-    sector_dimensions,
     sector_oracle_bases,
     stabilization_limit,
     trig_parity_identity_residuals,
@@ -272,6 +271,8 @@ def test_solver_basis_even_support_and_residuals(rng):
 
 
 def test_sector_dimensions_single_qubit():
+    # the solver counts its sectors through the one binding perfbench traces
+    assert solve_module.sector_dimensions is sector_dimensions
     d = rationals([(0, 1)])
     assert sector_dimensions(d)[1] == oracle_dims(d) == (1, 0, 0, 1)
 
