@@ -2,9 +2,8 @@
 
 - the Pauli matrices SIGMA_X and SIGMA_Y (SIGMA_Z is the package's);
 - a rank-revealing null space, the common eigenspace as the null space
-  of a stacked matrix, and the four sign sectors from a full SVD of the
-  block of A that maps B's +1 eigenspace into its -1 eigenspace (the
-  oracle tests);
+  of a stacked matrix, and the four sign sectors as null spaces of
+  sA A - I on B's sB eigenspaces (the oracle tests);
 - purification Schmidt weights from singular values, and the spectral-norm
   distance of two subspaces from an SVD of the residual (the audit tests);
 - the signed angle sum and vanishing condition of one sign pattern (the
@@ -29,7 +28,6 @@ import math
 import numpy as np
 
 from ghzstab.angles import Angle, DirectionList
-from ghzstab.bitstrings import parity_of
 from ghzstab.certify import (
     CertificationConfig,
     CertReport,
@@ -41,6 +39,7 @@ from ghzstab.errors import DomainError, PreconditionError, ShapeError
 from ghzstab.linalg import DEFAULT_TOL, StateVector, apply_locals, kron_all
 from ghzstab.observables import (
     IDENTITY_2,
+    SECTORS,
     SIGMA_Z,
     ProductObservable,
     product_observable,
@@ -82,47 +81,31 @@ def stacked_reference(a_full, b_full, tol=1e-9):
 
 
 def sector_bases_by_svd(a: ProductObservable, b: ProductObservable, tol=DEFAULT_TOL):
-    """brute_force_eigenspace's four sign sectors, from a full SVD of
-    C = A'[M, P] in B's rephased eigenframes: the right singular vectors at
-    or below the cut span P's side of the admitted blocks and the left ones
-    M's side, and each side splits by the eigenvalues of its own
-    compression of A', by the oracle's lambda rules."""
-    n = b.n_parties
+    """brute_force_eigenspace's four sign sectors, each the null space of
+    sA A - I on the sB eigenspace of B from a full SVD, and for each the gap
+    between its least dropped and largest kept singular value (inf when
+    either set is empty). On a block where A turns B's eigenvector by the
+    angle S the singular value is 2 |sin(S/2)| (2 |cos(S/2)| for sA = -1),
+    so the cut 2 tol admits the block by classify's rule, and blocks with S
+    near 0 and near pi stay apart. The SVD fixes each space to about
+    1e-16 / gap, as float64 data allow any route to."""
     values, frames = np.linalg.eigh(b.mats)
-    values, frames = values[:, ::-1], frames[:, :, ::-1]
-    rotated = frames.conj().transpose(0, 2, 1) @ a.mats @ frames
-    phase = np.exp(-1j * np.angle(rotated[:, 0, 1]))
-    frames[:, :, 1] *= phase[:, None]
-    rotated[:, 0, 1] *= phase
-    rotated[:, 1, 0] *= phase.conj()
-    rotated = rotated.real
-    neg = values < 0
-    mask = sum(1 << (n - 1 - l) for l in np.flatnonzero(neg[:, 0] != neg[:, 1]))
-    odd = parity_of(np.arange(b.dim) & mask) ^ (np.count_nonzero(neg[:, 0]) & 1)
-    p_idx, m_idx = np.flatnonzero(odd == 0), np.flatnonzero(odd)
-    cols = np.zeros((b.dim, p_idx.size))
-    cols[p_idx, np.arange(p_idx.size)] = 1.0
-    u, s, vh = np.linalg.svd(apply_locals(rotated, cols)[m_idx], full_matrices=True)
-    cut = 2.0 * tol * math.sqrt(1.0 - tol * tol) if tol < math.sqrt(0.5) else math.inf
-    sides = []
-    for idx, vecs in ((p_idx, vh.T), (m_idx, u)):
-        keep = np.ones(idx.size, dtype=bool)  # vectors past s have sigma 0
-        keep[: s.size] = s <= cut
-        side = np.zeros((b.dim, np.count_nonzero(keep)))
-        side[idx] = vecs[:, keep]
-        sides.append(side)
-    images = apply_locals(rotated, np.hstack(sides))
-    plus, minus = [], []
-    for side, image in zip(sides, np.split(images, [sides[0].shape[1]], axis=1)):
-        lam, vecs = np.linalg.eigh(side.T @ image)
-        lam = np.clip(lam, -1.0, 1.0)
-        side = side @ vecs
-        plus.append(side[:, (lam > 0) | ((1.0 - lam) / 2.0 <= tol * tol)])
-        minus.append(side[:, (lam < 0) | ((1.0 + lam) / 2.0 <= tol * tol)])
-    parts = plus + minus  # (+,+), (+,-), (-,+), (-,-)
-    bases = apply_locals(frames, np.hstack(parts))
-    bounds = np.cumsum([part.shape[1] for part in parts])[:-1]
-    return tuple(np.split(bases, bounds, axis=1))
+    signs = np.ones(1)
+    for row in np.sign(values):  # B's eigenvalue at each index of its eigenframes
+        signs = np.kron(signs, row)
+    eye = np.eye(b.dim)
+    bases, gaps = {}, {}
+    for sb in (1, -1):
+        q = apply_locals(frames, eye[:, signs == sb])
+        image = apply_locals(a.mats, q)
+        for sa in (1, -1):
+            _, s, vh = np.linalg.svd(sa * image - q, full_matrices=False)
+            keep = s <= 2.0 * tol
+            bases[sa, sb] = q @ vh[keep].conj().T
+            gaps[sa, sb] = (
+                s[~keep].min() - s[keep].max() if keep.any() and not keep.all() else math.inf
+            )
+    return tuple(bases[s] for s in SECTORS), tuple(gaps[s] for s in SECTORS)
 
 
 def schmidt_weights_by_svd(c: np.ndarray) -> np.ndarray:
