@@ -107,13 +107,7 @@ def brute_force_eigenspace(
     resolves sin S to float precision near 0 and pi. The v within it split
     by the eigenvalues lambda of their compression of A' (cos S): + takes
     lambda > 0 or (1 - lambda)/2 <= tol^2, - lambda < 0 or
-    (1 + lambda)/2 <= tol^2. D's eigensolve mixes into a kept v the p of a
-    dropped block with small |sin S| by about 1e-16 / |sin S|, though that
-    block's lambda may have the other sign, as when A' and B' nearly commute.
-    So below 1/sqrt(2) each kept v takes one step
-    v <- (v + s A'[P, P] v) / (1 + s lambda), s the sign it counts in: an
-    exact v stays, and a block of the other sign shrinks by sin^2(S/2) or
-    cos^2(S/2). As K^T A' K = -A' (A' when they commute),
+    (1 + lambda)/2 <= tol^2. As K^T A' K = -A' (A' when they commute),
     (+,-) and (-,-) are K times (-,+) and (+,+) (or (+,+) and (-,+)). All
     is kept when B is scalar or tol >= 1/sqrt(2); then the lambda rule alone
     decides, and a block may count in two sectors, as in classify. One
@@ -138,7 +132,7 @@ def brute_force_eigenspace(
     odd = parity_of(np.arange(b.dim) & mask) ^ (np.count_nonzero(neg[:, 0]) & 1)
     side = np.flatnonzero(odd == odd.min())  # P, or M when B = -I leaves P empty
     block = apply_locals(rotated, (np.arange(b.dim)[:, None] == side) * 1.0)
-    whole = compressed = block[side]  # A'[side, side]; a scalar B keeps it whole
+    compressed = block[side]  # A'[side, side]; a scalar B keeps its side whole
     if flips.size:
         # an admitted A'_l has trace within 2e-10 of 0 or of +-2
         traceless = np.abs(rotated[flips, 0, 0] + rotated[flips, 1, 1]) < 1.0
@@ -152,15 +146,11 @@ def brute_force_eigenspace(
         lam, vecs = np.linalg.eigh(flipped)
         if tol < math.sqrt(0.5):  # past it float noise must not drop |lambda| ~ 1
             vecs = vecs[:, np.abs(lam) <= 2.0 * tol * math.sqrt(1.0 - tol * tol)]
-        compressed = vecs.T @ whole @ vecs
+        compressed = vecs.T @ compressed @ vecs
     lam, rot = np.linalg.eigh(compressed)
     lam, vecs = np.clip(lam, -1.0, 1.0), vecs @ rot if flips.size else rot
     plus = np.flatnonzero((lam > 0) | ((1.0 - lam) / 2.0 <= tol * tol))
     minus = np.flatnonzero((lam < 0) | ((1.0 + lam) / 2.0 <= tol * tol))
-    if flips.size and tol < math.sqrt(0.5):
-        step = np.zeros(lam.size)  # plus and minus are disjoint below 1/sqrt(2)
-        step[plus], step[minus] = 1.0, -1.0
-        vecs = (vecs + (whole @ vecs) * step) / (1.0 + step * lam)
     sb = -1 if odd.min() else 1
     cols = {(1, sb): plus, (-1, sb): minus}
     k = lam.size  # the kept v, then their images K v when B flips
