@@ -34,16 +34,19 @@ class StabilizerCase(Enum):
 
 class HalfSumRing:
     """A list's low half-sums reduced mod the circle's circumference,
-    sorted stably and laid on three turns of the circle, with the order
-    that sorts them. The low block holds no theta_1, so the list with
+    sorted and laid on three turns of the circle, with the order that
+    sorts them laid alike. The low block holds no theta_1, so the list with
     theta_1 flipped meets the same ring."""
 
     __slots__ = ("order", "turns", "modulus")
 
     def __init__(self, low: np.ndarray, modulus):
         low = low % modulus
-        self.order = np.argsort(low, kind="stable")
-        low = low[self.order]
+        # equal exact residues keep their order, so that members come out
+        # ascending; float members are sorted by _distinct
+        order = np.argsort(low, kind=None if low.dtype.kind == "f" else "stable")
+        low = low[order]
+        self.order = np.concatenate((order, order, order))
         self.turns = np.concatenate((low - modulus, low, low + modulus))
         self.modulus = modulus  # int for exact residues, float for radians
 
@@ -56,15 +59,18 @@ class HalfSumRing:
         left = np.searchsorted(self.turns, target - width, "left")
         return left, np.searchsorted(self.turns, target + width, "right") - left
 
-    def meet(self, high: np.ndarray, width, shift: int) -> np.ndarray:
+    def meet(
+        self, high: np.ndarray, width, shift: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Pattern indices hi << shift | lo, hi-major, for every low half-sum
-        low[lo] in the window of high[hi]; within one hi, the lo follow the
-        stable order of the low sums mod modulus."""
+        low[lo] in the window of high[hi], and the ring position k of each,
+        so that turns[k] is low[lo] on the window's turn; within one hi, the
+        lo follow the ring's order (ascending for exact residues)."""
         left, counts = self.windows(high, width)
         hi = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
         starts = np.cumsum(counts) - counts
         k = np.arange(hi.size, dtype=np.int64) - np.repeat(starts - left, counts)
-        return (hi << shift) | self.order[k % self.order.size]
+        return (hi << shift) | self.order[k], k
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +122,7 @@ def _exact_members(d: DirectionList, h: int) -> tuple[np.ndarray, HalfSumRing]:
     nums, mod = _exact_residues(d)
     n = len(nums)
     ring = HalfSumRing(_exact_sums([0] + nums[h:], n, mod), mod)
-    return ring.meet(_exact_sums(nums[:h], n, mod), 0, n - h), ring
+    return ring.meet(_exact_sums(nums[:h], n, mod), 0, n - h)[0], ring
 
 
 def signed_sum_error(thetas) -> float:
@@ -131,19 +137,43 @@ def signed_sum_error(thetas) -> float:
     return 8 * (theta.size + 4) * eps * (float(np.abs(theta).sum()) + 4 * math.pi)
 
 
+def _sequential_scores(
+    theta: np.ndarray, h: int, prefix: np.ndarray, patterns: np.ndarray
+) -> np.ndarray:
+    """|sin(S/2)| of these patterns, each S summed in the sequential order
+    theta_1 +- theta_2 +- ... that _kernels.signed_sums_f8 uses on a whole
+    list: the high half-sums prefix are its first h - 1 steps, so each
+    pattern goes on from its own with the low parties."""
+    n = theta.size
+    sums = prefix[patterns >> (n - h)]
+    for l in range(h, n):
+        minus = (patterns >> (n - 1 - l)) & 1 == 1
+        sums = np.where(minus, sums - theta[l], sums + theta[l])
+    return np.abs(np.sin(sums / 2.0))
+
+
 def _float_candidates(
     theta: np.ndarray, h: int, tol: float, ring: HalfSumRing
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The candidate patterns of a radian list and their scores.
+    """The candidate patterns of a radian list and their scores, which
+    decide membership and the fragile flag as enumeration's scores do.
 
     A pattern scoring |sin(S/2)| <= FRAGILE_FACTOR * tol has S within
     2 asin(FRAGILE_FACTOR * tol) of 2 pi Z, so its low half-sum lies that
-    close to minus its high half-sum on the circle. Those candidates, found
-    by window search in the ring of low half-sums, are summed again in the
-    sequential order theta_1 +- theta_2 +- ... that _kernels.signed_sums_f8
-    uses on a whole list, and scored as enumeration scores them. A window
-    of half-width near pi or more meets a low sum twice near its ends, so a
-    pattern may come twice.
+    close to minus its high half-sum on the circle. Those candidates are
+    found by window search in the ring of low half-sums, each window
+    widened by slack = signed_sum_error(theta) so that none is missed: a
+    candidate's offset in its window, turns[k] - target, is within slack of
+    the sequential sum theta_1 +- theta_2 +- ... that enumeration scores,
+    mod 2 pi. |sin(S/2)| is 1/2-Lipschitz, so the offset's score is within
+    slack / 2 of the sequential score, plus roundings of a few eps, far
+    below slack. So a candidate whose offset score is farther than slack
+    from both tol and FRAGILE_FACTOR * tol falls on the same side of each
+    as its sequential score, and keeps the offset score. Only those in that
+    band are summed again in sequential order and scored as enumeration
+    scores them, so membership and the fragile flag are enumeration's bit
+    for bit. A window of half-width near pi or more meets a low sum twice
+    near its ends, so a pattern may come twice, once from each end.
     """
     n = theta.size
     eps = np.finfo(np.float64).eps
@@ -151,14 +181,15 @@ def _float_candidates(
     # the 1 + 4 eps covers the rounding of the score itself
     reach = 2.0 * math.asin(min(FRAGILE_FACTOR * tol * (1.0 + 4 * eps), 1.0))
     prefix = _kernels.signed_sums_f8(theta[:h])
-    patterns = ring.meet(prefix, reach + slack, n - h)
-    # the high half-sums are the sequential sums' first h - 1 steps, so
-    # each candidate goes on from its own with the low parties
-    sums = prefix[patterns >> (n - h)]
-    for l in range(h, n):
-        minus = (patterns >> (n - 1 - l)) & 1 == 1
-        sums = np.where(minus, sums - theta[l], sums + theta[l])
-    return patterns, np.abs(np.sin(sums / 2.0))
+    patterns, k = ring.meet(prefix, reach + slack, n - h)
+    target = -prefix % ring.modulus
+    score = np.abs(np.sin((ring.turns[k] - target[patterns >> (n - h)]) / 2.0))
+    band = (np.abs(score - tol) <= slack) | (
+        np.abs(score - FRAGILE_FACTOR * tol) <= slack
+    )
+    if band.any():
+        score[band] = _sequential_scores(theta, h, prefix, patterns[band])
+    return patterns, score
 
 
 def _distinct(patterns: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -16,10 +17,14 @@ from ghzstab import (
 )
 from ghzstab.bitstrings import bit_labels
 from ghzstab.angles import PI
-from ghzstab.classify import sector_dimensions, sign_pattern_set
+from ghzstab import _kernels
+from ghzstab.classify import FRAGILE_FACTOR, sector_dimensions, sign_pattern_set
 from ghzstab.errors import DomainError
 from reference import pattern_condition, signed_angle_sum
 from sampling import radians, rationals, uniform_directions
+
+# the package's classify function shadows the module's name
+classify_module = importlib.import_module("ghzstab.classify")
 
 
 def test_signed_angle_sum_examples():
@@ -149,8 +154,6 @@ def test_bigint_path_matches_pattern_condition(rng, monkeypatch):
     # half-sums run on Python integers, one kernel call per half. One planted
     # pattern vanishes, or misses by pi / den; a decoupled party (theta 0 or
     # pi) pairs it with a second pattern.
-    from ghzstab import _kernels
-
     calls = []
     bigint = _kernels.signed_sums_int
     monkeypatch.setattr(
@@ -179,8 +182,6 @@ def test_bigint_path_matches_pattern_condition(rng, monkeypatch):
 def _enumerated(d, tol):
     """The whole-list reference: every signed sum by doubling, decided by
     the classify rule; returns (members, fragile)."""
-    from ghzstab import _kernels
-
     if d.all_exact:
         fracs = [t.pi_multiple for t in d.thetas]
         den = math.lcm(*(f.denominator for f in fracs))
@@ -229,7 +230,9 @@ FLOAT_TOLS = (1e-9, 1e-6, 1e-3, 0.2, 1.5)
 @st.composite
 def float_lists(draw):
     # random radians with one planted pattern whose score is about 0.5, 1,
-    # 5 or 10 times tol, or rational multiples of pi with many members
+    # 5 or 10 times tol, or whose enumerated score ties tol or 10 tol or
+    # misses either by a few ulps (tol is then read off that score), or
+    # rational multiples of pi with many members
     n = draw(st.integers(1, 16))
     tol = draw(st.sampled_from(FLOAT_TOLS))
     if draw(st.booleans()):
@@ -240,12 +243,27 @@ def float_lists(draw):
     thetas = draw(st.lists(angle, min_size=n, max_size=n))
     if n > 1:
         signs = [1] + draw(st.lists(SIGN, min_size=n - 1, max_size=n - 1))
-        offset = draw(st.sampled_from([0.5, 1.0, 5.0, 10.0])) * draw(SIGN)
+        ulps = draw(st.sampled_from([None, 0, -1, 1, -3, 3]))
+        factor = draw(st.sampled_from([0.5, 1.0, 5.0, 10.0] if ulps is None else [1.0, 10.0]))
+        offset = factor * draw(SIGN)
         delta = math.copysign(2 * math.asin(min(abs(offset) * tol, 1.0)), offset)
         turns = 2 * math.pi * draw(st.integers(-2, 2))
         partial = sum(s * t for s, t in zip(signs[:-1], thetas))
         thetas[-1] = signs[-1] * (turns + delta - partial)
+        if ulps is not None:
+            planted = sum(1 << (n - 1 - l) for l, s in enumerate(signs) if s < 0)
+            score = abs(math.sin(_kernels.signed_sums_f8(thetas)[planted] / 2.0))
+            edge = score + ulps * math.ulp(score)
+            tol = edge if factor == 1.0 else _tenth(edge)
     return radians(thetas), tol
+
+
+def _tenth(x):
+    """A tol whose FRAGILE_FACTOR * tol is x, or the nearest such."""
+    near = x / FRAGILE_FACTOR
+    ties = [t for t in (near, math.nextafter(near, 0.0), math.nextafter(near, 2.0))
+            if FRAGILE_FACTOR * t == x]
+    return ties[0] if ties else near
 
 
 def _assert_matches_enumeration(d, tol):
@@ -298,9 +316,52 @@ def test_half_sums_match_enumeration_on_wide_lists(d, tol):
     _assert_matches_enumeration(d, tol)
 
 
-def test_half_sums_pass_at_most_half_the_parties_to_a_kernel(rng, monkeypatch):
-    from ghzstab import _kernels
+def _planted_thirty_firsts(n, rng):
+    """An n-party list of k pi / 31 with one planted vanishing pattern, as
+    exact angles and as radians."""
+    nums = [int(v) for v in rng.integers(0, 62, n)]
+    signs = [1] + [int(s) for s in rng.choice([-1, 1], size=n - 1)]
+    partial = sum(s * v for s, v in zip(signs[:-1], nums))
+    nums[-1] = (-signs[-1] * partial) % 62
+    return rationals([(v, 31) for v in nums]), radians([v * math.pi / 31 for v in nums])
 
+
+def _spy_on_sequential_scores(monkeypatch):
+    """The patterns each call of classify._sequential_scores is given."""
+    seen = []
+    sequential = classify_module._sequential_scores
+    monkeypatch.setattr(
+        classify_module, "_sequential_scores",
+        lambda theta, h, prefix, patterns: seen.append(patterns)
+        or sequential(theta, h, prefix, patterns),
+    )
+    return seen
+
+
+def test_candidates_off_the_band_keep_their_offset_score(monkeypatch):
+    # every candidate of a k pi / 31 list in radians has an offset score
+    # within rounding of 0 or at least sin(pi / 62), far from tol and 10 tol,
+    # so none is summed again; the members are the exact twin's
+    seen = _spy_on_sequential_scores(monkeypatch)
+    exact, rad = _planted_thirty_firsts(20, np.random.default_rng(31))
+    patterns = sign_pattern_set(rad)
+    assert sum(p.size for p in seen) == 0
+    assert patterns.bits.tolist() == sign_pattern_set(exact).bits.tolist()
+    assert len(patterns) > 0 and not patterns.fragile
+
+
+def test_candidates_in_the_band_are_summed_again(monkeypatch):
+    # at tol 1e-300 the band (within signed_sum_error of tol or of 10 tol)
+    # holds every candidate of score near 0: each pattern whose exact sum
+    # vanishes is summed again in sequential order, and no other
+    seen = _spy_on_sequential_scores(monkeypatch)
+    exact, rad = _planted_thirty_firsts(20, np.random.default_rng(31))
+    _assert_matches_enumeration(rad, 1e-300)
+    resummed = np.unique(np.concatenate(seen))
+    assert resummed.tolist() == sign_pattern_set(exact).bits.tolist()
+
+
+def test_half_sums_pass_at_most_half_the_parties_to_a_kernel(rng, monkeypatch):
     lengths = []
     for name in ("signed_sums_f8", "signed_sums_i8", "signed_sums_int"):
         kernel = getattr(_kernels, name)

@@ -494,16 +494,30 @@ def test_oracle_sectors_are_orthonormal_and_stabilized_on_general_pairs(pair):
             assert np.linalg.norm(residual, axis=0).max(initial=0.0) <= limit
 
 
+# s one ulp below 1 makes c = 2^-26, so the pair nearly commutes: its
+# flipped block drops a |lambda| near 3e-8 whose block has the other sign of
+# lambda from the kept ones
+_S = 1.0 - 2.0**-53
+_C = math.sqrt(1.0 - _S * _S)
+_E = complex(math.cos(0.5), math.sin(0.5))
+NEARLY_COMMUTING = (
+    ProductObservable([np.array([[_C, _S], [_S, -_C]]), SIGMA_Z]),
+    ProductObservable([SIGMA_Z, np.array([[_C, _S * _E.conjugate()], [_S * _E, -_C]])]),
+)
+
+
 @SECTOR_TOLS
 @settings(max_examples=100, deadline=None)
 @given(pair=product_pairs())
+@example(pair=NEARLY_COMMUTING)
 def test_oracle_matches_the_svd_route_on_general_pairs(tol, pair):
     # the flipped block's eigensolve and an SVD of each sector's sA A - I
-    # give the same four sectors; a score within a factor 1e-6 of the cut or
-    # of a lambda rule's bound may fall either way, so draws whose SVD dims
-    # move with tol skip, and float64 data fix a sector's space only to
-    # about 1e-16 / gap, so the bound widens past 1e-10 as the gap between
-    # its kept and dropped singular values closes below 1e-4
+    # give the same four sectors, nearly commuting pairs included; a score
+    # within a factor 1e-6 of the cut or of a lambda rule's bound may fall
+    # either way, so draws whose SVD dims move with tol skip, and float64
+    # data fix a sector's space only to about 1e-16 / gap, so the bound
+    # widens past 1e-10 as the gap between its kept and dropped singular
+    # values closes below 1e-4
     a, b = pair
     reference, gaps = sector_bases_by_svd(a, b, tol)
     dims = [x.shape[1] for x in reference]
