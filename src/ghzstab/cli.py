@@ -15,6 +15,12 @@ records of a state of at most MAX_PARTIES parties. A unitaries file
 (construct --unitaries) has "unitaries", one 2x2 matrix of [re, im] pairs
 per party, and construct's n as its "n".
 
+COMMANDS declares each subcommand's arguments once. A plain argv (the
+subcommand, at most its positional, then distinct options spelled in full,
+each with its one value) is read straight off that table; argparse, built
+from the same table, reads every other argv, and alone prints help and
+words a refusal of the command line.
+
 Exit codes: 0 success, 1 stdout closed before the output was written (a
 pipe whose reader quit, as in `ghzstab classify big.json | head`; nothing
 is printed), 2 malformed input, 3 internal consistency failure.
@@ -29,7 +35,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +103,8 @@ def _parse_angle(obj, what: str) -> Angle:
         rad = _finite(obj["rad"], f"{what}.rad")
         if abs(rad) > MAX_RADIANS:
             raise InputError(f"{what}: |rad| must be at most 4*pi, got {rad!r}")
-        return Angle.radians(rad)
+        # rad is a finite float already: Angle.radians would check it again
+        return Angle(pi_multiple=None, raw_radians=rad)
     raise InputError(f"{what} needs either pi_num/pi_den or rad")
 
 
@@ -411,13 +418,16 @@ def _pieces(obj: dict) -> Iterator[str]:
 
 
 def _emit(obj: dict, pretty: bool) -> None:
-    """Write obj to stdout as json.dumps(obj, sort_keys=True) writes it, piece
-    by piece; --pretty joins the pieces and re-renders them with indent 2."""
+    """Write obj to stdout as json.dumps(obj, sort_keys=True) writes it: piece
+    by piece when it has a JsonText value, in one encode otherwise; --pretty
+    joins the pieces and re-renders them with indent 2."""
     if pretty:  # every float round-trips through its repr
         doc = json.loads("".join(_pieces(obj)))
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return
-    sys.stdout.writelines(_pieces(obj))
+    elif any(isinstance(value, JsonText) for value in obj.values()):
+        sys.stdout.writelines(_pieces(obj))
+    else:
+        sys.stdout.write(_JSON.encode(obj) + "\n")
 
 
 def cmd_classify(args) -> dict:
@@ -568,6 +578,72 @@ class _Parser(argparse.ArgumentParser):
         return args
 
 
+@dataclass(frozen=True)
+class Arg:
+    """One argument of a subcommand: its positional (no leading dashes) or
+    an --option. A flag is an option that takes no value and is True when
+    given; any other argument's value converts with type."""
+
+    name: str
+    type: Callable[[str], object] = str
+    default: object = None
+    flag: bool = False
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-").replace("-", "_")
+
+
+@dataclass(frozen=True)
+class Command:
+    func: Callable[[argparse.Namespace], dict]
+    help: str
+    positional: Arg
+    options: tuple[Arg, ...]
+
+
+_INPUT = Arg("input", default="-", help="angle JSON file ('-' for stdin, the default)")
+_PRETTY = Arg("--pretty", default=False, flag=True)
+_SEED = Arg("--seed", type=int, default=0)
+
+# every subcommand's arguments, in usage order: build_parser adds these to
+# argparse, and _plain_namespace reads a plain argv off them
+COMMANDS = {
+    "classify": Command(cmd_classify, "classify the direction list", _INPUT, (_PRETTY,)),
+    "solve": Command(
+        cmd_solve, "solve for the common +1 eigenspace", _INPUT, (_PRETTY,)
+    ),
+    "construct": Command(
+        cmd_construct,
+        "build a uniquely-stabilizing pair for a GHZ state",
+        Arg("n", type=int, required=True),
+        (
+            Arg("--unitaries", help="optional JSON file of per-party 2x2 unitaries"),
+            _PRETTY,
+        ),
+    ),
+    "certify": Command(
+        cmd_certify,
+        "simulate the two-setting certification",
+        _INPUT,
+        (
+            _PRETTY,
+            Arg("--state", required=True, help="state JSON file"),
+            Arg("--shots", type=int, default=10_000),
+            _SEED,
+            Arg("--threshold", type=float, default=0.999),
+            Arg("--a-fraction", type=float, default=0.5),
+        ),
+    ),
+    "verify": Command(
+        cmd_verify, "cross-check solver, oracle, identities, and purity", _INPUT,
+        (_PRETTY, _SEED),
+    ),
+}
+
+
 @functools.cache  # each parse fills a fresh namespace, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
@@ -575,53 +651,72 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-observable stabilization of N-qubit GHZ states.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument(
-            "input", nargs="?", default="-",
-            help="angle JSON file ('-' for stdin, the default)",
-        )
-        p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("classify", help="classify the direction list")
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("solve", help="solve for the common +1 eigenspace")
-    common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser(
-        "construct", help="build a uniquely-stabilizing pair for a GHZ state"
-    )
-    p.add_argument("n", type=int)
-    p.add_argument(
-        "--unitaries", default=None,
-        help="optional JSON file of per-party 2x2 unitaries",
-    )
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("certify", help="simulate the two-setting certification")
-    common(p)
-    p.add_argument("--state", required=True, help="state JSON file")
-    p.add_argument("--shots", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=0.999)
-    p.add_argument("--a-fraction", type=float, default=0.5)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser(
-        "verify", help="cross-check solver, oracle, identities, and purity"
-    )
-    common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg in (command.positional, *command.options):
+            kwargs = {"default": arg.default, "help": arg.help}
+            if arg.flag:
+                kwargs["action"] = "store_true"
+            else:
+                kwargs["type"] = arg.type
+            if arg.name.startswith("-"):
+                kwargs["required"] = arg.required
+            elif not arg.required:
+                kwargs["nargs"] = "?"
+            p.add_argument(arg.name, **kwargs)
+        p.set_defaults(func=command.func)
     return ap
 
 
+def _plain_namespace(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace build_parser().parse_args(argv) gives when argv is
+    plain, read off COMMANDS; None for any other argv.
+
+    A plain argv is a subcommand; at most its positional value, which is
+    '-' or does not start with '-'; then distinct options spelled as in
+    COMMANDS, each followed by one value that does not start with '-' (a
+    flag by none). Every value converts with its type, and every required
+    argument is given. argparse reads such an argv the same way; every
+    other argv (abbreviations, --opt=value, '--', -h, repeated options,
+    dash-led values, failed conversions) is argparse's to read or refuse."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    rest = argv[1:]
+    given = {}  # argument name -> its value's token (True for a flag)
+    if rest and (rest[0] == "-" or not rest[0].startswith("-")):
+        given[command.positional.name] = rest.pop(0)
+    options = {arg.name: arg for arg in command.options}
+    while rest:
+        arg = options.get(rest.pop(0))
+        if arg is None or arg.name in given:
+            return None
+        if arg.flag:
+            given[arg.name] = True
+        elif not rest or rest[0].startswith("-"):
+            return None
+        else:
+            given[arg.name] = rest.pop(0)
+    values = {"command": argv[0], "func": command.func}
+    for arg in (command.positional, *command.options):
+        if arg.name in given:
+            token = given[arg.name]
+            try:
+                values[arg.dest] = token if arg.flag else arg.type(token)
+            except ValueError:
+                return None
+        elif arg.required:
+            return None
+        else:
+            values[arg.dest] = arg.default
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_namespace(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         result = args.func(args)
     except InternalConsistencyError as exc:

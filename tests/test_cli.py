@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -10,12 +12,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from ghzstab import StateVector
 from ghzstab.certify import Ensemble
+from ghzstab import cli
 from ghzstab.cli import (
+    COMMANDS,
     InputError,
     JsonText,
     _emit,
@@ -1533,7 +1537,8 @@ def test_pretty_flag(tmp_path, capsys):
 def test_pretty_output_is_the_compact_output_indented(tmp_path, capsys):
     # a degenerate n=5 list: sixteen states that repeat their records, and
     # sixteen members; solve and classify splice pre-written JSON values in,
-    # and construct, certify and verify write none
+    # and construct, certify and verify write none; one shot leaves a mean
+    # and both standard errors undefined (null)
     degenerate = tmp_path / "degenerate.json"
     degenerate.write_text(json.dumps({
         "n": 5,
@@ -1549,7 +1554,8 @@ def test_pretty_output_is_the_compact_output_indented(tmp_path, capsys):
     docs = {}
     for args in (["solve", str(degenerate)], ["classify", str(degenerate)],
                  ["construct", "5"], ["certify", str(epr), "--state", str(state)],
-                 ["verify", str(degenerate)]):
+                 ["certify", str(epr), "--state", str(state), "--shots", "1"],
+                 ["verify", str(degenerate)], ["verify", str(epr), "--seed", "3"]):
         outs = []
         for extra in ([], ["--pretty"]):
             assert main(args + extra) == 0, args
@@ -1576,9 +1582,8 @@ def test_classify_writes_many_members_as_json_dumps_does(tmp_path, capsys):
 
 
 def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
-    import argparse
-
-    assert run_cli(["classify"], tmp_path, capsys, EPR_INPUT)[0] == 0
+    # options before the positional: argparse reads this argv
+    assert run_cli(["classify", "--pre"], tmp_path, capsys, EPR_INPUT)[0] == 0
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1587,9 +1592,133 @@ def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    code, out, _ = run_cli(["classify"], tmp_path, capsys, EPR_INPUT)
+    code, out, _ = run_cli(["classify", "--pre"], tmp_path, capsys, EPR_INPUT)
     assert code == 0 and parse(out)["m_set"] == ["01"]
     assert not built
+
+
+def test_plain_argvs_skip_argparse(tmp_path, capsys, monkeypatch):
+    # a subcommand, its positional, then options spelled in full with their
+    # values: read off COMMANDS, with argparse never parsing
+    epr = tmp_path / "epr.json"
+    epr.write_text(json.dumps(EPR_INPUT))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(
+        {"n": 2, "amplitudes": [{"index": 0, "re": 1.0}, {"index": 3, "re": 1.0}]}
+    ))
+    units = tmp_path / "units.json"
+    identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    units.write_text(json.dumps({"n": 2, "unitaries": [identity, identity]}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    for argv in (
+        ["classify", str(epr)],
+        ["solve", str(epr), "--pretty"],
+        ["construct", "2", "--unitaries", str(units), "--pretty"],
+        ["certify", str(epr), "--state", str(state), "--shots", "100", "--seed", "3",
+         "--threshold", "0.5", "--a-fraction", "0.25", "--pretty"],
+        ["verify", str(epr), "--seed", "7"],
+    ):
+        assert main(argv) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.out and not captured.err, argv
+
+
+_OPTION_NAMES = sorted({arg.name for c in COMMANDS.values() for arg in c.options})
+# values that convert, values that argparse refuses, and dash-led ones
+_ARG_VALUES = ["x.json", "5", " 7 ", "-5", "-1.5", "0.25", "1e3", "nan", "1_0",
+               "abc", "", "-", "-x", "--x", "-h", "--pretty"]
+_ARGV_TOKENS = st.sampled_from([
+    *COMMANDS, "cl", "bogus", *_OPTION_NAMES,
+    *{name[:k] for name in _OPTION_NAMES for k in (3, 4, 5)},  # "--sho", "--s"
+    *(f"{name}=1" for name in _OPTION_NAMES), "--pretty=",
+    "--", "-h", "--help", "--bogus", *_ARG_VALUES,
+])
+
+
+@st.composite
+def argvs(draw):
+    """Argvs of every shape: free strings of the tokens above, and plain
+    ones (a subcommand, its positional or not, then its required options
+    and some others in any order, each with a value that converts) with
+    one token maybe added, replaced or repeated."""
+    if not draw(st.integers(0, 3)):
+        return draw(st.lists(_ARGV_TOKENS, max_size=8))
+    name = draw(st.sampled_from(list(COMMANDS)))
+    command = COMMANDS[name]
+
+    def value(arg):
+        return draw(st.sampled_from(["3", " 7 ", "1_0"] if arg.type else ["x.json", ""]))
+
+    argv = [name]
+    if command.positional.required or draw(st.booleans()):
+        argv.append(value(command.positional))
+    for arg in draw(st.permutations(command.options)):
+        if arg.required or draw(st.booleans()):
+            argv += [arg.name] if arg.flag else [arg.name, value(arg)]
+    k = draw(st.integers(1, len(argv)))
+    edit = draw(st.sampled_from(["none", "add", "replace", "repeat"]))
+    if edit == "add" or edit == "replace" and k == len(argv):
+        argv.insert(k, draw(_ARGV_TOKENS))
+    elif edit == "replace":
+        argv[k] = draw(_ARGV_TOKENS)
+    elif edit == "repeat":
+        arg = draw(st.sampled_from(command.options))
+        argv[k:k] = [arg.name] if arg.flag else [arg.name, draw(_ARGV_TOKENS)]
+    return argv
+
+
+def _outcome(call, capsys):
+    """call()'s result, or ("exit", code) if it exits, and its stdout and
+    stderr."""
+    try:
+        result = call()
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argvs())
+@example(argv=["classify", "-x"])
+@example(argv=["construct", "-5"])
+@example(argv=["certify", "--state", "-x"])
+@example(argv=["verify", "--seed", "x", "--seed", "3"])
+@example(argv=["certify", "a.json", "--sta", "s.json"])
+@example(argv=["verify", "--seed=3"])
+@example(argv=["classify", "--", "x.json"])
+@example(argv=["solve", "-h"])
+def test_main_reads_every_argv_as_argparse_does(capsys, argv):
+    # each subcommand records the namespace it is given: main's must be
+    # argparse's, or main must exit as argparse does, with its exact text
+    seen = []
+
+    def record(args):
+        seen.append(args)
+        return {}
+
+    def fields(ns):
+        return sorted((key, repr(value)) for key, value in vars(ns).items())
+
+    table = {name: dataclasses.replace(c, func=record) for name, c in COMMANDS.items()}
+    with mock.patch.dict(COMMANDS, table):
+        cli.build_parser.cache_clear()
+        try:
+            expected = _outcome(lambda: cli.build_parser().parse_args(argv), capsys)
+            got = _outcome(lambda: main(argv), capsys)
+        finally:
+            cli.build_parser.cache_clear()
+    namespace, out, err = expected
+    if isinstance(namespace, argparse.Namespace):
+        assert got == (0, "{}\n", "") and out == err == "", (argv, got)
+        assert [fields(ns) for ns in seen] == [fields(namespace)], argv
+    else:
+        assert got == expected and not seen, argv
 
 
 def _cli_env():
