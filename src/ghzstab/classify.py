@@ -115,16 +115,6 @@ def _exact_sums(nums: list[int], n: int, mod: int) -> np.ndarray:
     return _kernels.signed_sums_int(nums)
 
 
-def _exact_members(d: DirectionList, h: int) -> tuple[np.ndarray, HalfSumRing]:
-    """Members of an exact list: a pattern vanishes when its low half-sum is
-    minus its high half-sum mod 2 den. Equal low residues keep their order,
-    so members come out ascending."""
-    nums, mod = _exact_residues(d)
-    n = len(nums)
-    ring = HalfSumRing(_exact_sums([0] + nums[h:], n, mod), mod)
-    return ring.meet(_exact_sums(nums[:h], n, mod), 0, n - h)[0], ring
-
-
 def signed_sum_error(thetas) -> float:
     """Bound on the float error of a signed sum sum_l +-theta_l of these
     radian thetas, as classify computes it: the sequential sum, the two
@@ -201,17 +191,31 @@ def _distinct(patterns: np.ndarray) -> np.ndarray:
     return patterns[keep]
 
 
-def _float_members(
-    d: DirectionList, h: int, tol: float
-) -> tuple[np.ndarray, HalfSumRing, bool]:
-    """Members of a radian list, its ring of low half-sums and the fragile
-    flag."""
+def _members(
+    d: DirectionList, tol: float, ring: HalfSumRing | None = None
+) -> SignPatternSet:
+    """d's members by meet-in-the-middle: an exact list's pattern vanishes
+    when its low half-sum is minus its high half-sum mod 2 den, a radian
+    list's when its candidate scores at most tol. The ring of low
+    half-sums is built from d unless given. The low block holds no theta_1,
+    so a ring built for a list that differs from d only in theta_1 (and,
+    when exact, has d's common denominator, as pi - theta_1 does) is d's."""
+    n = d.n_parties
+    h = (n + 1) // 2
+    if d.all_exact:
+        nums, mod = _exact_residues(d)
+        if ring is None:
+            ring = HalfSumRing(_exact_sums([0] + nums[h:], n, mod), mod)
+        bits = ring.meet(_exact_sums(nums[:h], n, mod), 0, n - h)[0]
+        return SignPatternSet(n=n, bits=bits, ring=ring)
     theta = np.asarray(d.theta_radians(), dtype=np.float64)
-    low = _kernels.signed_sums_f8(np.concatenate(([0.0], theta[h:])))
-    ring = HalfSumRing(low, 2.0 * math.pi)
+    if ring is None:
+        low = _kernels.signed_sums_f8(np.concatenate(([0.0], theta[h:])))
+        ring = HalfSumRing(low, 2.0 * math.pi)
     patterns, score = _float_candidates(theta, h, tol, ring)
     fragile = bool(np.any((score > tol) & (score <= FRAGILE_FACTOR * tol)))
-    return _distinct(patterns[score <= tol]), ring, fragile
+    bits = _distinct(patterns[score <= tol])
+    return SignPatternSet(n=n, bits=bits, ring=ring, fragile=fragile)
 
 
 def sign_pattern_set(d: DirectionList, tol: float = DEFAULT_TOL) -> SignPatternSet:
@@ -229,12 +233,7 @@ def sign_pattern_set(d: DirectionList, tol: float = DEFAULT_TOL) -> SignPatternS
     n = d.n_parties
     if n > MAX_PARTIES:
         raise SizeError(f"n_parties {n} exceeds enumeration cap {MAX_PARTIES}")
-    h = (n + 1) // 2
-    if d.all_exact:
-        bits, ring = _exact_members(d, h)
-        return SignPatternSet(n=n, bits=bits, ring=ring)
-    bits, ring, fragile = _float_members(d, h, tol)
-    return SignPatternSet(n=n, bits=bits, ring=ring, fragile=fragile)
+    return _members(d, tol)
 
 
 def classify(d: DirectionList, tol: float = DEFAULT_TOL) -> ClassificationReport:
@@ -272,24 +271,12 @@ def sector_dimensions(
     conjugating party 1 by sigma_X, which negates Z^N, to (pi - theta_1,
     -phi_1). Counting reads no phi, so (+,-) and (-,+) both count d with
     theta_1 flipped to pi - theta_1, and (-,-), flipped twice, counts d.
-    The flip moves only the high half-sums, so the flipped list meets the
-    ring of d's low half-sums: exact high residues shift by pi - 2 theta_1,
-    and radian lists rescore as classify does on the flipped list.
+    The flipped list's members come from classify's own member routine,
+    bit for bit what classify gives on it; the flip moves only the high
+    half-sums, so they are met in the ring of d's low half-sums.
     """
     report = classify(d, tol)
+    moved = DirectionList.of((PI - d.thetas[0],) + d.thetas[1:], d.phis)
+    flipped = len(_members(moved, tol, report.patterns.ring))
     same = len(report.patterns)
-    ring = report.patterns.ring
-    n = d.n_parties
-    h = (n + 1) // 2
-    if d.all_exact:
-        nums, mod = _exact_residues(d)
-        # pi - theta_1 = (den - nums[0]) pi / den
-        nums[0] = (mod // 2 - nums[0]) % mod
-        _, counts = ring.windows(_exact_sums(nums[:h], n, mod), 0)
-        flipped = int(counts.sum())
-    else:
-        theta = np.asarray(d.theta_radians(), dtype=np.float64)
-        theta[0] = (PI - d.thetas[0]).to_radians()
-        patterns, score = _float_candidates(theta, h, tol, ring)
-        flipped = _distinct(patterns[score <= tol]).size
     return report, (same, flipped, flipped, same)

@@ -18,8 +18,8 @@ per party, and construct's n as its "n".
 COMMANDS declares each subcommand's arguments once. A plain argv (the
 subcommand, at most its positional, then distinct options spelled in full,
 each with its one value) is read straight off that table; argparse, built
-from the same table, reads every other argv, and alone prints help and
-words a refusal of the command line.
+from the same table and imported only then, reads every other argv, and
+alone prints help and words a refusal of the command line.
 
 Exit codes: 0 success, 1 stdout closed before the output was written (a
 pipe whose reader quit, as in `ghzstab classify big.json | head`; nothing
@@ -28,7 +28,6 @@ is printed), 2 malformed input, 3 internal consistency failure.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
@@ -37,6 +36,8 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -61,6 +62,9 @@ from .solve import (
     solve_common_eigenspace,
     trig_parity_identity_residuals,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 AMPLITUDE_CUTOFF = 1e-12
 MAX_RADIANS = 4 * math.pi
@@ -545,39 +549,6 @@ def cmd_verify(args) -> dict:
     }
 
 
-def _named(check, action, value):
-    """check(action, value), with value's repr in a refusal replaced by
-    shown(value)."""
-    try:
-        return check(action, value)
-    except argparse.ArgumentError as exc:
-        if shown(value) == repr(value):
-            raise
-        message = exc.message.replace(repr(value), shown(value), 1)
-        raise argparse.ArgumentError(action, message) from None
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, with an over-long argument that it refuses (a
-    typed value, a choice, a subcommand name or unrecognized arguments)
-    named by its size (errors.shown) in argparse's own wording."""
-
-    def _get_value(self, action, arg_string):
-        return _named(super()._get_value, action, arg_string)
-
-    def _check_value(self, action, value):
-        return _named(super()._check_value, action, value)
-
-    def parse_args(self, args=None, namespace=None):
-        args, extra = self.parse_known_args(args, namespace)
-        if extra:
-            text = " ".join(extra)  # argparse prints these unquoted
-            if shown(text) != repr(text):
-                text = shown(text)
-            self.error(f"unrecognized arguments: {text}")
-        return args
-
-
 @dataclass(frozen=True)
 class Arg:
     """One argument of a subcommand: its positional (no leading dashes) or
@@ -598,7 +569,7 @@ class Arg:
 
 @dataclass(frozen=True)
 class Command:
-    func: Callable[[argparse.Namespace], dict]
+    func: Callable[[SimpleNamespace | argparse.Namespace], dict]
     help: str
     positional: Arg
     options: tuple[Arg, ...]
@@ -646,7 +617,40 @@ COMMANDS = {
 
 @functools.cache  # each parse fills a fresh namespace, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
+    """argparse's parser for COMMANDS, with an over-long argument that it
+    refuses (a typed value, a choice, a subcommand name or unrecognized
+    arguments) named by its size (errors.shown) in argparse's own wording.
+    argparse is imported here, since a plain argv never needs it."""
+    import argparse
+
+    def named(check, action, value):
+        """check(action, value), with value's repr in a refusal replaced by
+        shown(value)."""
+        try:
+            return check(action, value)
+        except argparse.ArgumentError as exc:
+            if shown(value) == repr(value):
+                raise
+            message = exc.message.replace(repr(value), shown(value), 1)
+            raise argparse.ArgumentError(action, message) from None
+
+    class Parser(argparse.ArgumentParser):
+        def _get_value(self, action, arg_string):
+            return named(super()._get_value, action, arg_string)
+
+        def _check_value(self, action, value):
+            return named(super()._check_value, action, value)
+
+        def parse_args(self, args=None, namespace=None):
+            args, extra = self.parse_known_args(args, namespace)
+            if extra:
+                text = " ".join(extra)  # argparse prints these unquoted
+                if shown(text) != repr(text):
+                    text = shown(text)
+                self.error(f"unrecognized arguments: {text}")
+            return args
+
+    ap = Parser(
         prog="ghzstab",
         description="Two-observable stabilization of N-qubit GHZ states.",
     )
@@ -668,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _plain_namespace(argv: list[str]) -> argparse.Namespace | None:
+def _plain_namespace(argv: list[str]) -> SimpleNamespace | None:
     """The namespace build_parser().parse_args(argv) gives when argv is
     plain, read off COMMANDS; None for any other argv.
 
@@ -709,7 +713,7 @@ def _plain_namespace(argv: list[str]) -> argparse.Namespace | None:
             return None
         else:
             values[arg.dest] = arg.default
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:

@@ -10,7 +10,9 @@ a character sum that vanishes because m xor m' is neither zero nor the
 all-ones string (its first bit is 0). So the basis is orthonormal by
 construction. The solver also returns the dimensions of the four sign
 sectors of (sA, sB) from the same classify run (classify.sector_dimensions):
-two of them count the list with theta_1 flipped to pi - theta_1.
+two of them count the list with theta_1 flipped to pi - theta_1, whose
+members classify's own member routine finds in the same ring of low
+half-sums.
 
 The brute-force route (one symmetric eigensolve of the flipped block of A,
 which gives all four sign sectors) is kept as an independent oracle for

@@ -6,8 +6,9 @@
   sA A - I on B's sB eigenspaces (the oracle tests);
 - purification Schmidt weights from singular values, and the spectral-norm
   distance of two subspaces from an SVD of the residual (the audit tests);
-- the signed angle sum and vanishing condition of one sign pattern (the
-  enumeration tests);
+- the signed angle sum and vanishing condition of one sign pattern, and
+  the count of an exact list's patterns whose sum is an odd multiple of pi
+  (the enumeration and sector tests);
 - the spin eigenframes, the joint-outcome Born probabilities computed
   directly and by party-by-party collapse, and a certification run that
   applies sigma_z_product(n) for <Z^N> (the certification tests);
@@ -169,6 +170,23 @@ def pattern_condition(d: DirectionList, m: int, tol: float = DEFAULT_TOL) -> boo
         frac = s.pi_multiple
         return frac.denominator == 1 and frac.numerator % 2 == 0
     return abs(math.sin(s.to_radians() / 2.0)) <= tol
+
+
+def odd_pi_pattern_count(d: DirectionList) -> int:
+    """The number of patterns m with m_1 = 0 of an exact list whose signed
+    sum is an odd multiple of pi, by enumeration: with theta_l = nums[l] pi
+    / den, those whose signed residue sum is den mod 2 den."""
+    fracs = [t.pi_multiple for t in d.thetas]
+    den = math.lcm(*(f.denominator for f in fracs))
+    nums = [int(f * den) for f in fracs]
+    n = d.n_parties
+    count = 0
+    for m in range(1 << (n - 1)):
+        total = nums[0] + sum(
+            -num if (m >> (n - 1 - l)) & 1 else num for l, num in enumerate(nums[1:], 1)
+        )
+        count += total % (2 * den) == den
+    return count
 
 
 def spin_frames(d: DirectionList) -> np.ndarray:

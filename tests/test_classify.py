@@ -20,7 +20,7 @@ from ghzstab.angles import PI
 from ghzstab import _kernels
 from ghzstab.classify import FRAGILE_FACTOR, sector_dimensions, sign_pattern_set
 from ghzstab.errors import DomainError
-from reference import pattern_condition, signed_angle_sum
+from reference import odd_pi_pattern_count, pattern_condition, signed_angle_sum
 from sampling import radians, rationals, uniform_directions
 
 # the package's classify function shadows the module's name
@@ -435,3 +435,50 @@ def test_flipped_count_is_the_count_of_the_flipped_list(case):
     assert (flipped_again, same_again) == (flipped, same)
     assert report.patterns.bits.tolist() == classify(d, tol).patterns.bits.tolist()
 
+
+@st.composite
+def exact_lists(draw):
+    """Exact lists of 1 to 14 parties, in the int64 lane and, with den =
+    2^61 + 1, the bigint lane, some with a pattern planted whose sum is an
+    odd multiple of pi."""
+    n = draw(st.integers(1, 14))
+    den = draw(st.integers(1, 12) | st.just((1 << 61) + 1))
+    k = st.integers(-4 * den, 4 * den)
+    nums = draw(st.lists(k, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        signs = [1] + [draw(st.sampled_from([1, -1])) for _ in range(n - 1)]
+        rest = sum(s * num for s, num in zip(signs[:-1], nums[:-1]))
+        turns = draw(st.integers(-1, 1))
+        nums[-1] = signs[-1] * ((den - rest) % (2 * den) + 2 * den * turns)
+    return rationals([(num, den) for num in nums])
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_lists())
+def test_flipped_count_is_read_off_d_by_odd_multiples_of_pi(d):
+    # the flipped list's signed sum is S'_m = pi - S_mbar, mbar the pattern
+    # with m's bits after the first complemented: (+,-) counts d's patterns
+    # whose sum is an odd multiple of pi, without building the flipped list
+    assert sector_dimensions(d)[1][1] == odd_pi_pattern_count(d)
+
+
+def test_sector_dimensions_classifies_once(monkeypatch):
+    # the flip runs no traced name: one classify and one sign_pattern_set
+    # call per sector_dimensions call, so per-call counts read d alone
+    calls = []
+    for name in ("classify", "sign_pattern_set"):
+        fn = getattr(classify_module, name)
+
+        def counted(*args, fn=fn, name=name, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(classify_module, name, counted)
+    for d in (
+        rationals([(1, 2), (1, 2), (1, 3), (2, 3)]),
+        radians([math.pi / 2, math.pi / 2, 0.3, 0.3]),
+        DirectionList.of([Angle.radians(0.25), Angle.exact(1, 4)]),
+    ):
+        calls.clear()
+        sector_dimensions(d)
+        assert calls == ["classify", "sign_pattern_set"], d

@@ -1743,6 +1743,23 @@ def test_entry_point_subprocess(tmp_path):
     assert json.loads(proc.stdout)["case"] == "UniqueGHZ"
 
 
+def test_plain_argv_never_imports_argparse(tmp_path):
+    # argparse is imported only to build the parser, which a plain argv
+    # never needs: a fresh process that reads one leaves it unloaded
+    path = tmp_path / "angles.json"
+    path.write_text(json.dumps(EPR_INPUT))
+    code = (
+        "import sys, ghzstab.cli; "
+        f"assert ghzstab.cli.main(['classify', {str(path)!r}]) == 0; "
+        "assert 'argparse' not in sys.modules, 'argparse imported'"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=_cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["case"] == "UniqueGHZ"
+
+
 def test_closed_stdout_exits_1_quietly(tmp_path):
     # 18 thetas 0 give 2^17 members, 2.9 MB of text, far past a pipe's
     # buffer: the write meets the closed pipe, and the rest goes to
